@@ -1,0 +1,354 @@
+"""Command-line interface.
+
+Subcommands: ``spectrum`` (dense vs block eigenvalues), ``bounds`` (gap bound
+battery on one instance), ``bohr`` (Bohr-set calculus battery), ``scan``
+(progression characterization, both directions), ``experiment <name>``.
+
+Exit codes: 0 all checks pass (vacuous passes count as passes), 1 at least
+one substantive failure, 2 hypothesis or configuration error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+from . import bohr as bohr_mod
+from .bounds import (
+    exceptional_set,
+    symmetrized_rep_count,
+    verify_basis_bound,
+    verify_diameter_bound,
+    verify_exceptional_bound,
+    verify_exceptional_bound_star,
+    verify_fourier_norm_bound,
+    verify_uniformity,
+)
+from .config import load_config, resolve_subset
+from .errors import CayleyGapError, HypothesisFail, NotCataloged
+from .experiments import EXPERIMENTS
+from .groups import CyclicGroup, GroupSubset, diameter, make_group
+from .reports import bound_record, emit_report, json_ready, render_csv
+from .representations import irrep_catalog
+from .spectra import laplace_spectrum_blocks, laplace_spectrum_dense, multiset_distance
+
+EXIT_PASS = 0
+EXIT_FAIL = 1
+EXIT_ERROR = 2
+
+
+def _emit(records: list[dict], args, columns=None) -> None:
+    if args.out:
+        emit_report(records, args.format, args.out, columns=columns)
+        return
+    ordered = sorted(records, key=lambda r: str(r.get("instance", "")))
+    if not ordered:
+        print("(no records)")
+        return
+    if args.format == "json":
+        import json
+
+        print(json.dumps([json_ready(r) for r in ordered], indent=2, sort_keys=True))
+        return
+    cols = columns or list(dict.fromkeys(k for r in ordered for k in r))
+    print(render_csv(ordered, cols), end="")
+
+
+def _exit_code(records: list[dict]) -> int:
+    for record in records:
+        if record.get("asserted", True) and record.get("verdict") == "fail":
+            return EXIT_FAIL
+    return EXIT_PASS
+
+
+def cmd_spectrum(args) -> int:
+    cfg = load_config(args.config)
+    group = make_group(cfg["group"])
+    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
+    subset = resolve_subset(group, cfg.get("set", "full"), rng)
+    dense = laplace_spectrum_dense(subset)
+    records = []
+    for row in dense.rows():
+        row["instance"] = f"dense-{row['index']:05d}"
+        records.append(row)
+    agree = True
+    try:
+        blocks = laplace_spectrum_blocks(subset)
+    except NotCataloged:
+        blocks = None
+    if blocks is not None:
+        for row in blocks.rows():
+            row["instance"] = f"blocks-{row['index']:05d}"
+            records.append(row)
+        gap = multiset_distance(dense.eigenvalues, blocks.eigenvalues)
+        agree = gap <= 1e-9
+        records.append(
+            {
+                "instance": "zz-path-agreement",
+                "index": -1,
+                "eigenvalue_re": gap,
+                "eigenvalue_im": 0.0,
+                "star_eigenvalue": float(
+                    np.abs(dense.star_eigenvalues - blocks.star_eigenvalues).max()
+                ),
+                "cluster": -1,
+                "path": "pass" if agree else "fail",
+            }
+        )
+    _emit(records, args, columns=["instance", "index", "eigenvalue_re", "eigenvalue_im", "star_eigenvalue", "cluster", "path"])
+    return EXIT_PASS if agree else EXIT_FAIL
+
+
+def cmd_bounds(args) -> int:
+    cfg = load_config(args.config)
+    group = make_group(cfg["group"])
+    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
+    subset = resolve_subset(group, cfg.get("set", "full"), rng)
+    g = cfg.get("g", 1)
+    d = cfg.get("d") or diameter(subset)
+    records = []
+
+    def add(report, instance):
+        records.append(bound_record(report, instance, group.name))
+
+    add(verify_diameter_bound(subset, d), "01-diameter")
+    add(verify_basis_bound(subset, d), "02-basis")
+    omega = exceptional_set(subset, d, g)
+    add(verify_exceptional_bound(subset, d, g, omega), "03-exceptional")
+    counts = symmetrized_rep_count(subset, d).values.real
+    omega_star = GroupSubset(group, (counts < g).astype(np.int8))
+    add(verify_exceptional_bound_star(subset, d, g, omega_star), "04-exceptional-star")
+    if counts.min() >= g:
+        try:
+            add(verify_fourier_norm_bound(subset, d, g), "05-fourier-norm")
+        except NotCataloged:
+            pass
+        add(verify_uniformity(subset, d, cfg.get("k", 2)), "06-uniformity")
+    if isinstance(group, CyclicGroup) and bohr_mod.is_prime(group.order) and d >= 2:
+        add(bohr_mod.verify_progression_basis_bound(subset, d, g, omega), "07-progression-basis")
+    if d >= 2:
+        add(bohr_mod.verify_bohr_basis_bound(subset, d, g, omega_star), "08-bohr-basis")
+        if group.order <= 200 and omega_star.size < group.order:
+            try:
+                add(
+                    bohr_mod.verify_bohr_basis_bound_certified(subset, d, g, omega_star),
+                    "09-bohr-basis-certified",
+                )
+            except HypothesisFail:
+                pass  # no certificate for groups with small normal subgroups
+    _emit(records, args)
+    return _exit_code(records)
+
+
+def cmd_bohr(args) -> int:
+    cfg = load_config(args.config)
+    group = make_group(cfg["group"])
+    catalog = irrep_catalog(group)
+    delta = float(cfg.get("delta", 0.5))
+    records = []
+    reps = catalog.nontrivial()
+    if "rep" in cfg:
+        reps = [catalog[int(cfg["rep"])]]
+    for rep in reps:
+        label = rep.label
+        sym = bohr_mod.bohr_symmetry_normality_check([rep], delta)
+        records.append(
+            {
+                "instance": f"{label}-01-symmetry",
+                "check": sym.name,
+                "group": group.name,
+                "params": f"delta={delta:g}",
+                "measured": sym.failures,
+                "bound": 0,
+                "verdict": sym.verdict,
+            }
+        )
+        rule = bohr_mod.bohr_sum_rule_check([rep], delta / 2, delta / 2)
+        records.append(
+            {
+                "instance": f"{label}-02-sum-rule",
+                "check": rule.name,
+                "group": group.name,
+                "params": f"delta={delta / 2:g}+{delta / 2:g}",
+                "measured": rule.failures,
+                "bound": 0,
+                "verdict": rule.verdict,
+            }
+        )
+        half = bohr_mod.check_bohr_half_size(rep)
+        records.append(
+            {
+                "instance": f"{label}-03-half-size",
+                "check": half.bound_name,
+                "group": group.name,
+                "params": f"delta={half.parameters['delta']:g}",
+                "measured": half.measured,
+                "bound": half.bound_value,
+                "verdict": half.verdict,
+            }
+        )
+        if delta <= 0.4:
+            doubling = bohr_mod.bohr_doubling_check(rep, delta)
+            records.append(
+                {
+                    "instance": f"{label}-04-doubling",
+                    "check": doubling.bound_name,
+                    "group": group.name,
+                    "params": f"delta={delta:g}",
+                    "measured": doubling.measured,
+                    "bound": doubling.bound_value,
+                    "verdict": doubling.verdict,
+                }
+            )
+        covering = bohr_mod.ruzsa_covering(rep, delta)
+        records.append(
+            {
+                "instance": f"{label}-05-covering",
+                "check": "ruzsa_covering",
+                "group": group.name,
+                "params": f"delta={delta:g}",
+                "measured": max(len(covering.left_cover), len(covering.right_cover)),
+                "bound": covering.size_bound,
+                "verdict": "pass" if covering.holds else "fail",
+            }
+        )
+        radius = bohr_mod.find_regular(rep, min(delta, 0.5))
+        records.append(
+            {
+                "instance": f"{label}-06-regular",
+                "check": "regular_radius_exists",
+                "group": group.name,
+                "params": f"window=[{min(delta, 0.5):g},{2 * min(delta, 0.5):g}]",
+                "measured": radius,
+                "bound": 2 * min(delta, 0.5),
+                "verdict": "pass",
+            }
+        )
+        if "eps" in cfg:
+            eps_rep = bohr_mod.check_bohr_eps_size(rep, float(cfg["eps"]))
+            records.append(
+                {
+                    "instance": f"{label}-07-eps-size",
+                    "check": eps_rep.bound_name,
+                    "group": group.name,
+                    "params": f"eps={cfg['eps']:g}",
+                    "measured": eps_rep.measured,
+                    "bound": eps_rep.bound_value,
+                    "verdict": eps_rep.verdict,
+                }
+            )
+    if len(reps) >= 2:
+        multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
+        records.append(
+            {
+                "instance": "zz-multi-bohr",
+                "check": multi.bound_name,
+                "group": group.name,
+                "params": f"delta={delta:g}",
+                "measured": multi.measured,
+                "bound": multi.bound_value,
+                "verdict": multi.verdict,
+            }
+        )
+    _emit(records, args, columns=["instance", "check", "group", "params", "measured", "bound", "verdict"])
+    return _exit_code(records)
+
+
+def cmd_scan(args) -> int:
+    cfg = load_config(args.config)
+    group = make_group(cfg["group"])
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    rng = np.random.default_rng(seed)
+    subset = resolve_subset(group, cfg.get("set", "full"), rng)
+    d = int(cfg.get("d", 2))
+    delta = float(cfg.get("delta", 0.4))
+    direction = cfg.get("direction", "both")
+    exhaustive = True if args.exhaustive else None
+    records = []
+    if direction in ("forward", "both"):
+        fw = bohr_mod.gap_from_progressions(subset, d, delta, exhaustive=exhaustive, seed=seed)
+        records.append(bound_record(fw, "01-forward", group.name))
+        records[-1]["scan"] = fw.parameters["scan"]
+    if direction in ("reverse", "both"):
+        rv = bohr_mod.progressions_from_gap(subset, d, delta, exhaustive=exhaustive, seed=seed)
+        records.append(bound_record(rv, "02-reverse", group.name))
+        records[-1]["scan"] = rv.parameters["scan"]
+        cert = bohr_mod.progressions_from_gap_certified(
+            subset, d, delta, exhaustive=exhaustive, seed=seed
+        )
+        records.append(bound_record(cert, "03-reverse-certified", group.name))
+        records[-1]["scan"] = cert.parameters["scan"]
+    _emit(records, args)
+    return _exit_code(records)
+
+
+def cmd_experiment(args) -> int:
+    cfg = load_config(args.config) if args.config else {}
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    name = args.name
+    if name not in EXPERIMENTS:
+        raise CayleyGapError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    if name == "triple-free":
+        group = make_group(cfg.get("group", "cyclic(13)"))
+        result = EXPERIMENTS[name](group, seed)
+    elif name == "sidon":
+        result = EXPERIMENTS[name](
+            int(cfg.get("N", 101)), int(cfg.get("k", 2)), seed, float(cfg.get("c_k", 1.0))
+        )
+    elif name == "additive-basis":
+        result = EXPERIMENTS[name](int(cfg.get("N", 211)), seed)
+    else:
+        result = EXPERIMENTS[name](
+            int(cfg.get("N", 1009)), float(cfg.get("c1", 2.0)), float(cfg.get("C", 8.0)), seed
+        )
+    _emit(result.records, args)
+    return EXIT_PASS if result.passed else EXIT_FAIL
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cayleygap",
+        description="Cayley graph spectra, gap bounds, and Bohr-set verification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, func in (
+        ("spectrum", cmd_spectrum),
+        ("bounds", cmd_bounds),
+        ("bohr", cmd_bohr),
+        ("scan", cmd_scan),
+    ):
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="path to key=value config")
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output file (stdout if omitted)")
+        p.add_argument("--exhaustive", action="store_true", help="force exhaustive scans")
+        p.set_defaults(func=func)
+    pe = sub.add_parser("experiment")
+    pe.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
+    pe.add_argument("--config", default=None, help="path to key=value config")
+    pe.add_argument("--seed", type=int, default=None, help="override config seed")
+    pe.add_argument("--format", choices=("csv", "json"), default="csv")
+    pe.add_argument("--out", default=None, help="output file (stdout if omitted)")
+    pe.add_argument("--exhaustive", action="store_true", help="force exhaustive scans")
+    pe.set_defaults(func=cmd_experiment)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except CayleyGapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (ValueError, KeyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

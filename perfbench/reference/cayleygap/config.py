@@ -1,0 +1,78 @@
+"""Key-value experiment configuration files.
+
+Format: one ``key = value`` pair per line, ``#`` comments, values parsed as
+Python literals when possible (numbers, lists) and as bare strings otherwise.
+
+    experiment = sidon
+    group = cyclic(101)
+    set = symmetric_random(8)
+    seed = 7
+    delta = 0.3
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+
+from .errors import IoFailure
+from .groups import FiniteGroup, GroupSubset
+from .sampling import random_subset, random_symmetric_subset
+
+
+def parse_config_text(text: str) -> dict:
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value_text = line.partition("=")
+        key = key.strip()
+        value_text = value_text.strip()
+        try:
+            value = ast.literal_eval(value_text)
+        except (ValueError, SyntaxError):
+            value = value_text
+        values[key] = value
+    return values
+
+
+def load_config(path: str | Path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    return parse_config_text(text)
+
+
+_SET_CALL_RE = re.compile(r"^([a-z_]+)\s*\((.*)\)$")
+
+
+def resolve_subset(group: FiniteGroup, spec, rng: np.random.Generator) -> GroupSubset:
+    """Subset from a config value: explicit index list, ``full``,
+    ``random(size)``, ``symmetric_random(size)``, or ``interval(start, length)``."""
+    if isinstance(spec, (list, tuple)):
+        return GroupSubset.from_indices(group, spec)
+    if isinstance(spec, str):
+        text = spec.strip()
+        if text == "full":
+            return GroupSubset.full(group)
+        match = _SET_CALL_RE.match(text)
+        if match:
+            kind = match.group(1)
+            args = [int(a) for a in match.group(2).split(",") if a.strip()]
+            if kind == "random" and len(args) == 1:
+                return random_subset(group, args[0], rng)
+            if kind == "symmetric_random" and len(args) == 1:
+                return random_symmetric_subset(group, args[0], rng)
+            if kind == "interval" and len(args) == 2:
+                start, length = args
+                return GroupSubset.from_indices(
+                    group, [(start + j) % group.order for j in range(length)]
+                )
+    raise ValueError(f"cannot resolve set spec {spec!r}")

@@ -1,0 +1,691 @@
+"""Finite groups on dense integer indices, subsets, and group-algebra operations.
+
+Elements of a group of order n are the indices 0..n-1.  Closed-form families
+(cyclic, abelian products, dihedral) compute products by rule; generic groups
+carry a multiplication table.  Subsets are immutable 0/1 indicator vectors and
+functions are numpy value vectors, so product sets, k-th roots, convolution and
+diameter all reduce to vectorized index arithmetic.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import (
+    ClosureTooLarge,
+    EmptySet,
+    GroupMismatch,
+    InvalidTable,
+    KZero,
+    NoFiniteDiameter,
+)
+
+#: exhaustive law checking up to this order, seeded sampling above
+_EXHAUSTIVE_LAW_LIMIT = 256
+_LAW_SAMPLES = 10_000
+
+_DEFAULT_CLOSURE_CAP = 10_000
+
+
+def _int_dtype(order: int):
+    return np.int32 if order < 2**31 - 1 else np.int64
+
+
+class FiniteGroup:
+    """A finite group whose elements are the indices ``0..order-1``.
+
+    Subclasses supply ``mul``/``inv``; everything else (tables, conjugacy
+    classes, validation) is derived here and cached.
+    """
+
+    order: int
+    name: str
+    identity: int = 0
+
+    def mul(self, a: int, b: int) -> int:
+        raise NotImplementedError
+
+    def inv(self, a: int) -> int:
+        raise NotImplementedError
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def signature(self) -> tuple:
+        """Structural identity used for equality and caching."""
+        raise NotImplementedError
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteGroup) and self.signature() == other.signature()
+
+    def __hash__(self) -> int:
+        return hash(self.signature())
+
+    def __repr__(self) -> str:
+        return f"<{self.name}: order {self.order}>"
+
+    # -- derived numpy machinery (cached per instance) ----------------------
+
+    def _build_mul_table(self) -> np.ndarray:
+        n = self.order
+        table = np.empty((n, n), dtype=_int_dtype(n))
+        for a in range(n):
+            table[a] = [self.mul(a, b) for b in range(n)]
+        return table
+
+    @property
+    def mul_table(self) -> np.ndarray:
+        cached = getattr(self, "_mul_table", None)
+        if cached is None:
+            cached = self._build_mul_table()
+            cached.flags.writeable = False
+            self._mul_table = cached
+        return cached
+
+    @property
+    def inv_table(self) -> np.ndarray:
+        cached = getattr(self, "_inv_table", None)
+        if cached is None:
+            cached = np.array([self.inv(a) for a in range(self.order)], dtype=_int_dtype(self.order))
+            cached.flags.writeable = False
+            self._inv_table = cached
+        return cached
+
+    @property
+    def conv_index(self) -> np.ndarray:
+        """Matrix Z with Z[a, b] = inv(a) * b; drives convolution and Markov matrices."""
+        cached = getattr(self, "_conv_index", None)
+        if cached is None:
+            cached = self.mul_table[self.inv_table, :]
+            cached.flags.writeable = False
+            self._conv_index = cached
+        return cached
+
+    def power_index(self, k: int) -> np.ndarray:
+        """Vector of x**k over all elements, by binary exponentiation on indices."""
+        if k < 0:
+            return self.inv_table[self.power_index(-k)]
+        n = self.order
+        acc = np.full(n, self.identity, dtype=_int_dtype(n))
+        base = np.arange(n, dtype=_int_dtype(n))
+        table = self.mul_table
+        while k:
+            if k & 1:
+                acc = table[acc, base]
+            k >>= 1
+            if k:
+                base = table[base, base]
+        return acc
+
+    @property
+    def is_abelian(self) -> bool:
+        cached = getattr(self, "_is_abelian", None)
+        if cached is None:
+            table = self.mul_table
+            cached = bool(np.array_equal(table, table.T))
+            self._is_abelian = cached
+        return cached
+
+    def conjugacy_classes(self) -> list[np.ndarray]:
+        """Conjugacy classes as sorted index arrays, identity class first."""
+        cached = getattr(self, "_classes", None)
+        if cached is not None:
+            return cached
+        n = self.order
+        table = self.mul_table
+        inv = self.inv_table
+        seen = np.zeros(n, dtype=bool)
+        classes: list[np.ndarray] = []
+        for x in range(n):
+            if seen[x]:
+                continue
+            orbit = np.unique(table[table[:, x], inv])
+            seen[orbit] = True
+            classes.append(orbit)
+        self._classes = classes
+        return classes
+
+    def validate(self, seed: int = 0) -> None:
+        """Check identity, inverse, and associativity laws.
+
+        Exhaustive for order <= 256, seeded triple sampling above.  Raises
+        InvalidTable on any violation.
+        """
+        n = self.order
+        table = self.mul_table
+        if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+            raise InvalidTable("multiplication table entries out of range")
+        e = self.identity
+        if not (np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n))):
+            raise InvalidTable("identity law fails")
+        inv = self.inv_table
+        if not np.array_equal(table[np.arange(n), inv], np.full(n, e)):
+            raise InvalidTable("inverse law fails")
+        if n <= _EXHAUSTIVE_LAW_LIMIT:
+            bc = table  # bc[b, c] = b*c
+            for a in range(n):
+                left = table[table[a], :]  # (a*b)*c
+                right = table[a][bc]  # a*(b*c)
+                if not np.array_equal(left, right):
+                    raise InvalidTable(f"associativity fails at a={a}")
+        else:
+            rng = np.random.default_rng(seed)
+            a = rng.integers(0, n, _LAW_SAMPLES)
+            b = rng.integers(0, n, _LAW_SAMPLES)
+            c = rng.integers(0, n, _LAW_SAMPLES)
+            if not np.array_equal(table[table[a, b], c], table[a, table[b, c]]):
+                raise InvalidTable("associativity fails on sampled triples")
+
+
+class CyclicGroup(FiniteGroup):
+    """Z/nZ with additive notation."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise InvalidTable(f"cyclic order must be >= 1, got {n}")
+        self.order = int(n)
+        self.name = f"cyclic({n})"
+
+    def mul(self, a: int, b: int) -> int:
+        return (a + b) % self.order
+
+    def inv(self, a: int) -> int:
+        return (-a) % self.order
+
+    def signature(self) -> tuple:
+        return ("cyclic", self.order)
+
+    def _build_mul_table(self) -> np.ndarray:
+        idx = np.arange(self.order, dtype=_int_dtype(self.order))
+        return (idx[:, None] + idx[None, :]) % self.order
+
+
+class AbelianProductGroup(FiniteGroup):
+    """Direct product of cyclic groups Z/n1 x ... x Z/nk, indices in mixed radix."""
+
+    def __init__(self, orders: Sequence[int]):
+        orders = tuple(int(n) for n in orders)
+        if not orders or any(n < 1 for n in orders):
+            raise InvalidTable(f"factor orders must be >= 1, got {orders}")
+        self.factor_orders = orders
+        self.order = int(np.prod(orders))
+        self.name = "abelian_product(" + "x".join(str(n) for n in orders) + ")"
+
+    def decode(self, x: int) -> tuple[int, ...]:
+        digits = []
+        for n in reversed(self.factor_orders):
+            x, r = divmod(x, n)
+            digits.append(r)
+        return tuple(reversed(digits))
+
+    def encode(self, digits: Sequence[int]) -> int:
+        x = 0
+        for n, d in zip(self.factor_orders, digits):
+            x = x * n + d % n
+        return x
+
+    def mul(self, a: int, b: int) -> int:
+        da, db = self.decode(a), self.decode(b)
+        return self.encode([x + y for x, y in zip(da, db)])
+
+    def inv(self, a: int) -> int:
+        return self.encode([-x for x in self.decode(a)])
+
+    def signature(self) -> tuple:
+        return ("abelian_product", self.factor_orders)
+
+    def digit_matrix(self) -> np.ndarray:
+        """(order, k) matrix of mixed-radix digits per element."""
+        cached = getattr(self, "_digits", None)
+        if cached is None:
+            cached = np.array([self.decode(x) for x in range(self.order)], dtype=np.int64)
+            cached.flags.writeable = False
+            self._digits = cached
+        return cached
+
+
+class DihedralGroup(FiniteGroup):
+    """Dihedral group of order 2n: index t*n + i encodes s^t r^i."""
+
+    def __init__(self, n: int):
+        if n < 3:
+            raise InvalidTable(f"dihedral parameter must be >= 3, got {n}")
+        self.n = int(n)
+        self.order = 2 * self.n
+        self.name = f"dihedral({n})"
+
+    def mul(self, a: int, b: int) -> int:
+        n = self.n
+        t1, i1 = divmod(a, n)
+        t2, i2 = divmod(b, n)
+        # s^t1 r^i1 * s^t2 r^i2 = s^(t1+t2) r^(i2 + (-1)^t2 i1)
+        return (t1 ^ t2) * n + (i2 + (1 - 2 * t2) * i1) % n
+
+    def inv(self, a: int) -> int:
+        n = self.n
+        t, i = divmod(a, n)
+        return a if t else (-i) % n
+
+    def signature(self) -> tuple:
+        return ("dihedral", self.n)
+
+
+class TableGroup(FiniteGroup):
+    """Generic group given by an explicit multiplication table."""
+
+    def __init__(self, table: Sequence[Sequence[int]], name: str = "table_group"):
+        arr = np.asarray(table, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise InvalidTable(f"table must be square, got shape {arr.shape}")
+        n = arr.shape[0]
+        if n == 0 or arr.min() < 0 or arr.max() >= n:
+            raise InvalidTable("table entries out of range")
+        self.order = n
+        self.name = name
+        table32 = arr.astype(_int_dtype(n))
+        table32.flags.writeable = False
+        self._mul_table = table32
+        self.identity = self._find_identity(table32)
+        self._inv_table = self._find_inverses(table32, self.identity)
+
+    @staticmethod
+    def _find_identity(table: np.ndarray) -> int:
+        n = table.shape[0]
+        idx = np.arange(n)
+        for e in range(n):
+            if np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx):
+                return e
+        raise InvalidTable("table has no two-sided identity")
+
+    @staticmethod
+    def _find_inverses(table: np.ndarray, e: int) -> np.ndarray:
+        n = table.shape[0]
+        inv = np.full(n, -1, dtype=table.dtype)
+        rows, cols = np.nonzero(table == e)
+        inv[rows] = cols
+        if (inv < 0).any():
+            raise InvalidTable("some element has no inverse")
+        check = table[np.arange(n), inv]
+        if not np.array_equal(check, np.full(n, e)):
+            raise InvalidTable("inverse table inconsistent")
+        inv.flags.writeable = False
+        return inv
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self._mul_table[a, b])
+
+    def inv(self, a: int) -> int:
+        return int(self._inv_table[a])
+
+    def signature(self) -> tuple:
+        return ("table", self._mul_table.shape[0], self._mul_table.tobytes())
+
+
+class PermutationGroup(FiniteGroup):
+    """Subgroup of S_m generated by explicit permutations, enumerated by closure."""
+
+    def __init__(self, perms: list[tuple[int, ...]], name: str = "permutation_group"):
+        self.perms = perms
+        self.order = len(perms)
+        self.name = name
+        self._index = {p: i for i, p in enumerate(perms)}
+        self.identity = self._index[tuple(range(len(perms[0])))]
+
+    def mul(self, a: int, b: int) -> int:
+        p, q = self.perms[a], self.perms[b]
+        return self._index[tuple(p[j] for j in q)]
+
+    def inv(self, a: int) -> int:
+        p = self.perms[a]
+        out = [0] * len(p)
+        for i, j in enumerate(p):
+            out[j] = i
+        return self._index[tuple(out)]
+
+    def signature(self) -> tuple:
+        return ("permutation", tuple(self.perms))
+
+
+def _parse_cycles(text: str, n_points: int | None) -> tuple[int, ...]:
+    """Parse 1-based cycle notation like ``(1 2 3)(4 5)`` into a 0-based image tuple."""
+    cycles = re.findall(r"\(([^()]*)\)", text)
+    if not cycles:
+        raise ValueError(f"cannot parse cycle notation: {text!r}")
+    points: list[list[int]] = []
+    for cyc in cycles:
+        entries = [int(tok) for tok in re.split(r"[,\s]+", cyc.strip()) if tok]
+        if any(p < 1 for p in entries):
+            raise ValueError(f"cycle notation is 1-based, got {text!r}")
+        points.append([p - 1 for p in entries])
+    m = n_points or (max(max(c) for c in points) + 1)
+    image = list(range(m))
+    for cyc in points:
+        for i, p in enumerate(cyc):
+            image[p] = cyc[(i + 1) % len(cyc)]
+    return tuple(image)
+
+
+def _normalize_generator(gen, n_points: int | None) -> tuple[int, ...]:
+    if isinstance(gen, str):
+        return _parse_cycles(gen, n_points)
+    image = tuple(int(x) for x in gen)
+    if sorted(image) != list(range(len(image))):
+        raise ValueError(f"not a permutation image list: {gen!r}")
+    return image
+
+
+def permutation_closure(
+    generators: Iterable, n_points: int | None = None, cap: int = _DEFAULT_CLOSURE_CAP
+) -> PermutationGroup:
+    """Enumerate the subgroup generated by permutations via breadth-first closure.
+
+    Generators may be 0-based image lists or 1-based cycle-notation strings.
+    Raises ClosureTooLarge when the closure exceeds ``cap`` elements.
+    """
+    gens = [_normalize_generator(g, n_points) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    m = max(n_points or 0, max(len(g) for g in gens))
+    if m > 8:
+        raise ValueError(f"permutation closure supports at most 8 points, got {m}")
+    gens = [g + tuple(range(len(g), m)) for g in gens]
+    identity = tuple(range(m))
+    elements = [identity]
+    seen = {identity}
+    queue = [identity]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = tuple(p[j] for j in g)
+            if q not in seen:
+                if len(seen) >= cap:
+                    raise ClosureTooLarge(f"closure exceeds cap of {cap} elements")
+                seen.add(q)
+                elements.append(q)
+                queue.append(q)
+    elements.sort()
+    return PermutationGroup(elements, name=f"permutation_closure({len(gens)} gens on {m} points)")
+
+
+_DESCRIPTOR_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*\((.*)\)\s*$", re.DOTALL)
+
+
+def make_group(descriptor, cap: int = _DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    """Build and validate a group from a descriptor.
+
+    Accepts a FiniteGroup (returned as is) or a string descriptor:
+    ``cyclic(N)``, ``abelian_product([n1, ...])``, ``dihedral(n)``,
+    ``permutation_closure([gen, ...])`` with image lists or cycle strings,
+    ``multiplication_table([[...], ...])``.
+    """
+    if isinstance(descriptor, FiniteGroup):
+        return descriptor
+    if not isinstance(descriptor, str):
+        raise ValueError(f"unsupported group descriptor: {descriptor!r}")
+    match = _DESCRIPTOR_RE.match(descriptor)
+    if not match:
+        raise ValueError(f"cannot parse group descriptor: {descriptor!r}")
+    kind, arg_text = match.group(1), match.group(2).strip()
+    try:
+        args = ast.literal_eval(arg_text) if arg_text else None
+    except (ValueError, SyntaxError) as exc:
+        raise ValueError(f"cannot parse arguments in {descriptor!r}") from exc
+    if kind == "cyclic":
+        group: FiniteGroup = CyclicGroup(args)
+    elif kind == "abelian_product":
+        group = AbelianProductGroup(args)
+    elif kind == "dihedral":
+        group = DihedralGroup(args)
+    elif kind == "permutation_closure":
+        gens = args if isinstance(args, (list, tuple)) else [args]
+        group = permutation_closure(gens, cap=cap)
+    elif kind == "multiplication_table":
+        group = TableGroup(args)
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+    group.validate()
+    return group
+
+
+def require_same_group(*objects) -> FiniteGroup:
+    group = objects[0].group
+    for obj in objects[1:]:
+        if obj.group != group:
+            raise GroupMismatch(f"operands on {obj.group.name} vs {group.name}")
+    return group
+
+
+class GroupSubset:
+    """Immutable subset of a group, stored as a 0/1 indicator vector."""
+
+    __slots__ = ("group", "membership")
+
+    def __init__(self, group: FiniteGroup, membership):
+        arr = np.asarray(membership)
+        if arr.shape != (group.order,):
+            raise ValueError(f"membership length {arr.shape} != order {group.order}")
+        if not np.isin(arr, (0, 1)).all():
+            raise ValueError("membership values must be 0 or 1")
+        indicator = arr.astype(np.int8)
+        indicator.flags.writeable = False
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "membership", indicator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupSubset is immutable")
+
+    @classmethod
+    def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
+        member = np.zeros(group.order, dtype=np.int8)
+        idx = np.asarray(list(indices), dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= group.order):
+            raise ValueError("subset index out of range")
+        member[idx] = 1
+        return cls(group, member)
+
+    @classmethod
+    def full(cls, group: FiniteGroup) -> "GroupSubset":
+        return cls(group, np.ones(group.order, dtype=np.int8))
+
+    @classmethod
+    def empty(cls, group: FiniteGroup) -> "GroupSubset":
+        return cls(group, np.zeros(group.order, dtype=np.int8))
+
+    @classmethod
+    def singleton(cls, group: FiniteGroup, x: int) -> "GroupSubset":
+        return cls.from_indices(group, [x])
+
+    @property
+    def size(self) -> int:
+        return int(self.membership.sum())
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.flatnonzero(self.membership)
+
+    def __contains__(self, x: int) -> bool:
+        return bool(self.membership[x])
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GroupSubset)
+            and self.group == other.group
+            and np.array_equal(self.membership, other.membership)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.membership.tobytes()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(str(i) for i in self.indices[:8])
+        more = ", ..." if self.size > 8 else ""
+        return f"<subset of {self.group.name}: {{{shown}{more}}} size {self.size}>"
+
+    @property
+    def is_symmetric(self) -> bool:
+        return self == inverse_set(self)
+
+    def complement(self) -> "GroupSubset":
+        return GroupSubset(self.group, 1 - self.membership)
+
+    def union(self, other: "GroupSubset") -> "GroupSubset":
+        require_same_group(self, other)
+        return GroupSubset(self.group, np.maximum(self.membership, other.membership))
+
+    def intersection(self, other: "GroupSubset") -> "GroupSubset":
+        require_same_group(self, other)
+        return GroupSubset(self.group, self.membership * other.membership)
+
+    def difference(self, other: "GroupSubset") -> "GroupSubset":
+        require_same_group(self, other)
+        return GroupSubset(self.group, self.membership * (1 - other.membership))
+
+    def indicator(self, dtype=np.int64) -> "GroupFunction":
+        return GroupFunction(self.group, self.membership.astype(dtype))
+
+
+class GroupFunction:
+    """A complex- or integer-valued function on group elements."""
+
+    __slots__ = ("group", "values")
+
+    def __init__(self, group: FiniteGroup, values):
+        arr = np.asarray(values)
+        if arr.shape != (group.order,):
+            raise ValueError(f"values length {arr.shape} != order {group.order}")
+        if arr.dtype.kind not in "ifc":
+            arr = arr.astype(np.complex128)
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupFunction is immutable")
+
+    @classmethod
+    def delta(cls, group: FiniteGroup, x: int | None = None) -> "GroupFunction":
+        values = np.zeros(group.order, dtype=np.int64)
+        values[group.identity if x is None else x] = 1
+        return cls(group, values)
+
+    @property
+    def total(self):
+        """Sum of all values  (written <f> below)."""
+        return self.values.sum()
+
+    @property
+    def l1_norm(self) -> float:
+        return float(np.abs(self.values).sum())
+
+    @property
+    def l2_norm(self) -> float:
+        return float(np.sqrt((np.abs(self.values) ** 2).sum()))
+
+    def is_nonnegative(self, tol: float = 0.0) -> bool:
+        vals = self.values
+        if vals.dtype.kind == "c":
+            if np.abs(vals.imag).max(initial=0.0) > tol:
+                return False
+            vals = vals.real
+        return bool(vals.min(initial=0) >= -tol)
+
+    def __repr__(self) -> str:
+        return f"<function on {self.group.name}, total {self.total}>"
+
+
+def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
+    """Product set {xy : x in A, y in B}."""
+    group = require_same_group(a, b)
+    ai, bi = a.indices, b.indices
+    if ai.size == 0 or bi.size == 0:
+        return GroupSubset.empty(group)
+    products = group.mul_table[np.ix_(ai, bi)]
+    member = np.zeros(group.order, dtype=np.int8)
+    member[products.ravel()] = 1
+    return GroupSubset(group, member)
+
+
+def power_set(s: GroupSubset, d: int) -> GroupSubset:
+    """Iterated product set S^d."""
+    if d < 1:
+        raise KZero(f"power_set needs d >= 1, got {d}")
+    result = s
+    for _ in range(d - 1):
+        result = product_set(result, s)
+    return result
+
+
+def inverse_set(a: GroupSubset) -> GroupSubset:
+    """Elementwise inverse {x^-1 : x in A}."""
+    member = np.zeros(a.group.order, dtype=np.int8)
+    member[a.group.inv_table[a.indices]] = 1
+    return GroupSubset(a.group, member)
+
+
+def kth_roots(a: GroupSubset, k: int) -> GroupSubset:
+    """The set {x : x^k in A}; may be empty."""
+    if k < 1:
+        raise KZero(f"kth_roots needs k >= 1, got {k}")
+    powers = a.group.power_index(k)
+    return GroupSubset(a.group, a.membership[powers])
+
+
+# integer convolution switches to float64 above this mass product to avoid overflow
+_INT_CONV_MASS_LIMIT = 2**62
+
+
+def _convolve_values(group: FiniteGroup, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    if f.dtype.kind == "i" and g.dtype.kind == "i":
+        if f.min(initial=0) >= 0 and g.min(initial=0) >= 0:
+            if int(f.sum()) * int(g.sum()) >= _INT_CONV_MASS_LIMIT:
+                f = f.astype(np.float64)
+                g = g.astype(np.float64)
+            else:
+                f = f.astype(np.int64)
+                g = g.astype(np.int64)
+        else:
+            f = f.astype(np.int64)
+            g = g.astype(np.int64)
+    shifted = g[group.conv_index]  # shifted[y, x] = g(inv(y) x)
+    return f @ shifted
+
+
+def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
+    """Group convolution (f*g)(x) = sum_y f(y) g(y^-1 x)."""
+    group = require_same_group(f, g)
+    return GroupFunction(group, _convolve_values(group, f.values, g.values))
+
+
+def iterated_convolution(f: GroupFunction, k: int) -> GroupFunction:
+    """k-fold self-convolution f^(k), with f^(1) = f."""
+    if k < 1:
+        raise KZero(f"iterated convolution needs k >= 1, got {k}")
+    result = f
+    for _ in range(k - 1):
+        result = convolve(result, f)
+    return result
+
+
+def diameter(s: GroupSubset) -> int:
+    """Minimal d >= 1 with S^d equal to the whole group.
+
+    Iterates product sets for at most |group| steps; raises NoFiniteDiameter
+    if the powers stabilize or cycle without covering.
+    """
+    if s.size == 0:
+        raise EmptySet("diameter of the empty set")
+    group = s.group
+    current = s
+    for d in range(1, group.order + 1):
+        if current.size == group.order:
+            return d
+        nxt = product_set(current, s)
+        if nxt == current:
+            raise NoFiniteDiameter(f"powers of the set stabilize at size {current.size}")
+        current = nxt
+    raise NoFiniteDiameter(f"no covering power within {group.order} steps")
