@@ -269,13 +269,13 @@ def max_progression_mass(
     return best, witness, "sampled"
 
 
-def _progression_scan(
+def progression_scan(
     b: GroupSubset,
     d: int,
     delta: float,
-    exhaustive: bool | None,
-    seed: int,
-    samples: int,
+    exhaustive: bool | None = None,
+    seed: int = 0,
+    samples: int = _SCAN_SAMPLES,
     endpoint_offset: bool = False,
 ) -> tuple[float, Progression | None, str]:
     """Worst mass share of B^(d) over short progressions.
@@ -320,7 +320,7 @@ def gap_from_progressions(
         raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
     if delta >= d / 2:
         raise HypothesisFail(f"need delta < d/2, got delta={delta}, d={d}")
-    share_max, witness, mode = _progression_scan(
+    share_max, witness, mode = progression_scan(
         b, d, delta, exhaustive, seed, samples, endpoint_offset=True
     )
     if alpha is None:
@@ -356,16 +356,20 @@ def progressions_from_gap(
     exhaustive: bool | None = None,
     seed: int = 0,
     samples: int = _SCAN_SAMPLES,
+    scan: tuple[float, Progression | None, str] | None = None,
 ) -> BoundReport:
     """Reverse direction: alpha = (1 - (1-lambda1)^d - pi delta)/2 caps the
-    convolution-mass share of every short progression at 1 - alpha."""
+    convolution-mass share of every short progression at 1 - alpha.
+
+    ``scan`` reuses a ``progression_scan(b, d, delta, ...)`` result, which
+    both reverse forms share."""
     if d < 1:
         raise KZero(f"need d >= 1, got {d}")
     if not (0 < delta < 1):
         raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
     lam = lambda1(b)
     alpha = (1.0 - (1.0 - lam) ** d - math.pi * delta) / 2.0
-    share_max, witness, mode = _progression_scan(b, d, delta, exhaustive, seed, samples)
+    share_max, witness, mode = scan or progression_scan(b, d, delta, exhaustive, seed, samples)
     return BoundReport(
         bound_name="progression_mass_vs_gap",
         bound_value=1.0 - alpha,
@@ -392,6 +396,7 @@ def progressions_from_gap_certified(
     exhaustive: bool | None = None,
     seed: int = 0,
     samples: int = _SCAN_SAMPLES,
+    scan: tuple[float, Progression | None, str] | None = None,
 ) -> BoundReport:
     """Certified reverse direction through the singular gap.
 
@@ -408,7 +413,7 @@ def progressions_from_gap_certified(
         raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
     lam_star = lambda1_star(b)
     alpha = (1.0 - (1.0 - lam_star) ** (d / 2.0) - math.pi * delta) / 2.0
-    share_max, witness, mode = _progression_scan(b, d, delta, exhaustive, seed, samples)
+    share_max, witness, mode = scan or progression_scan(b, d, delta, exhaustive, seed, samples)
     return BoundReport(
         bound_name="progression_mass_vs_gap_certified",
         bound_value=1.0 - alpha,
@@ -760,6 +765,7 @@ class InclusionReport:
     failures: int
     vacuous: bool = False
     parameters: dict = field(default_factory=dict)
+    pairs: tuple[tuple[int, int, int], ...] = ()  # failing (i, j, k) label triples
 
     @property
     def holds(self) -> bool:
@@ -782,15 +788,12 @@ def _character_product_index(group: FiniteGroup, i: int, j: int) -> int:
     return encode([x + y for x, y in zip(di, dj)])
 
 
-def large_spectrum_product_check(a: GroupSubset, eps1: float, eps2: float) -> InclusionReport:
-    """Product of (1-eps1)- and (1-eps2)-large characters stays (1-eps1-eps2)-large.
-
-    This linear-in-eps threshold is checked as claimed, but it is not a
-    theorem: phase deviations of the two factors add like sqrt(eps), so
-    two-element sets whose large characters sit near the +-1 directions break
-    the inclusion already at small thresholds.  The cosine-deficit variant
-    below is the form that always holds.
-    """
+def _large_spectrum_product(
+    a: GroupSubset, eps1: float, eps2: float, target_level: float, vacuous: bool, name: str
+) -> InclusionReport:
+    """Every product chi_i chi_j of a (1-eps1)-large and a (1-eps2)-large
+    character checked against ``target_level`` |A|; misses are named as
+    catalog index triples (i, j, k) with chi_k = chi_i chi_j."""
     group = a.group
     if not group.is_abelian:
         raise NotAbelian("character products are defined for abelian groups here")
@@ -800,22 +803,34 @@ def large_spectrum_product_check(a: GroupSubset, eps1: float, eps2: float) -> In
     size = a.size
     left = np.flatnonzero(norms >= (1.0 - eps1) * size - 1e-12)
     right = np.flatnonzero(norms >= (1.0 - eps2) * size - 1e-12)
-    target_level = 1.0 - eps1 - eps2
-    vacuous = target_level <= 0
-    failures = 0
-    checked = 0
+    pairs = []
     for i in left:
         for j in right:
-            checked += 1
             k = _character_product_index(group, int(i), int(j))
             if norms[k] < target_level * size - 1e-9:
-                failures += 1
+                pairs.append((int(i), int(j), k))
     return InclusionReport(
-        name="large_spectrum_product",
-        checked=checked,
-        failures=failures,
+        name=name,
+        checked=len(left) * len(right),
+        failures=len(pairs),
         vacuous=vacuous,
         parameters={"eps1": eps1, "eps2": eps2, "left": len(left), "right": len(right)},
+        pairs=tuple(pairs),
+    )
+
+
+def large_spectrum_product_check(a: GroupSubset, eps1: float, eps2: float) -> InclusionReport:
+    """Product of (1-eps1)- and (1-eps2)-large characters stays (1-eps1-eps2)-large.
+
+    This linear-in-eps threshold is checked as claimed, but it is not a
+    theorem: phase deviations of the two factors add like sqrt(eps), so
+    two-element sets whose large characters sit near the +-1 directions break
+    the inclusion already at small thresholds.  The cosine-deficit variant
+    below is the form that always holds.
+    """
+    target_level = 1.0 - eps1 - eps2
+    return _large_spectrum_product(
+        a, eps1, eps2, target_level, target_level <= 0, "large_spectrum_product"
     )
 
 
@@ -829,32 +844,10 @@ def large_spectrum_product_check_cosine(
     2(1 - cos s) + 2(1 - cos t), so products of large characters land in
     Spec_t with t = sqrt(max(0, 1 - 2(2 eps1 - eps1^2) - 2(2 eps2 - eps2^2))).
     """
-    group = a.group
-    if not group.is_abelian:
-        raise NotAbelian("character products are defined for abelian groups here")
-    catalog = irrep_catalog(group)
-    f = a.indicator()
-    norms = np.array([fourier_transform(f, rep).op_norm for rep in catalog])
-    size = a.size
-    left = np.flatnonzero(norms >= (1.0 - eps1) * size - 1e-12)
-    right = np.flatnonzero(norms >= (1.0 - eps2) * size - 1e-12)
     radicand = 1.0 - 2.0 * (2 * eps1 - eps1**2) - 2.0 * (2 * eps2 - eps2**2)
     target_level = math.sqrt(radicand) if radicand > 0 else 0.0
-    vacuous = radicand <= 0
-    failures = 0
-    checked = 0
-    for i in left:
-        for j in right:
-            checked += 1
-            k = _character_product_index(group, int(i), int(j))
-            if norms[k] < target_level * size - 1e-9:
-                failures += 1
-    return InclusionReport(
-        name="large_spectrum_product_cosine",
-        checked=checked,
-        failures=failures,
-        vacuous=vacuous,
-        parameters={"eps1": eps1, "eps2": eps2, "left": len(left), "right": len(right)},
+    return _large_spectrum_product(
+        a, eps1, eps2, target_level, radicand <= 0, "large_spectrum_product_cosine"
     )
 
 

@@ -151,107 +151,53 @@ def cmd_bohr(args) -> int:
     reps = catalog.nontrivial()
     if "rep" in cfg:
         reps = [catalog[int(cfg["rep"])]]
+
+    def add(instance, check, params, measured, bound, verdict):
+        records.append(
+            {
+                "instance": instance,
+                "check": check,
+                "group": group.name,
+                "params": params,
+                "measured": measured,
+                "bound": bound,
+                "verdict": verdict,
+            }
+        )
+
+    def add_bound(instance, report, params):
+        add(instance, report.bound_name, params, report.measured, report.bound_value, report.verdict)
+
     for rep in reps:
         label = rep.label
         sym = bohr_mod.bohr_symmetry_normality_check([rep], delta)
-        records.append(
-            {
-                "instance": f"{label}-01-symmetry",
-                "check": sym.name,
-                "group": group.name,
-                "params": f"delta={delta:g}",
-                "measured": sym.failures,
-                "bound": 0,
-                "verdict": sym.verdict,
-            }
-        )
+        add(f"{label}-01-symmetry", sym.name, f"delta={delta:g}", sym.failures, 0, sym.verdict)
         rule = bohr_mod.bohr_sum_rule_check([rep], delta / 2, delta / 2)
-        records.append(
-            {
-                "instance": f"{label}-02-sum-rule",
-                "check": rule.name,
-                "group": group.name,
-                "params": f"delta={delta / 2:g}+{delta / 2:g}",
-                "measured": rule.failures,
-                "bound": 0,
-                "verdict": rule.verdict,
-            }
-        )
+        params = f"delta={delta / 2:g}+{delta / 2:g}"
+        add(f"{label}-02-sum-rule", rule.name, params, rule.failures, 0, rule.verdict)
         half = bohr_mod.check_bohr_half_size(rep)
-        records.append(
-            {
-                "instance": f"{label}-03-half-size",
-                "check": half.bound_name,
-                "group": group.name,
-                "params": f"delta={half.parameters['delta']:g}",
-                "measured": half.measured,
-                "bound": half.bound_value,
-                "verdict": half.verdict,
-            }
-        )
+        add_bound(f"{label}-03-half-size", half, f"delta={half.parameters['delta']:g}")
         if delta <= 0.4:
-            doubling = bohr_mod.bohr_doubling_check(rep, delta)
-            records.append(
-                {
-                    "instance": f"{label}-04-doubling",
-                    "check": doubling.bound_name,
-                    "group": group.name,
-                    "params": f"delta={delta:g}",
-                    "measured": doubling.measured,
-                    "bound": doubling.bound_value,
-                    "verdict": doubling.verdict,
-                }
-            )
+            add_bound(f"{label}-04-doubling", bohr_mod.bohr_doubling_check(rep, delta), f"delta={delta:g}")
         covering = bohr_mod.ruzsa_covering(rep, delta)
-        records.append(
-            {
-                "instance": f"{label}-05-covering",
-                "check": "ruzsa_covering",
-                "group": group.name,
-                "params": f"delta={delta:g}",
-                "measured": max(len(covering.left_cover), len(covering.right_cover)),
-                "bound": covering.size_bound,
-                "verdict": "pass" if covering.holds else "fail",
-            }
+        add(
+            f"{label}-05-covering",
+            "ruzsa_covering",
+            f"delta={delta:g}",
+            max(len(covering.left_cover), len(covering.right_cover)),
+            covering.size_bound,
+            "pass" if covering.holds else "fail",
         )
-        radius = bohr_mod.find_regular(rep, min(delta, 0.5))
-        records.append(
-            {
-                "instance": f"{label}-06-regular",
-                "check": "regular_radius_exists",
-                "group": group.name,
-                "params": f"window=[{min(delta, 0.5):g},{2 * min(delta, 0.5):g}]",
-                "measured": radius,
-                "bound": 2 * min(delta, 0.5),
-                "verdict": "pass",
-            }
-        )
+        window = min(delta, 0.5)
+        radius = bohr_mod.find_regular(rep, window)
+        params = f"window=[{window:g},{2 * window:g}]"
+        add(f"{label}-06-regular", "regular_radius_exists", params, radius, 2 * window, "pass")
         if "eps" in cfg:
             eps_rep = bohr_mod.check_bohr_eps_size(rep, float(cfg["eps"]))
-            records.append(
-                {
-                    "instance": f"{label}-07-eps-size",
-                    "check": eps_rep.bound_name,
-                    "group": group.name,
-                    "params": f"eps={cfg['eps']:g}",
-                    "measured": eps_rep.measured,
-                    "bound": eps_rep.bound_value,
-                    "verdict": eps_rep.verdict,
-                }
-            )
+            add_bound(f"{label}-07-eps-size", eps_rep, f"eps={cfg['eps']:g}")
     if len(reps) >= 2:
         multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
-        records.append(
-            {
-                "instance": "zz-multi-bohr",
-                "check": multi.bound_name,
-                "group": group.name,
-                "params": f"delta={delta:g}",
-                "measured": multi.measured,
-                "bound": multi.bound_value,
-                "verdict": multi.verdict,
-            }
-        )
+        add_bound("zz-multi-bohr", multi, f"delta={delta:g}")
     _emit(records, args, columns=["instance", "check", "group", "params", "measured", "bound", "verdict"])
     return _exit_code(records)
 
@@ -272,12 +218,11 @@ def cmd_scan(args) -> int:
         records.append(bound_record(fw, "01-forward", group.name))
         records[-1]["scan"] = fw.parameters["scan"]
     if direction in ("reverse", "both"):
-        rv = bohr_mod.progressions_from_gap(subset, d, delta, exhaustive=exhaustive, seed=seed)
+        scan = bohr_mod.progression_scan(subset, d, delta, exhaustive=exhaustive, seed=seed)
+        rv = bohr_mod.progressions_from_gap(subset, d, delta, scan=scan)
         records.append(bound_record(rv, "02-reverse", group.name))
         records[-1]["scan"] = rv.parameters["scan"]
-        cert = bohr_mod.progressions_from_gap_certified(
-            subset, d, delta, exhaustive=exhaustive, seed=seed
-        )
+        cert = bohr_mod.progressions_from_gap_certified(subset, d, delta, scan=scan)
         records.append(bound_record(cert, "03-reverse-certified", group.name))
         records[-1]["scan"] = cert.parameters["scan"]
     _emit(records, args)

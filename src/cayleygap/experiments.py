@@ -32,7 +32,7 @@ from .groups import (
     product_set,
 )
 from .reports import bound_record
-from .representations import fourier_transform, irrep_catalog, set_norm
+from .representations import set_norm
 from .spectra import lambda1
 
 _TRIPLE_FREE_CAP = 500
@@ -355,14 +355,6 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
     result = ExperimentResult(name="interval-union", seed=seed)
     s = lam_set.union(interval)
     gap = lambda1(s)
-    catalog = irrep_catalog(group)
-
-    def max_nontrivial_norm(subset: GroupSubset) -> float:
-        if subset.size == 0:
-            return 0.0
-        f = subset.indicator()
-        return max(fourier_transform(f, rep).op_norm for rep in catalog.nontrivial())
-
     result.records.append(
         {
             "instance": "00-construction",
@@ -381,8 +373,8 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
     cor_report = verify_progression_basis_bound(s, 2, 1, omega, measured=gap)
     result.records.append(_bound_row(cor_report, "01-progression-basis", group.name))
     if interval.size > 0:
-        p_norm = max_nontrivial_norm(interval)
-        rest_norm = max_nontrivial_norm(s.difference(interval))
+        p_norm = set_norm(interval)
+        rest_norm = set_norm(s.difference(interval))
         heuristic = 1.0 - p_norm / s.size
         adjusted = 1.0 - (p_norm + rest_norm) / s.size
         heuristic_report = BoundReport(

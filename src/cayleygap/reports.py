@@ -29,26 +29,6 @@ BOUND_COLUMNS = [
     "verdict",
 ]
 
-SCAN_COLUMNS = [
-    "instance",
-    "check",
-    "group",
-    "params",
-    "measured",
-    "bound",
-    "verdict",
-]
-
-SPECTRUM_COLUMNS = [
-    "index",
-    "eigenvalue_re",
-    "eigenvalue_im",
-    "star_eigenvalue",
-    "cluster",
-    "path",
-]
-
-
 def format_value(value) -> str:
     """12-significant-digit rendering for floats; plain str otherwise."""
     if isinstance(value, bool):

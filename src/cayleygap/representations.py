@@ -3,8 +3,11 @@ matrix Fourier transform.
 
 Catalogs exist for cyclic groups, abelian products, and dihedral groups.
 Generic groups deliberately get no numerically synthesized irreps; operations
-that need the catalog raise NotCataloged and callers fall back to the dense
-spectral path.
+that need the catalog raise NotCataloged.  The spectral engine
+(``spectra.spectral_summary``) never builds the catalog of an abelian group,
+whose nontrivial coefficients come from one FFT; it loops over the nontrivial
+blocks of the other cataloged groups and diagonalizes the dense operator only
+where ``irrep_catalog`` raises NotCataloged.
 """
 
 from __future__ import annotations
@@ -159,17 +162,6 @@ class IrrepCatalog:
     def d_min(self) -> int:
         return min(r.dim for r in self.nontrivial())
 
-    def character_product_index(self, i: int, j: int) -> int:
-        """Index of the pointwise product of characters i and j (abelian catalogs only)."""
-        if not self.group.is_abelian:
-            raise NotCataloged("character products are tracked for abelian catalogs only")
-        ri, rj = self.reps[i], self.reps[j]
-        product = ri.matrices[:, 0, 0] * rj.matrices[:, 0, 0]
-        for k, r in enumerate(self.reps):
-            if np.allclose(r.matrices[:, 0, 0], product, atol=1e-9):
-                return k
-        raise ValueError("character product not found in catalog")
-
     def report(self) -> list[dict]:
         rows = []
         for i, rep in enumerate(self.reps):
@@ -269,14 +261,6 @@ def irrep_catalog(group: FiniteGroup) -> IrrepCatalog:
     raise NotCataloged(f"no representation catalog for {group.name}")
 
 
-def has_catalog(group: FiniteGroup) -> bool:
-    try:
-        irrep_catalog(group)
-        return True
-    except NotCataloged:
-        return False
-
-
 @dataclass(frozen=True)
 class FourierCoefficient:
     """Matrix Fourier coefficient of a function at one representation."""
@@ -329,7 +313,16 @@ def set_norm(s: GroupSubset, catalog: IrrepCatalog | None = None) -> float:
 
     This is the quantity whose square gives the singular gap via
     lambda1* = 1 - ||S||^2 / |S|^2; it is 0 for the full group and |S| <= bound.
+    Without an explicit catalog a nonempty set reads the memoized spectral
+    summary (one FFT on abelian groups); an explicit catalog is looped over.
     """
+    if catalog is None and s.size:
+        from .spectra import spectral_summary  # spectra builds on this module
+
+        norm = spectral_summary(s).norm
+        if norm is None:
+            raise NotCataloged(f"no representation catalog for {s.group.name}")
+        return norm
     catalog = catalog or irrep_catalog(s.group)
     f = s.indicator()
     norms = [fourier_transform(f, rep).op_norm for rep in catalog.nontrivial()]

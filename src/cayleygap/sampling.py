@@ -7,10 +7,6 @@ import numpy as np
 from .groups import FiniteGroup, GroupFunction, GroupSubset
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def random_subset(group: FiniteGroup, size: int, rng: np.random.Generator) -> GroupSubset:
     """Uniform random subset of the prescribed size."""
     size = max(0, min(size, group.order))

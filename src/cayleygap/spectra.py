@@ -1,35 +1,36 @@
 """Laplace and Markov operators of Cayley graphs and their spectra.
 
-Two independent eigenvalue paths: a dense eigendecomposition of the |G| x |G|
-operator, and a block path through the representation catalog where each irrep
-contributes its d x d Fourier block with multiplicity d.  The first nontrivial
-eigenvalue is always reported variationally, as the minimum of the quadratic
-form of the Hermitian part on the mean-zero subspace, which keeps it well
-defined for non-symmetric generating sets.
+Two independent eigenvalue paths give whole spectra: a dense eigendecomposition
+of the |G| x |G| operator, and a block path through the representation catalog
+where each irrep contributes its d x d Fourier block with multiplicity d.  The
+first nontrivial eigenvalue is reported variationally, as the minimum of the
+quadratic form of the Hermitian part on the mean-zero subspace, which keeps it
+well defined for non-symmetric generating sets.
+
+The scalar queries ``lambda1``, ``lambda1_star`` and ``set_norm`` read one
+memoized per-subset ``SpectralSummary``, computed by the cheapest exact path:
+one FFT over the factor orders on cyclic and abelian-product groups, the
+nontrivial irrep blocks on other cataloged groups (dihedral), and the dense
+operator only where no catalog exists.  ``laplace_spectrum_dense`` never
+reads the summary, so it stays an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptySet, KZero
-from .groups import GroupFunction, GroupSubset, iterated_convolution
-from .representations import IrrepCatalog, fourier_transform, irrep_catalog
-
-_mean_zero_cache: dict[int, np.ndarray] = {}
-
-
-def mean_zero_basis(n: int) -> np.ndarray:
-    """Orthonormal basis (n x (n-1)) of the subspace of zero-sum vectors."""
-    basis = _mean_zero_cache.get(n)
-    if basis is None:
-        _, _, vh = np.linalg.svd(np.ones((1, n)))
-        basis = np.ascontiguousarray(vh[1:].T)
-        basis.flags.writeable = False
-        _mean_zero_cache[n] = basis
-    return basis
+from .errors import EmptySet, KZero, NotCataloged
+from .groups import (
+    AbelianProductGroup,
+    CyclicGroup,
+    GroupFunction,
+    GroupSubset,
+    iterated_convolution,
+)
+from .representations import IrrepCatalog, fourier_transform, irrep_catalog, operator_norm
 
 
 def markov_matrix(s: GroupSubset) -> np.ndarray:
@@ -49,16 +50,29 @@ def markov_of_function(f: GroupFunction) -> np.ndarray:
 
 def variational_lambda1(delta: np.ndarray) -> float:
     """min <Delta f, f> over unit mean-zero f: smallest eigenvalue of the
-    Hermitian part restricted to the mean-zero subspace."""
+    Hermitian part restricted to the mean-zero subspace.
+
+    Requires the all-ones vector to be an eigenvector of the Hermitian part,
+    as it is for every (weighted) Cayley operator and every regular-graph
+    Laplacian; its complement is then invariant and the restricted spectrum
+    is the full one less one copy of the row-sum eigenvalue.  That eigenvalue need not be the
+    smallest: signed weights can push it above the rest.
+    """
     n = delta.shape[0]
     if n == 1:
         return 0.0
     herm = (delta + delta.conj().T) / 2.0
-    basis = mean_zero_basis(n)
-    reduced = basis.conj().T @ herm @ basis
-    if np.abs(reduced.imag).max(initial=0.0) < 1e-12:
-        reduced = reduced.real
-    return float(np.linalg.eigvalsh(reduced)[0])
+    if np.iscomplexobj(herm) and np.abs(herm.imag).max(initial=0.0) < 1e-12:
+        herm = herm.real
+    values = np.linalg.eigvalsh(herm)
+    trivial = herm.sum().real / n
+    return float(np.delete(values, np.argmin(np.abs(values - trivial))).min())
+
+
+def _hermitian_gap(block: np.ndarray, size: int) -> float:
+    """Smallest eigenvalue of I - (B + B*)/(2|S|) for one Fourier block B."""
+    herm = np.eye(block.shape[0]) - (block + block.conj().T) / (2.0 * size)
+    return float(np.linalg.eigvalsh(herm)[0])
 
 
 def _display_order(eigenvalues: np.ndarray) -> np.ndarray:
@@ -148,10 +162,6 @@ class SpectrumReport:
         return rows
 
 
-def laplace_matrix(s: GroupSubset) -> np.ndarray:
-    return np.eye(s.group.order) - markov_matrix(s) / s.size
-
-
 def laplace_spectrum_dense(s: GroupSubset) -> SpectrumReport:
     """Spectrum of I - M/|S| by dense eigendecomposition, plus the singular path."""
     if s.size == 0:
@@ -187,7 +197,8 @@ def laplace_spectrum_blocks(s: GroupSubset, catalog: IrrepCatalog | None = None)
     indicator = s.indicator()
     eig_parts = []
     star_parts = []
-    for rep in catalog:
+    gaps = []
+    for i, rep in enumerate(catalog):
         block = fourier_transform(indicator, rep).matrix
         mus = np.linalg.eigvals(block / size)
         gram = block @ block.conj().T / (size * size)
@@ -195,15 +206,13 @@ def laplace_spectrum_blocks(s: GroupSubset, catalog: IrrepCatalog | None = None)
         for _ in range(rep.dim):
             eig_parts.append(1.0 - mus)
             star_parts.append(1.0 - star_mus)
+        if i != catalog.trivial_index:
+            gaps.append(_hermitian_gap(block, size))
     eigenvalues = np.concatenate(eig_parts)
     star = np.sort(np.concatenate(star_parts).real)
-    # the variational gap needs the Hermitian-part quadratic form; reuse the
-    # dense machinery only when the set is symmetric, where blocks determine it
-    if s.is_symmetric:
-        real_sorted = np.sort(eigenvalues.real)
-        lam1 = float(real_sorted[1]) if real_sorted.size > 1 else 0.0
-    else:
-        lam1 = variational_lambda1(laplace_matrix(s))
+    # the mean-zero subspace is the sum of the nontrivial isotypic components,
+    # so the variational gap is the smallest Hermitian-part eigenvalue there
+    lam1 = min(gaps, default=0.0)
     lam1_star = float(star[1]) if star.size > 1 else 0.0
     return SpectrumReport(
         eigenvalues=_display_order(eigenvalues),
@@ -214,21 +223,82 @@ def laplace_spectrum_blocks(s: GroupSubset, catalog: IrrepCatalog | None = None)
     )
 
 
+@dataclass(frozen=True)
+class SpectralSummary:
+    """The scalar spectral quantities of one nonempty subset.
+
+    ``norm`` is the largest nontrivial Fourier-coefficient operator norm; the
+    dense path has no catalog to take it from and leaves it None.
+    """
+
+    lambda1: float
+    lambda1_star: float
+    norm: float | None
+    path: str  # "fft" | "blocks" | "dense"
+
+
+@lru_cache(maxsize=128)
+def spectral_summary(s: GroupSubset) -> SpectralSummary:
+    """lambda1, lambda1* and the largest nontrivial norm, computed once per subset.
+
+    Cyclic and abelian-product groups take one FFT of the membership vector
+    reshaped to the factor orders (the mixed-radix index is C-order); over the
+    nontrivial coefficients lambda1 = 1 - max Re Shat / |S| and
+    lambda1* = 1 - max |Shat|^2 / |S|^2.  Other cataloged groups take the
+    Hermitian parts and operator norms of their nontrivial irrep blocks.
+    Everything else diagonalizes the dense operator.
+    """
+    if s.size == 0:
+        raise EmptySet("spectral summary of the empty set")
+    group = s.group
+    size = s.size
+    if isinstance(group, (CyclicGroup, AbelianProductGroup)):
+        shape = getattr(group, "factor_orders", (group.order,))
+        coeffs = np.fft.fftn(s.membership.reshape(shape)).ravel()[1:]
+        gaps = 1.0 - coeffs.real / size
+        norms = np.abs(coeffs)
+        path = "fft"
+    else:
+        try:
+            catalog = irrep_catalog(group)
+        except NotCataloged:
+            m = markov_matrix(s)
+            star_matrix = np.eye(group.order) - (m @ m.T) / (size * size)
+            star = np.sort(np.linalg.eigvalsh(star_matrix))
+            return SpectralSummary(
+                lambda1=variational_lambda1(np.eye(group.order) - m / size),
+                lambda1_star=float(star[1]) if star.size > 1 else 0.0,
+                norm=None,
+                path="dense",
+            )
+        indicator = s.indicator()
+        blocks = [fourier_transform(indicator, rep).matrix for rep in catalog.nontrivial()]
+        gaps = np.array([_hermitian_gap(block, size) for block in blocks])
+        norms = np.array([operator_norm(block) for block in blocks])
+        path = "blocks"
+    if norms.size == 0:  # the trivial group has no nontrivial irrep
+        return SpectralSummary(lambda1=0.0, lambda1_star=0.0, norm=0.0, path=path)
+    norm = float(norms.max())
+    return SpectralSummary(
+        lambda1=float(gaps.min()),
+        lambda1_star=1.0 - norm**2 / size**2,
+        norm=norm,
+        path=path,
+    )
+
+
 def lambda1(s: GroupSubset) -> float:
     """Variational first nontrivial eigenvalue of the Cayley Laplacian."""
     if s.size == 0:
         raise EmptySet("lambda1 of the empty set")
-    return variational_lambda1(laplace_matrix(s))
+    return spectral_summary(s).lambda1
 
 
 def lambda1_star(s: GroupSubset) -> float:
     """First nontrivial eigenvalue of I - M M^T / |S|^2."""
     if s.size == 0:
         raise EmptySet("lambda1_star of the empty set")
-    m = markov_matrix(s)
-    star_matrix = np.eye(s.group.order) - (m @ m.T) / (s.size * s.size)
-    star = np.sort(np.linalg.eigvalsh(star_matrix))
-    return float(star[1]) if star.size > 1 else 0.0
+    return spectral_summary(s).lambda1_star
 
 
 def lambda1_of_function(f: GroupFunction) -> float:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from cayleygap import (
+    GroupFunction,
     GroupSubset,
     balanced_function,
     cluster_eigenvalues,
+    irrep_catalog,
     lambda1,
+    lambda1_of_function,
     lambda1_star,
     laplace_spectrum_blocks,
     laplace_spectrum_dense,
@@ -17,8 +20,10 @@ from cayleygap import (
     set_norm,
     walk_energy,
 )
+from cayleygap.cli import main as cli_main
 from cayleygap.errors import EmptySet, KZero, NotCataloged
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
+from cayleygap.spectra import markov_of_function, spectral_summary
 
 
 class TestMarkovMatrix:
@@ -139,7 +144,9 @@ class TestLambda1Star:
         group = make_group(descriptor)
         for _ in range(5):
             s = random_nonempty_subset(group, rng)
-            assert abs(lambda1_star(s) - (1 - set_norm(s) ** 2 / s.size**2)) < 1e-9
+            # dense operator on one side, the spectral engine's norm on the other
+            dense_star = laplace_spectrum_dense(s).lambda1_star
+            assert abs(dense_star - (1 - set_norm(s) ** 2 / s.size**2)) < 1e-9
 
     def test_lambda1_lower_bound_symmetric(self, d6, rng):
         for _ in range(5):
@@ -155,6 +162,106 @@ class TestLambda1Star:
             s = rand(d6, rng)
             assert abs(lambda1(s) - lambda1(inverse_set(s))) < 1e-9
             assert abs(lambda1_star(s) - lambda1_star(inverse_set(s))) < 1e-9
+
+
+class TestSpectralEngine:
+    # (descriptor, instances, expected path); the dense side is the full
+    # operator eigendecomposition, the norm side the explicit catalog loop
+    ENGINE_GRID = [
+        ("cyclic(31)", 20, "fft"),
+        ("cyclic(200)", 15, "fft"),
+        ("abelian_product([4, 6])", 20, "fft"),
+        ("abelian_product([2, 3, 4])", 20, "fft"),
+        ("dihedral(7)", 20, "blocks"),
+        ("dihedral(30)", 15, "blocks"),
+        ("dihedral(250)", 4, "blocks"),
+    ]
+
+    def test_agrees_with_dense_and_catalog(self, rng):
+        checked = 0
+        nonsymmetric = 0
+        for descriptor, count, path in self.ENGINE_GRID:
+            group = make_group(descriptor)
+            catalog = irrep_catalog(group)
+            for i in range(count):
+                if i % 2:
+                    s = random_symmetric_subset(group, int(rng.integers(1, max(2, group.order // 4))), rng)
+                else:
+                    s = random_nonempty_subset(group, rng, max_size=max(2, group.order // 2))
+                nonsymmetric += not s.is_symmetric
+                dense = laplace_spectrum_dense(s)
+                assert spectral_summary(s).path == path
+                assert abs(lambda1(s) - dense.lambda1) <= 1e-9
+                assert abs(lambda1_star(s) - dense.lambda1_star) <= 1e-9
+                assert abs(set_norm(s) - set_norm(s, catalog)) <= 1e-9
+                checked += 1
+        assert checked >= 100
+        assert nonsymmetric >= 40
+
+    def test_dense_path_without_catalog(self, a5, rng):
+        s = random_symmetric_subset(a5, 4, rng)
+        summary = spectral_summary(s)
+        dense = laplace_spectrum_dense(s)
+        assert summary.path == "dense"
+        assert summary.norm is None
+        assert abs(summary.lambda1 - dense.lambda1) <= 1e-9
+        assert abs(summary.lambda1_star - dense.lambda1_star) <= 1e-9
+        with pytest.raises(NotCataloged):
+            set_norm(s)
+
+    def test_equal_subsets_computed_once(self):
+        group = make_group("cyclic(97)")
+        before = spectral_summary.cache_info()
+        lambda1(GroupSubset.from_indices(group, [3, 10, 41]))
+        lambda1_star(GroupSubset.from_indices(group, [41, 3, 10]))
+        set_norm(GroupSubset.from_indices(group, [10, 41, 3]))
+        after = spectral_summary.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2
+
+    def test_empty_set_rejected(self, z5):
+        with pytest.raises(EmptySet):
+            spectral_summary(GroupSubset.empty(z5))
+
+    def test_trivial_group(self):
+        summary = spectral_summary(GroupSubset.full(make_group("cyclic(1)")))
+        assert (summary.lambda1, summary.lambda1_star, summary.norm) == (0.0, 0.0, 0.0)
+
+    def test_bounds_on_cyclic_never_builds_catalog(self, tmp_path):
+        # an order no other test uses, so a cached catalog cannot mask a build
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text("group = cyclic(433)\nset = random(25)\nseed = 4\nd = 2\n", encoding="utf-8")
+        before = irrep_catalog.cache_info().misses
+        assert cli_main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+        assert irrep_catalog.cache_info().misses == before
+
+
+class TestVariationalLambda1:
+    @staticmethod
+    def _projected(delta):
+        """The gap through an explicit orthonormal basis of the mean-zero space."""
+        n = delta.shape[0]
+        basis = np.linalg.svd(np.ones((1, n)))[2][1:].T
+        herm = (delta + delta.conj().T) / 2.0
+        return float(np.linalg.eigvalsh(basis.T @ herm @ basis)[0])
+
+    def test_signed_weights_match_projection(self, z12, d6, rng):
+        trivial_not_smallest = 0
+        for group in (z12, d6):
+            for _ in range(10):
+                f = GroupFunction(group, rng.normal(size=group.order))
+                delta = np.eye(group.order) - markov_of_function(f) / f.l1_norm
+                values = np.linalg.eigvalsh((delta + delta.T) / 2.0)
+                trivial_not_smallest += values[0] < 1 - f.values.sum() / f.l1_norm - 1e-9
+                assert abs(lambda1_of_function(f) - self._projected(delta)) < 1e-12
+        assert trivial_not_smallest > 0
+
+    def test_symmetric_sets_match_projection(self, d6, rng):
+        for _ in range(10):
+            s = random_symmetric_subset(d6, int(rng.integers(1, 5)), rng)
+            report = laplace_spectrum_dense(s)
+            delta = np.eye(12) - markov_matrix(s) / s.size
+            assert abs(report.lambda1 - self._projected(delta)) < 1e-12
 
 
 class TestMultiplicity:
