@@ -17,7 +17,6 @@ from .bohr import (
     bohr_size_thresholds,
     bohr_sum_rule_check,
     bohr_tail_check,
-    bohr_tail_check_hermitian,
     check_bohr_eps_size,
     check_bohr_half_size,
     convolution_share,
@@ -29,7 +28,6 @@ from .bohr import (
     is_regular,
     large_spectrum,
     large_spectrum_product_check,
-    large_spectrum_product_check_cosine,
     multi_bohr_lower_bound_check,
     normal_subgroup_min_index,
     progressions_from_gap,
@@ -39,7 +37,6 @@ from .bohr import (
     verify_bohr_basis_bound,
     verify_bohr_basis_bound_certified,
     verify_progression_basis_bound,
-    verify_progression_basis_bound_eps,
 )
 from .bounds import (
     BoundReport,

@@ -63,6 +63,12 @@ _NORMAL_SUBGROUP_CAP = 200
 _MEMBERSHIP_TOL = 1e-12
 
 
+def _require_form(form: str, *forms: str) -> None:
+    """Reject a ``form`` argument outside the listed paper / certified forms."""
+    if form not in forms:
+        raise ValueError(f"unknown form {form!r}; choose from {', '.join(forms)}")
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -349,6 +355,43 @@ def gap_from_progressions(
     )
 
 
+def _progressions_from_gap(
+    b, d, delta, exhaustive, seed, samples, scan, certified: bool
+) -> BoundReport:
+    """Shared body of the reverse forms: alpha = (1 - decay - pi delta)/2 caps the
+    convolution-mass share of every short progression at 1 - alpha, where decay is
+    (1 - lambda1)^d, or (1 - lambda1*)^(d/2) when ``certified``."""
+    if d < 1:
+        raise KZero(f"need d >= 1, got {d}")
+    if not (0 < delta < 1):
+        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
+    if certified:
+        name, gap_key, gap = "progression_mass_vs_gap_certified", "lambda1_star", lambda1_star(b)
+        decay = (1.0 - gap) ** (d / 2.0)
+    else:
+        name, gap_key, gap = "progression_mass_vs_gap", "lambda1", lambda1(b)
+        decay = (1.0 - gap) ** d
+    alpha = (1.0 - decay - math.pi * delta) / 2.0
+    share_max, witness, mode = scan or progression_scan(b, d, delta, exhaustive, seed, samples)
+    return BoundReport(
+        bound_name=name,
+        bound_value=1.0 - alpha,
+        measured=share_max,
+        sense="<=",
+        vacuous=alpha <= 0,
+        parameters={
+            "group_order": b.group.order,
+            "set_size": b.size,
+            "d": d,
+            "delta": delta,
+            "alpha": alpha,
+            gap_key: gap,
+            "witness": witness.label() if witness else "",
+            "scan": mode,
+        },
+    )
+
+
 def progressions_from_gap(
     b: GroupSubset,
     d: int,
@@ -363,30 +406,7 @@ def progressions_from_gap(
 
     ``scan`` reuses a ``progression_scan(b, d, delta, ...)`` result, which
     both reverse forms share."""
-    if d < 1:
-        raise KZero(f"need d >= 1, got {d}")
-    if not (0 < delta < 1):
-        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
-    lam = lambda1(b)
-    alpha = (1.0 - (1.0 - lam) ** d - math.pi * delta) / 2.0
-    share_max, witness, mode = scan or progression_scan(b, d, delta, exhaustive, seed, samples)
-    return BoundReport(
-        bound_name="progression_mass_vs_gap",
-        bound_value=1.0 - alpha,
-        measured=share_max,
-        sense="<=",
-        vacuous=alpha <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "delta": delta,
-            "alpha": alpha,
-            "lambda1": lam,
-            "witness": witness.label() if witness else "",
-            "scan": mode,
-        },
-    )
+    return _progressions_from_gap(b, d, delta, exhaustive, seed, samples, scan, certified=False)
 
 
 def progressions_from_gap_certified(
@@ -407,30 +427,7 @@ def progressions_from_gap_certified(
     nontrivial coefficient is exactly sqrt(1 - lambda1*) |B|, so
     alpha = (1 - (1 - lambda1*)^(d/2) - pi delta)/2 always works.
     """
-    if d < 1:
-        raise KZero(f"need d >= 1, got {d}")
-    if not (0 < delta < 1):
-        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
-    lam_star = lambda1_star(b)
-    alpha = (1.0 - (1.0 - lam_star) ** (d / 2.0) - math.pi * delta) / 2.0
-    share_max, witness, mode = scan or progression_scan(b, d, delta, exhaustive, seed, samples)
-    return BoundReport(
-        bound_name="progression_mass_vs_gap_certified",
-        bound_value=1.0 - alpha,
-        measured=share_max,
-        sense="<=",
-        vacuous=alpha <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "delta": delta,
-            "alpha": alpha,
-            "lambda1_star": lam_star,
-            "witness": witness.label() if witness else "",
-            "scan": mode,
-        },
-    )
+    return _progressions_from_gap(b, d, delta, exhaustive, seed, samples, scan, certified=True)
 
 
 # -- Bohr-set characterization (general groups) --------------------------------
@@ -528,10 +525,26 @@ def bohr_sets_from_gap(
 # -- tail and size bounds -------------------------------------------------------
 
 
-def _bohr_tail_mass(
-    a: GroupSubset, rep: UnitaryRepresentation, eps: float, delta: float
-) -> float:
-    """Mass of A*A^-1 outside Bohr(rho, delta), after hypothesis validation."""
+def bohr_tail_check(
+    a: GroupSubset,
+    rep: UnitaryRepresentation,
+    eps: float,
+    delta: float,
+    form: str = "linear",
+) -> BoundReport:
+    """Mass of A*A^-1 outside Bohr(rho, delta), under the hypothesis
+    ||Ahat(rho)|| >= (1 - eps)|A|, against the cap of ``form``.
+
+    ``"linear"`` is the claimed (2 eps / delta) |A|^2.  It is not a theorem:
+    an interval of length 6 in Z/37 at delta = 1/2 already overshoots it.
+    ``"hermitian"`` is the certified (2/delta^2)(d - (1-eps)^2) |A|^2, the
+    constant the Hermitian-part argument actually yields: outside the Bohr set
+    only the squared distance ||rho(g) - I||^2 > delta^2 controls the real
+    part 1 - cos(theta) > delta^2/2, and for dim > 1 the top singular
+    direction of Ahat can be fixed by rho(g) even at distance 2, so only the
+    trace of the Hermitian part is controlled.
+    """
+    _require_form(form, "linear", "hermitian")
     if a.size == 0:
         raise EmptySet("tail check of the empty set")
     if not (0 <= eps <= 1) or not (0 < delta <= 2):
@@ -543,49 +556,14 @@ def _bohr_tail_mass(
         )
     conv = convolve(a.indicator(), inverse_set(a).indicator()).values.real
     outside = bohr_set(rep, delta).members.complement()
-    return float(conv[outside.membership == 1].sum())
-
-
-def bohr_tail_check(
-    a: GroupSubset, rep: UnitaryRepresentation, eps: float, delta: float
-) -> BoundReport:
-    """Mass of A*A^-1 outside Bohr(rho, delta) against (2 eps / delta) |A|^2,
-    under the hypothesis ||Ahat(rho)|| >= (1 - eps)|A|."""
-    tail = _bohr_tail_mass(a, rep, eps, delta)
-    bound = 2.0 * eps / delta * a.size**2
+    tail = float(conv[outside.membership == 1].sum())
+    if form == "linear":
+        name, bound = "bohr_tail_mass", 2.0 * eps / delta * a.size**2
+    else:
+        name = "bohr_tail_mass_hermitian"
+        bound = 2.0 / delta**2 * (rep.dim - (1.0 - eps) ** 2) * a.size**2
     return BoundReport(
-        bound_name="bohr_tail_mass",
-        bound_value=bound,
-        measured=tail,
-        sense="<=",
-        parameters={
-            "group_order": a.group.order,
-            "set_size": a.size,
-            "rep": rep.label,
-            "eps": eps,
-            "delta": delta,
-        },
-    )
-
-
-def bohr_tail_check_hermitian(
-    a: GroupSubset, rep: UnitaryRepresentation, eps: float, delta: float
-) -> BoundReport:
-    """Tail mass against the certified bound (2/delta^2)(d - (1-eps)^2) |A|^2.
-
-    This is the constant the Hermitian-part argument actually yields: outside
-    the Bohr set only the squared distance ||rho(g) - I||^2 > delta^2 controls
-    the real part 1 - cos(theta) > delta^2/2, and for dim > 1 the top singular
-    direction of Ahat can be fixed by rho(g) even at distance 2, so only the
-    trace of the Hermitian part is controlled.  The linear-in-delta form
-    checked by bohr_tail_check is strictly stronger and fails on concrete
-    instances (an interval of length 6 in Z/37 at delta = 1/2 already
-    overshoots it); this variant is the one that always holds.
-    """
-    tail = _bohr_tail_mass(a, rep, eps, delta)
-    bound = 2.0 / delta**2 * (rep.dim - (1.0 - eps) ** 2) * a.size**2
-    return BoundReport(
-        bound_name="bohr_tail_mass_hermitian",
+        bound_name=name,
         bound_value=bound,
         measured=tail,
         sense="<=",
@@ -788,12 +766,31 @@ def _character_product_index(group: FiniteGroup, i: int, j: int) -> int:
     return encode([x + y for x, y in zip(di, dj)])
 
 
-def _large_spectrum_product(
-    a: GroupSubset, eps1: float, eps2: float, target_level: float, vacuous: bool, name: str
+def large_spectrum_product_check(
+    a: GroupSubset, eps1: float, eps2: float, form: str = "linear"
 ) -> InclusionReport:
     """Every product chi_i chi_j of a (1-eps1)-large and a (1-eps2)-large
-    character checked against ``target_level`` |A|; misses are named as
-    catalog index triples (i, j, k) with chi_k = chi_i chi_j."""
+    character stays large at the level of ``form``; misses are named as
+    catalog index triples (i, j, k) with chi_k = chi_i chi_j.
+
+    ``"linear"`` is the claimed level 1 - eps1 - eps2.  It is not a theorem:
+    phase deviations of the two factors add like sqrt(eps), so two-element
+    sets whose large characters sit near the +-1 directions break the
+    inclusion already at small thresholds.  ``"cosine"`` is the certified
+    level: for abelian groups |A|^2 - |Ahat(chi)|^2 equals the
+    autocorrelation-weighted cosine deficit of chi, and 1 - cos(s + t) is at
+    most 2(1 - cos s) + 2(1 - cos t), so products of large characters land in
+    Spec_t with t = sqrt(max(0, 1 - 2(2 eps1 - eps1^2) - 2(2 eps2 - eps2^2))).
+    """
+    _require_form(form, "linear", "cosine")
+    if form == "linear":
+        name, target_level = "large_spectrum_product", 1.0 - eps1 - eps2
+        vacuous = target_level <= 0
+    else:
+        name = "large_spectrum_product_cosine"
+        radicand = 1.0 - 2.0 * (2 * eps1 - eps1**2) - 2.0 * (2 * eps2 - eps2**2)
+        target_level = math.sqrt(radicand) if radicand > 0 else 0.0
+        vacuous = radicand <= 0
     group = a.group
     if not group.is_abelian:
         raise NotAbelian("character products are defined for abelian groups here")
@@ -816,38 +813,6 @@ def _large_spectrum_product(
         vacuous=vacuous,
         parameters={"eps1": eps1, "eps2": eps2, "left": len(left), "right": len(right)},
         pairs=tuple(pairs),
-    )
-
-
-def large_spectrum_product_check(a: GroupSubset, eps1: float, eps2: float) -> InclusionReport:
-    """Product of (1-eps1)- and (1-eps2)-large characters stays (1-eps1-eps2)-large.
-
-    This linear-in-eps threshold is checked as claimed, but it is not a
-    theorem: phase deviations of the two factors add like sqrt(eps), so
-    two-element sets whose large characters sit near the +-1 directions break
-    the inclusion already at small thresholds.  The cosine-deficit variant
-    below is the form that always holds.
-    """
-    target_level = 1.0 - eps1 - eps2
-    return _large_spectrum_product(
-        a, eps1, eps2, target_level, target_level <= 0, "large_spectrum_product"
-    )
-
-
-def large_spectrum_product_check_cosine(
-    a: GroupSubset, eps1: float, eps2: float
-) -> InclusionReport:
-    """Certified product inclusion through cosine deficits.
-
-    For abelian groups |A|^2 - |Ahat(chi)|^2 equals the autocorrelation-
-    weighted cosine deficit of chi, and 1 - cos(s + t) is at most
-    2(1 - cos s) + 2(1 - cos t), so products of large characters land in
-    Spec_t with t = sqrt(max(0, 1 - 2(2 eps1 - eps1^2) - 2(2 eps2 - eps2^2))).
-    """
-    radicand = 1.0 - 2.0 * (2 * eps1 - eps1**2) - 2.0 * (2 * eps2 - eps2**2)
-    target_level = math.sqrt(radicand) if radicand > 0 else 0.0
-    return _large_spectrum_product(
-        a, eps1, eps2, target_level, radicand <= 0, "large_spectrum_product_cosine"
     )
 
 
@@ -1133,100 +1098,99 @@ def regular_spectrum_check(
 
 
 def verify_progression_basis_bound(
-    b: GroupSubset, d: int, g, omega: GroupSubset | None = None, measured: float | None = None
+    b: GroupSubset,
+    d: int,
+    g,
+    omega: GroupSubset | None = None,
+    measured: float | None = None,
+    form: str = "omega",
 ) -> BoundReport:
-    """Abelian basis bound g(N - 2|O|)(1 - cos(pi/2d)) / (d|B|^d) on Z/N, N prime."""
+    """Abelian basis bound on Z/N, N prime, in the form ``form``.
+
+    ``"omega"``: g(N - 2|O|)(1 - cos(pi/2d)) / (d|B|^d).
+    ``"eps"``: writing |O| = (1-eps)N, eps g N (1 - cos(eps pi / 2d)) / (d|B|^d).
+    """
+    _require_form(form, "omega", "eps")
     group = b.group
     if not isinstance(group, CyclicGroup) or not is_prime(group.order):
         raise HypothesisFail("progression basis bound requires Z/N with N prime")
     if d < 2:
         raise HypothesisFail(f"need d >= 2, got {d}")
     counts = rep_count(b, d).values.real
-    _require_counts_off_omega(counts, g, omega, "progression basis bound")
+    what = "progression basis bound" + (" (eps form)" if form == "eps" else "")
+    _require_counts_off_omega(counts, g, omega, what)
     n = group.order
     omega_size = 0 if omega is None else omega.size
-    factor = 1.0 - math.cos(math.pi / (2 * d))
-    bound = float(g) * (n - 2 * omega_size) * factor / (d * float(b.size) ** d)
+    parameters = {"group_order": n, "set_size": b.size, "d": d, "g": g, "omega_size": omega_size}
+    if form == "omega":
+        name = "gap_vs_progression_basis"
+        factor = 1.0 - math.cos(math.pi / (2 * d))
+        bound = float(g) * (n - 2 * omega_size) * factor / (d * float(b.size) ** d)
+    else:
+        name = "gap_vs_progression_basis_eps"
+        eps = Fraction(n - omega_size, n)
+        factor = 1.0 - math.cos(float(eps) * math.pi / (2 * d))
+        bound = float(eps) * float(g) * n * factor / (d * float(b.size) ** d)
+        parameters["eps"] = float(eps)
     measured = lambda1(b) if measured is None else measured
     return BoundReport(
-        bound_name="gap_vs_progression_basis",
+        bound_name=name,
         bound_value=bound,
         measured=measured,
         vacuous=bound <= 0,
-        parameters={
-            "group_order": n,
-            "set_size": b.size,
-            "d": d,
-            "g": g,
-            "omega_size": omega_size,
-        },
+        parameters=parameters,
     )
 
 
-def verify_progression_basis_bound_eps(
-    b: GroupSubset, d: int, g, omega: GroupSubset, measured: float | None = None
-) -> BoundReport:
-    """Eps form: |O| = (1-eps)N gives eps g N (1 - cos(eps pi / 2d)) / (d|B|^d)."""
-    group = b.group
-    if not isinstance(group, CyclicGroup) or not is_prime(group.order):
-        raise HypothesisFail("progression basis bound requires Z/N with N prime")
+def _bohr_basis_report(b, d, g, omega, measured, certified: bool) -> BoundReport:
+    """Shared body of the nonabelian basis bounds: the d >= 2 and B*B^-1 count
+    hypotheses, then the plain bound or, when ``certified``, the eps form with its
+    normal-subgroup hypothesis."""
     if d < 2:
         raise HypothesisFail(f"need d >= 2, got {d}")
-    counts = rep_count(b, d).values.real
-    _require_counts_off_omega(counts, g, omega, "progression basis bound (eps form)")
-    n = group.order
-    eps = Fraction(n - omega.size, n)
-    factor = 1.0 - math.cos(float(eps) * math.pi / (2 * d))
-    bound = float(eps) * float(g) * n * factor / (d * float(b.size) ** d)
+    counts = symmetrized_rep_count(b, d).values.real
+    what = "certified Bohr basis bound" if certified else "Bohr basis bound"
+    _require_counts_off_omega(counts, g, omega, what)
+    order = b.group.order
+    omega_size = 0 if omega is None else omega.size
+    parameters = {"group_order": order, "set_size": b.size, "d": d, "g": g, "omega_size": omega_size}
+    exact = None
+    if certified:
+        name = "gap_vs_bohr_basis_certified"
+        eps = Fraction(order - omega_size, order)
+        if eps <= 0:
+            raise HypothesisFail("exceptional set covers the whole group")
+        witness = normal_subgroup_min_index(b.group, math.floor(2.0 / float(eps)))
+        if witness is not None:
+            raise HypothesisFail(
+                f"{b.group.name} has a normal proper subgroup of index {witness} <= 2/eps"
+            )
+        bound = float(eps) ** LOG32_3 * float(g) * order / (16 * d * d * float(b.size) ** (2 * d))
+        parameters["eps"] = float(eps)
+    else:
+        name = "gap_vs_bohr_basis"
+        if float(g).is_integer():
+            exact = Fraction(Fraction(g) * (order - 2 * omega_size), 8 * d * d * b.size ** (2 * d))
+            bound = float(exact)
+        else:
+            bound = float(g) * (order - 2 * omega_size) / (8 * d * d * float(b.size) ** (2 * d))
     measured = lambda1(b) if measured is None else measured
     return BoundReport(
-        bound_name="gap_vs_progression_basis_eps",
+        bound_name=name,
         bound_value=bound,
+        bound_exact=exact,
         measured=measured,
         vacuous=bound <= 0,
-        parameters={
-            "group_order": n,
-            "set_size": b.size,
-            "d": d,
-            "g": g,
-            "omega_size": omega.size,
-            "eps": float(eps),
-        },
+        parameters=parameters,
     )
 
 
 def verify_bohr_basis_bound(
     b: GroupSubset, d: int, g, omega: GroupSubset | None = None, measured: float | None = None
 ) -> BoundReport:
-    """Nonabelian basis bound g(|G| - 2|O|) / (8 d^2 |B|^(2d)) from B*B^-1 counts."""
-    if d < 2:
-        raise HypothesisFail(f"need d >= 2, got {d}")
-    counts = symmetrized_rep_count(b, d).values.real
-    _require_counts_off_omega(counts, g, omega, "Bohr basis bound")
-    order = b.group.order
-    omega_size = 0 if omega is None else omega.size
-    ge = Fraction(g) if float(g).is_integer() else None
-    if ge is not None:
-        exact = Fraction(ge * (order - 2 * omega_size), 8 * d * d * b.size ** (2 * d))
-        bound = float(exact)
-    else:
-        exact = None
-        bound = float(g) * (order - 2 * omega_size) / (8 * d * d * float(b.size) ** (2 * d))
-    measured = lambda1(b) if measured is None else measured
-    return BoundReport(
-        bound_name="gap_vs_bohr_basis",
-        bound_value=bound,
-        bound_exact=exact,
-        measured=measured,
-        vacuous=bound <= 0,
-        parameters={
-            "group_order": order,
-            "set_size": b.size,
-            "d": d,
-            "g": g,
-            "omega_size": omega_size,
-        },
-    )
+    """Nonabelian basis bound g(|G| - 2|O|) / (8 d^2 |B|^(2d)) from B*B^-1 counts,
+    exact as a Fraction when g is integral."""
+    return _bohr_basis_report(b, d, g, omega, measured, certified=False)
 
 
 def verify_bohr_basis_bound_certified(
@@ -1234,33 +1198,4 @@ def verify_bohr_basis_bound_certified(
 ) -> BoundReport:
     """Certified form: no normal proper subgroup of index <= 2/eps lifts the
     bound to eps^(log_{3/2} 3) g |G| / (16 d^2 |B|^(2d))."""
-    if d < 2:
-        raise HypothesisFail(f"need d >= 2, got {d}")
-    counts = symmetrized_rep_count(b, d).values.real
-    _require_counts_off_omega(counts, g, omega, "certified Bohr basis bound")
-    order = b.group.order
-    eps = Fraction(order - omega.size, order)
-    if eps <= 0:
-        raise HypothesisFail("exceptional set covers the whole group")
-    cap = math.floor(2.0 / float(eps))
-    witness = normal_subgroup_min_index(b.group, cap)
-    if witness is not None:
-        raise HypothesisFail(
-            f"{b.group.name} has a normal proper subgroup of index {witness} <= 2/eps"
-        )
-    bound = float(eps) ** LOG32_3 * float(g) * order / (16 * d * d * float(b.size) ** (2 * d))
-    measured = lambda1(b) if measured is None else measured
-    return BoundReport(
-        bound_name="gap_vs_bohr_basis_certified",
-        bound_value=bound,
-        measured=measured,
-        vacuous=bound <= 0,
-        parameters={
-            "group_order": order,
-            "set_size": b.size,
-            "d": d,
-            "g": g,
-            "omega_size": omega.size,
-            "eps": float(eps),
-        },
-    )
+    return _bohr_basis_report(b, d, g, omega, measured, certified=True)

@@ -30,7 +30,7 @@ from .config import load_config, resolve_subset
 from .errors import CayleyGapError, HypothesisFail, NotCataloged
 from .experiments import EXPERIMENTS
 from .groups import CyclicGroup, GroupSubset, diameter, make_group
-from .reports import bound_record, emit_report, json_ready, render_csv
+from .reports import bound_record, emit_report, render_report
 from .representations import irrep_catalog
 from .spectra import laplace_spectrum_blocks, laplace_spectrum_dense, multiset_distance
 
@@ -42,18 +42,10 @@ EXIT_ERROR = 2
 def _emit(records: list[dict], args, columns=None) -> None:
     if args.out:
         emit_report(records, args.format, args.out, columns=columns)
-        return
-    ordered = sorted(records, key=lambda r: str(r.get("instance", "")))
-    if not ordered:
+    elif records:
+        print(render_report(records, args.format, columns), end="")
+    else:
         print("(no records)")
-        return
-    if args.format == "json":
-        import json
-
-        print(json.dumps([json_ready(r) for r in ordered], indent=2, sort_keys=True))
-        return
-    cols = columns or list(dict.fromkeys(k for r in ordered for k in r))
-    print(render_csv(ordered, cols), end="")
 
 
 def _exit_code(records: list[dict]) -> int:
@@ -213,18 +205,16 @@ def cmd_scan(args) -> int:
     direction = cfg.get("direction", "both")
     exhaustive = True if args.exhaustive else None
     records = []
+
+    def add(report, instance):
+        records.append({**bound_record(report, instance, group.name), "scan": report.parameters["scan"]})
+
     if direction in ("forward", "both"):
-        fw = bohr_mod.gap_from_progressions(subset, d, delta, exhaustive=exhaustive, seed=seed)
-        records.append(bound_record(fw, "01-forward", group.name))
-        records[-1]["scan"] = fw.parameters["scan"]
+        add(bohr_mod.gap_from_progressions(subset, d, delta, exhaustive=exhaustive, seed=seed), "01-forward")
     if direction in ("reverse", "both"):
         scan = bohr_mod.progression_scan(subset, d, delta, exhaustive=exhaustive, seed=seed)
-        rv = bohr_mod.progressions_from_gap(subset, d, delta, scan=scan)
-        records.append(bound_record(rv, "02-reverse", group.name))
-        records[-1]["scan"] = rv.parameters["scan"]
-        cert = bohr_mod.progressions_from_gap_certified(subset, d, delta, scan=scan)
-        records.append(bound_record(cert, "03-reverse-certified", group.name))
-        records[-1]["scan"] = cert.parameters["scan"]
+        add(bohr_mod.progressions_from_gap(subset, d, delta, scan=scan), "02-reverse")
+        add(bohr_mod.progressions_from_gap_certified(subset, d, delta, scan=scan), "03-reverse-certified")
     _emit(records, args)
     return _exit_code(records)
 
@@ -269,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (stdout if omitted)")
-        p.add_argument("--exhaustive", action="store_true", help="force exhaustive scans")
+        if name == "scan":
+            p.add_argument("--exhaustive", action="store_true", help="force exhaustive scans")
         p.set_defaults(func=func)
     pe = sub.add_parser("experiment")
     pe.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
@@ -277,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--seed", type=int, default=None, help="override config seed")
     pe.add_argument("--format", choices=("csv", "json"), default="csv")
     pe.add_argument("--out", default=None, help="output file (stdout if omitted)")
-    pe.add_argument("--exhaustive", action="store_true", help="force exhaustive scans")
     pe.set_defaults(func=cmd_experiment)
     return parser
 

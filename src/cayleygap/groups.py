@@ -582,10 +582,6 @@ class GroupFunction:
     def l1_norm(self) -> float:
         return float(np.abs(self.values).sum())
 
-    @property
-    def l2_norm(self) -> float:
-        return float(np.sqrt((np.abs(self.values) ** 2).sum()))
-
     def is_nonnegative(self, tol: float = 0.0) -> bool:
         vals = self.values
         if vals.dtype.kind == "c":

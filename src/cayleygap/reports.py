@@ -42,9 +42,13 @@ def round_float(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def bound_record(report: BoundReport, instance: str, group_name: str) -> dict:
+def bound_record(
+    report: BoundReport, instance: str, group_name: str, asserted: bool | None = None
+) -> dict:
+    """Flat record of a bound report; ``asserted`` is added as the last key
+    when given (experiments mark informational rows ``asserted=False``)."""
     params = report.parameters
-    return {
+    record = {
         "instance": instance,
         "bound_name": report.bound_name,
         "group": group_name,
@@ -59,6 +63,9 @@ def bound_record(report: BoundReport, instance: str, group_name: str) -> dict:
         "holds": report.holds,
         "verdict": report.verdict,
     }
+    if asserted is not None:
+        record["asserted"] = asserted
+    return record
 
 
 def render_csv(records: list[dict], columns: list[str]) -> str:
@@ -86,31 +93,31 @@ def json_ready(record: dict) -> dict:
     return out
 
 
+def render_report(records: list[dict], fmt: str, columns: list[str] | None = None) -> str:
+    """Deterministic CSV or JSON text of the records, sorted by instance; CSV
+    columns default to the keys in first-seen order (BOUND_COLUMNS if none)."""
+    if fmt not in ("csv", "json"):
+        raise IoFailure(f"unsupported format {fmt!r}; use csv or json")
+    ordered = sorted(records, key=lambda r: str(r.get("instance", "")))
+    if fmt == "json":
+        return json.dumps([json_ready(r) for r in ordered], indent=2, sort_keys=True) + "\n"
+    if columns is None:
+        columns = list(dict.fromkeys(key for r in ordered for key in r)) or BOUND_COLUMNS
+    return render_csv(ordered, columns)
+
+
 def emit_report(
     records: list[dict],
     fmt: str,
     out_path: str | Path,
     columns: list[str] | None = None,
-    sort_key: str = "instance",
 ) -> Path:
     """Write records deterministically; returns the output path."""
-    if fmt not in ("csv", "json"):
-        raise IoFailure(f"unsupported format {fmt!r}; use csv or json")
-    ordered = sorted(records, key=lambda r: str(r.get(sort_key, "")))
-    if columns is None:
-        columns = list(dict.fromkeys(key for r in ordered for key in r))
-        if not columns:
-            columns = BOUND_COLUMNS
+    text = render_report(records, fmt, columns)
     path = Path(out_path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            path.write_text(render_csv(ordered, columns), encoding="utf-8")
-        else:
-            payload = [json_ready(record) for record in ordered]
-            path.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write report to {path}: {exc}") from exc
     return path

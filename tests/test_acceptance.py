@@ -25,7 +25,6 @@ from cayleygap import (
     bohr_doubling_check,
     bohr_sum_rule_check,
     bohr_tail_check,
-    bohr_tail_check_hermitian,
     check_bohr_eps_size,
     check_bohr_half_size,
     cluster_eigenvalues,
@@ -44,7 +43,6 @@ from cayleygap import (
     laplace_spectrum_blocks,
     laplace_spectrum_dense,
     large_spectrum_product_check,
-    large_spectrum_product_check_cosine,
     make_group,
     multi_bohr_lower_bound_check,
     multiset_distance,
@@ -63,7 +61,6 @@ from cayleygap import (
     verify_fourier_norm_bound,
     verify_graph_bound,
     verify_progression_basis_bound,
-    verify_progression_basis_bound_eps,
     verify_uniformity,
     walk_energy,
 )
@@ -233,7 +230,7 @@ def test_criterion_04_bound_suite():
                         verify_progression_basis_bound(s, d, 1, omega_c, measured=lam)
                     )
                     reports.append(
-                        verify_progression_basis_bound_eps(s, d, 1, omega_c, measured=lam)
+                        verify_progression_basis_bound(s, d, 1, omega_c, measured=lam, form="eps")
                     )
         if omega_star.size < group.order:
             reports.append(verify_bohr_basis_bound(s, 2, 1, omega_star, measured=lam))
@@ -514,7 +511,7 @@ def _criterion_09_components():
             f"{claimed.failures} of {claimed.checked} pairs fail",
             None if witness is None else _product_second_side(subset, e1, e2, witness, claimed),
         )
-        certified = large_spectrum_product_check_cosine(subset, e1, e2)
+        certified = large_spectrum_product_check(subset, e1, e2, form="cosine")
         add(f"spectrum product (cosine threshold) {tag}", certified.holds)
     chi128 = irrep_catalog(make_group("cyclic(128)"))[1]
     delta_reg = find_regular(chi128, 0.2)
@@ -554,7 +551,7 @@ def _criterion_09_components():
             f"tail {linear.measured:.4g} vs {linear.bound_value:.4g}",
             None if witness is None else _tail_second_side(a, rep, delta, witness, linear),
         )
-        repaired = bohr_tail_check_hermitian(a, rep, eps, delta)
+        repaired = bohr_tail_check(a, rep, eps, delta, form="hermitian")
         add(
             f"tail bound (hermitian constant) {a.group.name} {rep.label} d={delta:.2g}",
             repaired.holds,

@@ -15,7 +15,6 @@ from cayleygap import (
     bohr_size_thresholds,
     bohr_sum_rule_check,
     bohr_tail_check,
-    bohr_tail_check_hermitian,
     check_bohr_eps_size,
     check_bohr_half_size,
     convolution_share,
@@ -30,7 +29,6 @@ from cayleygap import (
     lambda1,
     large_spectrum,
     large_spectrum_product_check,
-    large_spectrum_product_check_cosine,
     make_group,
     multi_bohr_lower_bound_check,
     normal_subgroup_min_index,
@@ -41,7 +39,6 @@ from cayleygap import (
     verify_bohr_basis_bound,
     verify_bohr_basis_bound_certified,
     verify_progression_basis_bound,
-    verify_progression_basis_bound_eps,
 )
 from cayleygap.bohr import is_prime, max_progression_mass
 from cayleygap.bounds import exceptional_set, symmetrized_rep_count
@@ -333,7 +330,7 @@ class TestTailBound:
         linear = bohr_tail_check(a, chi1, eps, 0.5)
         assert linear.measured == pytest.approx(12.0)
         assert linear.verdict == "fail"
-        repaired = bohr_tail_check_hermitian(a, chi1, eps, 0.5)
+        repaired = bohr_tail_check(a, chi1, eps, 0.5, form="hermitian")
         assert repaired.measured == pytest.approx(12.0)
         assert repaired.holds
 
@@ -346,7 +343,7 @@ class TestTailBound:
             norm = fourier_transform(a.indicator(), rep).op_norm
             eps = min(1.0, 1 - norm / a.size + 1e-12)
             delta = float(rng.uniform(0.1, 1.9))
-            assert bohr_tail_check_hermitian(a, rep, eps, delta).holds
+            assert bohr_tail_check(a, rep, eps, delta, form="hermitian").holds
 
     def test_hypothesis_gate(self, z7):
         chi1 = irrep_catalog(z7)[1]
@@ -463,14 +460,14 @@ class TestLargeSpectrum:
         # exact instances that break the linear form, and everywhere else
         group = make_group("cyclic(31)")
         for indices, e1, e2 in (([1, 15], 0.441, 0.336), ([5, 12], 0.103, 0.014)):
-            report = large_spectrum_product_check_cosine(
-                GroupSubset.from_indices(group, indices), e1, e2
+            report = large_spectrum_product_check(
+                GroupSubset.from_indices(group, indices), e1, e2, form="cosine"
             )
             assert report.holds
         for _ in range(20):
             a = random_subset(group, int(rng.integers(1, 31)), rng)
             e1, e2 = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-            assert large_spectrum_product_check_cosine(a, e1, e2).holds
+            assert large_spectrum_product_check(a, e1, e2, form="cosine").holds
 
 
 class TestBohrCalculus:
@@ -607,7 +604,7 @@ class TestBasisCorollaries:
         omega = exceptional_set(b, 2, 1)
         if omega.size == 101:
             pytest.skip("degenerate sample")
-        report = verify_progression_basis_bound_eps(b, 2, 1, omega)
+        report = verify_progression_basis_bound(b, 2, 1, omega, form="eps")
         assert report.holds
 
     def test_bohr_basis_dihedral(self, d6, rng):
@@ -642,11 +639,24 @@ class TestBasisCorollaries:
         # falsification; the bound is checked as displayed.
         b = GroupSubset.singleton(z5, 0)
         omega = GroupSubset.from_indices(z5, [1, 2, 3, 4])
-        report = verify_progression_basis_bound_eps(b, 2, 1, omega)
+        report = verify_progression_basis_bound(b, 2, 1, omega, form="eps")
         assert report.bound_value > 0
         assert report.measured == pytest.approx(0.0, abs=1e-12)
         assert report.verdict == "fail"
 
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g: bohr_tail_check(GroupSubset.singleton(g, 0), irrep_catalog(g)[1], 0.0, 0.5, form="paper"),
+        lambda g: large_spectrum_product_check(GroupSubset.from_indices(g, [0, 1]), 0.1, 0.1, form="paper"),
+        lambda g: verify_progression_basis_bound(GroupSubset.from_indices(g, [0, 1, 2, 4]), 2, 1, form="paper"),
+    ],
+    ids=["bohr_tail_check", "large_spectrum_product_check", "verify_progression_basis_bound"],
+)
+def test_unknown_form_rejected(z7, check):
+    with pytest.raises(ValueError, match="unknown form 'paper'"):
+        check(z7)
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

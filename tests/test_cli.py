@@ -86,6 +86,16 @@ class TestScanCommand:
         assert main(["scan", "--config", cfg, "--out", str(out), "--exhaustive"]) == EXIT_PASS
         assert "exhaustive" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--config", "b.cfg"], ["bounds", "--config", "b.cfg"],
+         ["bohr", "--config", "b.cfg"], ["experiment", "sidon"]],
+    )
+    def test_exhaustive_flag_is_scan_only(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--exhaustive"])
+        assert exc.value.code == 2
+
     def test_composite_modulus_is_error(self, tmp_path):
         cfg = write_config(tmp_path, "sc.cfg", "group = cyclic(12)\nset = random(4)\n")
         assert main(["scan", "--config", cfg]) == EXIT_ERROR
@@ -146,6 +156,26 @@ class TestReportDeterminism:
         assert main([command, "--config", cfg, "--out", str(out1)]) == EXIT_PASS
         assert main([command, "--config", cfg, "--out", str(out2)]) == EXIT_PASS
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--config", "{cfg}"],
+            ["bohr", "--config", "{cfg}"],
+            ["experiment", "sidon", "--config", "{cfg}"],
+        ],
+    )
+    def test_stdout_matches_file(self, tmp_path, capsys, argv, fmt):
+        body = "group = cyclic(13)\nset = random(6)\nseed = 1\ndelta = 0.4\nrep = 1\nN = 61\nk = 2\n"
+        cfg = write_config(tmp_path, "cfg", body)
+        argv = [a.format(cfg=cfg) for a in argv] + ["--format", fmt]
+        out = tmp_path / f"report.{fmt}"
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        assert main(argv) == EXIT_PASS
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 class TestConfigErrors:
