@@ -44,7 +44,6 @@ from .groups import (
     require_same_group,
 )
 from .representations import (
-    IrrepCatalog,
     UnitaryRepresentation,
     fourier_transform,
     irrep_catalog,
@@ -56,7 +55,7 @@ LOG32_3 = math.log(3.0, 1.5)  # exponent in the certified nonabelian basis bound
 
 _EXHAUSTIVE_SCAN_LIMIT = 300
 _SCAN_SAMPLES = 100_000
-_NORMAL_SUBGROUP_CAP = 200
+NORMAL_SUBGROUP_CAP = 200
 
 #: membership slack so radii sitting exactly on a distance value (norm 1.0 at
 #: delta = 1, say) are not dropped by 1e-16 rounding in the norm computation
@@ -69,17 +68,19 @@ def _require_form(form: str, *forms: str) -> None:
         raise ValueError(f"unknown form {form!r}; choose from {', '.join(forms)}")
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _smallest_prime_factor(n: int) -> int:
     if n % 2 == 0:
-        return n == 2
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_prime_factor(n) == n
 
 
 # -- Bohr sets ----------------------------------------------------------------
@@ -126,7 +127,7 @@ def convolution_share(p: GroupSubset, f: GroupFunction, d: int) -> float:
     require_same_group(p, f)
     if d < 1:
         raise KZero(f"convolution share needs d >= 1, got {d}")
-    if not f.is_nonnegative(tol=0.0):
+    if not f.is_nonnegative():
         raise NegativeValues("convolution share needs a nonnegative function")
     mass = f.values.real.sum()
     if mass <= 0:
@@ -244,6 +245,8 @@ def max_progression_mass(
     length = max(0, min(max_terms, n))
     if length == 0:
         return 0.0, None, "exhaustive" if exhaustive else "sampled"
+    if n == 1:  # no step in 1..n-1 to scan or draw: the one term is the maximum
+        return float(values[0]), Progression(1, 0, 1, 1), "exhaustive" if exhaustive else "sampled"
     if exhaustive:
         best = -1.0
         witness = None
@@ -433,10 +436,8 @@ def progressions_from_gap_certified(
 # -- Bohr-set characterization (general groups) --------------------------------
 
 
-def _bohr_share_scan(
-    b: GroupSubset, d: int, delta: float, catalog: IrrepCatalog | None
-) -> tuple[float, str, list[float]]:
-    catalog = catalog or irrep_catalog(b.group)
+def _bohr_share_scan(b: GroupSubset, d: int, delta: float) -> tuple[float, str, list[float]]:
+    catalog = irrep_catalog(b.group)
     if b.size == 0:
         raise EmptySet("Bohr scan of the empty set")
     f = convolve(b.indicator(), inverse_set(b).indicator())
@@ -459,7 +460,6 @@ def gap_from_bohr_sets(
     d: int,
     delta: float,
     alpha: float | None = None,
-    catalog: IrrepCatalog | None = None,
 ) -> BoundReport:
     """Forward direction: mass share of B*B^-1 at most 1 - alpha on every one-frequency
     Bohr set forces lambda1 >= alpha delta / (2 d^2)."""
@@ -467,7 +467,7 @@ def gap_from_bohr_sets(
         raise KZero(f"need d >= 1, got {d}")
     if not (0 < delta < 1):
         raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
-    share_max, worst, _ = _bohr_share_scan(b, d, delta, catalog)
+    share_max, worst, _ = _bohr_share_scan(b, d, delta)
     if alpha is None:
         alpha = 1.0 - share_max
     elif share_max > 1.0 - alpha + 1e-12:
@@ -492,9 +492,7 @@ def gap_from_bohr_sets(
     )
 
 
-def bohr_sets_from_gap(
-    b: GroupSubset, d: int, delta: float, catalog: IrrepCatalog | None = None
-) -> BoundReport:
+def bohr_sets_from_gap(b: GroupSubset, d: int, delta: float) -> BoundReport:
     """Reverse direction: alpha = (1 - (1-lambda1*)^d - delta)/2 caps the
     mass share of B*B^-1 on every one-frequency Bohr set."""
     if d < 1:
@@ -503,7 +501,7 @@ def bohr_sets_from_gap(
         raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
     lam_star = lambda1_star(b)
     alpha = (1.0 - (1.0 - lam_star) ** d - delta) / 2.0
-    share_max, worst, _ = _bohr_share_scan(b, d, delta, catalog)
+    share_max, worst, _ = _bohr_share_scan(b, d, delta)
     return BoundReport(
         bound_name="bohr_mass_vs_gap",
         bound_value=1.0 - alpha,
@@ -657,17 +655,6 @@ def _subgroup_closure(group: FiniteGroup, seed_indices: frozenset[int]) -> froze
         idx = products
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
 def normal_subgroup_min_index(group: FiniteGroup, cap: int) -> int | None:
     """Minimal index of a proper normal subgroup if it is at most cap, else None.
 
@@ -675,9 +662,9 @@ def normal_subgroup_min_index(group: FiniteGroup, cap: int) -> int | None:
     closures; abelian groups always attain the smallest prime factor of the
     order, so that value is returned directly.
     """
-    if group.order > _NORMAL_SUBGROUP_CAP:
+    if group.order > NORMAL_SUBGROUP_CAP:
         raise GroupTooLarge(
-            f"normal subgroup enumeration capped at order {_NORMAL_SUBGROUP_CAP}"
+            f"normal subgroup enumeration capped at order {NORMAL_SUBGROUP_CAP}"
         )
     if group.order == 1:
         return None
@@ -719,8 +706,8 @@ class LargeSpectrum:
         return len(self.indices)
 
 
-def large_spectrum(a: GroupSubset, eps: float, catalog: IrrepCatalog | None = None) -> LargeSpectrum:
-    catalog = catalog or irrep_catalog(a.group)
+def large_spectrum(a: GroupSubset, eps: float) -> LargeSpectrum:
+    catalog = irrep_catalog(a.group)
     f = a.indicator()
     norms = [fourier_transform(f, rep).op_norm for rep in catalog]
     threshold = eps * a.size
@@ -1051,7 +1038,6 @@ def regular_spectrum_check(
     delta_prime: float,
     kappa: float,
     eps: float,
-    catalog: IrrepCatalog | None = None,
 ) -> InclusionReport:
     """Spec_eps(Bohr(rho, delta)) stays (1 - 2 kappa / eps)-large on the
     shrunken Bohr set, for regular delta and delta' <= kappa delta / (100 d^2)."""
@@ -1065,7 +1051,7 @@ def regular_spectrum_check(
         )
     if not is_regular(rep, delta):
         raise NotRegular(f"Bohr({rep.label}, {delta:g}) is not regular")
-    catalog = catalog or irrep_catalog(rep.group)
+    catalog = irrep_catalog(rep.group)
     b = bohr_set(rep, delta).members
     b_prime = bohr_set(rep, delta_prime).members
     f = b.indicator()
@@ -1102,7 +1088,6 @@ def verify_progression_basis_bound(
     d: int,
     g,
     omega: GroupSubset | None = None,
-    measured: float | None = None,
     form: str = "omega",
 ) -> BoundReport:
     """Abelian basis bound on Z/N, N prime, in the form ``form``.
@@ -1132,17 +1117,16 @@ def verify_progression_basis_bound(
         factor = 1.0 - math.cos(float(eps) * math.pi / (2 * d))
         bound = float(eps) * float(g) * n * factor / (d * float(b.size) ** d)
         parameters["eps"] = float(eps)
-    measured = lambda1(b) if measured is None else measured
     return BoundReport(
         bound_name=name,
         bound_value=bound,
-        measured=measured,
+        measured=lambda1(b),
         vacuous=bound <= 0,
         parameters=parameters,
     )
 
 
-def _bohr_basis_report(b, d, g, omega, measured, certified: bool) -> BoundReport:
+def _bohr_basis_report(b, d, g, omega, certified: bool) -> BoundReport:
     """Shared body of the nonabelian basis bounds: the d >= 2 and B*B^-1 count
     hypotheses, then the plain bound or, when ``certified``, the eps form with its
     normal-subgroup hypothesis."""
@@ -1174,28 +1158,23 @@ def _bohr_basis_report(b, d, g, omega, measured, certified: bool) -> BoundReport
             bound = float(exact)
         else:
             bound = float(g) * (order - 2 * omega_size) / (8 * d * d * float(b.size) ** (2 * d))
-    measured = lambda1(b) if measured is None else measured
     return BoundReport(
         bound_name=name,
         bound_value=bound,
         bound_exact=exact,
-        measured=measured,
+        measured=lambda1(b),
         vacuous=bound <= 0,
         parameters=parameters,
     )
 
 
-def verify_bohr_basis_bound(
-    b: GroupSubset, d: int, g, omega: GroupSubset | None = None, measured: float | None = None
-) -> BoundReport:
+def verify_bohr_basis_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None = None) -> BoundReport:
     """Nonabelian basis bound g(|G| - 2|O|) / (8 d^2 |B|^(2d)) from B*B^-1 counts,
     exact as a Fraction when g is integral."""
-    return _bohr_basis_report(b, d, g, omega, measured, certified=False)
+    return _bohr_basis_report(b, d, g, omega, certified=False)
 
 
-def verify_bohr_basis_bound_certified(
-    b: GroupSubset, d: int, g, omega: GroupSubset, measured: float | None = None
-) -> BoundReport:
+def verify_bohr_basis_bound_certified(b: GroupSubset, d: int, g, omega: GroupSubset) -> BoundReport:
     """Certified form: no normal proper subgroup of index <= 2/eps lifts the
     bound to eps^(log_{3/2} 3) g |G| / (16 d^2 |B|^(2d))."""
-    return _bohr_basis_report(b, d, g, omega, measured, certified=True)
+    return _bohr_basis_report(b, d, g, omega, certified=True)

@@ -1,11 +1,13 @@
 """Spectral-gap lower bounds for Cayley graphs and regular graphs.
 
 Every bound is checked as a BoundReport: the formula side is evaluated in
-exact rational arithmetic whenever the inputs are integers, the measured side
-comes from the dense eigensolver, and the report records the slack and a
-pass / vacuous-pass / fail verdict.  Hypotheses (representation counts at
-least g outside the exceptional set, path counts in graphs) are certified
-before any inequality is asserted; HypothesisFail is raised otherwise.
+exact rational arithmetic whenever the inputs are integers, the verifier
+reads the measured side itself (set gaps and norms from the spectral engine
+``spectra.spectral_summary``, weighted-operator and graph gaps from a dense
+eigensolve), and the report records the slack and a pass / vacuous-pass /
+fail verdict.  Hypotheses (representation counts at least g outside the
+exceptional set, path counts in graphs) are certified before the measured
+side is computed; HypothesisFail is raised otherwise.
 """
 
 from __future__ import annotations
@@ -131,28 +133,23 @@ def basis_bound_value(order: int, set_size: int, d: int) -> Fraction:
     return Fraction(order, d * set_size**d)
 
 
-def verify_diameter_bound(s: GroupSubset, d: int, measured: float | None = None) -> BoundReport:
-    exact = diameter_bound_value(s.size, d)
-    measured = lambda1(s) if measured is None else measured
+def _gap_report(name: str, s: GroupSubset, d: int, exact: Fraction) -> BoundReport:
+    """Shared body of the plain gap bounds: the exact formula side against lambda1(S)."""
     return BoundReport(
-        bound_name="gap_vs_diameter",
+        bound_name=name,
         bound_value=float(exact),
         bound_exact=exact,
-        measured=measured,
+        measured=lambda1(s),
         parameters={"group_order": s.group.order, "set_size": s.size, "d": d},
     )
 
 
-def verify_basis_bound(s: GroupSubset, d: int, measured: float | None = None) -> BoundReport:
-    exact = basis_bound_value(s.group.order, s.size, d)
-    measured = lambda1(s) if measured is None else measured
-    return BoundReport(
-        bound_name="gap_vs_basis",
-        bound_value=float(exact),
-        bound_exact=exact,
-        measured=measured,
-        parameters={"group_order": s.group.order, "set_size": s.size, "d": d},
-    )
+def verify_diameter_bound(s: GroupSubset, d: int) -> BoundReport:
+    return _gap_report("gap_vs_diameter", s, d, diameter_bound_value(s.size, d))
+
+
+def verify_basis_bound(s: GroupSubset, d: int) -> BoundReport:
+    return _gap_report("gap_vs_basis", s, d, basis_bound_value(s.group.order, s.size, d))
 
 
 # -- basis bounds with an exceptional set ------------------------------------
@@ -170,85 +167,54 @@ def exceptional_bound_value(order: int, mass: int, d: int, g, omega_size: int) -
     return value, None
 
 
-def verify_exceptional_bound(
-    b: GroupSubset, d: int, g, omega: GroupSubset | None = None, measured: float | None = None
+def _exceptional_report(
+    name: str, what: str, order: int, d: int, g, omega, counts, mass: int, set_size: int, measure
 ) -> BoundReport:
-    """lambda1(Cay(B)) against the d-fold representation bound with exceptions."""
-    counts = rep_count(b, d).values.real
-    _require_counts_off_omega(counts, g, omega, "exceptional basis bound")
+    """Shared body of the exceptional-set bounds: certify the counts off omega,
+    then evaluate the bound for ``mass`` and call ``measure`` for the gap."""
+    _require_counts_off_omega(counts, g, omega, what)
     omega_size = 0 if omega is None else omega.size
-    value, exact = exceptional_bound_value(b.group.order, b.size, d, g, omega_size)
-    measured = lambda1(b) if measured is None else measured
+    value, exact = exceptional_bound_value(order, mass, d, g, omega_size)
     return BoundReport(
-        bound_name="gap_vs_basis_exceptional",
+        bound_name=name,
         bound_value=value,
         bound_exact=exact,
-        measured=measured,
+        measured=measure(),
         vacuous=value <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "g": g,
-            "omega_size": omega_size,
-        },
+        parameters={"group_order": order, "set_size": set_size, "d": d, "g": g, "omega_size": omega_size},
+    )
+
+
+def verify_exceptional_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None = None) -> BoundReport:
+    """lambda1(Cay(B)) against the d-fold representation bound with exceptions."""
+    counts = rep_count(b, d).values.real
+    return _exceptional_report(
+        "gap_vs_basis_exceptional", "exceptional basis bound", b.group.order, d, g, omega,
+        counts, mass=b.size, set_size=b.size, measure=lambda: lambda1(b),
     )
 
 
 def verify_exceptional_bound_pair(
-    b1: GroupSubset,
-    b2: GroupSubset,
-    d: int,
-    g,
-    omega: GroupSubset | None = None,
-    measured: float | None = None,
+    b1: GroupSubset, b2: GroupSubset, d: int, g, omega: GroupSubset | None = None
 ) -> BoundReport:
     """Gap of the weighted Cayley operator of B1 * B2 with exceptions allowed."""
     conv = convolve(b1.indicator(), b2.indicator())
     counts = iterated_convolution(conv, d).values.real
-    _require_counts_off_omega(counts, g, omega, "pair basis bound")
-    omega_size = 0 if omega is None else omega.size
     mass = b1.size * b2.size
-    value, exact = exceptional_bound_value(b1.group.order, mass, d, g, omega_size)
-    measured = lambda1_of_function(conv) if measured is None else measured
-    return BoundReport(
-        bound_name="gap_vs_basis_pair",
-        bound_value=value,
-        bound_exact=exact,
-        measured=measured,
-        vacuous=value <= 0,
-        parameters={
-            "group_order": b1.group.order,
-            "set_size": mass,
-            "d": d,
-            "g": g,
-            "omega_size": omega_size,
-        },
+    return _exceptional_report(
+        "gap_vs_basis_pair", "pair basis bound", b1.group.order, d, g, omega,
+        counts, mass=mass, set_size=mass, measure=lambda: lambda1_of_function(conv),
     )
 
 
 def verify_exceptional_bound_star(
-    b: GroupSubset, d: int, g, omega: GroupSubset | None = None, measured: float | None = None
+    b: GroupSubset, d: int, g, omega: GroupSubset | None = None
 ) -> BoundReport:
     """Singular gap lambda1*(Cay(B)) against the B * B^-1 bound with exceptions."""
     counts = symmetrized_rep_count(b, d).values.real
-    _require_counts_off_omega(counts, g, omega, "star basis bound")
-    omega_size = 0 if omega is None else omega.size
-    value, exact = exceptional_bound_value(b.group.order, b.size * b.size, d, g, omega_size)
-    measured = lambda1_star(b) if measured is None else measured
-    return BoundReport(
-        bound_name="star_gap_vs_basis_exceptional",
-        bound_value=value,
-        bound_exact=exact,
-        measured=measured,
-        vacuous=value <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "g": g,
-            "omega_size": omega_size,
-        },
+    return _exceptional_report(
+        "star_gap_vs_basis_exceptional", "star basis bound", b.group.order, d, g, omega,
+        counts, mass=b.size * b.size, set_size=b.size, measure=lambda: lambda1_star(b),
     )
 
 
@@ -263,7 +229,7 @@ def fourier_norm_bound_value(order: int, set_size: int, d: int, g) -> float:
     return set_size * float(np.sqrt(inner))
 
 
-def verify_fourier_norm_bound(b: GroupSubset, d: int, g, measured: float | None = None) -> BoundReport:
+def verify_fourier_norm_bound(b: GroupSubset, d: int, g) -> BoundReport:
     """max nontrivial ||Bhat(rho)|| against the covering upper bound (sense <=)."""
     counts = symmetrized_rep_count(b, d).values.real
     if counts.min() < g:
@@ -271,11 +237,10 @@ def verify_fourier_norm_bound(b: GroupSubset, d: int, g, measured: float | None 
             f"norm bound: (B*B^-1)^({d}) has minimum {counts.min()} < g={g}"
         )
     value = fourier_norm_bound_value(b.group.order, b.size, d, g)
-    measured = set_norm(b) if measured is None else measured
     return BoundReport(
         bound_name="fourier_norm_vs_covering",
         bound_value=value,
-        measured=measured,
+        measured=set_norm(b),
         sense="<=",
         vacuous=value >= b.size,
         parameters={"group_order": b.group.order, "set_size": b.size, "d": d, "g": g},
@@ -359,7 +324,7 @@ def graph_bound_value(vertex_count: int, valency: int, d: int, g) -> tuple[float
     return g * vertex_count / (d * valency**d), None
 
 
-def verify_graph_bound(graph: RegularGraph, d: int, g, measured: float | None = None) -> BoundReport:
+def verify_graph_bound(graph: RegularGraph, d: int, g) -> BoundReport:
     """lambda1(G) against g|V|/(d V^d) under the g-paths-of-length-d hypothesis."""
     paths = graph_paths(graph, d)
     if paths.min() < g:
@@ -367,12 +332,11 @@ def verify_graph_bound(graph: RegularGraph, d: int, g, measured: float | None = 
             f"graph bound: minimum path count {paths.min()} below g={g} at length {d}"
         )
     value, exact = graph_bound_value(graph.vertex_count, graph.valency, d, g)
-    measured = graph_lambda1(graph) if measured is None else measured
     return BoundReport(
         bound_name="graph_gap_vs_paths",
         bound_value=value,
         bound_exact=exact,
-        measured=measured,
+        measured=graph_lambda1(graph),
         vacuous=value <= 0,
         parameters={
             "vertex_count": graph.vertex_count,

@@ -122,7 +122,7 @@ def cmd_bounds(args) -> int:
         add(bohr_mod.verify_progression_basis_bound(subset, d, g, omega), "07-progression-basis")
     if d >= 2:
         add(bohr_mod.verify_bohr_basis_bound(subset, d, g, omega_star), "08-bohr-basis")
-        if group.order <= 200 and omega_star.size < group.order:
+        if group.order <= bohr_mod.NORMAL_SUBGROUP_CAP and omega_star.size < group.order:
             try:
                 add(
                     bohr_mod.verify_bohr_basis_bound_certified(subset, d, g, omega_star),

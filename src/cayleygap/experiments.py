@@ -222,7 +222,7 @@ def run_sidon(n: int, k: int, seed: int, size_constant: float = 1.0) -> Experime
         }
     )
     if omega.size < n:
-        report = verify_progression_basis_bound(a, k, 1, omega, measured=gap, form="eps")
+        report = verify_progression_basis_bound(a, k, 1, omega, form="eps")
         result.records.append(bound_record(report, "01-gap-bound", group.name, asserted=True))
         if c > 1e-12:
             positivity = "pass"
@@ -302,9 +302,9 @@ def run_additive_basis(n: int, seed: int) -> ExperimentResult:
             "asserted": True,
         }
     )
-    cor_report = verify_progression_basis_bound(a, 2, 1, omega, measured=gap)
+    cor_report = verify_progression_basis_bound(a, 2, 1, omega)
     result.records.append(bound_record(cor_report, "01-progression-basis", group.name, asserted=True))
-    exc_report = verify_exceptional_bound(a, 2, 1, omega, measured=gap)
+    exc_report = verify_exceptional_bound(a, 2, 1, omega)
     result.records.append(bound_record(exc_report, "02-exceptional-basis", group.name, asserted=True))
     return result
 
@@ -364,7 +364,7 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
             "asserted": True,
         }
     )
-    cor_report = verify_progression_basis_bound(s, 2, 1, omega, measured=gap)
+    cor_report = verify_progression_basis_bound(s, 2, 1, omega)
     result.records.append(bound_record(cor_report, "01-progression-basis", group.name, asserted=True))
     if interval.size > 0:
         p_norm = set_norm(interval)

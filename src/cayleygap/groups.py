@@ -149,7 +149,7 @@ class FiniteGroup:
         self._classes = classes
         return classes
 
-    def validate(self, seed: int = 0) -> None:
+    def validate(self) -> None:
         """Check identity, inverse, and associativity laws.
 
         Exhaustive for order <= 256, seeded triple sampling above.  Raises
@@ -173,7 +173,7 @@ class FiniteGroup:
                 if not np.array_equal(left, right):
                     raise InvalidTable(f"associativity fails at a={a}")
         else:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             a = rng.integers(0, n, _LAW_SAMPLES)
             b = rng.integers(0, n, _LAW_SAMPLES)
             c = rng.integers(0, n, _LAW_SAMPLES)
@@ -414,7 +414,7 @@ def permutation_closure(
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*\((.*)\)\s*$", re.DOTALL)
 
 
-def make_group(descriptor, cap: int = _DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+def make_group(descriptor) -> FiniteGroup:
     """Build and validate a group from a descriptor.
 
     Accepts a FiniteGroup (returned as is) or a string descriptor:
@@ -442,7 +442,7 @@ def make_group(descriptor, cap: int = _DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         group = DihedralGroup(args)
     elif kind == "permutation_closure":
         gens = args if isinstance(args, (list, tuple)) else [args]
-        group = permutation_closure(gens, cap=cap)
+        group = permutation_closure(gens)
     elif kind == "multiplication_table":
         group = TableGroup(args)
     else:
@@ -544,8 +544,8 @@ class GroupSubset:
         require_same_group(self, other)
         return GroupSubset(self.group, self.membership * (1 - other.membership))
 
-    def indicator(self, dtype=np.int64) -> "GroupFunction":
-        return GroupFunction(self.group, self.membership.astype(dtype))
+    def indicator(self) -> "GroupFunction":
+        return GroupFunction(self.group, self.membership.astype(np.int64))
 
 
 class GroupFunction:
@@ -582,13 +582,13 @@ class GroupFunction:
     def l1_norm(self) -> float:
         return float(np.abs(self.values).sum())
 
-    def is_nonnegative(self, tol: float = 0.0) -> bool:
+    def is_nonnegative(self) -> bool:
         vals = self.values
         if vals.dtype.kind == "c":
-            if np.abs(vals.imag).max(initial=0.0) > tol:
+            if np.abs(vals.imag).max(initial=0.0) > 0:
                 return False
             vals = vals.real
-        return bool(vals.min(initial=0) >= -tol)
+        return bool(vals.min(initial=0) >= 0)
 
     def __repr__(self) -> str:
         return f"<function on {self.group.name}, total {self.total}>"

@@ -47,7 +47,6 @@ class UnitaryRepresentation:
         matrices: np.ndarray,
         label: str,
         is_trivial: bool = False,
-        is_irreducible: bool = True,
     ):
         mats = np.ascontiguousarray(matrices, dtype=np.complex128)
         if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
@@ -57,7 +56,6 @@ class UnitaryRepresentation:
         self.matrices = mats
         self.label = label
         self.is_trivial = is_trivial
-        self.is_irreducible = is_irreducible
 
     @property
     def dim(self) -> int:
@@ -122,7 +120,7 @@ class UnitaryRepresentation:
             raise ValueError(f"rep {self.label}: not unitary ({res['unitarity']:.2e})")
         if res["homomorphism"] > UNITARITY_TOL:
             raise ValueError(f"rep {self.label}: not a homomorphism ({res['homomorphism']:.2e})")
-        if self.is_irreducible and res["trace_orthogonality"] > ORTHOGONALITY_TOL:
+        if res["trace_orthogonality"] > ORTHOGONALITY_TOL:
             raise ValueError(
                 f"rep {self.label}: trace orthogonality off by {res['trace_orthogonality']:.2e}"
             )
@@ -140,7 +138,6 @@ class IrrepCatalog:
         self.group = group
         self.reps = tuple(reps)
         self.trivial_index = reps.index(trivial[0])
-        self._label_index = {r.label: i for i, r in enumerate(reps)}
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -285,19 +282,17 @@ def fourier_transform(f: GroupFunction, rep: UnitaryRepresentation) -> FourierCo
     return FourierCoefficient(rep, matrix)
 
 
-def fourier_all(f: GroupFunction, catalog: IrrepCatalog | None = None) -> list[FourierCoefficient]:
-    catalog = catalog or irrep_catalog(f.group)
-    return [fourier_transform(f, rep) for rep in catalog]
+def fourier_all(f: GroupFunction) -> list[FourierCoefficient]:
+    return [fourier_transform(f, rep) for rep in irrep_catalog(f.group)]
 
 
-def inverse_fourier(coeffs: list[FourierCoefficient], catalog: IrrepCatalog | None = None) -> GroupFunction:
+def inverse_fourier(coeffs: list[FourierCoefficient]) -> GroupFunction:
     """Reconstruct f(g) = (1/|G|) sum_rho d_rho tr(fhat(rho) rho(g)) from all coefficients."""
     if not coeffs:
         raise IncompleteCatalog("no coefficients supplied")
     group = coeffs[0].rep.group
-    catalog = catalog or irrep_catalog(group)
     supplied = {id(c.rep) for c in coeffs}
-    if {id(r) for r in catalog.reps} != supplied:
+    if {id(r) for r in irrep_catalog(group).reps} != supplied:
         raise IncompleteCatalog("coefficients must cover the full catalog exactly")
     values = np.zeros(group.order, dtype=np.complex128)
     for coeff in coeffs:

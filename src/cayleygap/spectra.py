@@ -30,7 +30,7 @@ from .groups import (
     GroupSubset,
     iterated_convolution,
 )
-from .representations import IrrepCatalog, fourier_transform, irrep_catalog, operator_norm
+from .representations import fourier_transform, irrep_catalog, operator_norm
 
 
 def markov_matrix(s: GroupSubset) -> np.ndarray:
@@ -128,7 +128,6 @@ class SpectrumReport:
     lambda1: float
     lambda1_star: float
     path: str  # "dense" | "blocks"
-    cluster_tol: float = 1e-6
 
     @property
     def order(self) -> int:
@@ -139,7 +138,7 @@ class SpectrumReport:
         eig = self.eigenvalues
         real_spectrum = np.abs(eig.imag).max(initial=0.0) < 1e-9
         sorted_real = np.sort(eig.real) if real_spectrum else None
-        labels = cluster_eigenvalues(sorted_real, self.cluster_tol) if real_spectrum else None
+        labels = cluster_eigenvalues(sorted_real) if real_spectrum else None
         rows = []
         for j in range(self.order):
             value = eig[j]
@@ -162,37 +161,39 @@ class SpectrumReport:
         return rows
 
 
+def _dense_gaps(s: GroupSubset) -> tuple[np.ndarray, float, np.ndarray]:
+    """Delta = I - M/|S|, its variational gap, and the ascending spectrum of I - M M^T / |S|^2."""
+    m = markov_matrix(s)
+    n, size = s.group.order, s.size
+    delta = np.eye(n) - m / size
+    star = np.sort(np.linalg.eigvalsh(np.eye(n) - (m @ m.T) / (size * size)))
+    return delta, variational_lambda1(delta), star
+
+
 def laplace_spectrum_dense(s: GroupSubset) -> SpectrumReport:
     """Spectrum of I - M/|S| by dense eigendecomposition, plus the singular path."""
     if s.size == 0:
         raise EmptySet("spectrum of the empty set")
-    group = s.group
-    m = markov_matrix(s)
-    size = s.size
-    delta = np.eye(group.order) - m / size
+    delta, lam1, star = _dense_gaps(s)
     if s.is_symmetric:
         eigenvalues = np.linalg.eigvalsh(delta).astype(np.complex128)
     else:
         eigenvalues = np.linalg.eigvals(delta)
-    star_matrix = np.eye(group.order) - (m @ m.T) / (size * size)
-    star = np.sort(np.linalg.eigvalsh(star_matrix))
-    lam1 = variational_lambda1(delta)
-    lam1_star = float(star[1]) if star.size > 1 else 0.0
     return SpectrumReport(
         eigenvalues=_display_order(eigenvalues),
         star_eigenvalues=star,
         lambda1=lam1,
-        lambda1_star=lam1_star,
+        lambda1_star=float(star[1]) if star.size > 1 else 0.0,
         path="dense",
     )
 
 
-def laplace_spectrum_blocks(s: GroupSubset, catalog: IrrepCatalog | None = None) -> SpectrumReport:
+def laplace_spectrum_blocks(s: GroupSubset) -> SpectrumReport:
     """Spectrum assembled from the irrep blocks: each eigenvalue mu of
     Shat(rho)/|S| contributes 1 - mu with multiplicity d_rho."""
     if s.size == 0:
         raise EmptySet("spectrum of the empty set")
-    catalog = catalog or irrep_catalog(s.group)
+    catalog = irrep_catalog(s.group)
     size = s.size
     indicator = s.indicator()
     eig_parts = []
@@ -210,15 +211,13 @@ def laplace_spectrum_blocks(s: GroupSubset, catalog: IrrepCatalog | None = None)
             gaps.append(_hermitian_gap(block, size))
     eigenvalues = np.concatenate(eig_parts)
     star = np.sort(np.concatenate(star_parts).real)
-    # the mean-zero subspace is the sum of the nontrivial isotypic components,
-    # so the variational gap is the smallest Hermitian-part eigenvalue there
-    lam1 = min(gaps, default=0.0)
-    lam1_star = float(star[1]) if star.size > 1 else 0.0
     return SpectrumReport(
         eigenvalues=_display_order(eigenvalues),
         star_eigenvalues=star,
-        lambda1=lam1,
-        lambda1_star=lam1_star,
+        # the mean-zero subspace is the sum of the nontrivial isotypic components,
+        # so the variational gap is the smallest Hermitian-part eigenvalue there
+        lambda1=min(gaps, default=0.0),
+        lambda1_star=float(star[1]) if star.size > 1 else 0.0,
         path="blocks",
     )
 
@@ -262,15 +261,8 @@ def spectral_summary(s: GroupSubset) -> SpectralSummary:
         try:
             catalog = irrep_catalog(group)
         except NotCataloged:
-            m = markov_matrix(s)
-            star_matrix = np.eye(group.order) - (m @ m.T) / (size * size)
-            star = np.sort(np.linalg.eigvalsh(star_matrix))
-            return SpectralSummary(
-                lambda1=variational_lambda1(np.eye(group.order) - m / size),
-                lambda1_star=float(star[1]) if star.size > 1 else 0.0,
-                norm=None,
-                path="dense",
-            )
+            _, lam1, star = _dense_gaps(s)  # laplace_spectrum_dense's scalars, no full spectrum
+            return SpectralSummary(lam1, float(star[1]) if star.size > 1 else 0.0, norm=None, path="dense")
         indicator = s.indicator()
         blocks = [fourier_transform(indicator, rep).matrix for rep in catalog.nontrivial()]
         gaps = np.array([_hermitian_gap(block, size) for block in blocks])

@@ -38,8 +38,6 @@ from cayleygap import (
     gap_from_progressions,
     inverse_fourier,
     irrep_catalog,
-    lambda1,
-    lambda1_star,
     laplace_spectrum_blocks,
     laplace_spectrum_dense,
     large_spectrum_product_check,
@@ -148,7 +146,7 @@ def test_criterion_03_exact_identities():
         for _ in range(100):
             f = random_function(group, rng)
             g = random_function(group, rng)
-            coeffs_f = fourier_all(f, catalog)
+            coeffs_f = fourier_all(f)
             lhs = float((np.abs(f.values) ** 2).sum())
             rhs = sum(c.rep.dim * c.hs_norm**2 for c in coeffs_f) / group.order
             parseval_worst = max(parseval_worst, abs(lhs - rhs) / abs(lhs))
@@ -158,7 +156,7 @@ def test_criterion_03_exact_identities():
                 rhs_m = cf.matrix @ fourier_transform(g, rep).matrix
                 scale = max(1.0, float(np.abs(lhs_m).max()))
                 convolution_worst = max(convolution_worst, float(np.abs(lhs_m - rhs_m).max()) / scale)
-            back = inverse_fourier(coeffs_f, catalog)
+            back = inverse_fourier(coeffs_f)
             roundtrip_worst = max(roundtrip_worst, float(np.abs(back.values - f.values).max()))
     ok = parseval_worst <= 1e-8 and convolution_worst <= 1e-8 and roundtrip_worst <= 1e-10
     _line(
@@ -203,20 +201,18 @@ def test_criterion_04_bound_suite():
     start = time.monotonic()
     reports = []
     for group, s, d, rng in _bound_suite_instances():
-        lam = lambda1(s)
-        reports.append(verify_diameter_bound(s, d, measured=lam))
-        reports.append(verify_basis_bound(s, d, measured=lam))
+        reports.append(verify_diameter_bound(s, d))
+        reports.append(verify_basis_bound(s, d))
         counts = rep_count(s, d).values.real
         g_full = int(counts.min())
         if g_full >= 1:
-            reports.append(verify_exceptional_bound(s, d, g_full, None, measured=lam))
+            reports.append(verify_exceptional_bound(s, d, g_full, None))
         g_half = max(1, int(np.quantile(counts, 0.6)))
         omega = exceptional_set(s, d, g_half)
-        reports.append(verify_exceptional_bound(s, d, g_half, omega, measured=lam))
+        reports.append(verify_exceptional_bound(s, d, g_half, omega))
         star_counts = symmetrized_rep_count(s, 2).values.real
         omega_star = GroupSubset(group, (star_counts < 1).astype(np.int8))
-        lam_star = lambda1_star(s)
-        reports.append(verify_exceptional_bound_star(s, 2, 1, omega_star, measured=lam_star))
+        reports.append(verify_exceptional_bound_star(s, 2, 1, omega_star))
         if star_counts.min() >= 1:
             try:
                 reports.append(verify_fourier_norm_bound(s, 2, int(star_counts.min())))
@@ -226,19 +222,13 @@ def test_criterion_04_bound_suite():
             if is_prime(group.order):
                 omega_c = exceptional_set(s, d, 1)
                 if omega_c.size < group.order:
-                    reports.append(
-                        verify_progression_basis_bound(s, d, 1, omega_c, measured=lam)
-                    )
-                    reports.append(
-                        verify_progression_basis_bound(s, d, 1, omega_c, measured=lam, form="eps")
-                    )
+                    reports.append(verify_progression_basis_bound(s, d, 1, omega_c))
+                    reports.append(verify_progression_basis_bound(s, d, 1, omega_c, form="eps"))
         if omega_star.size < group.order:
-            reports.append(verify_bohr_basis_bound(s, 2, 1, omega_star, measured=lam))
+            reports.append(verify_bohr_basis_bound(s, 2, 1, omega_star))
             if group.order <= 200:
                 try:
-                    reports.append(
-                        verify_bohr_basis_bound_certified(s, 2, 1, omega_star, measured=lam)
-                    )
+                    reports.append(verify_bohr_basis_bound_certified(s, 2, 1, omega_star))
                 except HypothesisFail:
                     pass
     # general regular graphs: circulant connection sets with a loop (breaks

@@ -176,6 +176,13 @@ class TestProgressionScan:
         assert mass == pytest.approx(best)
         assert witness.length == length
 
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_max_mass_of_one_term(self, exhaustive):
+        mass, witness, mode = max_progression_mass(np.array([2.5]), 3, exhaustive=exhaustive)
+        assert mass == 2.5
+        assert witness == Progression(modulus=1, start=0, step=1, length=1)
+        assert mode == ("exhaustive" if exhaustive else "sampled")
+
     def test_sampled_mode_is_lower_bound(self, rng):
         n = 401
         values = rng.uniform(0.0, 1.0, n)

@@ -18,21 +18,28 @@ from cayleygap import (
     graph_paths,
     iterated_convolution,
     lambda1,
+    lambda1_of_function,
+    lambda1_star,
     make_group,
     rep_count,
+    set_norm,
     symmetrized_rep_count,
     verify_basis_bound,
+    verify_bohr_basis_bound,
+    verify_bohr_basis_bound_certified,
     verify_diameter_bound,
     verify_exceptional_bound,
     verify_exceptional_bound_pair,
     verify_exceptional_bound_star,
     verify_fourier_norm_bound,
     verify_graph_bound,
+    verify_progression_basis_bound,
     verify_uniformity,
 )
 from cayleygap.bounds import BoundReport
 from cayleygap.errors import EmptySet, HypothesisFail, NotRegular
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
+from cayleygap.spectra import spectral_summary
 
 
 def circulant_graph(n, connection):
@@ -277,6 +284,97 @@ class TestGraphs:
         s = random_symmetric_subset(z12, 3, rng)
         graph = RegularGraph(np.asarray(s.membership[z12.conv_index], dtype=int))
         assert abs(graph_lambda1(graph) - lambda1(s)) < 1e-9
+
+
+def _instance(kind):
+    """A symmetric generating set and its diameter d; every count is >= 1 at d."""
+    descriptor, size_hint = {
+        "cyclic": ("cyclic(13)", 3),
+        "dihedral": ("dihedral(6)", 4),
+        "s5": ('permutation_closure(["(1 2 3 4 5)", "(1 2)"])', 8),
+    }[kind]
+    s = random_symmetric_subset(make_group(descriptor), size_hint, np.random.default_rng(5))
+    return s, diameter(s)
+
+
+def _star_omega(s, d):
+    counts = symmetrized_rep_count(s, d).values.real
+    return GroupSubset(s.group, (counts < 1).astype(np.int8))
+
+
+def _cayley_graph(s):
+    return RegularGraph(np.asarray(s.membership[s.group.conv_index], dtype=int))
+
+
+# verifier -> (call with count threshold g, the side it must measure itself)
+SELF_MEASURED = {
+    "diameter": (lambda s, d, g: verify_diameter_bound(s, d), lambda1),
+    "basis": (lambda s, d, g: verify_basis_bound(s, d), lambda1),
+    "exceptional": (
+        lambda s, d, g: verify_exceptional_bound(s, d, g, exceptional_set(s, d, 1)),
+        lambda1,
+    ),
+    "exceptional_pair": (
+        lambda s, d, g: verify_exceptional_bound_pair(s, s, d, g),
+        lambda s: lambda1_of_function(convolve(s.indicator(), s.indicator())),
+    ),
+    "exceptional_star": (
+        lambda s, d, g: verify_exceptional_bound_star(s, d, g, _star_omega(s, d)),
+        lambda1_star,
+    ),
+    "fourier_norm": (lambda s, d, g: verify_fourier_norm_bound(s, d, g), set_norm),
+    "graph": (
+        lambda s, d, g: verify_graph_bound(_cayley_graph(s), d, g),
+        lambda s: graph_lambda1(_cayley_graph(s)),
+    ),
+    "progression_basis": (lambda s, d, g: verify_progression_basis_bound(s, d, g), lambda1),
+    "bohr_basis": (lambda s, d, g: verify_bohr_basis_bound(s, d, g, _star_omega(s, d)), lambda1),
+    "bohr_basis_certified": (
+        lambda s, d, g: verify_bohr_basis_bound_certified(s, d, g, _star_omega(s, d)),
+        lambda1,
+    ),
+}
+# the norm needs a catalog (S5 has none); the progression and certified Bohr
+# forms need Z/p, since dihedral(6) and S5 have a normal subgroup of index 2
+ONLY_ON = {
+    "fourier_norm": ("cyclic", "dihedral"),
+    "progression_basis": ("cyclic",),
+    "bohr_basis_certified": ("cyclic",),
+}
+# verifiers whose measured side is the memoized spectral engine
+ENGINE_READERS = (
+    "exceptional",
+    "exceptional_star",
+    "fourier_norm",
+    "progression_basis",
+    "bohr_basis",
+    "bohr_basis_certified",
+)
+
+
+class TestSelfMeasured:
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            (name, kind)
+            for name in SELF_MEASURED
+            for kind in ONLY_ON.get(name, ("cyclic", "dihedral", "s5"))
+        ],
+    )
+    def test_measured_side_is_computed_by_the_verifier(self, name, kind):
+        call, measure = SELF_MEASURED[name]
+        s, d = _instance(kind)
+        report = call(s, d, 1)
+        assert report.measured == measure(s)
+
+    @pytest.mark.parametrize("name", ENGINE_READERS)
+    def test_hypothesis_certified_before_the_engine_runs(self, name):
+        s, d = _instance("cyclic")
+        spectral_summary.cache_clear()  # an early lambda1 / set_norm would be a miss
+        misses = spectral_summary.cache_info().misses
+        with pytest.raises(HypothesisFail):
+            SELF_MEASURED[name][0](s, d, 10**6)
+        assert spectral_summary.cache_info().misses == misses
 
 
 class TestBoundReport:
