@@ -75,7 +75,6 @@ from .groups import (
     FiniteGroup,
     GroupFunction,
     GroupSubset,
-    PermutationGroup,
     TableGroup,
     convolve,
     diameter,

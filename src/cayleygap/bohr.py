@@ -743,16 +743,6 @@ class InclusionReport:
         return "vacuous-pass" if self.vacuous else "pass"
 
 
-def _character_product_index(group: FiniteGroup, i: int, j: int) -> int:
-    # abelian catalogs list characters in frequency order, so the index of a
-    # product character is the frequency sum
-    if isinstance(group, CyclicGroup):
-        return (i + j) % group.order
-    decode, encode = group.decode, group.encode
-    di, dj = decode(i), decode(j)
-    return encode([x + y for x, y in zip(di, dj)])
-
-
 def large_spectrum_product_check(
     a: GroupSubset, eps1: float, eps2: float, form: str = "linear"
 ) -> InclusionReport:
@@ -787,12 +777,11 @@ def large_spectrum_product_check(
     size = a.size
     left = np.flatnonzero(norms >= (1.0 - eps1) * size - 1e-12)
     right = np.flatnonzero(norms >= (1.0 - eps2) * size - 1e-12)
-    pairs = []
-    for i in left:
-        for j in right:
-            k = _character_product_index(group, int(i), int(j))
-            if norms[k] < target_level * size - 1e-9:
-                pairs.append((int(i), int(j), k))
+    # abelian catalogs list characters in frequency order, so the index of
+    # chi_i chi_j is the group product of the frequencies i and j
+    product = group.mul(left[:, None], right[None, :])
+    misses = np.argwhere(norms[product] < target_level * size - 1e-9)
+    pairs = [(int(left[r]), int(right[c]), int(product[r, c])) for r, c in misses]
     return InclusionReport(
         name=name,
         checked=len(left) * len(right),
@@ -823,7 +812,11 @@ def bohr_sum_rule_check(reps, delta1: float, delta2: float) -> InclusionReport:
 
 
 def bohr_symmetry_normality_check(reps, delta: float) -> InclusionReport:
-    """Identity membership, closure under inverse, and conjugation invariance."""
+    """Identity membership, closure under inverse, and conjugation invariance.
+
+    B is conjugation invariant exactly when every conjugacy class lies wholly
+    inside or wholly outside it; a violation counts once.
+    """
     b = bohr_set(reps, delta)
     group = b.group
     failures = 0
@@ -832,16 +825,8 @@ def bohr_symmetry_normality_check(reps, delta: float) -> InclusionReport:
     if b.members != inverse_set(b.members):
         failures += 1
     member = b.members.membership
-    table = group.mul_table
-    inv = group.inv_table
-    idx = b.members.indices
-    for x in range(group.order):
-        conj = table[table[x, idx], inv[x]]
-        image = np.zeros(group.order, dtype=np.int8)
-        image[conj] = 1
-        if not np.array_equal(image, member):
-            failures += 1
-            break
+    if any(member[cls].min() != member[cls].max() for cls in group.conjugacy_classes()):
+        failures += 1
     return InclusionReport(
         name="bohr_symmetry_normality",
         checked=group.order + 2,
@@ -1011,7 +996,11 @@ def is_regular(rep: UnitaryRepresentation, delta: float) -> bool:
     return True
 
 
-def find_regular(rep: UnitaryRepresentation, delta: float, grid: int = 1024) -> float:
+#: uniform fallback radii tried by find_regular besides the jump midpoints
+_REGULAR_GRID = 1024
+
+
+def find_regular(rep: UnitaryRepresentation, delta: float) -> float:
     """First regular radius in [delta, 2 delta]; one exists for delta <= 1/2.
 
     Candidate radii are the midpoints of the jump-free intervals between
@@ -1025,7 +1014,7 @@ def find_regular(rep: UnitaryRepresentation, delta: float, grid: int = 1024) -> 
     boundaries = np.concatenate(([delta], inside, [2.0 * delta]))
     candidates = list((boundaries[:-1] + boundaries[1:]) / 2.0)
     candidates = [delta] + candidates + [2.0 * delta]
-    fallback = np.linspace(delta, 2.0 * delta, grid)
+    fallback = np.linspace(delta, 2.0 * delta, _REGULAR_GRID)
     for radius in sorted(set(candidates) | set(fallback.tolist())):
         if is_regular(rep, radius):
             return float(radius)

@@ -1,9 +1,11 @@
 """Finite groups on dense integer indices, subsets, and group-algebra operations.
 
 Elements of a group of order n are the indices 0..n-1.  Closed-form families
-(cyclic, abelian products, dihedral) compute products by rule; generic groups
-carry a multiplication table.  Subsets are immutable 0/1 indicator vectors and
-functions are numpy value vectors, so product sets, k-th roots, convolution and
+(cyclic, abelian products, dihedral) give products by an array-valued rule
+that accepts ints or broadcast index arrays, so each multiplication table is
+one call of that rule; generic groups, permutation closures included, carry
+an explicit table.  Subsets are immutable 0/1 indicator vectors and functions
+are numpy value vectors, so product sets, k-th roots, convolution and
 diameter all reduce to vectorized index arithmetic.
 """
 
@@ -38,22 +40,21 @@ def _int_dtype(order: int):
 class FiniteGroup:
     """A finite group whose elements are the indices ``0..order-1``.
 
-    Subclasses supply ``mul``/``inv``; everything else (tables, conjugacy
-    classes, validation) is derived here and cached.
+    Subclasses supply array-valued ``mul``/``inv``: they take ints or index
+    arrays and broadcast like numpy operators.  The tables are derived from
+    them in one call each; conjugacy classes and validation are derived from
+    the tables.  Everything derived is cached.
     """
 
     order: int
     name: str
     identity: int = 0
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         raise NotImplementedError
 
-    def inv(self, a: int) -> int:
+    def inv(self, a):
         raise NotImplementedError
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def signature(self) -> tuple:
         """Structural identity used for equality and caching."""
@@ -70,18 +71,15 @@ class FiniteGroup:
 
     # -- derived numpy machinery (cached per instance) ----------------------
 
-    def _build_mul_table(self) -> np.ndarray:
-        n = self.order
-        table = np.empty((n, n), dtype=_int_dtype(n))
-        for a in range(n):
-            table[a] = [self.mul(a, b) for b in range(n)]
-        return table
+    def _indices(self) -> np.ndarray:
+        return np.arange(self.order, dtype=_int_dtype(self.order))
 
     @property
     def mul_table(self) -> np.ndarray:
         cached = getattr(self, "_mul_table", None)
         if cached is None:
-            cached = self._build_mul_table()
+            idx = self._indices()
+            cached = self.mul(idx[:, None], idx[None, :]).astype(idx.dtype, copy=False)
             cached.flags.writeable = False
             self._mul_table = cached
         return cached
@@ -90,7 +88,8 @@ class FiniteGroup:
     def inv_table(self) -> np.ndarray:
         cached = getattr(self, "_inv_table", None)
         if cached is None:
-            cached = np.array([self.inv(a) for a in range(self.order)], dtype=_int_dtype(self.order))
+            idx = self._indices()
+            cached = self.inv(idx).astype(idx.dtype, copy=False)
             cached.flags.writeable = False
             self._inv_table = cached
         return cached
@@ -190,18 +189,14 @@ class CyclicGroup(FiniteGroup):
         self.order = int(n)
         self.name = f"cyclic({n})"
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         return (a + b) % self.order
 
-    def inv(self, a: int) -> int:
+    def inv(self, a):
         return (-a) % self.order
 
     def signature(self) -> tuple:
         return ("cyclic", self.order)
-
-    def _build_mul_table(self) -> np.ndarray:
-        idx = np.arange(self.order, dtype=_int_dtype(self.order))
-        return (idx[:, None] + idx[None, :]) % self.order
 
 
 class AbelianProductGroup(FiniteGroup):
@@ -215,25 +210,17 @@ class AbelianProductGroup(FiniteGroup):
         self.order = int(np.prod(orders))
         self.name = "abelian_product(" + "x".join(str(n) for n in orders) + ")"
 
-    def decode(self, x: int) -> tuple[int, ...]:
-        digits = []
-        for n in reversed(self.factor_orders):
-            x, r = divmod(x, n)
-            digits.append(r)
-        return tuple(reversed(digits))
+    def decode(self, x) -> tuple:
+        """Mixed-radix digits of ``x``, one entry (or array) per factor."""
+        return np.unravel_index(x, self.factor_orders)
 
-    def encode(self, digits: Sequence[int]) -> int:
-        x = 0
-        for n, d in zip(self.factor_orders, digits):
-            x = x * n + d % n
-        return x
+    def mul(self, a, b):
+        digits = [x + y for x, y in zip(self.decode(a), self.decode(b))]
+        return np.ravel_multi_index(digits, self.factor_orders, mode="wrap")
 
-    def mul(self, a: int, b: int) -> int:
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([x + y for x, y in zip(da, db)])
-
-    def inv(self, a: int) -> int:
-        return self.encode([-x for x in self.decode(a)])
+    def inv(self, a):
+        digits = [-x for x in self.decode(a)]
+        return np.ravel_multi_index(digits, self.factor_orders, mode="wrap")
 
     def signature(self) -> tuple:
         return ("abelian_product", self.factor_orders)
@@ -242,14 +229,14 @@ class AbelianProductGroup(FiniteGroup):
         """(order, k) matrix of mixed-radix digits per element."""
         cached = getattr(self, "_digits", None)
         if cached is None:
-            cached = np.array([self.decode(x) for x in range(self.order)], dtype=np.int64)
+            cached = np.stack(self.decode(self._indices()), axis=1)
             cached.flags.writeable = False
             self._digits = cached
         return cached
 
 
 class DihedralGroup(FiniteGroup):
-    """Dihedral group of order 2n: index t*n + i encodes s^t r^i."""
+    """Dihedral group of order 2n: index t*n + i stands for s^t r^i."""
 
     def __init__(self, n: int):
         if n < 3:
@@ -258,17 +245,17 @@ class DihedralGroup(FiniteGroup):
         self.order = 2 * self.n
         self.name = f"dihedral({n})"
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         n = self.n
         t1, i1 = divmod(a, n)
         t2, i2 = divmod(b, n)
         # s^t1 r^i1 * s^t2 r^i2 = s^(t1+t2) r^(i2 + (-1)^t2 i1)
         return (t1 ^ t2) * n + (i2 + (1 - 2 * t2) * i1) % n
 
-    def inv(self, a: int) -> int:
-        n = self.n
-        t, i = divmod(a, n)
-        return a if t else (-i) % n
+    def inv(self, a):
+        # reflections are involutions; (r^i)^-1 = r^-i
+        t, i = divmod(a, self.n)
+        return t * a + (1 - t) * ((-i) % self.n)
 
     def signature(self) -> tuple:
         return ("dihedral", self.n)
@@ -315,39 +302,14 @@ class TableGroup(FiniteGroup):
         inv.flags.writeable = False
         return inv
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self._mul_table[a, b])
+    def mul(self, a, b):
+        return self._mul_table[a, b]
 
-    def inv(self, a: int) -> int:
-        return int(self._inv_table[a])
+    def inv(self, a):
+        return self._inv_table[a]
 
     def signature(self) -> tuple:
         return ("table", self._mul_table.shape[0], self._mul_table.tobytes())
-
-
-class PermutationGroup(FiniteGroup):
-    """Subgroup of S_m generated by explicit permutations, enumerated by closure."""
-
-    def __init__(self, perms: list[tuple[int, ...]], name: str = "permutation_group"):
-        self.perms = perms
-        self.order = len(perms)
-        self.name = name
-        self._index = {p: i for i, p in enumerate(perms)}
-        self.identity = self._index[tuple(range(len(perms[0])))]
-
-    def mul(self, a: int, b: int) -> int:
-        p, q = self.perms[a], self.perms[b]
-        return self._index[tuple(p[j] for j in q)]
-
-    def inv(self, a: int) -> int:
-        p = self.perms[a]
-        out = [0] * len(p)
-        for i, j in enumerate(p):
-            out[j] = i
-        return self._index[tuple(out)]
-
-    def signature(self) -> tuple:
-        return ("permutation", tuple(self.perms))
 
 
 def _parse_cycles(text: str, n_points: int | None) -> tuple[int, ...]:
@@ -380,11 +342,13 @@ def _normalize_generator(gen, n_points: int | None) -> tuple[int, ...]:
 
 def permutation_closure(
     generators: Iterable, n_points: int | None = None, cap: int = _DEFAULT_CLOSURE_CAP
-) -> PermutationGroup:
+) -> TableGroup:
     """Enumerate the subgroup generated by permutations via breadth-first closure.
 
     Generators may be 0-based image lists or 1-based cycle-notation strings.
-    Raises ClosureTooLarge when the closure exceeds ``cap`` elements.
+    Elements are indexed in sorted (lexicographic image) order, and the
+    product of a and b is the composition p_a o p_b.  Raises ClosureTooLarge
+    when the closure exceeds ``cap`` elements.
     """
     gens = [_normalize_generator(g, n_points) for g in generators]
     if not gens:
@@ -394,7 +358,6 @@ def permutation_closure(
         raise ValueError(f"permutation closure supports at most 8 points, got {m}")
     gens = [g + tuple(range(len(g), m)) for g in gens]
     identity = tuple(range(m))
-    elements = [identity]
     seen = {identity}
     queue = [identity]
     while queue:
@@ -405,10 +368,17 @@ def permutation_closure(
                 if len(seen) >= cap:
                     raise ClosureTooLarge(f"closure exceeds cap of {cap} elements")
                 seen.add(q)
-                elements.append(q)
                 queue.append(q)
-    elements.sort()
-    return PermutationGroup(elements, name=f"permutation_closure({len(gens)} gens on {m} points)")
+    perms = np.array(sorted(seen), dtype=np.int32)  # (n, m), row a is p_a
+    # base-m codes of the images ascend with the rows, so searchsorted
+    # turns the code of each composition p_a o p_b back into its index
+    codes = np.zeros(len(perms), dtype=np.int32)
+    products = np.zeros((len(perms), len(perms)), dtype=np.int32)
+    for k in range(m):
+        codes = codes * m + perms[:, k]
+        products = products * m + perms[:, perms[:, k]]  # [a, b] -> p_a(p_b(k))
+    table = np.searchsorted(codes, products)
+    return TableGroup(table, name=f"permutation_closure({len(gens)} gens on {m} points)")
 
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*\((.*)\)\s*$", re.DOTALL)

@@ -110,12 +110,12 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def cluster_eigenvalues(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Cluster ids over sorted real values; a new cluster starts at a gap > tol."""
+def cluster_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """Cluster ids over sorted real values; a new cluster starts at a gap > 1e-6."""
     arr = np.sort(np.asarray(values, dtype=np.float64))
     labels = np.zeros(arr.size, dtype=np.int64)
     for i in range(1, arr.size):
-        labels[i] = labels[i - 1] + (1 if arr[i] - arr[i - 1] > tol else 0)
+        labels[i] = labels[i - 1] + (1 if arr[i] - arr[i - 1] > 1e-6 else 0)
     return labels
 
 

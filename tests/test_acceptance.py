@@ -302,7 +302,7 @@ def test_criterion_06_a5_multiplicity():
         s = random_symmetric_subset(a5, int(rng.integers(2, 10)), rng)
         report = laplace_spectrum_dense(s)
         nontrivial = np.sort(report.eigenvalues.real)[1:]  # drop the trivial zero
-        labels = cluster_eigenvalues(nontrivial, tol=1e-6)
+        labels = cluster_eigenvalues(nontrivial)
         sizes = np.bincount(labels)
         smallest = int(sizes.min())
         observed_min = smallest if observed_min is None else min(observed_min, smallest)

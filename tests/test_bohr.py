@@ -40,7 +40,8 @@ from cayleygap import (
     verify_bohr_basis_bound_certified,
     verify_progression_basis_bound,
 )
-from cayleygap.bohr import is_prime, max_progression_mass
+from cayleygap import bohr as bohr_module
+from cayleygap.bohr import BohrSet, bohr_symmetry_normality_check, is_prime, max_progression_mass
 from cayleygap.bounds import exceptional_set, symmetrized_rep_count
 from cayleygap.errors import (
     DeltaOutOfRange,
@@ -82,6 +83,26 @@ class TestBohrSet:
                         d6.mul(d6.mul(x, int(m)), d6.inv(x)) for m in members.indices
                     )
                     assert conj == sorted(int(m) for m in members.indices)
+
+    @pytest.mark.parametrize(
+        "members,failures",
+        [
+            ([0, 3], 1),  # {e, s}: inverse-closed, but r s r^-1 = s r^-2 is outside
+            ([0, 1], 2),  # {e, r}: r^-1 = r^2 is outside, and so is its conjugate
+            ([0, 1, 2], 0),  # the rotation subgroup is normal
+            ([3, 4, 5], 1),  # the reflection class misses only the identity
+        ],
+    )
+    def test_normality_check_failures(self, monkeypatch, members, failures):
+        # real Bohr sets are always normal, so hand the check a chosen set
+        d3 = make_group("dihedral(3)")
+        fake = GroupSubset.from_indices(d3, members)
+        monkeypatch.setattr(
+            bohr_module, "bohr_set", lambda reps, delta: BohrSet(d3, tuple(reps), delta, fake)
+        )
+        report = bohr_symmetry_normality_check(irrep_catalog(d3).nontrivial(), 0.5)
+        assert report.failures == failures
+        assert report.checked == d3.order + 2
 
     def test_empty_rep_list(self):
         with pytest.raises(EmptyRepList):

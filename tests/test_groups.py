@@ -1,5 +1,7 @@
 """Group construction, set combinatorics, convolution, and diameter."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,88 @@ def brute_power_covering(s, d):
             GroupSubset.from_indices(s.group, current), s
         )
     return current
+
+
+def _law_from_elements(elements, compose):
+    """Reference (mul, inv, identity) of a group listed as hashable elements,
+    in list order, with products computed by ``compose``."""
+    index = {x: i for i, x in enumerate(elements)}
+    mul = [[index[compose(x, y)] for y in elements] for x in elements]
+    identity = next(i for i, row in enumerate(mul) if row == list(range(len(elements))))
+    inv = [row.index(identity) for row in mul]
+    return mul, inv, identity
+
+
+def reference_cyclic(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)], [(-a) % n for a in range(n)], 0
+
+
+def reference_dihedral(n):
+    # index t*n + i is s^t r^i acting on the n-gon's vertices as
+    # v -> (-1)^t (v + i), r the rotation v -> v + 1 and s the reflection
+    # v -> -v; an element is fixed by the images of vertices 0 and 1
+    actions = [[(-1) ** t * (v + i) % n for v in range(n)] for t in (0, 1) for i in range(n)]
+    keys = [tuple(f[:2]) for f in actions]
+    by_key = {k: f for k, f in zip(keys, actions)}
+
+    def compose(x, y):
+        f, g = by_key[x], by_key[y]
+        return (f[g[0]], f[g[1]])
+
+    return _law_from_elements(keys, compose)
+
+
+def reference_abelian(orders):
+    digits = list(itertools.product(*(range(n) for n in orders)))
+    return _law_from_elements(
+        digits, lambda x, y: tuple((a + b) % n for a, b, n in zip(x, y, orders))
+    )
+
+
+def reference_permutations(elements):
+    return _law_from_elements(sorted(elements), lambda p, q: tuple(p[j] for j in q))
+
+
+def _even(p):
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
+
+
+TABLE_CASES = (
+    [(f"cyclic({n})", lambda n=n: reference_cyclic(n)) for n in range(1, 65)]
+    + [(f"dihedral({n})", lambda n=n: reference_dihedral(n)) for n in range(3, 65)]
+    + [
+        (f"abelian_product({orders})", lambda orders=orders: reference_abelian(orders))
+        for orders in ([1], [2, 2, 2, 2], [4, 6], [2, 3, 4], [12, 15], [3, 5, 7])
+    ]
+    + [
+        ('permutation_closure(["(1 2 3 4 5)", "(1 2 3)"])',
+         lambda: reference_permutations(filter(_even, itertools.permutations(range(5))))),
+        ('permutation_closure(["(1 2 3 4 5)", "(1 2)"])',
+         lambda: reference_permutations(itertools.permutations(range(5)))),
+        ('permutation_closure(["(1 2 3 4 5 6)", "(1 2)"])',
+         lambda: reference_permutations(itertools.permutations(range(6)))),
+        ("permutation_closure([[1, 2, 3, 4, 0]])",
+         lambda: reference_permutations(tuple((v + k) % 5 for v in range(5)) for k in range(5))),
+        ('permutation_closure(["(1 2 3 4)", "(1 2)"])',
+         lambda: reference_permutations(itertools.permutations(range(4)))),
+    ]
+)
+
+
+@pytest.mark.parametrize("descriptor,reference", TABLE_CASES, ids=[d for d, _ in TABLE_CASES])
+def test_tables_match_independent_reference(descriptor, reference):
+    """Tables against pure-Python laws that never call ``group.mul``/``inv``."""
+    group = make_group(descriptor)
+    group.validate()
+    mul, inv, identity = reference()
+    assert group.mul_table.dtype == np.int32 and group.inv_table.dtype == np.int32
+    assert group.mul_table.tolist() == mul
+    assert group.inv_table.tolist() == inv
+    assert group.identity == identity
+    pairs = np.random.default_rng(group.order).integers(0, group.order, size=(50, 2))
+    for a, b in pairs.tolist():
+        assert group.mul(a, b) == mul[a][b]
+        assert group.inv(a) == inv[a]
 
 
 class TestMakeGroup:

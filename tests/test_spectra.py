@@ -271,12 +271,12 @@ class TestMultiplicity:
         s = random_symmetric_subset(d6, 3, rng)
         report = laplace_spectrum_dense(s)
         values = np.sort(report.eigenvalues.real)
-        labels = cluster_eigenvalues(values, tol=1e-6)
+        labels = cluster_eigenvalues(values)
         sizes = np.bincount(labels)
         assert sizes.min() >= 1
 
     def test_cluster_function(self):
-        labels = cluster_eigenvalues([0.0, 1e-8, 0.5, 0.5 + 1e-7, 1.0], tol=1e-6)
+        labels = cluster_eigenvalues([0.0, 1e-8, 0.5, 0.5 + 1e-7, 1.0])
         assert labels.tolist() == [0, 0, 1, 1, 2]
 
 
