@@ -134,19 +134,25 @@ class FiniteGroup:
         cached = getattr(self, "_classes", None)
         if cached is not None:
             return cached
-        n = self.order
         table = self.mul_table
         inv = self.inv_table
-        seen = np.zeros(n, dtype=bool)
+        labels = np.full(self.order, -1, dtype=np.int64)
         classes: list[np.ndarray] = []
-        for x in range(n):
-            if seen[x]:
+        for x in range(self.order):
+            if labels[x] >= 0:
                 continue
             orbit = np.unique(table[table[:, x], inv])
-            seen[orbit] = True
+            labels[orbit] = len(classes)
             classes.append(orbit)
+        labels.flags.writeable = False
+        self._class_labels = labels
         self._classes = classes
         return classes
+
+    def class_labels(self) -> np.ndarray:
+        """Index into ``conjugacy_classes()`` of every element's class."""
+        self.conjugacy_classes()
+        return self._class_labels
 
     def validate(self) -> None:
         """Check identity, inverse, and associativity laws.

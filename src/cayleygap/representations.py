@@ -3,11 +3,15 @@ matrix Fourier transform.
 
 Catalogs exist for cyclic groups, abelian products, and dihedral groups.
 Generic groups deliberately get no numerically synthesized irreps; operations
-that need the catalog raise NotCataloged.  The spectral engine
-(``spectra.spectral_summary``) never builds the catalog of an abelian group,
-whose nontrivial coefficients come from one FFT; it loops over the nontrivial
-blocks of the other cataloged groups and diagonalizes the dense operator only
-where ``irrep_catalog`` raises NotCataloged.
+that need the catalog raise NotCataloged.  A catalog stores its matrices
+as one read-only ``(k, |G|, d, d)`` stack per dimension (each rep's
+``matrices`` is a view of its row), so ``IrrepCatalog.coefficients`` takes
+every Fourier coefficient with one matmul per stack; ``fourier_transform``
+stays the per-rep form and ``set_norm(s, catalog)`` the per-rep reference loop.
+The spectral engine (``spectra.spectral_summary``) never builds the catalog
+of an abelian group, whose nontrivial coefficients come from one FFT; it
+solves the nontrivial blocks of the other cataloged groups in batches and
+diagonalizes the dense operator only where ``irrep_catalog`` raises NotCataloged.
 """
 
 from __future__ import annotations
@@ -31,11 +35,16 @@ UNITARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
 
 
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a (k, d, d) stack; plain |z| when d = 1."""
+    if stack.shape[1] == 1:
+        return np.abs(stack[:, 0, 0])
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value; plain |z| for 1x1 blocks."""
-    if matrix.shape == (1, 1):
-        return float(abs(matrix[0, 0]))
-    return float(np.linalg.svd(matrix, compute_uv=False)[0])
+    """Largest singular value of one matrix."""
+    return float(operator_norms(matrix[None])[0])
 
 
 class UnitaryRepresentation:
@@ -74,11 +83,7 @@ class UnitaryRepresentation:
         """Vector of operator norms ||rho(g) - I|| over all g; drives Bohr sets."""
         cached = getattr(self, "_identity_distances", None)
         if cached is None:
-            diff = self.matrices - np.eye(self.dim)
-            if self.dim == 1:
-                cached = np.abs(diff[:, 0, 0])
-            else:
-                cached = np.linalg.svd(diff, compute_uv=False)[:, 0]
+            cached = operator_norms(self.matrices - np.eye(self.dim))
             cached.flags.writeable = False
             self._identity_distances = cached
         return cached
@@ -127,17 +132,34 @@ class UnitaryRepresentation:
 
 
 class IrrepCatalog:
-    """Complete list of irreducible unitary representations of a group."""
+    """Complete list of irreducible unitary representations of a group: the
+    rows of the read-only ``(k, |G|, d, d)`` stacks in turn, the first trivial."""
 
-    def __init__(self, group: FiniteGroup, reps: list[UnitaryRepresentation]):
-        trivial = [r for r in reps if r.is_trivial]
-        if len(trivial) != 1:
-            raise ValueError(f"catalog needs exactly one trivial rep, got {len(trivial)}")
-        if sum(r.dim**2 for r in reps) != group.order:
+    trivial_index = 0
+
+    def __init__(self, group: FiniteGroup, stacks: list[np.ndarray], labels: list[str]):
+        if sum(stack.shape[0] * stack.shape[2] ** 2 for stack in stacks) != group.order:
             raise ValueError("catalog dimension check failed: sum of d^2 != order")
+        for stack in stacks:
+            stack.flags.writeable = False
         self.group = group
-        self.reps = tuple(reps)
-        self.trivial_index = reps.index(trivial[0])
+        self.stacks = tuple(stacks)
+        self.reps = tuple(
+            UnitaryRepresentation(group, mats, label, is_trivial=(i == 0))
+            for i, (mats, label) in enumerate(zip((m for st in stacks for m in st), labels, strict=True))
+        )
+
+    def coefficients(self, f: GroupFunction) -> list[np.ndarray]:
+        """Every Fourier coefficient sum_g f(g) rho(g) in catalog order, as one
+        ``(k, d, d)`` array per stack, by one matmul per stack."""
+        if f.group != self.group:
+            raise GroupMismatch(f"function on {f.group.name}, catalog of {self.group.name}")
+        values = f.values.astype(np.complex128)
+        return [
+            (values @ stack.reshape(k, n, d * d)).reshape(k, d, d)
+            for stack in self.stacks
+            for k, n, d, _ in [stack.shape]
+        ]
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -178,72 +200,47 @@ class IrrepCatalog:
 def _cyclic_catalog(group: CyclicGroup) -> IrrepCatalog:
     n = group.order
     x = np.arange(n)
-    reps = []
+    stack = np.empty((n, n, 1, 1), dtype=np.complex128)
     for r in range(n):
-        values = np.exp(2j * np.pi * r * x / n)
-        reps.append(
-            UnitaryRepresentation(
-                group, values.reshape(n, 1, 1), label=f"chi{r}", is_trivial=(r == 0)
-            )
-        )
-    return IrrepCatalog(group, reps)
+        stack[r, :, 0, 0] = np.exp(2j * np.pi * r * x / n)
+    return IrrepCatalog(group, [stack], [f"chi{r}" for r in range(n)])
 
 
 def _abelian_product_catalog(group: AbelianProductGroup) -> IrrepCatalog:
     digits = group.digit_matrix()  # (order, k)
     orders = np.array(group.factor_orders, dtype=np.float64)
-    reps = []
+    stack = np.empty((group.order, group.order, 1, 1), dtype=np.complex128)
+    labels = []
     for label_idx in range(group.order):
         freq = np.array(group.decode(label_idx), dtype=np.float64)
         phases = (digits * (freq / orders)).sum(axis=1)
-        values = np.exp(2j * np.pi * phases)
-        reps.append(
-            UnitaryRepresentation(
-                group,
-                values.reshape(group.order, 1, 1),
-                label="chi" + "_".join(str(d) for d in group.decode(label_idx)),
-                is_trivial=(label_idx == 0),
-            )
-        )
-    return IrrepCatalog(group, reps)
+        stack[label_idx, :, 0, 0] = np.exp(2j * np.pi * phases)
+        labels.append("chi" + "_".join(str(d) for d in group.decode(label_idx)))
+    return IrrepCatalog(group, [stack], labels)
 
 
 def _dihedral_catalog(group: DihedralGroup) -> IrrepCatalog:
     n = group.n
     order = group.order
     t, i = np.divmod(np.arange(order), n)
-    reps = [
-        UnitaryRepresentation(
-            group, np.ones((order, 1, 1), dtype=np.complex128), label="triv", is_trivial=True
-        ),
-        UnitaryRepresentation(
-            group, ((-1.0) ** t).reshape(order, 1, 1).astype(np.complex128), label="reflection_sign"
-        ),
-    ]
+    signs = [np.ones(order), (-1.0) ** t]
+    labels = ["triv", "reflection_sign"]
     if n % 2 == 0:
-        reps.append(
-            UnitaryRepresentation(
-                group, ((-1.0) ** i).reshape(order, 1, 1).astype(np.complex128), label="rotation_sign"
-            )
-        )
-        reps.append(
-            UnitaryRepresentation(
-                group,
-                ((-1.0) ** (t + i)).reshape(order, 1, 1).astype(np.complex128),
-                label="mixed_sign",
-            )
-        )
+        signs += [(-1.0) ** i, (-1.0) ** (t + i)]
+        labels += ["rotation_sign", "mixed_sign"]
+    lines = np.array(signs, dtype=np.complex128).reshape(len(signs), order, 1, 1)
     omega = np.exp(2j * np.pi / n)
     # plane rep h sends s^t r^i to swap^t @ diag(omega^h, omega^-h)^i
-    for h in range(1, (n - 1) // 2 + 1 if n % 2 else n // 2):
-        mats = np.zeros((order, 2, 2), dtype=np.complex128)
+    harmonics = range(1, (n - 1) // 2 + 1 if n % 2 else n // 2)
+    planes = np.zeros((len(harmonics), order, 2, 2), dtype=np.complex128)
+    for mats, h in zip(planes, harmonics):
         rot = omega ** (h * i)
         mats[t == 0, 0, 0] = rot[t == 0]
         mats[t == 0, 1, 1] = rot[t == 0].conj()
         mats[t == 1, 0, 1] = rot[t == 1].conj()
         mats[t == 1, 1, 0] = rot[t == 1]
-        reps.append(UnitaryRepresentation(group, mats, label=f"plane{h}"))
-    return IrrepCatalog(group, reps)
+    labels += [f"plane{h}" for h in harmonics]
+    return IrrepCatalog(group, [lines, planes], labels)
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +280,9 @@ def fourier_transform(f: GroupFunction, rep: UnitaryRepresentation) -> FourierCo
 
 
 def fourier_all(f: GroupFunction) -> list[FourierCoefficient]:
-    return [fourier_transform(f, rep) for rep in irrep_catalog(f.group)]
+    catalog = irrep_catalog(f.group)
+    matrices = [matrix for stack in catalog.coefficients(f) for matrix in stack]
+    return [FourierCoefficient(rep, matrix) for rep, matrix in zip(catalog, matrices)]
 
 
 def inverse_fourier(coeffs: list[FourierCoefficient]) -> GroupFunction:

@@ -7,12 +7,17 @@ first nontrivial eigenvalue is reported variationally, as the minimum of the
 quadratic form of the Hermitian part on the mean-zero subspace, which keeps it
 well defined for non-symmetric generating sets.
 
+The dense path solves one n x n eigenproblem when the operator is certified
+normal (``is_normal_operator``): the spectrum mu of Delta then gives the
+variational gap (min Re mu) and the star spectrum 1 - |1 - mu|^2 too.  The
+block path solves each stack of equal-dimension blocks in one batched call.
+
 The scalar queries ``lambda1``, ``lambda1_star`` and ``set_norm`` read one
 memoized per-subset ``SpectralSummary``, computed by the cheapest exact path:
 one FFT over the factor orders on cyclic and abelian-product groups, the
 nontrivial irrep blocks on other cataloged groups (dihedral), and the dense
-operator only where no catalog exists.  ``laplace_spectrum_dense`` never
-reads the summary, so it stays an independent cross-check.
+operator only where no catalog exists.  ``laplace_spectrum_dense`` reads
+neither the summary nor the catalog, so it stays an independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .groups import (
     GroupSubset,
     iterated_convolution,
 )
-from .representations import fourier_transform, irrep_catalog, operator_norm
+from .representations import irrep_catalog, operator_norms
 
 
 def markov_matrix(s: GroupSubset) -> np.ndarray:
@@ -69,10 +74,10 @@ def variational_lambda1(delta: np.ndarray) -> float:
     return float(np.delete(values, np.argmin(np.abs(values - trivial))).min())
 
 
-def _hermitian_gap(block: np.ndarray, size: int) -> float:
-    """Smallest eigenvalue of I - (B + B*)/(2|S|) for one Fourier block B."""
-    herm = np.eye(block.shape[0]) - (block + block.conj().T) / (2.0 * size)
-    return float(np.linalg.eigvalsh(herm)[0])
+def _hermitian_gaps(blocks: np.ndarray, size: int) -> np.ndarray:
+    """Smallest eigenvalue of I - (B + B*)/(2|S|) for each Fourier block B of a (k, d, d) stack."""
+    herm = np.eye(blocks.shape[1]) - (blocks + blocks.conj().transpose(0, 2, 1)) / (2.0 * size)
+    return np.linalg.eigvalsh(herm)[:, 0]
 
 
 def _display_order(eigenvalues: np.ndarray) -> np.ndarray:
@@ -161,24 +166,54 @@ class SpectrumReport:
         return rows
 
 
-def _dense_gaps(s: GroupSubset) -> tuple[np.ndarray, float, np.ndarray]:
-    """Delta = I - M/|S|, its variational gap, and the ascending spectrum of I - M M^T / |S|^2."""
+def is_normal_operator(s: GroupSubset) -> bool:
+    """Exact certificate that the Markov operator M of s commutes with M^T.
+
+    (M M^T)(x, z) counts the pairs in S x S with s t^-1 = x^-1 z, (M^T M)(y, w)
+    those with s^-1 t = y^-1 w; so M is normal exactly when S S^-1 and S^-1 S
+    have equal representation counts (O(|S|^2 + n) integer work).
+    """
+    group = s.group
+    elements = s.indices
+    inverses = group.inv_table[elements]
+    return np.array_equal(
+        np.bincount(group.mul_table[np.ix_(elements, inverses)].ravel(), minlength=group.order),
+        np.bincount(group.mul_table[np.ix_(inverses, elements)].ravel(), minlength=group.order),
+    )
+
+
+def _normal_gaps(mu: np.ndarray) -> tuple[float, np.ndarray]:
+    """Variational gap and ascending star spectrum of a normal Delta from its
+    eigenvalues mu: its Hermitian part has eigenvalues Re mu (less one copy of
+    the trivial 0) and I - M M^T/|S|^2 has 1 - |1 - mu|^2."""
+    rest = np.delete(mu, np.argmin(np.abs(mu)))
+    return float(rest.real.min()) if rest.size else 0.0, np.sort(1.0 - np.abs(1.0 - mu) ** 2)
+
+
+def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, np.ndarray]:
+    """Eigenvalues of Delta = I - M/|S| (None unless ``full``), its variational
+    gap, and the ascending spectrum of I - M M^T / |S|^2.
+
+    A normal operator takes one solve of Delta (``eigvals`` only when ``full``
+    needs it anyway); other sets solve the star operator and Hermitian part."""
     m = markov_matrix(s)
     n, size = s.group.order, s.size
     delta = np.eye(n) - m / size
+    symmetric = s.is_symmetric
+    if symmetric or (full and is_normal_operator(s)):
+        del m
+        mu = np.linalg.eigvalsh(delta).astype(np.complex128) if symmetric else np.linalg.eigvals(delta)
+        return (mu, *_normal_gaps(mu))
     star = np.sort(np.linalg.eigvalsh(np.eye(n) - (m @ m.T) / (size * size)))
-    return delta, variational_lambda1(delta), star
+    del m
+    return np.linalg.eigvals(delta) if full else None, variational_lambda1(delta), star
 
 
 def laplace_spectrum_dense(s: GroupSubset) -> SpectrumReport:
     """Spectrum of I - M/|S| by dense eigendecomposition, plus the singular path."""
     if s.size == 0:
         raise EmptySet("spectrum of the empty set")
-    delta, lam1, star = _dense_gaps(s)
-    if s.is_symmetric:
-        eigenvalues = np.linalg.eigvalsh(delta).astype(np.complex128)
-    else:
-        eigenvalues = np.linalg.eigvals(delta)
+    eigenvalues, lam1, star = _dense_gaps(s, full=True)
     return SpectrumReport(
         eigenvalues=_display_order(eigenvalues),
         star_eigenvalues=star,
@@ -195,28 +230,23 @@ def laplace_spectrum_blocks(s: GroupSubset) -> SpectrumReport:
         raise EmptySet("spectrum of the empty set")
     catalog = irrep_catalog(s.group)
     size = s.size
-    indicator = s.indicator()
-    eig_parts = []
-    star_parts = []
-    gaps = []
-    for i, rep in enumerate(catalog):
-        block = fourier_transform(indicator, rep).matrix
-        mus = np.linalg.eigvals(block / size)
-        gram = block @ block.conj().T / (size * size)
-        star_mus = np.linalg.eigvalsh(gram)
-        for _ in range(rep.dim):
-            eig_parts.append(1.0 - mus)
-            star_parts.append(1.0 - star_mus)
-        if i != catalog.trivial_index:
-            gaps.append(_hermitian_gap(block, size))
+    eig_parts, star_parts, gaps = [], [], []
+    for blocks in catalog.coefficients(s.indicator()):  # one batched solve per stack
+        d = blocks.shape[1]
+        mus = np.linalg.eigvals(blocks / size)
+        star_mus = np.linalg.eigvalsh(blocks @ blocks.conj().transpose(0, 2, 1) / (size * size))
+        eig_parts.append(np.repeat(1.0 - mus, d, axis=0).ravel())
+        star_parts.append(np.repeat(1.0 - star_mus, d, axis=0).ravel())
+        gaps.append(_hermitian_gaps(blocks, size))
     eigenvalues = np.concatenate(eig_parts)
     star = np.sort(np.concatenate(star_parts).real)
+    gaps = np.delete(np.concatenate(gaps), catalog.trivial_index)
     return SpectrumReport(
         eigenvalues=_display_order(eigenvalues),
         star_eigenvalues=star,
         # the mean-zero subspace is the sum of the nontrivial isotypic components,
         # so the variational gap is the smallest Hermitian-part eigenvalue there
-        lambda1=min(gaps, default=0.0),
+        lambda1=float(gaps.min()) if gaps.size else 0.0,
         lambda1_star=float(star[1]) if star.size > 1 else 0.0,
         path="blocks",
     )
@@ -261,12 +291,11 @@ def spectral_summary(s: GroupSubset) -> SpectralSummary:
         try:
             catalog = irrep_catalog(group)
         except NotCataloged:
-            _, lam1, star = _dense_gaps(s)  # laplace_spectrum_dense's scalars, no full spectrum
+            _, lam1, star = _dense_gaps(s, full=False)
             return SpectralSummary(lam1, float(star[1]) if star.size > 1 else 0.0, norm=None, path="dense")
-        indicator = s.indicator()
-        blocks = [fourier_transform(indicator, rep).matrix for rep in catalog.nontrivial()]
-        gaps = np.array([_hermitian_gap(block, size) for block in blocks])
-        norms = np.array([operator_norm(block) for block in blocks])
+        stacks = catalog.coefficients(s.indicator())
+        gaps = np.delete(np.concatenate([_hermitian_gaps(b, size) for b in stacks]), catalog.trivial_index)
+        norms = np.delete(np.concatenate([operator_norms(b) for b in stacks]), catalog.trivial_index)
         path = "blocks"
     if norms.size == 0:  # the trivial group has no nontrivial irrep
         return SpectralSummary(lambda1=0.0, lambda1_star=0.0, norm=0.0, path=path)

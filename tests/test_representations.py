@@ -185,3 +185,52 @@ class TestIdentities:
                 hs = float(np.sqrt((np.abs(product) ** 2).sum()))
                 assert hs <= a.op_norm * b.hs_norm + 1e-9
                 assert a.op_norm <= a.hs_norm + 1e-12
+
+
+class TestStackedCatalog:
+    # every cataloged family: cyclic, abelian products, dihedral with odd and even n
+    FAMILIES = [
+        "cyclic(1)",
+        "cyclic(12)",
+        "cyclic(97)",
+        "abelian_product([2, 3, 4])",
+        "abelian_product([4, 6])",
+        "dihedral(3)",
+        "dihedral(7)",
+        "dihedral(4)",
+        "dihedral(10)",
+    ]
+
+    @pytest.mark.parametrize("descriptor", FAMILIES)
+    def test_batched_coefficients_match_per_rep(self, descriptor, rng):
+        group = make_group(descriptor)
+        catalog = irrep_catalog(group)
+        f = random_function(group, rng)
+        batched = [matrix for stack in catalog.coefficients(f) for matrix in stack]
+        assert len(batched) == len(catalog)
+        for rep, matrix, coeff in zip(catalog, batched, fourier_all(f)):
+            reference = fourier_transform(f, rep).matrix
+            assert matrix.shape == reference.shape
+            assert np.abs(matrix - reference).max() <= 1e-12
+            assert coeff.rep is rep
+            assert np.abs(coeff.matrix - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("descriptor", FAMILIES)
+    def test_reps_are_read_only_views_of_their_stack(self, descriptor):
+        catalog = irrep_catalog(make_group(descriptor))
+        reps = iter(catalog)
+        for stack in catalog.stacks:
+            assert not stack.flags.writeable
+            for row in stack:
+                rep = next(reps)
+                assert np.shares_memory(rep.matrices, stack)
+                assert not rep.matrices.flags.writeable
+                assert np.array_equal(rep.matrices, row)
+        assert next(reps, None) is None
+        assert catalog[catalog.trivial_index].is_trivial
+        with pytest.raises(ValueError):
+            catalog[0].matrices[0, 0, 0] = 2.0
+
+    def test_coefficients_group_mismatch(self, z5, z7):
+        with pytest.raises(GroupMismatch):
+            irrep_catalog(z7).coefficients(GroupFunction.delta(z5))

@@ -8,6 +8,7 @@ from cayleygap import (
     GroupSubset,
     balanced_function,
     cluster_eigenvalues,
+    fourier_transform,
     irrep_catalog,
     lambda1,
     lambda1_of_function,
@@ -23,7 +24,12 @@ from cayleygap import (
 from cayleygap.cli import main as cli_main
 from cayleygap.errors import EmptySet, KZero, NotCataloged
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
-from cayleygap.spectra import markov_of_function, spectral_summary
+from cayleygap.spectra import (
+    is_normal_operator,
+    markov_of_function,
+    spectral_summary,
+    variational_lambda1,
+)
 
 
 class TestMarkovMatrix:
@@ -234,6 +240,173 @@ class TestSpectralEngine:
         before = irrep_catalog.cache_info().misses
         assert cli_main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
         assert irrep_catalog.cache_info().misses == before
+
+
+S4 = '["(1 2 3 4)", "(1 2)"]'
+FROBENIUS_21 = '["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]'
+
+
+def _frobenius_set():
+    """A class of 7-cycles (size 3) with a class of order-3 elements (size 7)
+    in the Frobenius group of order 21: normal, not symmetric, generating."""
+    group = make_group(f"permutation_closure({FROBENIUS_21})")
+    classes = group.conjugacy_classes()
+    sevens = [c for c in classes if c.size == 3]
+    threes = [c for c in classes if c.size == 7]
+    return GroupSubset.from_indices(group, np.concatenate([sevens[0], threes[0]]))
+
+
+def _three_solves(s):
+    """lambda1 and the ascending star spectrum with one solve each."""
+    m = markov_matrix(s)
+    n, size = s.group.order, s.size
+    star = np.sort(np.linalg.eigvalsh(np.eye(n) - (m @ m.T) / (size * size)))
+    return variational_lambda1(np.eye(n) - m / size), star
+
+
+class TestNormalOperator:
+    GROUPS = ["cyclic(31)", "dihedral(7)", f"permutation_closure({S4})", f"permutation_closure({FROBENIUS_21})"]
+
+    @staticmethod
+    def _subsets(group, count, rng):
+        """Random, symmetric and class-union subsets in turn."""
+        classes = group.conjugacy_classes()
+        for i in range(count):
+            if i % 3 == 0:
+                yield random_nonempty_subset(group, rng, max_size=max(2, group.order // 3))
+            elif i % 3 == 1:
+                yield random_symmetric_subset(group, int(rng.integers(1, max(2, group.order // 4))), rng)
+            else:
+                picked = rng.choice(len(classes), size=int(rng.integers(1, len(classes) + 1)), replace=False)
+                yield GroupSubset.from_indices(group, np.concatenate([classes[j] for j in picked]))
+
+    def test_certificate_matches_dense_oracle(self, rng):
+        outcomes = {True: 0, False: 0}
+        nonsymmetric_normal = 0
+        for descriptor in self.GROUPS:
+            group = make_group(descriptor)
+            for s in self._subsets(group, 81, rng):
+                m = markov_matrix(s)
+                oracle = np.array_equal(m @ m.T, m.T @ m)
+                assert is_normal_operator(s) == oracle, (descriptor, s.indices)
+                outcomes[oracle] += 1
+                nonsymmetric_normal += oracle and not s.is_symmetric and not group.is_abelian
+        assert sum(outcomes.values()) >= 300
+        assert min(outcomes.values()) >= 30
+        assert nonsymmetric_normal >= 10
+
+    def test_frobenius_set(self):
+        s = _frobenius_set()
+        assert s.group.order == 21 and s.size == 10
+        assert is_normal_operator(s) and not s.is_symmetric
+        assert laplace_spectrum_dense(s).lambda1 > 1e-3  # connected: S generates
+
+    def _normal_sets(self, rng):
+        cases = [_frobenius_set()]
+        for descriptor in ("cyclic(31)", "abelian_product([4, 6])"):
+            group = make_group(descriptor)
+            cases += [random_nonempty_subset(group, rng, max_size=12) for _ in range(6)]
+        for descriptor in ("cyclic(31)", "dihedral(7)", f"permutation_closure({S4})"):
+            group = make_group(descriptor)
+            cases += [random_symmetric_subset(group, int(rng.integers(1, 6)), rng) for _ in range(6)]
+        return cases
+
+    def test_one_solve_matches_three_solves(self, rng):
+        nonsymmetric = 0
+        for s in self._normal_sets(rng):
+            assert is_normal_operator(s)
+            nonsymmetric += not s.is_symmetric
+            report = laplace_spectrum_dense(s)
+            lam1, star = _three_solves(s)
+            assert abs(report.lambda1 - lam1) <= 1e-12
+            assert abs(report.lambda1_star - star[1]) <= 1e-12
+            assert report.star_eigenvalues.dtype == np.float64
+            assert np.abs(report.star_eigenvalues - star).max() <= 1e-12
+        assert nonsymmetric >= 13
+
+    @staticmethod
+    def _non_normal_sets(rng, count):
+        """``count`` random subsets per nonabelian group whose operator is not normal."""
+        cases = []
+        for descriptor in ("dihedral(7)", f"permutation_closure({S4})", f"permutation_closure({FROBENIUS_21})"):
+            group = make_group(descriptor)
+            draws = (random_nonempty_subset(group, rng, max_size=group.order // 2) for _ in range(200))
+            found = [s for s in draws if not is_normal_operator(s)][:count]
+            assert len(found) == count, descriptor
+            cases += found
+        return cases
+
+    def test_non_normal_sets_match_three_solves_exactly(self, rng):
+        cases = self._non_normal_sets(rng, 5)
+        assert len(cases) == 15
+        for s in cases:
+            report = laplace_spectrum_dense(s)
+            lam1, star = _three_solves(s)
+            assert report.lambda1 == lam1
+            assert np.array_equal(report.star_eigenvalues, star)
+            assert report.lambda1_star == star[1]
+
+    @staticmethod
+    def _solves(monkeypatch, call, s):
+        counts = {"eigvalsh": 0, "eigvals": 0}
+        for name in counts:
+
+            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        call(s)
+        monkeypatch.undo()
+        return counts["eigvalsh"], counts["eigvals"]
+
+    def test_solve_counts(self, monkeypatch, rng):
+        symmetric = random_symmetric_subset(make_group("dihedral(7)"), 3, rng)
+        abelian = GroupSubset.from_indices(make_group("cyclic(31)"), [1, 5, 6])
+        non_normal, s4_non_normal, _ = self._non_normal_sets(rng, 1)
+        s4_symmetric = random_symmetric_subset(s4_non_normal.group, 3, rng)
+        summary = spectral_summary.__wrapped__  # uncached, so every call solves
+        assert not abelian.is_symmetric and not non_normal.is_symmetric
+        assert self._solves(monkeypatch, laplace_spectrum_dense, symmetric) == (1, 0)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 1)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, non_normal) == (2, 1)
+        assert self._solves(monkeypatch, summary, s4_symmetric) == (1, 0)
+        assert self._solves(monkeypatch, summary, s4_non_normal) == (2, 0)
+
+
+class TestBatchedBlocks:
+    @staticmethod
+    def _per_rep(s):
+        """The block spectrum with one set of solves per irrep."""
+        size = s.size
+        f = s.indicator()
+        eig, star, gaps = [], [], []
+        for rep in irrep_catalog(s.group):
+            block = fourier_transform(f, rep).matrix
+            eig += [1.0 - np.linalg.eigvals(block / size)] * rep.dim
+            star += [1.0 - np.linalg.eigvalsh(block @ block.conj().T / (size * size))] * rep.dim
+            if not rep.is_trivial:
+                herm = np.eye(rep.dim) - (block + block.conj().T) / (2.0 * size)
+                gaps.append(np.linalg.eigvalsh(herm)[0])
+        return np.concatenate(eig), np.sort(np.concatenate(star)), min(gaps, default=0.0)
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["cyclic(1)", "cyclic(31)", "abelian_product([4, 6])", "dihedral(7)", "dihedral(10)"],
+    )
+    def test_matches_per_rep_loop(self, descriptor, rng):
+        group = make_group(descriptor)
+        for i in range(6):
+            if i % 2:
+                s = random_symmetric_subset(group, int(rng.integers(1, 4)), rng)
+            else:
+                s = random_nonempty_subset(group, rng, max_size=max(2, group.order // 2))
+            report = laplace_spectrum_blocks(s)
+            eig, star, gap = self._per_rep(s)
+            assert multiset_distance(report.eigenvalues, eig) <= 1e-12
+            assert np.abs(report.star_eigenvalues - star).max() <= 1e-12
+            assert abs(report.lambda1 - gap) <= 1e-12
+            assert abs(report.lambda1_star - (star[1] if star.size > 1 else 0.0)) <= 1e-12
 
 
 class TestVariationalLambda1:
