@@ -284,7 +284,6 @@ def progression_scan(
     delta: float,
     exhaustive: bool | None = None,
     seed: int = 0,
-    samples: int = _SCAN_SAMPLES,
     endpoint_offset: bool = False,
 ) -> tuple[float, Progression | None, str]:
     """Worst mass share of B^(d) over short progressions.
@@ -307,7 +306,7 @@ def progression_scan(
     max_terms = _max_length_at_most(delta * group.order, group.order - 1)
     if endpoint_offset:
         max_terms = min(max_terms + 1, group.order)
-    mass, witness, mode = max_progression_mass(counts, max_terms, exhaustive, seed, samples)
+    mass, witness, mode = max_progression_mass(counts, max_terms, exhaustive, seed)
     share = mass / float(b.size) ** d
     return share, witness, mode
 
@@ -319,7 +318,6 @@ def gap_from_progressions(
     alpha: float | None = None,
     exhaustive: bool | None = None,
     seed: int = 0,
-    samples: int = _SCAN_SAMPLES,
 ) -> BoundReport:
     """Forward direction: a mass share <= 1 - alpha over short progressions forces
     lambda1 >= (2 alpha / d)(1 - cos(pi delta / d))."""
@@ -329,9 +327,7 @@ def gap_from_progressions(
         raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
     if delta >= d / 2:
         raise HypothesisFail(f"need delta < d/2, got delta={delta}, d={d}")
-    share_max, witness, mode = progression_scan(
-        b, d, delta, exhaustive, seed, samples, endpoint_offset=True
-    )
+    share_max, witness, mode = progression_scan(b, d, delta, exhaustive, seed, endpoint_offset=True)
     if alpha is None:
         alpha = 1.0 - share_max
     elif share_max > 1.0 - alpha + 1e-12:
@@ -358,9 +354,7 @@ def gap_from_progressions(
     )
 
 
-def _progressions_from_gap(
-    b, d, delta, exhaustive, seed, samples, scan, certified: bool
-) -> BoundReport:
+def _progressions_from_gap(b, d, delta, scan, certified: bool) -> BoundReport:
     """Shared body of the reverse forms: alpha = (1 - decay - pi delta)/2 caps the
     convolution-mass share of every short progression at 1 - alpha, where decay is
     (1 - lambda1)^d, or (1 - lambda1*)^(d/2) when ``certified``."""
@@ -375,7 +369,7 @@ def _progressions_from_gap(
         name, gap_key, gap = "progression_mass_vs_gap", "lambda1", lambda1(b)
         decay = (1.0 - gap) ** d
     alpha = (1.0 - decay - math.pi * delta) / 2.0
-    share_max, witness, mode = scan or progression_scan(b, d, delta, exhaustive, seed, samples)
+    share_max, witness, mode = scan or progression_scan(b, d, delta)
     return BoundReport(
         bound_name=name,
         bound_value=1.0 - alpha,
@@ -399,9 +393,6 @@ def progressions_from_gap(
     b: GroupSubset,
     d: int,
     delta: float,
-    exhaustive: bool | None = None,
-    seed: int = 0,
-    samples: int = _SCAN_SAMPLES,
     scan: tuple[float, Progression | None, str] | None = None,
 ) -> BoundReport:
     """Reverse direction: alpha = (1 - (1-lambda1)^d - pi delta)/2 caps the
@@ -409,16 +400,13 @@ def progressions_from_gap(
 
     ``scan`` reuses a ``progression_scan(b, d, delta, ...)`` result, which
     both reverse forms share."""
-    return _progressions_from_gap(b, d, delta, exhaustive, seed, samples, scan, certified=False)
+    return _progressions_from_gap(b, d, delta, scan, certified=False)
 
 
 def progressions_from_gap_certified(
     b: GroupSubset,
     d: int,
     delta: float,
-    exhaustive: bool | None = None,
-    seed: int = 0,
-    samples: int = _SCAN_SAMPLES,
     scan: tuple[float, Progression | None, str] | None = None,
 ) -> BoundReport:
     """Certified reverse direction through the singular gap.
@@ -430,7 +418,7 @@ def progressions_from_gap_certified(
     nontrivial coefficient is exactly sqrt(1 - lambda1*) |B|, so
     alpha = (1 - (1 - lambda1*)^(d/2) - pi delta)/2 always works.
     """
-    return _progressions_from_gap(b, d, delta, exhaustive, seed, samples, scan, certified=True)
+    return _progressions_from_gap(b, d, delta, scan, certified=True)
 
 
 # -- Bohr-set characterization (general groups) --------------------------------
@@ -646,10 +634,9 @@ def check_bohr_eps_size(rep: UnitaryRepresentation, eps: float) -> BoundReport:
 
 def _subgroup_closure(group: FiniteGroup, seed_indices: frozenset[int]) -> frozenset[int]:
     # a finite subset of a group containing e and closed under products is a subgroup
-    table = group.mul_table
     idx = np.unique(np.fromiter(seed_indices | {group.identity}, dtype=np.int64))
     while True:
-        products = np.unique(table[np.ix_(idx, idx)])
+        products = np.unique(group.mul(idx[:, None], idx[None, :]))
         if products.size == idx.size:
             return frozenset(int(x) for x in idx)
         idx = products
@@ -708,8 +695,7 @@ class LargeSpectrum:
 
 def large_spectrum(a: GroupSubset, eps: float) -> LargeSpectrum:
     catalog = irrep_catalog(a.group)
-    f = a.indicator()
-    norms = [fourier_transform(f, rep).op_norm for rep in catalog]
+    norms = catalog.norms(a.indicator()).tolist()
     threshold = eps * a.size
     members = [i for i, v in enumerate(norms) if v >= threshold - 1e-12]
     return LargeSpectrum(
@@ -771,9 +757,7 @@ def large_spectrum_product_check(
     group = a.group
     if not group.is_abelian:
         raise NotAbelian("character products are defined for abelian groups here")
-    catalog = irrep_catalog(group)
-    f = a.indicator()
-    norms = np.array([fourier_transform(f, rep).op_norm for rep in catalog])
+    norms = irrep_catalog(group).norms(a.indicator())
     size = a.size
     left = np.flatnonzero(norms >= (1.0 - eps1) * size - 1e-12)
     right = np.flatnonzero(norms >= (1.0 - eps2) * size - 1e-12)
@@ -886,21 +870,21 @@ def ruzsa_covering(rep: UnitaryRepresentation, delta: float) -> CoveringReport:
     b = bohr_set(rep, delta).members
     quarter = bohr_set(rep, delta / 4.0).members
     half = bohr_set(rep, delta / 2.0).members
-    table = group.mul_table
+    b_idx = b.indices
     q_idx = quarter.indices
 
-    def greedy(left_translate: bool) -> list[int]:
+    def greedy(translates: np.ndarray) -> list[int]:
+        # row i holds the cells of the quarter-radius translate at b_idx[i]
         occupied = np.zeros(group.order, dtype=bool)
         chosen: list[int] = []
-        for x in b.indices:
-            cells = table[q_idx, x] if left_translate else table[x, q_idx]
+        for x, cells in zip(b_idx, translates):
             if not occupied[cells].any():
                 chosen.append(int(x))
                 occupied[cells] = True
         return chosen
 
-    x_cover = greedy(left_translate=True)
-    y_cover = greedy(left_translate=False)
+    x_cover = greedy(group.mul(q_idx[None, :], b_idx[:, None]))
+    y_cover = greedy(group.mul(b_idx[:, None], q_idx[None, :]))
     x_set = GroupSubset.from_indices(group, x_cover)
     y_set = GroupSubset.from_indices(group, y_cover)
     left_ok = b.difference(product_set(half, x_set)).size == 0
@@ -1044,21 +1028,14 @@ def regular_spectrum_check(
     catalog = irrep_catalog(rep.group)
     b = bohr_set(rep, delta).members
     b_prime = bohr_set(rep, delta_prime).members
-    f = b.indicator()
-    f_prime = b_prime.indicator()
     target_level = 1.0 - 2.0 * kappa / eps
     vacuous = target_level <= 0
-    checked = 0
-    failures = 0
-    for pi in catalog:
-        if fourier_transform(f, pi).op_norm >= eps * b.size - 1e-12:
-            checked += 1
-            if fourier_transform(f_prime, pi).op_norm < target_level * b_prime.size - 1e-9:
-                failures += 1
+    large = catalog.norms(b.indicator()) >= eps * b.size - 1e-12
+    shrunk = catalog.norms(b_prime.indicator()) < target_level * b_prime.size - 1e-9
     return InclusionReport(
         name="regular_bohr_spectrum",
-        checked=checked,
-        failures=failures,
+        checked=int(large.sum()),
+        failures=int((large & shrunk).sum()),
         vacuous=vacuous,
         parameters={
             "rep": rep.label,

@@ -1,12 +1,14 @@
 """Finite groups on dense integer indices, subsets, and group-algebra operations.
 
-Elements of a group of order n are the indices 0..n-1.  Closed-form families
-(cyclic, abelian products, dihedral) give products by an array-valued rule
-that accepts ints or broadcast index arrays, so each multiplication table is
-one call of that rule; generic groups, permutation closures included, carry
-an explicit table.  Subsets are immutable 0/1 indicator vectors and functions
-are numpy value vectors, so product sets, k-th roots, convolution and
-diameter all reduce to vectorized index arithmetic.
+Elements of a group of order n are the indices 0..n-1.  Every group law is
+an array-valued ``mul``/``inv`` pair that accepts ints or broadcast index
+arrays.  Closed-form families (cyclic, abelian products, dihedral) compute it
+by a rule that holds by construction; generic groups, permutation closures
+included, read it from an explicit table that ``TableGroup`` checks once when
+it is built.  The only n x n array derived and cached is ``conv_index``.
+Subsets are immutable 0/1 indicator vectors and functions are numpy value
+vectors, so product sets, k-th roots, convolution and diameter all reduce to
+vectorized index arithmetic.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class FiniteGroup:
     """A finite group whose elements are the indices ``0..order-1``.
 
     Subclasses supply array-valued ``mul``/``inv``: they take ints or index
-    arrays and broadcast like numpy operators.  The tables are derived from
-    them in one call each; conjugacy classes and validation are derived from
-    the tables.  Everything derived is cached.
+    arrays and broadcast like numpy operators, and they are the group law.
+    The one cached table, ``conv_index``, is a single broadcast call of them;
+    the abelian flag and the conjugacy classes are derived from them and cached.
     """
 
     order: int
@@ -75,31 +77,12 @@ class FiniteGroup:
         return np.arange(self.order, dtype=_int_dtype(self.order))
 
     @property
-    def mul_table(self) -> np.ndarray:
-        cached = getattr(self, "_mul_table", None)
-        if cached is None:
-            idx = self._indices()
-            cached = self.mul(idx[:, None], idx[None, :]).astype(idx.dtype, copy=False)
-            cached.flags.writeable = False
-            self._mul_table = cached
-        return cached
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        cached = getattr(self, "_inv_table", None)
-        if cached is None:
-            idx = self._indices()
-            cached = self.inv(idx).astype(idx.dtype, copy=False)
-            cached.flags.writeable = False
-            self._inv_table = cached
-        return cached
-
-    @property
     def conv_index(self) -> np.ndarray:
         """Matrix Z with Z[a, b] = inv(a) * b; drives convolution and Markov matrices."""
         cached = getattr(self, "_conv_index", None)
         if cached is None:
-            cached = self.mul_table[self.inv_table, :]
+            idx = self._indices()
+            cached = self.mul(self.inv(idx)[:, None], idx[None, :]).astype(idx.dtype, copy=False)
             cached.flags.writeable = False
             self._conv_index = cached
         return cached
@@ -107,24 +90,23 @@ class FiniteGroup:
     def power_index(self, k: int) -> np.ndarray:
         """Vector of x**k over all elements, by binary exponentiation on indices."""
         if k < 0:
-            return self.inv_table[self.power_index(-k)]
-        n = self.order
-        acc = np.full(n, self.identity, dtype=_int_dtype(n))
-        base = np.arange(n, dtype=_int_dtype(n))
-        table = self.mul_table
+            return self.inv(self.power_index(-k))
+        acc = np.full(self.order, self.identity, dtype=_int_dtype(self.order))
+        base = self._indices()
         while k:
             if k & 1:
-                acc = table[acc, base]
+                acc = self.mul(acc, base)
             k >>= 1
             if k:
-                base = table[base, base]
+                base = self.mul(base, base)
         return acc
 
     @property
     def is_abelian(self) -> bool:
         cached = getattr(self, "_is_abelian", None)
         if cached is None:
-            table = self.mul_table
+            idx = self._indices()
+            table = self.mul(idx[:, None], idx[None, :])
             cached = bool(np.array_equal(table, table.T))
             self._is_abelian = cached
         return cached
@@ -134,14 +116,14 @@ class FiniteGroup:
         cached = getattr(self, "_classes", None)
         if cached is not None:
             return cached
-        table = self.mul_table
-        inv = self.inv_table
+        idx = self._indices()
+        inv = self.inv(idx)
         labels = np.full(self.order, -1, dtype=np.int64)
         classes: list[np.ndarray] = []
         for x in range(self.order):
             if labels[x] >= 0:
                 continue
-            orbit = np.unique(table[table[:, x], inv])
+            orbit = np.unique(self.mul(self.mul(idx, x), inv))
             labels[orbit] = len(classes)
             classes.append(orbit)
         labels.flags.writeable = False
@@ -153,37 +135,6 @@ class FiniteGroup:
         """Index into ``conjugacy_classes()`` of every element's class."""
         self.conjugacy_classes()
         return self._class_labels
-
-    def validate(self) -> None:
-        """Check identity, inverse, and associativity laws.
-
-        Exhaustive for order <= 256, seeded triple sampling above.  Raises
-        InvalidTable on any violation.
-        """
-        n = self.order
-        table = self.mul_table
-        if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
-            raise InvalidTable("multiplication table entries out of range")
-        e = self.identity
-        if not (np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n))):
-            raise InvalidTable("identity law fails")
-        inv = self.inv_table
-        if not np.array_equal(table[np.arange(n), inv], np.full(n, e)):
-            raise InvalidTable("inverse law fails")
-        if n <= _EXHAUSTIVE_LAW_LIMIT:
-            bc = table  # bc[b, c] = b*c
-            for a in range(n):
-                left = table[table[a], :]  # (a*b)*c
-                right = table[a][bc]  # a*(b*c)
-                if not np.array_equal(left, right):
-                    raise InvalidTable(f"associativity fails at a={a}")
-        else:
-            rng = np.random.default_rng(0)
-            a = rng.integers(0, n, _LAW_SAMPLES)
-            b = rng.integers(0, n, _LAW_SAMPLES)
-            c = rng.integers(0, n, _LAW_SAMPLES)
-            if not np.array_equal(table[table[a, b], c], table[a, table[b, c]]):
-                raise InvalidTable("associativity fails on sampled triples")
 
 
 class CyclicGroup(FiniteGroup):
@@ -268,7 +219,12 @@ class DihedralGroup(FiniteGroup):
 
 
 class TableGroup(FiniteGroup):
-    """Generic group given by an explicit multiplication table."""
+    """Generic group given by an explicit multiplication table.
+
+    The only law that comes from outside the program, so the constructor
+    proves it once: entries in range, a two-sided identity, inverses, and
+    associativity.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "table_group"):
         arr = np.asarray(table, dtype=np.int64)
@@ -284,6 +240,7 @@ class TableGroup(FiniteGroup):
         self._mul_table = table32
         self.identity = self._find_identity(table32)
         self._inv_table = self._find_inverses(table32, self.identity)
+        self._check_associative(table32)
 
     @staticmethod
     def _find_identity(table: np.ndarray) -> int:
@@ -307,6 +264,20 @@ class TableGroup(FiniteGroup):
             raise InvalidTable("inverse table inconsistent")
         inv.flags.writeable = False
         return inv
+
+    @staticmethod
+    def _check_associative(table: np.ndarray) -> None:
+        """Exhaustive for order <= 256, seeded triple sampling above."""
+        n = table.shape[0]
+        if n <= _EXHAUSTIVE_LAW_LIMIT:
+            for a in range(n):
+                # (a*b)*c against a*(b*c) over all b, c
+                if not np.array_equal(table[table[a], :], table[a][table]):
+                    raise InvalidTable(f"associativity fails at a={a}")
+            return
+        a, b, c = np.random.default_rng(0).integers(0, n, (3, _LAW_SAMPLES))
+        if not np.array_equal(table[table[a, b], c], table[a, table[b, c]]):
+            raise InvalidTable("associativity fails on sampled triples")
 
     def mul(self, a, b):
         return self._mul_table[a, b]
@@ -391,12 +362,14 @@ _DESCRIPTOR_RE = re.compile(r"^\s*([a-zA-Z_][a-zA-Z_0-9]*)\s*\((.*)\)\s*$", re.D
 
 
 def make_group(descriptor) -> FiniteGroup:
-    """Build and validate a group from a descriptor.
+    """Build a group from a descriptor.
 
     Accepts a FiniteGroup (returned as is) or a string descriptor:
     ``cyclic(N)``, ``abelian_product([n1, ...])``, ``dihedral(n)``,
     ``permutation_closure([gen, ...])`` with image lists or cycle strings,
-    ``multiplication_table([[...], ...])``.
+    ``multiplication_table([[...], ...])``.  Closed-form families hold their
+    laws by construction; a table (given or closed from permutations) is
+    checked by the ``TableGroup`` constructor.
     """
     if isinstance(descriptor, FiniteGroup):
         return descriptor
@@ -423,7 +396,6 @@ def make_group(descriptor) -> FiniteGroup:
         group = TableGroup(args)
     else:
         raise ValueError(f"unknown group kind {kind!r}")
-    group.validate()
     return group
 
 
@@ -444,7 +416,7 @@ class GroupSubset:
         arr = np.asarray(membership)
         if arr.shape != (group.order,):
             raise ValueError(f"membership length {arr.shape} != order {group.order}")
-        if not np.isin(arr, (0, 1)).all():
+        if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("membership values must be 0 or 1")
         indicator = arr.astype(np.int8)
         indicator.flags.writeable = False
@@ -576,7 +548,7 @@ def product_set(a: GroupSubset, b: GroupSubset) -> GroupSubset:
     ai, bi = a.indices, b.indices
     if ai.size == 0 or bi.size == 0:
         return GroupSubset.empty(group)
-    products = group.mul_table[np.ix_(ai, bi)]
+    products = group.mul(ai[:, None], bi[None, :])
     member = np.zeros(group.order, dtype=np.int8)
     member[products.ravel()] = 1
     return GroupSubset(group, member)
@@ -595,7 +567,7 @@ def power_set(s: GroupSubset, d: int) -> GroupSubset:
 def inverse_set(a: GroupSubset) -> GroupSubset:
     """Elementwise inverse {x^-1 : x in A}."""
     member = np.zeros(a.group.order, dtype=np.int8)
-    member[a.group.inv_table[a.indices]] = 1
+    member[a.group.inv(a.indices)] = 1
     return GroupSubset(a.group, member)
 
 

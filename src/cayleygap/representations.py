@@ -97,17 +97,16 @@ class UnitaryRepresentation:
             np.abs(np.einsum("gij,gkj->gik", mats, mats.conj()) - eye).max()
         )
         identity_err = float(np.abs(mats[group.identity] - eye).max())
-        table = group.mul_table
         n = group.order
         if n <= 256:
+            a, b = np.arange(n)[:, None], np.arange(n)[None, :]
             products = np.einsum("aij,bjk->abik", mats, mats)
-            homomorphism = float(np.abs(products - mats[table]).max())
         else:
             rng = np.random.default_rng(0)
             a = rng.integers(0, n, 4096)
             b = rng.integers(0, n, 4096)
             products = np.einsum("gij,gjk->gik", mats[a], mats[b])
-            homomorphism = float(np.abs(products - mats[table[a, b]]).max())
+        homomorphism = float(np.abs(products - mats[group.mul(a, b)]).max())
         char = self.character()
         orthogonality = abs(float((np.abs(char) ** 2).sum()) - group.order)
         return {
@@ -160,6 +159,10 @@ class IrrepCatalog:
             for stack in self.stacks
             for k, n, d, _ in [stack.shape]
         ]
+
+    def norms(self, f: GroupFunction) -> np.ndarray:
+        """Operator norm of every Fourier coefficient of f, in catalog order."""
+        return np.concatenate([operator_norms(block) for block in self.coefficients(f)])
 
     def __len__(self) -> int:
         return len(self.reps)

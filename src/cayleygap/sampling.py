@@ -22,7 +22,7 @@ def random_symmetric_subset(
     t = rng.choice(group.order, size=size_hint, replace=False)
     member = np.zeros(group.order, dtype=np.int8)
     member[t] = 1
-    member[group.inv_table[t]] = 1
+    member[group.inv(t)] = 1
     return GroupSubset(group, member)
 
 

@@ -35,7 +35,7 @@ from .groups import (
     GroupSubset,
     iterated_convolution,
 )
-from .representations import irrep_catalog, operator_norms
+from .representations import irrep_catalog
 
 
 def markov_matrix(s: GroupSubset) -> np.ndarray:
@@ -175,10 +175,10 @@ def is_normal_operator(s: GroupSubset) -> bool:
     """
     group = s.group
     elements = s.indices
-    inverses = group.inv_table[elements]
+    inverses = group.inv(elements)
     return np.array_equal(
-        np.bincount(group.mul_table[np.ix_(elements, inverses)].ravel(), minlength=group.order),
-        np.bincount(group.mul_table[np.ix_(inverses, elements)].ravel(), minlength=group.order),
+        np.bincount(group.mul(elements[:, None], inverses[None, :]).ravel(), minlength=group.order),
+        np.bincount(group.mul(inverses[:, None], elements[None, :]).ravel(), minlength=group.order),
     )
 
 
@@ -293,9 +293,11 @@ def spectral_summary(s: GroupSubset) -> SpectralSummary:
         except NotCataloged:
             _, lam1, star = _dense_gaps(s, full=False)
             return SpectralSummary(lam1, float(star[1]) if star.size > 1 else 0.0, norm=None, path="dense")
-        stacks = catalog.coefficients(s.indicator())
-        gaps = np.delete(np.concatenate([_hermitian_gaps(b, size) for b in stacks]), catalog.trivial_index)
-        norms = np.delete(np.concatenate([operator_norms(b) for b in stacks]), catalog.trivial_index)
+        f = s.indicator()
+        gaps = np.delete(
+            np.concatenate([_hermitian_gaps(b, size) for b in catalog.coefficients(f)]), catalog.trivial_index
+        )
+        norms = np.delete(catalog.norms(f), catalog.trivial_index)
         path = "blocks"
     if norms.size == 0:  # the trivial group has no nontrivial irrep
         return SpectralSummary(lambda1=0.0, lambda1_star=0.0, norm=0.0, path=path)

@@ -339,7 +339,7 @@ def test_criterion_08_progression_characterization():
             fw = gap_from_progressions(b, 2, 0.4, exhaustive=True)
             if not fw.holds:
                 forward_fail += 1
-            rv = progressions_from_gap(b, 2, 0.1, exhaustive=True)
+            rv = progressions_from_gap(b, 2, 0.1)
             if not rv.holds:
                 reverse_fail += 1
             if rv.verdict == "pass":

@@ -1,10 +1,10 @@
-"""The benchmark's stored ``spectrum`` digests hold in tier-1.
+"""The benchmark's stored digests hold in tier-1.
 
-Each ``perfbench/configs/spectrum-*.cfg`` runs at seed 0 through the CLI, and
-its report is compared with ``perfbench/expected/spectrum.json`` by
-``perfbench/checks.py``, loaded read-only by path.  Spectral drift beyond the
-benchmark's 1e-9 relative tolerance then fails here, not only under
-``perfbench/run.py``.
+Every ``perfbench/configs/*.cfg`` runs at seed 0 through the CLI, and its
+report is compared with its workload's ``perfbench/expected/<workload>.json``
+by ``perfbench/checks.py``, loaded read-only by path.  A changed verdict or
+bound, or spectral drift beyond the benchmark's 1e-9 relative tolerance, then
+fails here, not only under ``perfbench/run.py``.
 """
 
 import importlib.util
@@ -25,19 +25,40 @@ def _load_checks():
 
 
 CHECKS = _load_checks()
-EXPECTED = CHECKS.Expectations(PERFBENCH / "expected" / "spectrum.json")
+# config-stem prefix (the subcommand) -> workload whose expectations hold it
+WORKLOAD_OF = {"spectrum": "spectrum", "bounds": "bounds", "scan": "scans", "bohr": "scans", "experiment": "scans"}
+EXPECTED = {name: CHECKS.Expectations(PERFBENCH / "expected" / f"{name}.json") for name in set(WORKLOAD_OF.values())}
 STEMS = sorted(path.stem for path in (PERFBENCH / "configs").glob("spectrum-*.cfg"))
+OTHER_STEMS = sorted(
+    path.stem for path in (PERFBENCH / "configs").glob("*.cfg") if not path.stem.startswith("spectrum-")
+)
+
+
+def _check_digest(stem: str, tmp_path: Path) -> None:
+    kind, _, rest = stem.partition("-")
+    argv = ["experiment", rest] if kind == "experiment" else [kind]
+    out = tmp_path / f"{stem}.csv"
+    config = PERFBENCH / "configs" / f"{stem}.cfg"
+    code = cli_main([*argv, "--config", str(config), "--seed", "0", "--out", str(out)])
+    expected = EXPECTED[WORKLOAD_OF[kind]]
+    assert expected.expected(stem, 0)[1] == "stored"
+    assert expected.check(stem, 0, CHECKS.digest(argv[0], code, out)) == []
 
 
 def test_five_spectrum_configs():
     assert len(STEMS) == 5
 
 
+def test_fourteen_bounds_and_scans_configs():
+    workloads = [WORKLOAD_OF[stem.partition("-")[0]] for stem in OTHER_STEMS]
+    assert (workloads.count("bounds"), workloads.count("scans")) == (5, 9)
+
+
 @pytest.mark.parametrize("stem", STEMS)
 def test_spectrum_digest_matches_expected(stem, tmp_path):
-    out = tmp_path / f"{stem}.csv"
-    config = PERFBENCH / "configs" / f"{stem}.cfg"
-    code = cli_main(["spectrum", "--config", str(config), "--seed", "0", "--out", str(out)])
-    _, kind = EXPECTED.expected(stem, 0)
-    assert kind == "stored"
-    assert EXPECTED.check(stem, 0, CHECKS.digest("spectrum", code, out)) == []
+    _check_digest(stem, tmp_path)
+
+
+@pytest.mark.parametrize("stem", OTHER_STEMS)
+def test_digest_matches_expected(stem, tmp_path):
+    _check_digest(stem, tmp_path)

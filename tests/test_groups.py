@@ -1,6 +1,7 @@
 """Group construction, set combinatorics, convolution, and diameter."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cayleygap.errors import (
     KZero,
     NoFiniteDiameter,
 )
+from cayleygap.groups import _EXHAUSTIVE_LAW_LIMIT, TableGroup
 
 
 def brute_product_set(a, b):
@@ -108,7 +110,7 @@ TABLE_CASES = (
     + [(f"dihedral({n})", lambda n=n: reference_dihedral(n)) for n in range(3, 65)]
     + [
         (f"abelian_product({orders})", lambda orders=orders: reference_abelian(orders))
-        for orders in ([1], [2, 2, 2, 2], [4, 6], [2, 3, 4], [12, 15], [3, 5, 7])
+        for orders in ([1], [2, 2], [3, 3], [2, 2, 2, 2], [4, 6], [2, 3, 4], [12, 15], [3, 5, 7])
     ]
     + [
         ('permutation_closure(["(1 2 3 4 5)", "(1 2 3)"])',
@@ -127,14 +129,17 @@ TABLE_CASES = (
 
 @pytest.mark.parametrize("descriptor,reference", TABLE_CASES, ids=[d for d, _ in TABLE_CASES])
 def test_tables_match_independent_reference(descriptor, reference):
-    """Tables against pure-Python laws that never call ``group.mul``/``inv``."""
+    """The array-valued laws against pure-Python laws that never call
+    ``group.mul``/``inv``: this proves the closed-form families, which
+    ``make_group`` does not check at run time."""
     group = make_group(descriptor)
-    group.validate()
     mul, inv, identity = reference()
-    assert group.mul_table.dtype == np.int32 and group.inv_table.dtype == np.int32
-    assert group.mul_table.tolist() == mul
-    assert group.inv_table.tolist() == inv
+    idx = np.arange(group.order)
+    assert group.mul(idx[:, None], idx[None, :]).tolist() == mul
+    assert group.inv(idx).tolist() == inv
     assert group.identity == identity
+    assert group.conv_index.dtype == np.int32
+    assert group.conv_index.tolist() == [[mul[inv[a]][b] for b in idx] for a in idx]
     pairs = np.random.default_rng(group.order).integers(0, group.order, size=(50, 2))
     for a, b in pairs.tolist():
         assert group.mul(a, b) == mul[a][b]
@@ -163,7 +168,8 @@ class TestMakeGroup:
             permutation_closure(["(1 2 3 4 5)", "(1 2 3)"], cap=30)
 
     def test_table_group_roundtrip(self, z5):
-        table = z5.mul_table.tolist()
+        idx = np.arange(5)
+        table = z5.mul(idx[:, None], idx[None, :]).tolist()
         g = make_group(f"multiplication_table({table})")
         assert g.order == 5
         assert g.mul(2, 4) == 1
@@ -175,6 +181,11 @@ class TestMakeGroup:
         with pytest.raises(InvalidTable):
             make_group(f"multiplication_table({broken})")
 
+    def test_table_group_proves_associativity(self):
+        broken = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]  # identity 0, inverses, not associative
+        with pytest.raises(InvalidTable, match="associativity fails at a="):
+            TableGroup(broken)
+
     @pytest.mark.parametrize(
         "descriptor",
         ["cyclic(12)", "abelian_product([2, 3, 4])", "dihedral(7)",
@@ -182,16 +193,24 @@ class TestMakeGroup:
     )
     def test_group_laws(self, descriptor):
         g = make_group(descriptor)
-        g.validate()  # raises InvalidTable on any law violation
+        idx = np.arange(g.order)
+        TableGroup(g.mul(idx[:, None], idx[None, :]))  # raises InvalidTable on any law violation
         e = g.identity
         for x in range(g.order):
             assert g.mul(e, x) == x == g.mul(x, e)
             assert g.mul(x, g.inv(x)) == e
 
-    def test_large_group_sampled_validation(self):
-        g = make_group("cyclic(500)")
-        g.validate()
-        assert g.order == 500
+    def test_large_table_sampled_associativity(self):
+        s6 = permutation_closure(["(1 2 3 4 5 6)", "(1 2)"])
+        assert s6.order == 720 > _EXHAUSTIVE_LAW_LIMIT
+        # a loop on Z/301: x*0 = 0*x = x, else x*y = 2(x + y); every row holds
+        # the identity, but away from 0, (x*y)*z = x*(y*z) only when x = z
+        n = 301
+        idx = np.arange(n)
+        loop = 2 * (idx[:, None] + idx[None, :]) % n
+        loop[0, :] = loop[:, 0] = idx
+        with pytest.raises(InvalidTable, match="sampled triples"):
+            TableGroup(loop)
 
 
 class TestProductSet:
@@ -372,6 +391,13 @@ class TestSubsetBasics:
     def test_membership_validation(self, z5):
         with pytest.raises(ValueError):
             GroupSubset(z5, [0, 1, 2, 0, 0])
+        for bad in (-1, 0.5, np.nan, 1 + 1j, "1"):
+            with pytest.raises(ValueError):
+                GroupSubset(z5, [0, 1, bad, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # casting 1 + 0j to int8 warns about the imaginary part
+            for good in ([True, False, True, False, False], [0.0, 1.0, 1.0, 0.0, 0.0], [1 + 0j, 0, 0, 1, 0]):
+                assert GroupSubset(z5, good).indices.tolist() == [i for i, v in enumerate(good) if v]
         with pytest.raises(ValueError):
             GroupSubset.from_indices(z5, [9])
 

@@ -216,6 +216,15 @@ class TestStackedCatalog:
             assert np.abs(coeff.matrix - reference).max() <= 1e-12
 
     @pytest.mark.parametrize("descriptor", FAMILIES)
+    def test_norms_match_per_rep_op_norms(self, descriptor, rng):
+        group = make_group(descriptor)
+        catalog = irrep_catalog(group)
+        for f in (random_function(group, rng), GroupSubset.from_indices(group, [0, group.order - 1]).indicator()):
+            reference = np.array([fourier_transform(f, rep).op_norm for rep in catalog])
+            assert catalog.norms(f).shape == reference.shape
+            assert np.abs(catalog.norms(f) - reference).max() <= 1e-12 * max(1.0, reference.max())
+
+    @pytest.mark.parametrize("descriptor", FAMILIES)
     def test_reps_are_read_only_views_of_their_stack(self, descriptor):
         catalog = irrep_catalog(make_group(descriptor))
         reps = iter(catalog)
