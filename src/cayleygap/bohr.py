@@ -37,7 +37,6 @@ from .groups import (
     FiniteGroup,
     GroupFunction,
     GroupSubset,
-    convolve,
     inverse_set,
     iterated_convolution,
     product_set,
@@ -428,8 +427,7 @@ def _bohr_share_scan(b: GroupSubset, d: int, delta: float) -> tuple[float, str, 
     catalog = irrep_catalog(b.group)
     if b.size == 0:
         raise EmptySet("Bohr scan of the empty set")
-    f = convolve(b.indicator(), inverse_set(b).indicator())
-    fd = iterated_convolution(f, d).values.real.astype(np.float64)
+    fd = symmetrized_rep_count(b, d).values.real.astype(np.float64)
     total = float(b.size) ** (2 * d)
     shares = []
     labels = []
@@ -540,7 +538,7 @@ def bohr_tail_check(
         raise HypothesisFail(
             f"||Ahat|| = {norm:.6g} below (1-eps)|A| = {(1 - eps) * a.size:.6g}"
         )
-    conv = convolve(a.indicator(), inverse_set(a).indicator()).values.real
+    conv = symmetrized_rep_count(a, 1).values.real
     outside = bohr_set(rep, delta).members.complement()
     tail = float(conv[outside.membership == 1].sum())
     if form == "linear":

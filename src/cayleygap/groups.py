@@ -5,7 +5,7 @@ an array-valued ``mul``/``inv`` pair that accepts ints or broadcast index
 arrays.  Closed-form families (cyclic, abelian products, dihedral) compute it
 by a rule that holds by construction; generic groups, permutation closures
 included, read it from an explicit table that ``TableGroup`` checks once when
-it is built.  The only n x n array derived and cached is ``conv_index``.
+it is built.  A group holds no n x n array derived from its law.
 Subsets are immutable 0/1 indicator vectors and functions are numpy value
 vectors, so product sets, k-th roots, convolution and diameter all reduce to
 vectorized index arithmetic.
@@ -44,13 +44,14 @@ class FiniteGroup:
 
     Subclasses supply array-valued ``mul``/``inv``: they take ints or index
     arrays and broadcast like numpy operators, and they are the group law.
-    The one cached table, ``conv_index``, is a single broadcast call of them;
-    the abelian flag and the conjugacy classes are derived from them and cached.
+    ``is_abelian`` is known when the group is built; the conjugacy classes are
+    derived from the law and cached.
     """
 
     order: int
     name: str
     identity: int = 0
+    is_abelian: bool
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -76,17 +77,6 @@ class FiniteGroup:
     def _indices(self) -> np.ndarray:
         return np.arange(self.order, dtype=_int_dtype(self.order))
 
-    @property
-    def conv_index(self) -> np.ndarray:
-        """Matrix Z with Z[a, b] = inv(a) * b; drives convolution and Markov matrices."""
-        cached = getattr(self, "_conv_index", None)
-        if cached is None:
-            idx = self._indices()
-            cached = self.mul(self.inv(idx)[:, None], idx[None, :]).astype(idx.dtype, copy=False)
-            cached.flags.writeable = False
-            self._conv_index = cached
-        return cached
-
     def power_index(self, k: int) -> np.ndarray:
         """Vector of x**k over all elements, by binary exponentiation on indices."""
         if k < 0:
@@ -100,16 +90,6 @@ class FiniteGroup:
             if k:
                 base = self.mul(base, base)
         return acc
-
-    @property
-    def is_abelian(self) -> bool:
-        cached = getattr(self, "_is_abelian", None)
-        if cached is None:
-            idx = self._indices()
-            table = self.mul(idx[:, None], idx[None, :])
-            cached = bool(np.array_equal(table, table.T))
-            self._is_abelian = cached
-        return cached
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Conjugacy classes as sorted index arrays, identity class first."""
@@ -140,6 +120,8 @@ class FiniteGroup:
 class CyclicGroup(FiniteGroup):
     """Z/nZ with additive notation."""
 
+    is_abelian = True
+
     def __init__(self, n: int):
         if n < 1:
             raise InvalidTable(f"cyclic order must be >= 1, got {n}")
@@ -158,6 +140,8 @@ class CyclicGroup(FiniteGroup):
 
 class AbelianProductGroup(FiniteGroup):
     """Direct product of cyclic groups Z/n1 x ... x Z/nk, indices in mixed radix."""
+
+    is_abelian = True
 
     def __init__(self, orders: Sequence[int]):
         orders = tuple(int(n) for n in orders)
@@ -194,6 +178,8 @@ class AbelianProductGroup(FiniteGroup):
 
 class DihedralGroup(FiniteGroup):
     """Dihedral group of order 2n: index t*n + i stands for s^t r^i."""
+
+    is_abelian = False  # n >= 3: r s = s r^-1 != s r
 
     def __init__(self, n: int):
         if n < 3:
@@ -241,6 +227,7 @@ class TableGroup(FiniteGroup):
         self.identity = self._find_identity(table32)
         self._inv_table = self._find_inverses(table32, self.identity)
         self._check_associative(table32)
+        self.is_abelian = bool(np.array_equal(table32, table32.T))
 
     @staticmethod
     def _find_identity(table: np.ndarray) -> int:
@@ -585,34 +572,41 @@ _INT_CONV_MASS_LIMIT = 2**62
 
 def _convolve_values(group: FiniteGroup, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     if f.dtype.kind == "i" and g.dtype.kind == "i":
-        if f.min(initial=0) >= 0 and g.min(initial=0) >= 0:
-            if int(f.sum()) * int(g.sum()) >= _INT_CONV_MASS_LIMIT:
-                f = f.astype(np.float64)
-                g = g.astype(np.float64)
-            else:
-                f = f.astype(np.int64)
-                g = g.astype(np.int64)
-        else:
-            f = f.astype(np.int64)
-            g = g.astype(np.int64)
-    shifted = g[group.conv_index]  # shifted[y, x] = g(inv(y) x)
-    return f @ shifted
+        # every value is at most |f|_1 |g|_1; the float sums keep 2x headroom below 2^63
+        mass = np.abs(f, dtype=np.float64).sum() * np.abs(g, dtype=np.float64).sum()
+        dtype = np.float64 if mass >= _INT_CONV_MASS_LIMIT else np.int64
+        f, g = f.astype(dtype), g.astype(dtype)
+    idx = group._indices()
+    ys = idx[f != 0]  # row r of the gather is g(ys[r]^-1 x) over all x
+    return f[ys] @ g[group.mul(group.inv(ys)[:, None], idx[None, :])]
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """Group convolution (f*g)(x) = sum_y f(y) g(y^-1 x)."""
+    """Group convolution (f*g)(x) = sum_y f(y) g(y^-1 x).
+
+    Reads only the rows y in supp(f), so it costs O(|supp f| |G|) time and
+    memory: callers put the sparser factor first.
+    """
     group = require_same_group(f, g)
     return GroupFunction(group, _convolve_values(group, f.values, g.values))
 
 
+def convolution_power(factors: Sequence[GroupFunction], k: int) -> GroupFunction:
+    """(f1 * ... * fm)^(k) as one right fold over the factors repeated k times:
+    every left operand of ``convolve`` is an input, so sparse factors keep each
+    step O(|supp fi| |G|), and associativity keeps integer results exact."""
+    if k < 1:
+        raise KZero(f"convolution power needs k >= 1, got {k}")
+    chain = list(factors) * k
+    result = chain[-1]
+    for f in reversed(chain[:-1]):
+        result = convolve(f, result)
+    return result
+
+
 def iterated_convolution(f: GroupFunction, k: int) -> GroupFunction:
     """k-fold self-convolution f^(k), with f^(1) = f."""
-    if k < 1:
-        raise KZero(f"iterated convolution needs k >= 1, got {k}")
-    result = f
-    for _ in range(k - 1):
-        result = convolve(result, f)
-    return result
+    return convolution_power([f], k)
 
 
 def diameter(s: GroupSubset) -> int:

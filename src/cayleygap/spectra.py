@@ -42,15 +42,16 @@ def markov_matrix(s: GroupSubset) -> np.ndarray:
     """Adjacency operator M(x, y) = S(x^-1 y) of the Cayley graph; rows sum to |S|."""
     if s.size == 0:
         raise EmptySet("Markov matrix of the empty set")
-    return s.membership[s.group.conv_index].astype(np.float64)
+    return markov_of_function(s.indicator())
 
 
 def markov_of_function(f: GroupFunction) -> np.ndarray:
-    """Weighted adjacency M(x, y) = F(x^-1 y) for an arbitrary function F."""
-    values = f.values
-    if values.dtype.kind == "c":
-        return values[f.group.conv_index]
-    return values.astype(np.float64)[f.group.conv_index]
+    """Weighted adjacency M(x, y) = F(x^-1 y) for an arbitrary function F; the one
+    builder of the n x n Cayley index, from the group law on int32 indices."""
+    group = f.group
+    idx = group._indices()
+    values = f.values if f.values.dtype.kind == "c" else f.values.astype(np.float64)
+    return values[group.mul(group.inv(idx)[:, None], idx[None, :])]
 
 
 def variational_lambda1(delta: np.ndarray) -> float:

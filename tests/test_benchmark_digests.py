@@ -1,7 +1,8 @@
 """The benchmark's stored digests hold in tier-1.
 
-Every ``perfbench/configs/*.cfg`` runs at seed 0 through the CLI, and its
-report is compared with its workload's ``perfbench/expected/<workload>.json``
+Every ``perfbench/configs/*.cfg`` runs at seed 0 through the CLI, and the
+configs whose subcommands convolve (``bounds``, ``scan``, ``experiment``) run
+at seed 7 too.  Each report is compared with its workload's ``perfbench/expected/<workload>.json``
 by ``perfbench/checks.py``, loaded read-only by path.  A changed verdict or
 bound, or spectral drift beyond the benchmark's 1e-9 relative tolerance, then
 fails here, not only under ``perfbench/run.py``.
@@ -32,17 +33,18 @@ STEMS = sorted(path.stem for path in (PERFBENCH / "configs").glob("spectrum-*.cf
 OTHER_STEMS = sorted(
     path.stem for path in (PERFBENCH / "configs").glob("*.cfg") if not path.stem.startswith("spectrum-")
 )
+CONVOLVING_STEMS = [stem for stem in OTHER_STEMS if stem.partition("-")[0] in ("bounds", "scan", "experiment")]
 
 
-def _check_digest(stem: str, tmp_path: Path) -> None:
+def _check_digest(stem: str, tmp_path: Path, seed: int = 0) -> None:
     kind, _, rest = stem.partition("-")
     argv = ["experiment", rest] if kind == "experiment" else [kind]
     out = tmp_path / f"{stem}.csv"
     config = PERFBENCH / "configs" / f"{stem}.cfg"
-    code = cli_main([*argv, "--config", str(config), "--seed", "0", "--out", str(out)])
+    code = cli_main([*argv, "--config", str(config), "--seed", str(seed), "--out", str(out)])
     expected = EXPECTED[WORKLOAD_OF[kind]]
-    assert expected.expected(stem, 0)[1] == "stored"
-    assert expected.check(stem, 0, CHECKS.digest(argv[0], code, out)) == []
+    assert expected.expected(stem, seed)[1] == "stored"
+    assert expected.check(stem, seed, CHECKS.digest(argv[0], code, out)) == []
 
 
 def test_five_spectrum_configs():
@@ -62,3 +64,12 @@ def test_spectrum_digest_matches_expected(stem, tmp_path):
 @pytest.mark.parametrize("stem", OTHER_STEMS)
 def test_digest_matches_expected(stem, tmp_path):
     _check_digest(stem, tmp_path)
+
+
+def test_eleven_convolving_configs():
+    assert len(CONVOLVING_STEMS) == 11
+
+
+@pytest.mark.parametrize("stem", CONVOLVING_STEMS)
+def test_convolving_digest_matches_expected_at_seed_7(stem, tmp_path):
+    _check_digest(stem, tmp_path, seed=7)

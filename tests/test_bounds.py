@@ -16,11 +16,14 @@ from cayleygap import (
     exceptional_set,
     graph_lambda1,
     graph_paths,
+    inverse_set,
     iterated_convolution,
     lambda1,
     lambda1_of_function,
     lambda1_star,
     make_group,
+    markov_matrix,
+    pair_rep_count,
     rep_count,
     set_norm,
     symmetrized_rep_count,
@@ -68,6 +71,19 @@ class TestRepCount:
     def test_empty_rejected(self, z5):
         with pytest.raises(EmptySet):
             rep_count(GroupSubset.empty(z5), 2)
+
+    @pytest.mark.parametrize("descriptor", ["dihedral(7)", 'permutation_closure(["(1 2 3 4 5)", "(1 2 3)"])'])
+    def test_pair_fold_is_power_of_product(self, descriptor, rng):
+        group = make_group(descriptor)
+        for _ in range(3):
+            b1 = random_nonempty_subset(group, rng)
+            b2 = random_nonempty_subset(group, rng)
+            for d in (1, 2, 3):
+                power = iterated_convolution(convolve(b1.indicator(), b2.indicator()), d).values
+                assert np.array_equal(pair_rep_count(b1, b2, d).values, power)
+                star = iterated_convolution(convolve(b1.indicator(), inverse_set(b1).indicator()), d)
+                assert np.array_equal(symmetrized_rep_count(b1, d).values, star.values)
+                assert power.dtype == star.values.dtype == np.int64
 
 
 class TestExceptionalSet:
@@ -282,7 +298,7 @@ class TestGraphs:
 
     def test_graph_lambda1_matches_cayley(self, z12, rng):
         s = random_symmetric_subset(z12, 3, rng)
-        graph = RegularGraph(np.asarray(s.membership[z12.conv_index], dtype=int))
+        graph = RegularGraph(np.asarray(markov_matrix(s), dtype=int))
         assert abs(graph_lambda1(graph) - lambda1(s)) < 1e-9
 
 
@@ -303,7 +319,7 @@ def _star_omega(s, d):
 
 
 def _cayley_graph(s):
-    return RegularGraph(np.asarray(s.membership[s.group.conv_index], dtype=int))
+    return RegularGraph(np.asarray(markov_matrix(s), dtype=int))
 
 
 # verifier -> (call with count threshold g, the side it must measure itself)

@@ -1,6 +1,7 @@
 """Group construction, set combinatorics, convolution, and diameter."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from cayleygap import (
     iterated_convolution,
     kth_roots,
     make_group,
+    markov_matrix,
     permutation_closure,
     power_set,
     product_set,
@@ -138,12 +140,22 @@ def test_tables_match_independent_reference(descriptor, reference):
     assert group.mul(idx[:, None], idx[None, :]).tolist() == mul
     assert group.inv(idx).tolist() == inv
     assert group.identity == identity
-    assert group.conv_index.dtype == np.int32
-    assert group.conv_index.tolist() == [[mul[inv[a]][b] for b in idx] for a in idx]
-    pairs = np.random.default_rng(group.order).integers(0, group.order, size=(50, 2))
+    assert group.is_abelian == all(mul[a][b] == mul[b][a] for a in idx for b in idx)
+    rng = np.random.default_rng(group.order)
+    pairs = rng.integers(0, group.order, size=(50, 2))
     for a, b in pairs.tolist():
         assert group.mul(a, b) == mul[a][b]
         assert group.inv(a) == inv[a]
+    # convolution over supp(f) and the Cayley index, against sums over the reference law
+    k = min(4, group.order)
+    f = np.zeros(group.order, dtype=np.int64)
+    f[rng.choice(group.order, size=k, replace=False)] = rng.choice([-3, -1, 2, 5], size=k)
+    g = rng.integers(-5, 6, group.order)
+    expected = [sum(int(f[y]) * int(g[mul[inv[y]][x]]) for y in idx if f[y]) for x in idx]
+    got = convolve(GroupFunction(group, f), GroupFunction(group, g)).values
+    assert got.dtype == np.int64 and got.tolist() == expected
+    s = GroupSubset(group, rng.integers(0, 2, group.order)).union(GroupSubset.singleton(group, int(pairs[0, 0])))
+    assert markov_matrix(s).tolist() == [[float(s.membership[mul[inv[a]][b]]) for b in idx] for a in idx]
 
 
 class TestMakeGroup:
@@ -327,6 +339,27 @@ class TestConvolve:
         f = GroupFunction(d4, rng.normal(size=8))
         g = GroupFunction(d4, rng.normal(size=8))
         assert np.abs(convolve(f, g).values - brute_convolve(f, g)).max() < 1e-12
+
+    def test_signed_integers_switch_to_float_above_mass_limit(self, z5):
+        f = GroupFunction(z5, np.array([2**40, -1, 0, 0, 0], dtype=np.int64))
+        g = GroupFunction(z5, np.array([2**40, 0, 0, 0, 0], dtype=np.int64))
+        values = convolve(f, g).values
+        assert values.dtype == np.float64
+        assert values[0] == 2.0**80
+
+    def test_sparse_left_factor_allocates_no_square(self):
+        group = make_group("cyclic(4001)")
+        f = GroupSubset.from_indices(group, range(0, 4000, 400)).indicator()
+        g = GroupFunction(group, np.arange(4001, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            out = convolve(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # on Z/n, (f*g)(x) = sum over y in supp(f) of g(x - y)
+        assert np.array_equal(out.values, sum(np.roll(g.values, y) for y in range(0, 4000, 400)))
 
     def test_iterated_first_power(self, z5):
         f = GroupSubset.from_indices(z5, [1, 2]).indicator()
