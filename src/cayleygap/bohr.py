@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import BoundReport, rep_count, symmetrized_rep_count, _require_counts_off_omega
+from .bounds import BoundReport, _exceptional_report, rep_count, symmetrized_rep_count
 from .errors import (
     DeltaOutOfRange,
     EmptyRepList,
@@ -80,6 +80,20 @@ def _smallest_prime_factor(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _smallest_prime_factor(n) == n
+
+
+def _require_prime_cyclic(group: FiniteGroup, what: str) -> None:
+    """Reject every group but Z/N with N prime; ``what`` names the caller."""
+    if not isinstance(group, CyclicGroup) or not is_prime(group.order):
+        raise HypothesisFail(f"{what} Z/N with N prime")
+
+
+def _require_gap_window(d: int, delta: float) -> None:
+    """The d >= 1, 0 < delta < 1 hypotheses of the gap characterizations."""
+    if d < 1:
+        raise KZero(f"need d >= 1, got {d}")
+    if not (0 < delta < 1):
+        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
 
 
 # -- Bohr sets ----------------------------------------------------------------
@@ -185,8 +199,7 @@ def find_covering_interval(a: GroupSubset, eps: float, delta: float) -> Progress
     SearchExhausted here is a genuine failure, never swallowed.
     """
     group = a.group
-    if not isinstance(group, CyclicGroup) or not is_prime(group.order):
-        raise HypothesisFail("interval search requires Z/N with N prime")
+    _require_prime_cyclic(group, "interval search requires")
     if not (0 < eps < 1) or not (0 < delta < 0.5):
         raise HypothesisFail(f"need eps in (0,1) and delta in (0,1/2), got {eps}, {delta}")
     if a.size == 0:
@@ -295,8 +308,7 @@ def progression_scan(
     interval.
     """
     group = b.group
-    if not isinstance(group, CyclicGroup) or not is_prime(group.order):
-        raise HypothesisFail("progression scans require Z/N with N prime")
+    _require_prime_cyclic(group, "progression scans require")
     if b.size == 0:
         raise EmptySet("progression scan of the empty set")
     if exhaustive is None:
@@ -310,6 +322,48 @@ def progression_scan(
     return share, witness, mode
 
 
+def _share_parameters(b: GroupSubset, d: int, delta: float, alpha: float, extra: dict) -> dict:
+    return {
+        "group_order": b.group.order, "set_size": b.size, "d": d, "delta": delta,
+        "alpha": alpha, **extra,
+    }
+
+
+def _forward_report(name, b, d, delta, alpha, share_max, where, bound, **extra) -> BoundReport:
+    """Shared body of the forward directions: a worst mass share ``share_max``
+    (attained ``where``) at most 1 - alpha forces lambda1 >= ``bound(alpha)``.
+
+    Called after the scan: a supplied alpha that ``share_max`` refutes raises
+    HypothesisFail before lambda1 is computed; without one, alpha is 1 - share_max."""
+    if alpha is None:
+        alpha = 1.0 - share_max
+    elif share_max > 1.0 - alpha + 1e-12:
+        raise HypothesisFail(
+            f"mass share reaches {share_max:.6g} > 1 - alpha = {1 - alpha:.6g} at {where}"
+        )
+    value = bound(alpha)
+    return BoundReport(
+        bound_name=name,
+        bound_value=value,
+        measured=lambda1(b),
+        vacuous=value <= 0,
+        parameters=_share_parameters(b, d, delta, alpha, {"share_max": share_max, **extra}),
+    )
+
+
+def _reverse_report(name, b, d, delta, alpha, share_max, **extra) -> BoundReport:
+    """Shared body of the reverse directions: the gap-derived alpha caps the
+    worst mass share at 1 - alpha."""
+    return BoundReport(
+        bound_name=name,
+        bound_value=1.0 - alpha,
+        measured=share_max,
+        sense="<=",
+        vacuous=alpha <= 0,
+        parameters=_share_parameters(b, d, delta, alpha, extra),
+    )
+
+
 def gap_from_progressions(
     b: GroupSubset,
     d: int,
@@ -320,71 +374,32 @@ def gap_from_progressions(
 ) -> BoundReport:
     """Forward direction: a mass share <= 1 - alpha over short progressions forces
     lambda1 >= (2 alpha / d)(1 - cos(pi delta / d))."""
-    if d < 1:
-        raise KZero(f"need d >= 1, got {d}")
-    if not (0 < delta < 1):
-        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
+    _require_gap_window(d, delta)
     if delta >= d / 2:
         raise HypothesisFail(f"need delta < d/2, got delta={delta}, d={d}")
     share_max, witness, mode = progression_scan(b, d, delta, exhaustive, seed, endpoint_offset=True)
-    if alpha is None:
-        alpha = 1.0 - share_max
-    elif share_max > 1.0 - alpha + 1e-12:
-        raise HypothesisFail(
-            f"mass share reaches {share_max:.6g} > 1 - alpha = {1 - alpha:.6g} "
-            f"at {witness.label() if witness else 'n/a'}"
-        )
-    bound = (2.0 * alpha / d) * (1.0 - math.cos(math.pi * delta / d))
-    return BoundReport(
-        bound_name="gap_vs_progression_mass",
-        bound_value=bound,
-        measured=lambda1(b),
-        vacuous=bound <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "delta": delta,
-            "alpha": alpha,
-            "share_max": share_max,
-            "witness": witness.label() if witness else "",
-            "scan": mode,
-        },
+    label = witness.label() if witness else ""
+    return _forward_report(
+        "gap_vs_progression_mass", b, d, delta, alpha, share_max, label or "n/a",
+        lambda a: (2.0 * a / d) * (1.0 - math.cos(math.pi * delta / d)),
+        witness=label, scan=mode,
     )
 
 
 def _progressions_from_gap(b, d, delta, scan, certified: bool) -> BoundReport:
-    """Shared body of the reverse forms: alpha = (1 - decay - pi delta)/2 caps the
-    convolution-mass share of every short progression at 1 - alpha, where decay is
-    (1 - lambda1)^d, or (1 - lambda1*)^(d/2) when ``certified``."""
-    if d < 1:
-        raise KZero(f"need d >= 1, got {d}")
-    if not (0 < delta < 1):
-        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
+    """Shared gap side of the reverse progression forms: alpha = (1 - decay - pi delta)/2,
+    where decay is (1 - lambda1)^d, or (1 - lambda1*)^(d/2) when ``certified``."""
+    _require_gap_window(d, delta)
     if certified:
         name, gap_key, gap = "progression_mass_vs_gap_certified", "lambda1_star", lambda1_star(b)
         decay = (1.0 - gap) ** (d / 2.0)
     else:
         name, gap_key, gap = "progression_mass_vs_gap", "lambda1", lambda1(b)
         decay = (1.0 - gap) ** d
-    alpha = (1.0 - decay - math.pi * delta) / 2.0
     share_max, witness, mode = scan or progression_scan(b, d, delta)
-    return BoundReport(
-        bound_name=name,
-        bound_value=1.0 - alpha,
-        measured=share_max,
-        sense="<=",
-        vacuous=alpha <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "delta": delta,
-            "alpha": alpha,
-            gap_key: gap,
-            "witness": witness.label() if witness else "",
-            "scan": mode,
-        },
+    return _reverse_report(
+        name, b, d, delta, (1.0 - decay - math.pi * delta) / 2.0, share_max,
+        **{gap_key: gap}, witness=witness.label() if witness else "", scan=mode,
     )
 
 
@@ -423,22 +438,19 @@ def progressions_from_gap_certified(
 # -- Bohr-set characterization (general groups) --------------------------------
 
 
-def _bohr_share_scan(b: GroupSubset, d: int, delta: float) -> tuple[float, str, list[float]]:
-    catalog = irrep_catalog(b.group)
+def _bohr_share_scan(b: GroupSubset, d: int, delta: float) -> tuple[float, str]:
+    """Worst mass share of (B*B^-1)^(d) on a one-frequency Bohr set of radius
+    delta, and the label of its representation."""
+    reps = irrep_catalog(b.group).nontrivial()
     if b.size == 0:
         raise EmptySet("Bohr scan of the empty set")
     fd = symmetrized_rep_count(b, d).values.real.astype(np.float64)
     total = float(b.size) ** (2 * d)
-    shares = []
-    labels = []
-    for rep in catalog.nontrivial():
-        inside = rep.identity_distances() <= delta + _MEMBERSHIP_TOL
-        shares.append(float(fd[inside].sum()) / total)
-        labels.append(rep.label)
+    shares = [float(fd[bohr_set(rep, delta).members.membership == 1].sum()) / total for rep in reps]
     if not shares:
-        return 0.0, "", []
+        return 0.0, ""
     top = int(np.argmax(shares))
-    return shares[top], labels[top], shares
+    return shares[top], reps[top].label
 
 
 def gap_from_bohr_sets(
@@ -449,60 +461,23 @@ def gap_from_bohr_sets(
 ) -> BoundReport:
     """Forward direction: mass share of B*B^-1 at most 1 - alpha on every one-frequency
     Bohr set forces lambda1 >= alpha delta / (2 d^2)."""
-    if d < 1:
-        raise KZero(f"need d >= 1, got {d}")
-    if not (0 < delta < 1):
-        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
-    share_max, worst, _ = _bohr_share_scan(b, d, delta)
-    if alpha is None:
-        alpha = 1.0 - share_max
-    elif share_max > 1.0 - alpha + 1e-12:
-        raise HypothesisFail(
-            f"mass share reaches {share_max:.6g} > 1 - alpha = {1 - alpha:.6g} at Bohr({worst})"
-        )
-    bound = alpha * delta / (2.0 * d * d)
-    return BoundReport(
-        bound_name="gap_vs_bohr_mass",
-        bound_value=bound,
-        measured=lambda1(b),
-        vacuous=bound <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "delta": delta,
-            "alpha": alpha,
-            "share_max": share_max,
-            "witness": worst,
-        },
+    _require_gap_window(d, delta)
+    share_max, worst = _bohr_share_scan(b, d, delta)
+    return _forward_report(
+        "gap_vs_bohr_mass", b, d, delta, alpha, share_max, f"Bohr({worst})",
+        lambda a: a * delta / (2.0 * d * d), witness=worst,
     )
 
 
 def bohr_sets_from_gap(b: GroupSubset, d: int, delta: float) -> BoundReport:
     """Reverse direction: alpha = (1 - (1-lambda1*)^d - delta)/2 caps the
     mass share of B*B^-1 on every one-frequency Bohr set."""
-    if d < 1:
-        raise KZero(f"need d >= 1, got {d}")
-    if not (0 < delta < 1):
-        raise HypothesisFail(f"delta must lie in (0,1), got {delta}")
+    _require_gap_window(d, delta)
     lam_star = lambda1_star(b)
-    alpha = (1.0 - (1.0 - lam_star) ** d - delta) / 2.0
-    share_max, worst, _ = _bohr_share_scan(b, d, delta)
-    return BoundReport(
-        bound_name="bohr_mass_vs_gap",
-        bound_value=1.0 - alpha,
-        measured=share_max,
-        sense="<=",
-        vacuous=alpha <= 0,
-        parameters={
-            "group_order": b.group.order,
-            "set_size": b.size,
-            "d": d,
-            "delta": delta,
-            "alpha": alpha,
-            "lambda1_star": lam_star,
-            "witness": worst,
-        },
+    share_max, worst = _bohr_share_scan(b, d, delta)
+    return _reverse_report(
+        "bohr_mass_vs_gap", b, d, delta, (1.0 - (1.0 - lam_star) ** d - delta) / 2.0, share_max,
+        lambda1_star=lam_star, witness=worst,
     )
 
 
@@ -1048,6 +1023,16 @@ def regular_spectrum_check(
 # -- basis corollaries in progression / Bohr form ------------------------------------
 
 
+def _basis_report(name: str, what: str, count, b, d, g, omega, formula) -> BoundReport:
+    """Shared body of the basis corollaries: d >= 2, then the count hypothesis on
+    ``count(b, d)`` off omega and ``formula`` against lambda1(B)."""
+    if d < 2:
+        raise HypothesisFail(f"need d >= 2, got {d}")
+    return _exceptional_report(
+        name, what, count(b, d), d, g, omega, b.size, formula, measure=lambda: lambda1(b)
+    )
+
+
 def verify_progression_basis_bound(
     b: GroupSubset,
     d: int,
@@ -1061,51 +1046,44 @@ def verify_progression_basis_bound(
     ``"eps"``: writing |O| = (1-eps)N, eps g N (1 - cos(eps pi / 2d)) / (d|B|^d).
     """
     _require_form(form, "omega", "eps")
-    group = b.group
-    if not isinstance(group, CyclicGroup) or not is_prime(group.order):
-        raise HypothesisFail("progression basis bound requires Z/N with N prime")
-    if d < 2:
-        raise HypothesisFail(f"need d >= 2, got {d}")
-    counts = rep_count(b, d).values.real
-    what = "progression basis bound" + (" (eps form)" if form == "eps" else "")
-    _require_counts_off_omega(counts, g, omega, what)
-    n = group.order
-    omega_size = 0 if omega is None else omega.size
-    parameters = {"group_order": n, "set_size": b.size, "d": d, "g": g, "omega_size": omega_size}
-    if form == "omega":
-        name = "gap_vs_progression_basis"
-        factor = 1.0 - math.cos(math.pi / (2 * d))
-        bound = float(g) * (n - 2 * omega_size) * factor / (d * float(b.size) ** d)
-    else:
-        name = "gap_vs_progression_basis_eps"
+    _require_prime_cyclic(b.group, "progression basis bound requires")
+    n = b.group.order
+
+    def formula(omega_size):
+        if form == "omega":
+            factor = 1.0 - math.cos(math.pi / (2 * d))
+            return float(g) * (n - 2 * omega_size) * factor / (d * float(b.size) ** d), None, {}
         eps = Fraction(n - omega_size, n)
         factor = 1.0 - math.cos(float(eps) * math.pi / (2 * d))
-        bound = float(eps) * float(g) * n * factor / (d * float(b.size) ** d)
-        parameters["eps"] = float(eps)
-    return BoundReport(
-        bound_name=name,
-        bound_value=bound,
-        measured=lambda1(b),
-        vacuous=bound <= 0,
-        parameters=parameters,
+        return float(eps) * float(g) * n * factor / (d * float(b.size) ** d), None, {"eps": float(eps)}
+
+    name = "gap_vs_progression_basis" + ("_eps" if form == "eps" else "")
+    what = "progression basis bound" + (" (eps form)" if form == "eps" else "")
+    return _basis_report(name, what, rep_count, b, d, g, omega, formula)
+
+
+def verify_bohr_basis_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None = None) -> BoundReport:
+    """Nonabelian basis bound g(|G| - 2|O|) / (8 d^2 |B|^(2d)) from B*B^-1 counts,
+    exact as a Fraction when g is integral."""
+    order = b.group.order
+
+    def formula(omega_size):
+        if float(g).is_integer():
+            exact = Fraction(Fraction(g) * (order - 2 * omega_size), 8 * d * d * b.size ** (2 * d))
+            return float(exact), exact, {}
+        return float(g) * (order - 2 * omega_size) / (8 * d * d * float(b.size) ** (2 * d)), None, {}
+
+    return _basis_report(
+        "gap_vs_bohr_basis", "Bohr basis bound", symmetrized_rep_count, b, d, g, omega, formula
     )
 
 
-def _bohr_basis_report(b, d, g, omega, certified: bool) -> BoundReport:
-    """Shared body of the nonabelian basis bounds: the d >= 2 and B*B^-1 count
-    hypotheses, then the plain bound or, when ``certified``, the eps form with its
-    normal-subgroup hypothesis."""
-    if d < 2:
-        raise HypothesisFail(f"need d >= 2, got {d}")
-    counts = symmetrized_rep_count(b, d).values.real
-    what = "certified Bohr basis bound" if certified else "Bohr basis bound"
-    _require_counts_off_omega(counts, g, omega, what)
+def verify_bohr_basis_bound_certified(b: GroupSubset, d: int, g, omega: GroupSubset) -> BoundReport:
+    """Certified form: no normal proper subgroup of index <= 2/eps lifts the
+    bound to eps^(log_{3/2} 3) g |G| / (16 d^2 |B|^(2d))."""
     order = b.group.order
-    omega_size = 0 if omega is None else omega.size
-    parameters = {"group_order": order, "set_size": b.size, "d": d, "g": g, "omega_size": omega_size}
-    exact = None
-    if certified:
-        name = "gap_vs_bohr_basis_certified"
+
+    def formula(omega_size):
         eps = Fraction(order - omega_size, order)
         if eps <= 0:
             raise HypothesisFail("exceptional set covers the whole group")
@@ -1114,32 +1092,10 @@ def _bohr_basis_report(b, d, g, omega, certified: bool) -> BoundReport:
             raise HypothesisFail(
                 f"{b.group.name} has a normal proper subgroup of index {witness} <= 2/eps"
             )
-        bound = float(eps) ** LOG32_3 * float(g) * order / (16 * d * d * float(b.size) ** (2 * d))
-        parameters["eps"] = float(eps)
-    else:
-        name = "gap_vs_bohr_basis"
-        if float(g).is_integer():
-            exact = Fraction(Fraction(g) * (order - 2 * omega_size), 8 * d * d * b.size ** (2 * d))
-            bound = float(exact)
-        else:
-            bound = float(g) * (order - 2 * omega_size) / (8 * d * d * float(b.size) ** (2 * d))
-    return BoundReport(
-        bound_name=name,
-        bound_value=bound,
-        bound_exact=exact,
-        measured=lambda1(b),
-        vacuous=bound <= 0,
-        parameters=parameters,
+        value = float(eps) ** LOG32_3 * float(g) * order / (16 * d * d * float(b.size) ** (2 * d))
+        return value, None, {"eps": float(eps)}
+
+    return _basis_report(
+        "gap_vs_bohr_basis_certified", "certified Bohr basis bound", symmetrized_rep_count,
+        b, d, g, omega, formula,
     )
-
-
-def verify_bohr_basis_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None = None) -> BoundReport:
-    """Nonabelian basis bound g(|G| - 2|O|) / (8 d^2 |B|^(2d)) from B*B^-1 counts,
-    exact as a Fraction when g is integral."""
-    return _bohr_basis_report(b, d, g, omega, certified=False)
-
-
-def verify_bohr_basis_bound_certified(b: GroupSubset, d: int, g, omega: GroupSubset) -> BoundReport:
-    """Certified form: no normal proper subgroup of index <= 2/eps lifts the
-    bound to eps^(log_{3/2} 3) g |G| / (16 d^2 |B|^(2d))."""
-    return _bohr_basis_report(b, d, g, omega, certified=True)

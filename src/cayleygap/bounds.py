@@ -113,14 +113,6 @@ def exceptional_set(b: GroupSubset, d: int, g: float) -> GroupSubset:
     return GroupSubset(b.group, (counts < g).astype(np.int8))
 
 
-def _require_counts_off_omega(counts: np.ndarray, g: float, omega: GroupSubset | None, what: str):
-    outside = counts if omega is None else counts[omega.membership == 0]
-    if outside.size and outside.min() < g:
-        raise HypothesisFail(
-            f"{what}: representation count {outside.min()} below g={g} outside the exceptional set"
-        )
-
-
 # -- diameter and basis bounds ----------------------------------------------
 
 
@@ -169,29 +161,43 @@ def exceptional_bound_value(order: int, mass: int, d: int, g, omega_size: int) -
 
 
 def _exceptional_report(
-    name: str, what: str, order: int, d: int, g, omega, counts, mass: int, set_size: int, measure
+    name: str, what: str, counts: GroupFunction, d: int, g, omega, set_size: int, formula, measure
 ) -> BoundReport:
-    """Shared body of the exceptional-set bounds: certify the counts off omega,
-    then evaluate the bound for ``mass`` and call ``measure`` for the gap."""
-    _require_counts_off_omega(counts, g, omega, what)
+    """Shared body of the count-hypothesis bounds: certify counts >= g off omega,
+    evaluate ``formula(omega_size)`` -> (bound, exact Fraction or None, extra
+    parameters), which may raise HypothesisFail itself, and only then call
+    ``measure`` for the gap."""
+    values = counts.values.real
+    outside = values if omega is None else values[omega.membership == 0]
+    if outside.size and outside.min() < g:
+        raise HypothesisFail(
+            f"{what}: representation count {outside.min()} below g={g} outside the exceptional set"
+        )
     omega_size = 0 if omega is None else omega.size
-    value, exact = exceptional_bound_value(order, mass, d, g, omega_size)
+    value, exact, extra = formula(omega_size)
     return BoundReport(
         bound_name=name,
         bound_value=value,
         bound_exact=exact,
         measured=measure(),
         vacuous=value <= 0,
-        parameters={"group_order": order, "set_size": set_size, "d": d, "g": g, "omega_size": omega_size},
+        parameters={
+            "group_order": counts.group.order, "set_size": set_size, "d": d, "g": g,
+            "omega_size": omega_size, **extra,
+        },
     )
+
+
+def _exceptional_formula(order: int, mass: int, d: int, g):
+    """``exceptional_bound_value`` for ``mass`` as a formula of |O|."""
+    return lambda omega_size: (*exceptional_bound_value(order, mass, d, g, omega_size), {})
 
 
 def verify_exceptional_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None = None) -> BoundReport:
     """lambda1(Cay(B)) against the d-fold representation bound with exceptions."""
-    counts = rep_count(b, d).values.real
     return _exceptional_report(
-        "gap_vs_basis_exceptional", "exceptional basis bound", b.group.order, d, g, omega,
-        counts, mass=b.size, set_size=b.size, measure=lambda: lambda1(b),
+        "gap_vs_basis_exceptional", "exceptional basis bound", rep_count(b, d), d, g, omega,
+        b.size, _exceptional_formula(b.group.order, b.size, d, g), measure=lambda: lambda1(b),
     )
 
 
@@ -199,11 +205,11 @@ def verify_exceptional_bound_pair(
     b1: GroupSubset, b2: GroupSubset, d: int, g, omega: GroupSubset | None = None
 ) -> BoundReport:
     """Gap of the weighted Cayley operator of B1 * B2 with exceptions allowed."""
-    counts = pair_rep_count(b1, b2, d).values.real
     mass = b1.size * b2.size
     return _exceptional_report(
-        "gap_vs_basis_pair", "pair basis bound", b1.group.order, d, g, omega, counts, mass=mass,
-        set_size=mass, measure=lambda: lambda1_of_function(convolve(b1.indicator(), b2.indicator())),
+        "gap_vs_basis_pair", "pair basis bound", pair_rep_count(b1, b2, d), d, g, omega,
+        mass, _exceptional_formula(b1.group.order, mass, d, g),
+        measure=lambda: lambda1_of_function(convolve(b1.indicator(), b2.indicator())),
     )
 
 
@@ -211,10 +217,10 @@ def verify_exceptional_bound_star(
     b: GroupSubset, d: int, g, omega: GroupSubset | None = None
 ) -> BoundReport:
     """Singular gap lambda1*(Cay(B)) against the B * B^-1 bound with exceptions."""
-    counts = symmetrized_rep_count(b, d).values.real
     return _exceptional_report(
-        "star_gap_vs_basis_exceptional", "star basis bound", b.group.order, d, g, omega,
-        counts, mass=b.size * b.size, set_size=b.size, measure=lambda: lambda1_star(b),
+        "star_gap_vs_basis_exceptional", "star basis bound", symmetrized_rep_count(b, d), d, g,
+        omega, b.size, _exceptional_formula(b.group.order, b.size * b.size, d, g),
+        measure=lambda: lambda1_star(b),
     )
 
 

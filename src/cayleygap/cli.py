@@ -30,7 +30,7 @@ from .config import load_config, resolve_subset
 from .errors import CayleyGapError, HypothesisFail, NotCataloged
 from .experiments import EXPERIMENTS
 from .groups import CyclicGroup, GroupSubset, diameter, make_group
-from .reports import bound_record, emit_report, render_report
+from .reports import bound_record, emit_report, records_pass, render_report
 from .representations import irrep_catalog
 from .spectra import laplace_spectrum_blocks, laplace_spectrum_dense, multiset_distance
 
@@ -46,13 +46,6 @@ def _emit(records: list[dict], args, columns=None) -> None:
         print(render_report(records, args.format, columns), end="")
     else:
         print("(no records)")
-
-
-def _exit_code(records: list[dict]) -> int:
-    for record in records:
-        if record.get("asserted", True) and record.get("verdict") == "fail":
-            return EXIT_FAIL
-    return EXIT_PASS
 
 
 def cmd_spectrum(args) -> int:
@@ -131,7 +124,7 @@ def cmd_bounds(args) -> int:
             except HypothesisFail:
                 pass  # no certificate for groups with small normal subgroups
     _emit(records, args)
-    return _exit_code(records)
+    return EXIT_PASS if records_pass(records) else EXIT_FAIL
 
 
 def cmd_bohr(args) -> int:
@@ -191,7 +184,7 @@ def cmd_bohr(args) -> int:
         multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
         add_bound("zz-multi-bohr", multi, f"delta={delta:g}")
     _emit(records, args, columns=["instance", "check", "group", "params", "measured", "bound", "verdict"])
-    return _exit_code(records)
+    return EXIT_PASS if records_pass(records) else EXIT_FAIL
 
 
 def cmd_scan(args) -> int:
@@ -216,7 +209,7 @@ def cmd_scan(args) -> int:
         add(bohr_mod.progressions_from_gap(subset, d, delta, scan=scan), "02-reverse")
         add(bohr_mod.progressions_from_gap_certified(subset, d, delta, scan=scan), "03-reverse-certified")
     _emit(records, args)
-    return _exit_code(records)
+    return EXIT_PASS if records_pass(records) else EXIT_FAIL
 
 
 def cmd_experiment(args) -> int:

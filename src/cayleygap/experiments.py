@@ -31,7 +31,7 @@ from .groups import (
     kth_roots,
     product_set,
 )
-from .reports import bound_record
+from .reports import bound_record, records_pass
 from .representations import set_norm
 from .spectra import lambda1
 
@@ -48,10 +48,7 @@ class ExperimentResult:
     @property
     def passed(self) -> bool:
         """True when no asserted row fails; informational rows are ignored."""
-        for record in self.records:
-            if record.get("asserted", True) and record.get("verdict") == "fail":
-                return False
-        return True
+        return records_pass(self.records)
 
 
 def _indices_text(subset: GroupSubset) -> str:

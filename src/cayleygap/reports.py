@@ -29,6 +29,13 @@ BOUND_COLUMNS = [
     "verdict",
 ]
 
+
+def records_pass(records: list[dict]) -> bool:
+    """True when no asserted record fails; rows marked ``asserted=False`` are
+    informational and never fail a run."""
+    return not any(r.get("asserted", True) and r.get("verdict") == "fail" for r in records)
+
+
 def format_value(value) -> str:
     """12-significant-digit rendering for floats; plain str otherwise."""
     if isinstance(value, bool):

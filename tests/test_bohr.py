@@ -56,6 +56,7 @@ from cayleygap.errors import (
     ZeroMass,
 )
 from cayleygap.sampling import random_subset, random_symmetric_subset
+from cayleygap.spectra import spectral_summary
 
 
 class TestBohrSet:
@@ -329,6 +330,18 @@ class TestBohrCharacterization:
         assert report.parameters["alpha"] == pytest.approx(0.5)
         assert report.measured == pytest.approx(0.0, abs=1e-9)
         assert report.verdict == "fail"
+
+
+@pytest.mark.parametrize("forward", [gap_from_progressions, gap_from_bohr_sets])
+def test_forward_alpha_refuted_before_the_engine_runs(forward):
+    # alpha = 1 claims every share is 0; the scan refutes it, and lambda1
+    # must not have been asked for by then
+    b = GroupSubset.from_indices(make_group("cyclic(13)"), [1, 5, 8, 12])
+    spectral_summary.cache_clear()  # an early lambda1 would be a miss
+    misses = spectral_summary.cache_info().misses
+    with pytest.raises(HypothesisFail, match="mass share reaches"):
+        forward(b, 2, 0.3, alpha=1.0)
+    assert spectral_summary.cache_info().misses == misses
 
 
 class TestTailBound:
