@@ -37,6 +37,7 @@ from .groups import (
     FiniteGroup,
     GroupFunction,
     GroupSubset,
+    generated_subgroup,
     inverse_set,
     iterated_convolution,
     product_set,
@@ -605,22 +606,12 @@ def check_bohr_eps_size(rep: UnitaryRepresentation, eps: float) -> BoundReport:
 # -- normal subgroup enumeration ------------------------------------------------
 
 
-def _subgroup_closure(group: FiniteGroup, seed_indices: frozenset[int]) -> frozenset[int]:
-    # a finite subset of a group containing e and closed under products is a subgroup
-    idx = np.unique(np.fromiter(seed_indices | {group.identity}, dtype=np.int64))
-    while True:
-        products = np.unique(group.mul(idx[:, None], idx[None, :]))
-        if products.size == idx.size:
-            return frozenset(int(x) for x in idx)
-        idx = products
-
-
 def normal_subgroup_min_index(group: FiniteGroup, cap: int) -> int | None:
     """Minimal index of a proper normal subgroup if it is at most cap, else None.
 
-    Nonabelian groups are enumerated through the lattice of conjugacy-class
-    closures; abelian groups always attain the smallest prime factor of the
-    order, so that value is returned directly.
+    Nonabelian groups enumerate the normal subgroups that unions of conjugacy
+    classes generate (``generated_subgroup``); abelian groups always attain the
+    smallest prime factor of the order, so that value is returned directly.
     """
     if group.order > NORMAL_SUBGROUP_CAP:
         raise GroupTooLarge(
@@ -640,7 +631,7 @@ def normal_subgroup_min_index(group: FiniteGroup, cap: int) -> int | None:
         for cls in classes:
             if int(cls[0]) in current:
                 continue
-            grown = _subgroup_closure(group, current | frozenset(int(x) for x in cls))
+            grown = frozenset(np.flatnonzero(generated_subgroup(group, [*current, *cls])).tolist())
             if grown not in found:
                 found.add(grown)
                 frontier.append(grown)

@@ -3,9 +3,9 @@
 Elements of a group of order n are the indices 0..n-1.  Every group law is
 an array-valued ``mul``/``inv`` pair that accepts ints or broadcast index
 arrays.  Closed-form families (cyclic, abelian products, dihedral) compute it
-by a rule that holds by construction; generic groups, permutation closures
-included, read it from an explicit table that ``TableGroup`` checks once when
-it is built.  A group holds no n x n array derived from its law.
+from integer parameters by a rule that holds by construction; generic groups,
+permutation closures included, read it from an integer table that ``TableGroup``
+proves a group once, exactly.  A group holds no n x n array derived from its law.
 Subsets are immutable 0/1 indicator vectors and functions are numpy value
 vectors, so product sets, k-th roots, convolution and diameter all reduce to
 vectorized index arithmetic.
@@ -14,6 +14,7 @@ vectorized index arithmetic.
 from __future__ import annotations
 
 import ast
+import operator
 import re
 from typing import Iterable, Sequence
 
@@ -28,11 +29,15 @@ from .errors import (
     NoFiniteDiameter,
 )
 
-#: exhaustive law checking up to this order, seeded sampling above
-_EXHAUSTIVE_LAW_LIMIT = 256
-_LAW_SAMPLES = 10_000
-
 _DEFAULT_CLOSURE_CAP = 10_000
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int: a float, string or None is no group parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidTable(f"{what} must be an integer, got {value!r}") from None
 
 
 def _int_dtype(order: int):
@@ -123,9 +128,10 @@ class CyclicGroup(FiniteGroup):
     is_abelian = True
 
     def __init__(self, n: int):
+        n = _as_int(n, "cyclic order")
         if n < 1:
             raise InvalidTable(f"cyclic order must be >= 1, got {n}")
-        self.order = int(n)
+        self.order = n
         self.name = f"cyclic({n})"
 
     def mul(self, a, b):
@@ -144,7 +150,9 @@ class AbelianProductGroup(FiniteGroup):
     is_abelian = True
 
     def __init__(self, orders: Sequence[int]):
-        orders = tuple(int(n) for n in orders)
+        if np.ndim(orders) != 1:
+            raise InvalidTable(f"factor orders must be a list, got {orders!r}")
+        orders = tuple(_as_int(n, "factor order") for n in orders)
         if not orders or any(n < 1 for n in orders):
             raise InvalidTable(f"factor orders must be >= 1, got {orders}")
         self.factor_orders = orders
@@ -182,9 +190,10 @@ class DihedralGroup(FiniteGroup):
     is_abelian = False  # n >= 3: r s = s r^-1 != s r
 
     def __init__(self, n: int):
+        n = _as_int(n, "dihedral parameter")
         if n < 3:
             raise InvalidTable(f"dihedral parameter must be >= 3, got {n}")
-        self.n = int(n)
+        self.n = n
         self.order = 2 * self.n
         self.name = f"dihedral({n})"
 
@@ -207,15 +216,17 @@ class DihedralGroup(FiniteGroup):
 class TableGroup(FiniteGroup):
     """Generic group given by an explicit multiplication table.
 
-    The only law that comes from outside the program, so the constructor
-    proves it once: entries in range, a two-sided identity, inverses, and
-    associativity.
+    The only law that comes from outside the program, so the constructor proves
+    it once: integer entries in range, a two-sided identity, one inverse per row,
+    and associativity, exactly, by Light's test (``_check_associative``).
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "table_group"):
-        arr = np.asarray(table, dtype=np.int64)
+        arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidTable(f"table must be square, got shape {arr.shape}")
+        if arr.dtype.kind not in "iu":
+            raise InvalidTable(f"table entries must be integers, got dtype {arr.dtype}")
         n = arr.shape[0]
         if n == 0 or arr.min() < 0 or arr.max() >= n:
             raise InvalidTable("table entries out of range")
@@ -226,7 +237,7 @@ class TableGroup(FiniteGroup):
         self._mul_table = table32
         self.identity = self._find_identity(table32)
         self._inv_table = self._find_inverses(table32, self.identity)
-        self._check_associative(table32)
+        self._check_associative()
         self.is_abelian = bool(np.array_equal(table32, table32.T))
 
     @staticmethod
@@ -240,31 +251,29 @@ class TableGroup(FiniteGroup):
 
     @staticmethod
     def _find_inverses(table: np.ndarray, e: int) -> np.ndarray:
-        n = table.shape[0]
-        inv = np.full(n, -1, dtype=table.dtype)
-        rows, cols = np.nonzero(table == e)
-        inv[rows] = cols
-        if (inv < 0).any():
-            raise InvalidTable("some element has no inverse")
-        check = table[np.arange(n), inv]
-        if not np.array_equal(check, np.full(n, e)):
-            raise InvalidTable("inverse table inconsistent")
+        rows, cols = np.nonzero(table == e)  # row-major: rows is 0..n-1 iff each row holds e once
+        if not np.array_equal(rows, np.arange(table.shape[0])):
+            raise InvalidTable("some element has no unique inverse")
+        inv = cols.astype(table.dtype)
         inv.flags.writeable = False
         return inv
 
-    @staticmethod
-    def _check_associative(table: np.ndarray) -> None:
-        """Exhaustive for order <= 256, seeded triple sampling above."""
-        n = table.shape[0]
-        if n <= _EXHAUSTIVE_LAW_LIMIT:
-            for a in range(n):
-                # (a*b)*c against a*(b*c) over all b, c
-                if not np.array_equal(table[table[a], :], table[a][table]):
-                    raise InvalidTable(f"associativity fails at a={a}")
-            return
-        a, b, c = np.random.default_rng(0).integers(0, n, (3, _LAW_SAMPLES))
-        if not np.array_equal(table[table[a, b], c], table[a, table[b, c]]):
-            raise InvalidTable("associativity fails on sampled triples")
+    def _check_associative(self) -> None:
+        """Light's test (Clifford-Preston, *Algebraic Theory of Semigroups* I, 1.2): the a with
+        (x a) y = x (a y) for all x, y are closed under products, so a generating set proves
+        associativity.  Each generator is the first element not yet reached; in a group it at
+        least doubles the reached subgroup, so no group needs more than floor(log2 n) of them."""
+        table = self._mul_table
+        gens: list[int] = []
+        reached = generated_subgroup(self, gens)
+        while not reached.all():
+            a = int(np.argmin(reached))
+            if len(gens) == self.order.bit_length() - 1:
+                raise InvalidTable(f"table needs more than {len(gens)} generators, so it is no group")
+            if not np.array_equal(table[table[:, a]], table[:, table[a]]):
+                raise InvalidTable(f"associativity fails at a={a}")
+            gens.append(a)
+            reached = generated_subgroup(self, gens)
 
     def mul(self, a, b):
         return self._mul_table[a, b]
@@ -276,10 +285,24 @@ class TableGroup(FiniteGroup):
         return ("table", self._mul_table.shape[0], self._mul_table.tobytes())
 
 
+def generated_subgroup(group: FiniteGroup, gens) -> np.ndarray:
+    """Membership mask of the subgroup generated by ``gens``: the identity closed under
+    right multiplication by them (in a finite group inverses are positive powers)."""
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1)
+    member = np.zeros(group.order, dtype=bool)
+    frontier = np.array([group.identity])
+    while frontier.size:
+        member[frontier] = True
+        fresh = np.sort(group.mul(frontier[:, None], gens[None, :]), axis=None)
+        fresh = fresh[~member[fresh]]
+        frontier = fresh[np.diff(fresh, prepend=-1) > 0]  # sorted, so this drops repeats
+    return member
+
+
 def _parse_cycles(text: str, n_points: int | None) -> tuple[int, ...]:
     """Parse 1-based cycle notation like ``(1 2 3)(4 5)`` into a 0-based image tuple."""
     cycles = re.findall(r"\(([^()]*)\)", text)
-    if not cycles:
+    if not cycles or re.sub(r"\([^()]*\)", "", text).strip():
         raise ValueError(f"cannot parse cycle notation: {text!r}")
     points: list[list[int]] = []
     for cyc in cycles:
@@ -287,7 +310,12 @@ def _parse_cycles(text: str, n_points: int | None) -> tuple[int, ...]:
         if any(p < 1 for p in entries):
             raise ValueError(f"cycle notation is 1-based, got {text!r}")
         points.append([p - 1 for p in entries])
-    m = n_points or (max(max(c) for c in points) + 1)
+    flat = [p for cyc in points for p in cyc]
+    if len(set(flat)) < len(flat):
+        raise ValueError(f"cycles must be disjoint and repeat no point, got {text!r}")
+    m = n_points or (max(flat, default=0) + 1)
+    if flat and max(flat) >= m:
+        raise ValueError(f"cycle point {max(flat) + 1} exceeds n_points={m} in {text!r}")
     image = list(range(m))
     for cyc in points:
         for i, p in enumerate(cyc):
@@ -298,7 +326,10 @@ def _parse_cycles(text: str, n_points: int | None) -> tuple[int, ...]:
 def _normalize_generator(gen, n_points: int | None) -> tuple[int, ...]:
     if isinstance(gen, str):
         return _parse_cycles(gen, n_points)
-    image = tuple(int(x) for x in gen)
+    try:
+        image = tuple(operator.index(x) for x in gen)
+    except TypeError:
+        raise ValueError(f"not a permutation image list: {gen!r}") from None
     if sorted(image) != list(range(len(image))):
         raise ValueError(f"not a permutation image list: {gen!r}")
     return image
@@ -416,8 +447,12 @@ class GroupSubset:
     @classmethod
     def from_indices(cls, group: FiniteGroup, indices: Iterable[int]) -> "GroupSubset":
         member = np.zeros(group.order, dtype=np.int8)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= group.order):
+        idx = np.asarray(list(indices))
+        if idx.size == 0:
+            return cls(group, member)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        if idx.min() < 0 or idx.max() >= group.order:
             raise ValueError("subset index out of range")
         member[idx] = 1
         return cls(group, member)

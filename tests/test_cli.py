@@ -189,3 +189,23 @@ class TestConfigErrors:
     def test_bad_set_spec(self, tmp_path):
         cfg = write_config(tmp_path, "x.cfg", "group = cyclic(12)\nset = banana\n")
         assert main(["spectrum", "--config", cfg]) == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            'group = cyclic("a")\n',
+            "group = cyclic(None)\n",
+            "group = cyclic(2.5)\n",
+            "group = dihedral(3.7)\n",
+            "group = abelian_product([2.5, 3])\n",
+            "group = multiplication_table([[0, 1.5], [1, 0]])\n",
+            "group = cyclic(12)\nset = [0, 1.5]\n",
+            'group = permutation_closure(["(1 1 2)"])\n',
+            'group = permutation_closure(["(1 2)(2 3)"])\n',
+        ],
+    )
+    def test_malformed_input_exits_2_without_traceback(self, tmp_path, capsys, body):
+        cfg = write_config(tmp_path, "x.cfg", body)
+        assert main(["spectrum", "--config", cfg]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(("error: ", "config error: ")) and "Traceback" not in err

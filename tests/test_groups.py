@@ -29,7 +29,7 @@ from cayleygap.errors import (
     KZero,
     NoFiniteDiameter,
 )
-from cayleygap.groups import _EXHAUSTIVE_LAW_LIMIT, TableGroup
+from cayleygap.groups import TableGroup, generated_subgroup
 
 
 def brute_product_set(a, b):
@@ -175,6 +175,29 @@ class TestMakeGroup:
         g = permutation_closure([[1, 2, 3, 4, 0]])
         assert g.order == 5
 
+    @pytest.mark.parametrize(
+        ("cycles", "n_points", "message"),
+        [
+            ("(1 1 2)", None, "disjoint"),
+            ("(1 2)(2 3)", None, "disjoint"),
+            ("(1 2 9)", 3, "exceeds n_points=3"),
+            ("(1 2 3)(4 5", None, "cannot parse"),
+            ("(1 2) x", None, "cannot parse"),
+        ],
+    )
+    def test_malformed_cycles_rejected(self, cycles, n_points, message):
+        with pytest.raises(ValueError, match=message):
+            permutation_closure([cycles], n_points=n_points)
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ['cyclic("a")', "cyclic(None)", "cyclic(2.5)", "dihedral(3.7)", "abelian_product([2.5, 3])",
+         "abelian_product(5)", "multiplication_table([[0, 1.5], [1, 0]])"],
+    )
+    def test_parameters_and_entries_must_be_integers(self, descriptor):
+        with pytest.raises(InvalidTable, match="integer|must be a list"):
+            make_group(descriptor)
+
     def test_closure_cap(self):
         with pytest.raises(ClosureTooLarge):
             permutation_closure(["(1 2 3 4 5)", "(1 2 3)"], cap=30)
@@ -212,17 +235,111 @@ class TestMakeGroup:
             assert g.mul(e, x) == x == g.mul(x, e)
             assert g.mul(x, g.inv(x)) == e
 
-    def test_large_table_sampled_associativity(self):
-        s6 = permutation_closure(["(1 2 3 4 5 6)", "(1 2)"])
-        assert s6.order == 720 > _EXHAUSTIVE_LAW_LIMIT
+    def test_order_301_loop_rejected(self):
         # a loop on Z/301: x*0 = 0*x = x, else x*y = 2(x + y); every row holds
         # the identity, but away from 0, (x*y)*z = x*(y*z) only when x = z
         n = 301
         idx = np.arange(n)
         loop = 2 * (idx[:, None] + idx[None, :]) % n
         loop[0, :] = loop[:, 0] = idx
-        with pytest.raises(InvalidTable, match="sampled triples"):
+        with pytest.raises(InvalidTable, match="associativity fails at a=1"):
             TableGroup(loop)
+
+
+def table_of(group):
+    idx = np.arange(group.order)
+    return np.asarray(group.mul(idx[:, None], idx[None, :]))
+
+
+def relabeled_table(group, sigma):
+    """The table of ``group`` with every element x renamed sigma[x]."""
+    table = np.empty((group.order, group.order), dtype=np.int64)
+    table[sigma[:, None], sigma[None, :]] = sigma[table_of(group)]
+    return table
+
+
+S6 = 'permutation_closure(["(1 2 3 4 5 6)", "(1 2)"])'
+A5 = 'permutation_closure(["(1 2 3 4 5)", "(1 2 3)"])'
+
+
+class TestTableGroupProof:
+    """``TableGroup`` proves associativity exactly by Light's test."""
+
+    def test_switched_intercalate_rejected(self):
+        # a Latin square with identity whose 11468 non-associative triples
+        # are about 3e-5 of all 720^3: 10k sampled triples expect 0.3 of them
+        table = table_of(make_group(S6))
+        rows, cols = np.ix_([1, 3], [2, 3])
+        block = table[rows, cols]
+        assert block[0, 0] == block[1, 1] and block[0, 1] == block[1, 0]  # an intercalate
+        table[rows, cols] = block[:, ::-1]
+        with pytest.raises(InvalidTable, match="associativity fails at a="):
+            TableGroup(table)
+
+    @pytest.mark.parametrize("descriptor", ["dihedral(7)", A5, S6])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabeled_table_accepted(self, descriptor, seed):
+        group = make_group(descriptor)
+        sigma = np.random.default_rng(seed).permutation(group.order)
+        proved = TableGroup(relabeled_table(group, sigma))
+        assert proved.identity == sigma[group.identity]
+        assert np.array_equal(proved.inv(sigma), sigma[group.inv(np.arange(group.order))])
+        assert proved.is_abelian == group.is_abelian
+
+    @pytest.mark.parametrize("descriptor", ["dihedral(7)", A5, S6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_changed_cell_rejected(self, descriptor, seed):
+        group = make_group(descriptor)
+        rng = np.random.default_rng(seed)
+        table = relabeled_table(group, rng.permutation(group.order))
+        x, y = rng.integers(0, group.order, 2)
+        table[x, y] = (table[x, y] + rng.integers(1, group.order)) % group.order
+        with pytest.raises(InvalidTable):
+            TableGroup(table)
+
+    def test_every_generator_is_tested(self):
+        # Z/2 x L, with L a Latin loop of order 5 that is no group, indexed
+        # 2l + i: generator 1 = (1, e) is central and passes, so only the
+        # second generator (0, 1) exposes L
+        loop = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        z2 = np.arange(2)
+        table = 2 * loop[:, None, :, None] + (z2[None, :, None, None] ^ z2[None, None, None, :])
+        with pytest.raises(InvalidTable, match="associativity fails at a=2"):
+            TableGroup(table.reshape(10, 10))
+
+    def test_too_many_generators_rejected(self):
+        # identity 0 and a unique inverse per row; generator 1 passes Light's
+        # test and reaches {0, 1}, half of an order-3 table, so Lagrange
+        # forbids a second generator before its test runs
+        with pytest.raises(InvalidTable, match="needs more than 1 generators"):
+            TableGroup([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+
+    @pytest.mark.parametrize(
+        ("descriptor", "gens", "expected"),
+        [
+            ("cyclic(12)", [], [0]),
+            ("cyclic(12)", [8], [0, 4, 8]),
+            ("cyclic(12)", [8, 6], [0, 2, 4, 6, 8, 10]),
+            ("dihedral(6)", [2], [0, 2, 4]),  # r^2 in the rotations 0..5
+            ("dihedral(6)", [6], [0, 6]),  # one reflection
+            ("dihedral(6)", [1, 6], list(range(12))),
+        ],
+    )
+    def test_generated_subgroup(self, descriptor, gens, expected):
+        member = generated_subgroup(make_group(descriptor), gens)
+        assert np.flatnonzero(member).tolist() == expected
+
+    def test_generated_subgroup_matches_product_closure(self, a5, rng):
+        # the subgroup is the smallest set holding e and gens closed under products
+        for _ in range(5):
+            gens = rng.choice(a5.order, size=rng.integers(1, 3), replace=False)
+            member = generated_subgroup(a5, gens)
+            sub = GroupSubset(a5, member.astype(np.int8))
+            assert all(member[gens]) and product_set(sub, sub) == sub
+            closure = GroupSubset.from_indices(a5, [a5.identity, *gens])
+            while product_set(closure, closure) != closure:
+                closure = product_set(closure, closure)
+            assert closure == sub
 
 
 class TestProductSet:
@@ -433,6 +550,12 @@ class TestSubsetBasics:
                 assert GroupSubset(z5, good).indices.tolist() == [i for i, v in enumerate(good) if v]
         with pytest.raises(ValueError):
             GroupSubset.from_indices(z5, [9])
+
+    def test_indices_must_be_integers(self, z5):
+        with pytest.raises(ValueError, match="must be integers"):
+            GroupSubset.from_indices(z5, [0, 1.5])
+        assert GroupSubset.from_indices(z5, []) == GroupSubset.empty(z5)
+        assert GroupSubset.from_indices(z5, np.array([4, 1], dtype=np.uint8)).indices.tolist() == [1, 4]
 
     def test_immutable(self, z5):
         s = GroupSubset.full(z5)
