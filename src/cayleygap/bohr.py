@@ -232,14 +232,6 @@ def find_covering_interval(a: GroupSubset, eps: float, delta: float) -> Progress
 # -- progression scans ---------------------------------------------------------
 
 
-def _max_cyclic_window(values: np.ndarray, length: int) -> tuple[float, int]:
-    doubled = np.concatenate([values, values[: length - 1]]) if length > 1 else values
-    prefix = np.concatenate([[0.0], np.cumsum(doubled)])
-    sums = prefix[length:] - prefix[: values.size]
-    t = int(np.argmax(sums))
-    return float(sums[t]), t
-
-
 def max_progression_mass(
     values: np.ndarray,
     max_terms: int,
@@ -247,48 +239,58 @@ def max_progression_mass(
     seed: int = 0,
     samples: int = _SCAN_SAMPLES,
 ) -> tuple[float, Progression | None, str]:
-    """Max mass of a nonnegative sequence over progressions with at most
-    ``max_terms`` terms, exhaustively or by seeded sampling.
+    """Max mass of a nonnegative sequence on Z/n (n prime, or 1) over
+    progressions with at most ``max_terms`` terms, exhaustively or over
+    ``samples`` seeded (start, step) draws.
 
     Window sums of a nonnegative sequence grow with the term count, so the
-    exhaustive maximum over all lengths up to L is attained at length L; only
-    full-length windows are scanned per step.
+    maximum over all lengths up to L is attained at length L; only
+    full-length windows are summed. Both modes build the same per-step table
+    of all n cyclic windows of ``values[(q * idx) % n]``, so both take
+    Theta(n^2) time and O(n + samples) memory; the sampled mode only reads
+    fewer of the windows. Each window is a difference of prefix sums, which
+    equals the directly gathered sum when ``values`` are integers held in
+    float64 with total below 2^53 (as ``rep_count`` counts are).
     """
     n = values.size
+    mode = "exhaustive" if exhaustive else "sampled"
+    if n > 1 and not is_prime(n):  # a non-unit step would miss whole cosets of starts
+        raise HypothesisFail(f"progression scans need a prime modulus, got {n}")
     length = max(0, min(max_terms, n))
     if length == 0:
-        return 0.0, None, "exhaustive" if exhaustive else "sampled"
+        return 0.0, None, mode
     if n == 1:  # no step in 1..n-1 to scan or draw: the one term is the maximum
-        return float(values[0]), Progression(1, 0, 1, 1), "exhaustive" if exhaustive else "sampled"
-    if exhaustive:
-        best = -1.0
-        witness = None
-        idx = np.arange(n)
-        for q in range(1, n):
-            permuted = values[(q * idx) % n]
-            total, t = _max_cyclic_window(permuted, length)
-            if total > best:
-                best = total
-                witness = Progression(modulus=n, start=int((q * t) % n), step=q, length=length)
-        return best, witness, "exhaustive"
-    rng = np.random.default_rng(seed)
-    starts = rng.integers(0, n, samples)
-    steps = rng.integers(1, n, samples)
-    offsets = np.arange(length)
+        return float(values[0]), Progression(1, 0, 1, 1), mode
+    if not exhaustive:
+        rng = np.random.default_rng(seed)
+        starts = rng.integers(0, n, samples)
+        steps = rng.integers(1, n, samples)
+        by_step = np.argsort(steps, kind="stable")
+        edges = np.searchsorted(steps[by_step], np.arange(n + 1))  # draws of step q: edges[q]:edges[q+1]
+        sums = np.empty(samples)
+        by_start = np.empty(n)
     best = -1.0
     witness = None
-    chunk = max(1, 10_000_000 // max(length, 1))
-    for lo in range(0, samples, chunk):
-        a = starts[lo : lo + chunk, None]
-        q = steps[lo : lo + chunk, None]
-        sums = values[(a + q * offsets) % n].sum(axis=1)
-        j = int(np.argmax(sums))
-        if sums[j] > best:
-            best = float(sums[j])
-            witness = Progression(
-                modulus=n, start=int(starts[lo + j]), step=int(steps[lo + j]), length=length
-            )
-    return best, witness, "sampled"
+    idx = np.arange(n)
+    for q in range(1, n):
+        at = (q * idx) % n  # window t of this step starts at at[t]; a bijection as n is prime
+        permuted = values[at]
+        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([permuted, permuted[: length - 1]]))])
+        windows = prefix[length:] - prefix[:n]
+        if exhaustive:
+            t = int(np.argmax(windows))
+            if windows[t] > best:
+                best = float(windows[t])
+                witness = Progression(modulus=n, start=int(at[t]), step=q, length=length)
+        else:
+            by_start[at] = windows
+            drawn = by_step[edges[q] : edges[q + 1]]
+            sums[drawn] = by_start[starts[drawn]]
+    if not exhaustive:
+        j = int(np.argmax(sums))  # the first maximizing draw
+        best = float(sums[j])
+        witness = Progression(modulus=n, start=int(starts[j]), step=int(steps[j]), length=length)
+    return best, witness, mode
 
 
 def progression_scan(
@@ -899,6 +901,12 @@ def _distance_profile(rep: UnitaryRepresentation) -> np.ndarray:
     return np.sort(rep.identity_distances())
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, without the import of
+    ``numpy.ma`` that numpy's unique makes on its first call."""
+    return ascending[np.diff(ascending, prepend=-np.inf) > 0]
+
+
 def _size_at(sorted_norms: np.ndarray, t: float) -> int:
     return int(np.searchsorted(sorted_norms, t, side="right"))
 
@@ -926,14 +934,14 @@ def is_regular(rep: UnitaryRepresentation, delta: float) -> bool:
     # expanding side: jumps at norms v in (delta, (1+kappa_max) delta]
     lo = _size_at(norms, delta)
     hi = _size_at(norms, (1.0 + kappa_max) * delta)
-    for v in np.unique(norms[lo:hi]):
+    for v in _distinct(norms[lo:hi]):
         kappa = v / delta - 1.0
         if _size_at(norms, v) - base > allowance * kappa + 1e-9:
             return False
     # shrinking side: pieces just below each jump v in ((1-kappa_max) delta, delta]
     lo = _size_below(norms, (1.0 - kappa_max) * delta)
     hi = _size_at(norms, delta)
-    for v in np.unique(norms[lo:hi]):
+    for v in _distinct(norms[lo:hi]):
         if v <= (1.0 - kappa_max) * delta:
             continue
         kappa = 1.0 - v / delta
@@ -959,7 +967,7 @@ def find_regular(rep: UnitaryRepresentation, delta: float) -> float:
     if not (0 < delta <= 0.5):
         raise DeltaOutOfRange(f"regular search needs delta in (0, 1/2], got {delta}")
     norms = _distance_profile(rep)
-    inside = np.unique(norms[(norms > delta) & (norms < 2.0 * delta)])
+    inside = _distinct(norms[(norms > delta) & (norms < 2.0 * delta)])
     boundaries = np.concatenate(([delta], inside, [2.0 * delta]))
     candidates = list((boundaries[:-1] + boundaries[1:]) / 2.0)
     candidates = [delta] + candidates + [2.0 * delta]

@@ -108,7 +108,9 @@ class FiniteGroup:
         for x in range(self.order):
             if labels[x] >= 0:
                 continue
-            orbit = np.unique(self.mul(self.mul(idx, x), inv))
+            in_orbit = np.zeros(self.order, dtype=bool)
+            in_orbit[self.mul(self.mul(idx, x), inv)] = True
+            orbit = np.flatnonzero(in_orbit)
             labels[orbit] = len(classes)
             classes.append(orbit)
         labels.flags.writeable = False

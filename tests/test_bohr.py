@@ -42,7 +42,7 @@ from cayleygap import (
 )
 from cayleygap import bohr as bohr_module
 from cayleygap.bohr import BohrSet, bohr_symmetry_normality_check, is_prime, max_progression_mass
-from cayleygap.bounds import exceptional_set, symmetrized_rep_count
+from cayleygap.bounds import exceptional_set, rep_count, symmetrized_rep_count
 from cayleygap.errors import (
     DeltaOutOfRange,
     EmptyRepList,
@@ -176,6 +176,27 @@ class TestCoveringInterval:
             find_covering_interval(GroupSubset.from_indices(group, [0, 1]), 0.2, 0.25)
 
 
+def _gathered_sampled_scan(values, length, seed, samples=100_000):
+    """Oracle: the sampled scan as a direct gather. Each seeded (start, step)
+    draw sums ``values[(start + step * j) % n]`` over j < length, in chunks of
+    about 10^7 cells; a later chunk wins only with a strictly larger sum, so
+    the witness is the first maximizing draw."""
+    n = values.size
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, n, samples)
+    steps = rng.integers(1, n, samples)
+    offsets = np.arange(length)
+    best, witness = -1.0, None
+    chunk = max(1, 10_000_000 // length)
+    for lo in range(0, samples, chunk):
+        sums = values[(starts[lo : lo + chunk, None] + steps[lo : lo + chunk, None] * offsets) % n].sum(axis=1)
+        j = int(np.argmax(sums))
+        if sums[j] > best:
+            best = float(sums[j])
+            witness = Progression(modulus=n, start=int(starts[lo + j]), step=int(steps[lo + j]), length=length)
+    return best, witness, "sampled"
+
+
 class TestProgressionScan:
     def test_progression_type(self):
         p = Progression(modulus=11, start=3, step=2, length=4)
@@ -212,6 +233,36 @@ class TestProgressionScan:
         sampled, _, mode = max_progression_mass(values, 80, exhaustive=False, seed=1, samples=20000)
         assert mode == "sampled"
         assert sampled <= exact + 1e-12
+
+    def test_composite_modulus_is_rejected(self):
+        # step 2 reaches only the starts {0, 2}; the progression {1, 3} holds 10
+        values = np.array([0.0, 5.0, 0.0, 5.0])
+        for exhaustive in (True, False):
+            with pytest.raises(HypothesisFail):
+                max_progression_mass(values, 2, exhaustive=exhaustive)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sampled_lookup_equals_gather(self, seed):
+        group = make_group("cyclic(1009)")
+        b = random_subset(group, 30, np.random.default_rng(seed))
+        counts = rep_count(b, 2).values.astype(np.float64)
+        for length in (403, 404):  # the reverse and forward scans of scan-cyclic1009
+            expected = _gathered_sampled_scan(counts, length, seed)
+            assert max_progression_mass(counts, length, exhaustive=False, seed=seed) == expected
+
+    def test_sampled_ties_keep_the_first_draw(self):
+        values = np.full(101, 3.0)
+        mass, witness, mode = max_progression_mass(values, 20, exhaustive=False, seed=5, samples=300)
+        assert (mass, witness, mode) == _gathered_sampled_scan(values, 20, 5, 300)
+        rng = np.random.default_rng(5)
+        start, step = int(rng.integers(0, 101, 300)[0]), int(rng.integers(1, 101, 300)[0])
+        assert witness == Progression(modulus=101, start=start, step=step, length=20)
+
+    def test_few_samples_equal_gather(self, rng):
+        values = rng.integers(0, 50, 211).astype(np.float64)
+        for samples in (1, 2, 17):
+            got = max_progression_mass(values, 30, exhaustive=False, seed=3, samples=samples)
+            assert got == _gathered_sampled_scan(values, 30, 3, samples)
 
 
 class TestProgressionCharacterization:

@@ -1,5 +1,9 @@
 """CLI subcommands, exit codes, and file determinism."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cayleygap.cli import EXIT_ERROR, EXIT_PASS, main
@@ -209,3 +213,32 @@ class TestConfigErrors:
         assert main(["spectrum", "--config", cfg]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(("error: ", "config error: ")) and "Traceback" not in err
+
+
+class TestImports:
+    """A CLI run never imports ``numpy.ma``: numpy's unique pulls it in on its
+    first call, so one stray call costs every run that import."""
+
+    PROBE = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from cayleygap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[2:])\n"
+        "print(eager, code, 'numpy.ma' in sys.modules)\n"
+    )
+
+    @pytest.mark.parametrize("command, stem", [("bohr", "bohr-cyclic199"), ("bounds", "bounds-s5")])
+    def test_cli_run_never_imports_numpy_ma(self, command, stem):
+        root = Path(__file__).resolve().parents[1]
+        config = root / "perfbench" / "configs" / f"{stem}.cfg"
+        argv = [str(root / "src"), command, "--config", str(config), "--seed", "0"]
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", self.PROBE, *argv], capture_output=True, text=True, check=True
+        )
+        eager, code, imported = result.stdout.split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert (code, imported) == (str(EXIT_PASS), "False")
