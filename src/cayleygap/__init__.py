@@ -7,7 +7,6 @@ experiments with deterministic reports.
 """
 
 from .bohr import (
-    BohrSet,
     InclusionReport,
     LargeSpectrum,
     Progression,

@@ -100,22 +100,8 @@ def _require_gap_window(d: int, delta: float) -> None:
 # -- Bohr sets ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BohrSet:
-    """Elements g with ||rho(g) - I|| <= delta for every listed representation."""
-
-    group: FiniteGroup
-    reps: tuple[UnitaryRepresentation, ...]
-    delta: float
-    members: GroupSubset
-
-    @property
-    def size(self) -> int:
-        return self.members.size
-
-
-def bohr_set(reps, delta: float) -> BohrSet:
-    """Enumerate the Bohr set of a representation list at radius delta."""
+def bohr_set(reps, delta: float) -> GroupSubset:
+    """The elements g with ||rho(g) - I|| <= delta for every listed representation."""
     if isinstance(reps, UnitaryRepresentation):
         reps = [reps]
     reps = tuple(reps)
@@ -130,7 +116,7 @@ def bohr_set(reps, delta: float) -> BohrSet:
     member = np.ones(group.order, dtype=bool)
     for rep in reps:
         member &= rep.identity_distances() <= delta + _MEMBERSHIP_TOL
-    return BohrSet(group, reps, float(delta), GroupSubset(group, member.astype(np.int8)))
+    return GroupSubset(group, member.astype(np.int8))
 
 
 # -- normalized convolution mass in a set -------------------------------------
@@ -449,7 +435,7 @@ def _bohr_share_scan(b: GroupSubset, d: int, delta: float) -> tuple[float, str]:
         raise EmptySet("Bohr scan of the empty set")
     fd = symmetrized_rep_count(b, d).values.real.astype(np.float64)
     total = float(b.size) ** (2 * d)
-    shares = [float(fd[bohr_set(rep, delta).members.membership == 1].sum()) / total for rep in reps]
+    shares = [float(fd[bohr_set(rep, delta).membership == 1].sum()) / total for rep in reps]
     if not shares:
         return 0.0, ""
     top = int(np.argmax(shares))
@@ -517,7 +503,7 @@ def bohr_tail_check(
             f"||Ahat|| = {norm:.6g} below (1-eps)|A| = {(1 - eps) * a.size:.6g}"
         )
     conv = symmetrized_rep_count(a, 1).values.real
-    outside = bohr_set(rep, delta).members.complement()
+    outside = bohr_set(rep, delta).complement()
     tail = float(conv[outside.membership == 1].sum())
     if form == "linear":
         name, bound = "bohr_tail_mass", 2.0 * eps / delta * a.size**2
@@ -747,11 +733,12 @@ def large_spectrum_product_check(
 
 def bohr_sum_rule_check(reps, delta1: float, delta2: float) -> InclusionReport:
     """Bohr(d1) Bohr(d2) lands inside Bohr(d1 + d2)."""
+    reps = (reps,) if isinstance(reps, UnitaryRepresentation) else tuple(reps)
     b1 = bohr_set(reps, delta1)
     b2 = bohr_set(reps, delta2)
-    target = bohr_set(b1.reps, delta1 + delta2)
-    produced = product_set(b1.members, b2.members)
-    outside = produced.difference(target.members)
+    target = bohr_set(reps, delta1 + delta2)
+    produced = product_set(b1, b2)
+    outside = produced.difference(target)
     return InclusionReport(
         name="bohr_sum_rule",
         checked=produced.size,
@@ -770,12 +757,12 @@ def bohr_symmetry_normality_check(reps, delta: float) -> InclusionReport:
     b = bohr_set(reps, delta)
     group = b.group
     failures = 0
-    if group.identity not in b.members:
+    if group.identity not in b:
         failures += 1
-    if b.members != inverse_set(b.members):
+    if b != inverse_set(b):
         failures += 1
     labels = group.class_labels()
-    inside = np.bincount(labels, weights=b.members.membership)
+    inside = np.bincount(labels, weights=b.membership)
     if np.any((inside > 0) & (inside < np.bincount(labels))):
         failures += 1
     return InclusionReport(
@@ -790,7 +777,7 @@ def bohr_doubling_check(rep: UnitaryRepresentation, delta: float) -> BoundReport
     """|Bohr * Bohr| / |Bohr| against 2^(21 d^2 / 2), for delta <= 2/5."""
     if not (0 < delta <= 0.4):
         raise DeltaOutOfRange(f"doubling bound needs delta in (0, 2/5], got {delta}")
-    b = bohr_set(rep, delta).members
+    b = bohr_set(rep, delta)
     doubled = product_set(b, b)
     ratio = doubled.size / b.size
     bound = 2.0 ** (21.0 * rep.dim**2 / 2.0)
@@ -833,9 +820,9 @@ class CoveringReport:
 def ruzsa_covering(rep: UnitaryRepresentation, delta: float) -> CoveringReport:
     """Greedy covering witnesses: points whose quarter-radius translates are disjoint."""
     group = rep.group
-    b = bohr_set(rep, delta).members
-    quarter = bohr_set(rep, delta / 4.0).members
-    half = bohr_set(rep, delta / 2.0).members
+    b = bohr_set(rep, delta)
+    quarter = bohr_set(rep, delta / 4.0)
+    half = bohr_set(rep, delta / 2.0)
     b_idx = b.indices
     q_idx = quarter.indices
 
@@ -897,60 +884,43 @@ def multi_bohr_lower_bound_check(pairs) -> BoundReport:
 # -- regular Bohr sets ---------------------------------------------------------------
 
 
-def _distance_profile(rep: UnitaryRepresentation) -> np.ndarray:
-    return np.sort(rep.identity_distances())
-
-
 def _distinct(ascending: np.ndarray) -> np.ndarray:
     """The distinct values of an ascending array, without the import of
     ``numpy.ma`` that numpy's unique makes on its first call."""
     return ascending[np.diff(ascending, prepend=-np.inf) > 0]
 
 
-def _size_at(sorted_norms: np.ndarray, t: float) -> int:
-    return int(np.searchsorted(sorted_norms, t, side="right"))
+def _regular(norms: np.ndarray, dim: int, delta: float) -> bool:
+    """Regularity of Bohr(rho, delta) read off the ascending profile ``norms``
+    of ||rho(g) - I||.
 
-
-def _size_below(sorted_norms: np.ndarray, t: float) -> int:
-    return int(np.searchsorted(sorted_norms, t, side="left"))
+    The size of Bohr(rho, t) is the count of norms <= t, a step function that
+    jumps exactly at the norm values, so the condition over the whole kappa
+    window reduces to checks at the jumps inside it: at each jump v above
+    delta, and just below each jump v above the window's lower end. The lower
+    end itself needs no check: there the allowance 100 d^2 kappa_max |Bohr| is
+    all of |Bohr|, which no shrink exceeds.
+    """
+    kappa_max = 1.0 / (100.0 * dim**2)
+    base, top, floor = norms.searchsorted(
+        [delta, (1.0 + kappa_max) * delta, (1.0 - kappa_max) * delta], side="right"
+    )
+    if base == 0:
+        return False
+    allowance = 100.0 * dim**2 * base
+    up = norms[base:top]  # jumps in (delta, (1 + kappa_max) delta]
+    down = norms[floor:base]  # jumps in ((1 - kappa_max) delta, delta]
+    grows = norms.searchsorted(up, side="right") - base > allowance * (up / delta - 1.0) + 1e-9
+    shrinks = base - norms.searchsorted(down, side="left") > allowance * (1.0 - down / delta) + 1e-9
+    return not (grows.any() or shrinks.any())
 
 
 def is_regular(rep: UnitaryRepresentation, delta: float) -> bool:
-    """Size varies at most by 100 d^2 |kappa| |Bohr| on the kappa window.
-
-    The size of Bohr(rho, t) is a step function jumping exactly at the
-    distinct values of ||rho(g) - I||, so the condition over the whole window
-    reduces to finitely many checks at those jump radii.
-    """
+    """Size varies at most by 100 d^2 |kappa| |Bohr| on the kappa window
+    |kappa| <= 1 / (100 d^2)."""
     if delta <= 0:
         raise DeltaOutOfRange(f"radius must be positive, got {delta}")
-    norms = _distance_profile(rep)
-    dim2 = rep.dim**2
-    kappa_max = 1.0 / (100.0 * dim2)
-    base = _size_at(norms, delta)
-    if base == 0:
-        return False
-    allowance = 100.0 * dim2 * base
-    # expanding side: jumps at norms v in (delta, (1+kappa_max) delta]
-    lo = _size_at(norms, delta)
-    hi = _size_at(norms, (1.0 + kappa_max) * delta)
-    for v in _distinct(norms[lo:hi]):
-        kappa = v / delta - 1.0
-        if _size_at(norms, v) - base > allowance * kappa + 1e-9:
-            return False
-    # shrinking side: pieces just below each jump v in ((1-kappa_max) delta, delta]
-    lo = _size_below(norms, (1.0 - kappa_max) * delta)
-    hi = _size_at(norms, delta)
-    for v in _distinct(norms[lo:hi]):
-        if v <= (1.0 - kappa_max) * delta:
-            continue
-        kappa = 1.0 - v / delta
-        if base - _size_below(norms, v) > allowance * kappa + 1e-9:
-            return False
-    # window endpoint on the shrinking side
-    if base - _size_at(norms, (1.0 - kappa_max) * delta) > allowance * kappa_max + 1e-9:
-        return False
-    return True
+    return _regular(np.sort(rep.identity_distances()), rep.dim, delta)
 
 
 #: uniform fallback radii tried by find_regular besides the jump midpoints
@@ -966,14 +936,13 @@ def find_regular(rep: UnitaryRepresentation, delta: float) -> float:
     """
     if not (0 < delta <= 0.5):
         raise DeltaOutOfRange(f"regular search needs delta in (0, 1/2], got {delta}")
-    norms = _distance_profile(rep)
+    norms = np.sort(rep.identity_distances())
     inside = _distinct(norms[(norms > delta) & (norms < 2.0 * delta)])
     boundaries = np.concatenate(([delta], inside, [2.0 * delta]))
-    candidates = list((boundaries[:-1] + boundaries[1:]) / 2.0)
-    candidates = [delta] + candidates + [2.0 * delta]
-    fallback = np.linspace(delta, 2.0 * delta, _REGULAR_GRID)
-    for radius in sorted(set(candidates) | set(fallback.tolist())):
-        if is_regular(rep, radius):
+    midpoints = (boundaries[:-1] + boundaries[1:]) / 2.0
+    fallback = np.linspace(delta, 2.0 * delta, _REGULAR_GRID)  # holds delta and 2 delta
+    for radius in _distinct(np.sort(np.concatenate((midpoints, fallback)))):
+        if _regular(norms, rep.dim, radius):
             return float(radius)
     raise NoneFound(f"no regular radius in [{delta}, {2 * delta}] for {rep.label}")
 
@@ -998,8 +967,8 @@ def regular_spectrum_check(
     if not is_regular(rep, delta):
         raise NotRegular(f"Bohr({rep.label}, {delta:g}) is not regular")
     catalog = irrep_catalog(rep.group)
-    b = bohr_set(rep, delta).members
-    b_prime = bohr_set(rep, delta_prime).members
+    b = bohr_set(rep, delta)
+    b_prime = bohr_set(rep, delta_prime)
     target_level = 1.0 - 2.0 * kappa / eps
     vacuous = target_level <= 0
     large = catalog.norms(b.indicator()) >= eps * b.size - 1e-12

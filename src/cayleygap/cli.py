@@ -11,6 +11,7 @@ one substantive failure, 2 hypothesis or configuration error.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 
 import numpy as np
@@ -46,6 +47,19 @@ def _emit(records: list[dict], args, columns=None) -> None:
         print(render_report(records, args.format, columns), end="")
     else:
         print("(no records)")
+
+
+def _positive_int(cfg: dict, key: str, default, stop: float = float("inf")):
+    """Config value ``key`` as an integer in [1, stop), or ``default`` when absent."""
+    if key not in cfg:
+        return default
+    try:
+        n = operator.index(cfg[key])
+    except TypeError:
+        n = 0  # not an integer: rejected below with the value as given
+    if not 1 <= n < stop:
+        raise ValueError(f"{key} must be an integer in [1, {stop}), got {cfg[key]!r}")
+    return n
 
 
 def cmd_spectrum(args) -> int:
@@ -92,7 +106,8 @@ def cmd_bounds(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
     subset = resolve_subset(group, cfg.get("set", "full"), rng)
     g = cfg.get("g", 1)
-    d = cfg.get("d") or diameter(subset)
+    d = _positive_int(cfg, "d", None) or diameter(subset)
+    k = _positive_int(cfg, "k", 2)
     records = []
 
     def add(report, instance):
@@ -110,7 +125,7 @@ def cmd_bounds(args) -> int:
             add(verify_fourier_norm_bound(subset, d, g), "05-fourier-norm")
         except NotCataloged:
             pass
-        add(verify_uniformity(subset, d, cfg.get("k", 2)), "06-uniformity")
+        add(verify_uniformity(subset, d, k), "06-uniformity")
     if isinstance(group, CyclicGroup) and bohr_mod.is_prime(group.order) and d >= 2:
         add(bohr_mod.verify_progression_basis_bound(subset, d, g, omega), "07-progression-basis")
     if d >= 2:
@@ -133,9 +148,8 @@ def cmd_bohr(args) -> int:
     catalog = irrep_catalog(group)
     delta = float(cfg.get("delta", 0.5))
     records = []
-    reps = catalog.nontrivial()
-    if "rep" in cfg:
-        reps = [catalog[int(cfg["rep"])]]
+    index = _positive_int(cfg, "rep", None, stop=len(catalog))
+    reps = catalog.nontrivial() if index is None else [catalog[index]]
 
     def add(instance, check, params, measured, bound, verdict):
         records.append(
@@ -193,9 +207,11 @@ def cmd_scan(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     rng = np.random.default_rng(seed)
     subset = resolve_subset(group, cfg.get("set", "full"), rng)
-    d = int(cfg.get("d", 2))
+    d = _positive_int(cfg, "d", 2)
     delta = float(cfg.get("delta", 0.4))
     direction = cfg.get("direction", "both")
+    if direction not in ("forward", "reverse", "both"):
+        raise ValueError(f"direction must be forward, reverse or both, got {direction!r}")
     exhaustive = True if args.exhaustive else None
     records = []
 

@@ -41,7 +41,7 @@ from cayleygap import (
     verify_progression_basis_bound,
 )
 from cayleygap import bohr as bohr_module
-from cayleygap.bohr import BohrSet, bohr_symmetry_normality_check, is_prime, max_progression_mass
+from cayleygap.bohr import bohr_symmetry_normality_check, is_prime, max_progression_mass
 from cayleygap.bounds import exceptional_set, rep_count, symmetrized_rep_count
 from cayleygap.errors import (
     DeltaOutOfRange,
@@ -67,17 +67,17 @@ class TestBohrSet:
     def test_hand_case_z12(self, z12):
         # |e^(2 pi i x / 12) - 1| = 2 |sin(pi x / 12)| <= 1 iff x in {0,1,2,10,11}
         chi1 = irrep_catalog(z12)[1]
-        got = sorted(int(i) for i in bohr_set(chi1, 1.0).members.indices)
+        got = sorted(int(i) for i in bohr_set(chi1, 1.0).indices)
         assert got == [0, 1, 2, 10, 11]
 
     def test_identity_always_member(self, d6):
         for rep in irrep_catalog(d6):
-            assert 0 in bohr_set(rep, 0.05).members
+            assert 0 in bohr_set(rep, 0.05)
 
     def test_symmetry_and_normality(self, d6):
         for rep in irrep_catalog(d6).nontrivial():
             for delta in (0.3, 0.8, 1.5):
-                members = bohr_set(rep, delta).members
+                members = bohr_set(rep, delta)
                 assert members == inverse_set(members)
                 for x in range(d6.order):
                     conj = sorted(
@@ -98,9 +98,7 @@ class TestBohrSet:
         # real Bohr sets are always normal, so hand the check a chosen set
         d3 = make_group("dihedral(3)")
         fake = GroupSubset.from_indices(d3, members)
-        monkeypatch.setattr(
-            bohr_module, "bohr_set", lambda reps, delta: BohrSet(d3, tuple(reps), delta, fake)
-        )
+        monkeypatch.setattr(bohr_module, "bohr_set", lambda reps, delta: fake)
         report = bohr_symmetry_normality_check(irrep_catalog(d3).nontrivial(), 0.5)
         assert report.failures == failures
         assert report.checked == d3.order + 2
@@ -618,7 +616,45 @@ class TestBohrCalculus:
             multi_bohr_lower_bound_check([(cat[1], 0.8), (cat[2], 0.3)])
 
 
+def _counted_is_regular(rep, delta):
+    """Oracle: the loop form of the regularity check, with every Bohr size
+    counted directly on the unsorted distances ||rho(g) - I||."""
+    d = rep.identity_distances()
+    kappa_max = 1.0 / (100.0 * rep.dim**2)
+    base = np.count_nonzero(d <= delta)
+    if base == 0:
+        return False
+    allowance = 100.0 * rep.dim**2 * base
+    for v in d[(d > delta) & (d <= (1.0 + kappa_max) * delta)]:
+        if np.count_nonzero(d <= v) - base > allowance * (v / delta - 1.0) + 1e-9:
+            return False
+    for v in d[(d > (1.0 - kappa_max) * delta) & (d <= delta)]:
+        if base - np.count_nonzero(d < v) > allowance * (1.0 - v / delta) + 1e-9:
+            return False
+    # the window's lower end, never binding: its allowance is about all of base
+    return base - np.count_nonzero(d <= (1.0 - kappa_max) * delta) <= allowance * kappa_max + 1e-9
+
+
 class TestRegularity:
+    @pytest.mark.parametrize(
+        "descriptor", ["cyclic(64)", "cyclic(199)", "dihedral(10)", "abelian_product([12, 15])"]
+    )
+    def test_matches_counting_oracle(self, descriptor):
+        for rep in irrep_catalog(make_group(descriptor)).nontrivial():
+            values = np.unique(rep.identity_distances())
+            values = values[values <= 1.0]
+            radii = np.concatenate([values, (values[:-1] + values[1:]) / 2])
+            for radius in radii[radii > 0]:
+                assert is_regular(rep, radius) == _counted_is_regular(rep, radius), (rep.label, radius)
+            for delta in (0.05, 0.1, 0.2, 0.3, 0.5):
+                # candidates: delta, 2 delta, the midpoints between them and the
+                # distance values inside, and a 1024-point grid
+                bounds = np.concatenate(([delta], values[(values > delta) & (values < 2 * delta)], [2 * delta]))
+                grid = np.linspace(delta, 2 * delta, 1024)
+                candidates = np.unique(np.concatenate((bounds[[0, -1]], (bounds[:-1] + bounds[1:]) / 2, grid)))
+                first = next(r for r in candidates if _counted_is_regular(rep, r))
+                assert find_regular(rep, delta) == first, (rep.label, delta)
+
     def test_constant_window_is_regular(self):
         group = make_group("cyclic(64)")
         chi1 = irrep_catalog(group)[1]

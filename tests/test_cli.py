@@ -195,22 +195,33 @@ class TestConfigErrors:
         assert main(["spectrum", "--config", cfg]) == EXIT_ERROR
 
     @pytest.mark.parametrize(
-        "body",
+        "command, body",
         [
-            'group = cyclic("a")\n',
-            "group = cyclic(None)\n",
-            "group = cyclic(2.5)\n",
-            "group = dihedral(3.7)\n",
-            "group = abelian_product([2.5, 3])\n",
-            "group = multiplication_table([[0, 1.5], [1, 0]])\n",
-            "group = cyclic(12)\nset = [0, 1.5]\n",
-            'group = permutation_closure(["(1 1 2)"])\n',
-            'group = permutation_closure(["(1 2)(2 3)"])\n',
+            ("spectrum", 'group = cyclic("a")\n'),
+            ("spectrum", "group = cyclic(None)\n"),
+            ("spectrum", "group = cyclic(2.5)\n"),
+            ("spectrum", "group = dihedral(3.7)\n"),
+            ("spectrum", "group = abelian_product([2.5, 3])\n"),
+            ("spectrum", "group = multiplication_table([[0, 1.5], [1, 0]])\n"),
+            ("spectrum", "group = cyclic(12)\nset = [0, 1.5]\n"),
+            ("spectrum", 'group = permutation_closure(["(1 1 2)"])\n'),
+            ("spectrum", 'group = permutation_closure(["(1 2)(2 3)"])\n'),
+            ("bohr", "group = cyclic(13)\nrep = 99\n"),
+            ("bohr", "group = cyclic(13)\nrep = -1\n"),
+            ("bohr", "group = cyclic(13)\nrep = 1.7\n"),
+            ("bohr", "group = cyclic(13)\nrep = 0\n"),
+            ("scan", "group = cyclic(13)\ndirection = sideways\n"),
+            ("scan", "group = cyclic(13)\nd = 2.5\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\nd = 2.5\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\nd = -1\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\nd = 0\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\nk = 0\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\nk = 1.5\n"),
         ],
     )
-    def test_malformed_input_exits_2_without_traceback(self, tmp_path, capsys, body):
+    def test_malformed_input_exits_2_without_traceback(self, tmp_path, capsys, command, body):
         cfg = write_config(tmp_path, "x.cfg", body)
-        assert main(["spectrum", "--config", cfg]) == EXIT_ERROR
+        assert main([command, "--config", cfg]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(("error: ", "config error: ")) and "Traceback" not in err
 
