@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -38,9 +39,7 @@ from .groups import (
     GroupFunction,
     GroupSubset,
     generated_subgroup,
-    inverse_set,
     iterated_convolution,
-    product_set,
     require_same_group,
 )
 from .representations import (
@@ -98,25 +97,70 @@ def _require_gap_window(d: int, delta: float) -> None:
 
 
 # -- Bohr sets ----------------------------------------------------------------
+#
+# Every Bohr check runs as a row kernel over a (k, |G|) matrix of distances
+# ||rho(g) - I||, one row per item: a representation, or a list of them whose
+# row is the elementwise max, so that its Bohr sets are the joint ones. The
+# public one-item checks are their kernel applied to one row.
+
+#: pairs formed per gather when the row kernels build product sets, so that no
+#: temporary outgrows one large per-representation product
+_PAIR_CHUNK = 1 << 15
+
+
+def _require_radius(radius) -> None:
+    if radius <= 0:
+        raise DeltaOutOfRange(f"Bohr radius must be positive, got {radius}")
+
+
+def _profiles(items, radius=None) -> tuple[FiniteGroup, np.ndarray]:
+    """The group and the distance rows of ``items``, each a representation or
+    a list of them; ``radius``, when given, is checked as ``bohr_set`` checks
+    it: after the emptiness check and before the group check."""
+    items = [(item,) if isinstance(item, UnitaryRepresentation) else tuple(item) for item in items]
+    if not all(items):
+        raise EmptyRepList("Bohr set needs at least one representation")
+    if radius is not None:
+        _require_radius(radius)
+    group = items[0][0].group
+    if any(rep.group != group for item in items for rep in item):
+        raise EmptyRepList("all representations must live on one group")
+    return group, np.stack([reduce(np.maximum, [rep.identity_distances() for rep in item]) for item in items])
+
+
+def _members(rows: np.ndarray, radius) -> np.ndarray:
+    """Bohr membership masks of the rows at ``radius``: one value, or one per row."""
+    return rows <= np.reshape(radius, (-1, 1)) + _MEMBERSHIP_TOL
+
+
+def _product_rows(group: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise product sets: row r is the mask of {xy : x in left[r], y in right[r]}.
+
+    One ragged gather over all (row, x, y) triples, cut into runs of whole
+    left entries of at most ``_PAIR_CHUNK`` pairs (or one entry, if larger)."""
+    k, n = left.shape
+    x_row, x = np.nonzero(left)
+    width = np.count_nonzero(right, axis=1)
+    y = np.nonzero(right)[1]
+    y_start = np.cumsum(width) - width  # row r's members of ``right`` start at y[y_start[r]]
+    pairs = width[x_row]
+    ends = np.cumsum(pairs)
+    produced = np.zeros(k * n, dtype=bool)
+    lo = 0
+    while lo < x.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - pairs[lo] + _PAIR_CHUNK, side="right")))
+        count = pairs[lo:hi]
+        offset = np.repeat(y_start[x_row[lo:hi]] - (np.cumsum(count) - count), count)
+        ys = y[np.arange(offset.size) + offset]
+        produced[np.repeat(x_row[lo:hi] * n, count) + group.mul(np.repeat(x[lo:hi], count), ys)] = True
+        lo = hi
+    return produced.reshape(k, n)
 
 
 def bohr_set(reps, delta: float) -> GroupSubset:
     """The elements g with ||rho(g) - I|| <= delta for every listed representation."""
-    if isinstance(reps, UnitaryRepresentation):
-        reps = [reps]
-    reps = tuple(reps)
-    if not reps:
-        raise EmptyRepList("Bohr set needs at least one representation")
-    if delta <= 0:
-        raise DeltaOutOfRange(f"Bohr radius must be positive, got {delta}")
-    group = reps[0].group
-    for rep in reps[1:]:
-        if rep.group != group:
-            raise EmptyRepList("all representations must live on one group")
-    member = np.ones(group.order, dtype=bool)
-    for rep in reps:
-        member &= rep.identity_distances() <= delta + _MEMBERSHIP_TOL
-    return GroupSubset(group, member.astype(np.int8))
+    group, rows = _profiles([reps], delta)
+    return GroupSubset(group, _members(rows, delta)[0].astype(np.int8))
 
 
 # -- normalized convolution mass in a set -------------------------------------
@@ -547,48 +591,56 @@ def bohr_size_thresholds(rep: UnitaryRepresentation) -> BohrSizeThresholds:
     return BohrSizeThresholds(dim=rep.dim, half_radius=half)
 
 
+def bohr_half_size_rows(reps) -> list[BoundReport]:
+    """Per representation: |Bohr(rho, half radius)| <= |G|/2."""
+    radii = [bohr_size_thresholds(rep).half_radius for rep in reps]
+    group, rows = _profiles(reps)
+    return [
+        BoundReport(
+            bound_name="bohr_half_size",
+            bound_value=group.order / 2.0,
+            measured=float(members),
+            sense="<=",
+            parameters={"group_order": group.order, "rep": rep.label, "delta": radius},
+        )
+        for rep, radius, members in zip(reps, radii, np.count_nonzero(_members(rows, radii), axis=1))
+    ]
+
+
 def check_bohr_half_size(rep: UnitaryRepresentation) -> BoundReport:
-    thresholds = bohr_size_thresholds(rep)
-    members = bohr_set(rep, thresholds.half_radius).size
-    return BoundReport(
-        bound_name="bohr_half_size",
-        bound_value=rep.group.order / 2.0,
-        measured=float(members),
-        sense="<=",
-        parameters={
-            "group_order": rep.group.order,
-            "rep": rep.label,
-            "delta": thresholds.half_radius,
-        },
-    )
+    return bohr_half_size_rows([rep])[0]
+
+
+def bohr_eps_size_rows(reps, eps: float) -> list[BoundReport]:
+    """Per representation: |Bohr(rho, delta_eps)| <= eps |G|, requiring the
+    certified absence of normal proper subgroups of index at most 1/eps."""
+    if not (0 < eps <= 0.5):
+        raise HypothesisFail(f"eps must lie in (0, 1/2], got {eps}")
+    group = reps[0].group
+    witness = normal_subgroup_min_index(group, math.floor(1.0 / eps))
+    if witness is not None:
+        raise HypothesisFail(
+            f"{group.name} has a normal proper subgroup of index {witness} <= 1/eps"
+        )
+    radii = np.array([bohr_size_thresholds(rep).eps_radius(eps) for rep in reps])
+    group, rows = _profiles(reps)
+    members = np.where(radii > 0, np.count_nonzero(_members(rows, radii), axis=1), 0)
+    return [
+        BoundReport(
+            bound_name="bohr_eps_size",
+            bound_value=eps * group.order,
+            measured=float(count),
+            sense="<=",
+            parameters={"group_order": group.order, "rep": rep.label, "eps": eps, "delta": float(radius)},
+        )
+        for rep, radius, count in zip(reps, radii, members)
+    ]
 
 
 def check_bohr_eps_size(rep: UnitaryRepresentation, eps: float) -> BoundReport:
     """|Bohr(rho, delta_eps)| <= eps |G|, requiring the certified absence of
     normal proper subgroups of index at most 1/eps."""
-    if not (0 < eps <= 0.5):
-        raise HypothesisFail(f"eps must lie in (0, 1/2], got {eps}")
-    cap = math.floor(1.0 / eps)
-    witness = normal_subgroup_min_index(rep.group, cap)
-    if witness is not None:
-        raise HypothesisFail(
-            f"{rep.group.name} has a normal proper subgroup of index {witness} <= 1/eps"
-        )
-    thresholds = bohr_size_thresholds(rep)
-    radius = thresholds.eps_radius(eps)
-    members = bohr_set(rep, radius).size if radius > 0 else 0
-    return BoundReport(
-        bound_name="bohr_eps_size",
-        bound_value=eps * rep.group.order,
-        measured=float(members),
-        sense="<=",
-        parameters={
-            "group_order": rep.group.order,
-            "rep": rep.label,
-            "eps": eps,
-            "delta": radius,
-        },
-    )
+    return bohr_eps_size_rows([rep], eps)[0]
 
 
 # -- normal subgroup enumeration ------------------------------------------------
@@ -731,68 +783,89 @@ def large_spectrum_product_check(
 # -- Bohr calculus -----------------------------------------------------------------
 
 
+def bohr_sum_rule_rows(items, delta1: float, delta2: float) -> list[InclusionReport]:
+    """Per item: Bohr(d1) Bohr(d2) lands inside Bohr(d1 + d2)."""
+    group, rows = _profiles(items, delta1)
+    _require_radius(delta2)
+    _require_radius(delta1 + delta2)
+    produced = _product_rows(group, _members(rows, delta1), _members(rows, delta2))
+    target = _members(rows, delta1 + delta2)
+    outside = np.count_nonzero(produced & ~target, axis=1)
+    return [
+        InclusionReport(
+            name="bohr_sum_rule",
+            checked=int(checked),
+            failures=int(failures),
+            vacuous=bool(vacuous),
+            parameters={"delta1": delta1, "delta2": delta2},
+        )
+        for checked, failures, vacuous in zip(np.count_nonzero(produced, axis=1), outside, target.all(axis=1))
+    ]
+
+
 def bohr_sum_rule_check(reps, delta1: float, delta2: float) -> InclusionReport:
     """Bohr(d1) Bohr(d2) lands inside Bohr(d1 + d2)."""
-    reps = (reps,) if isinstance(reps, UnitaryRepresentation) else tuple(reps)
-    b1 = bohr_set(reps, delta1)
-    b2 = bohr_set(reps, delta2)
-    target = bohr_set(reps, delta1 + delta2)
-    produced = product_set(b1, b2)
-    outside = produced.difference(target)
-    return InclusionReport(
-        name="bohr_sum_rule",
-        checked=produced.size,
-        failures=outside.size,
-        vacuous=target.size == target.group.order,
-        parameters={"delta1": delta1, "delta2": delta2},
-    )
+    return bohr_sum_rule_rows([reps], delta1, delta2)[0]
 
 
-def bohr_symmetry_normality_check(reps, delta: float) -> InclusionReport:
-    """Identity membership, closure under inverse, and conjugation invariance.
+def bohr_symmetry_normality_rows(items, delta: float) -> list[InclusionReport]:
+    """Per item: identity membership, closure under inverse, and conjugation
+    invariance of its Bohr set.
 
     B is conjugation invariant exactly when every conjugacy class lies wholly
     inside or wholly outside it; a violation counts once.
     """
-    b = bohr_set(reps, delta)
-    group = b.group
-    failures = 0
-    if group.identity not in b:
-        failures += 1
-    if b != inverse_set(b):
-        failures += 1
+    group, rows = _profiles(items, delta)
+    member = _members(rows, delta)
     labels = group.class_labels()
-    inside = np.bincount(labels, weights=b.membership)
-    if np.any((inside > 0) & (inside < np.bincount(labels))):
-        failures += 1
-    return InclusionReport(
-        name="bohr_symmetry_normality",
-        checked=group.order + 2,
-        failures=failures,
-        parameters={"delta": delta, "size": b.size},
+    class_sizes = np.bincount(labels)
+    inside = np.add.reduceat(
+        member[:, np.argsort(labels, kind="stable")], np.cumsum(class_sizes) - class_sizes,
+        axis=1, dtype=np.intp,
     )
+    failures = np.count_nonzero([
+        ~member[:, group.identity],
+        (member != member[:, group.inv(np.arange(group.order))]).any(axis=1),
+        ((inside > 0) & (inside < class_sizes)).any(axis=1),
+    ], axis=0)
+    return [
+        InclusionReport(
+            name="bohr_symmetry_normality",
+            checked=group.order + 2,
+            failures=int(count),
+            parameters={"delta": delta, "size": int(size)},
+        )
+        for count, size in zip(failures, np.count_nonzero(member, axis=1))
+    ]
+
+
+def bohr_symmetry_normality_check(reps, delta: float) -> InclusionReport:
+    """Identity membership, closure under inverse, and conjugation invariance."""
+    return bohr_symmetry_normality_rows([reps], delta)[0]
+
+
+def bohr_doubling_rows(reps, delta: float) -> list[BoundReport]:
+    """Per representation: |Bohr * Bohr| / |Bohr| against 2^(21 d^2 / 2), for delta <= 2/5."""
+    if not (0 < delta <= 0.4):
+        raise DeltaOutOfRange(f"doubling bound needs delta in (0, 2/5], got {delta}")
+    group, rows = _profiles(reps, delta)
+    member = _members(rows, delta)
+    doubled = np.count_nonzero(_product_rows(group, member, member), axis=1)
+    return [
+        BoundReport(
+            bound_name="bohr_doubling_ratio",
+            bound_value=2.0 ** (21.0 * rep.dim**2 / 2.0),
+            measured=int(size2) / int(size),
+            sense="<=",
+            parameters={"group_order": group.order, "rep": rep.label, "delta": delta, "bohr_size": int(size)},
+        )
+        for rep, size, size2 in zip(reps, np.count_nonzero(member, axis=1), doubled)
+    ]
 
 
 def bohr_doubling_check(rep: UnitaryRepresentation, delta: float) -> BoundReport:
     """|Bohr * Bohr| / |Bohr| against 2^(21 d^2 / 2), for delta <= 2/5."""
-    if not (0 < delta <= 0.4):
-        raise DeltaOutOfRange(f"doubling bound needs delta in (0, 2/5], got {delta}")
-    b = bohr_set(rep, delta)
-    doubled = product_set(b, b)
-    ratio = doubled.size / b.size
-    bound = 2.0 ** (21.0 * rep.dim**2 / 2.0)
-    return BoundReport(
-        bound_name="bohr_doubling_ratio",
-        bound_value=bound,
-        measured=ratio,
-        sense="<=",
-        parameters={
-            "group_order": rep.group.order,
-            "rep": rep.label,
-            "delta": delta,
-            "bohr_size": b.size,
-        },
-    )
+    return bohr_doubling_rows([rep], delta)[0]
 
 
 @dataclass(frozen=True)
@@ -817,40 +890,66 @@ class CoveringReport:
         )
 
 
+def _greedy_rows(group: FiniteGroup, member: np.ndarray, quarter: np.ndarray, left: bool) -> np.ndarray:
+    """Mask of the points the covering greedy keeps in each row: every row
+    visits its members x in ascending order and keeps x when the translate of
+    its quarter set (Q x when ``left``, else x Q) misses those kept before.
+
+    The rows run in lockstep, one member each per step, sorted by member
+    count so that the rows whose members have not run out are a prefix."""
+    k, n = member.shape
+    sizes = np.count_nonzero(member, axis=1)
+    by_size = np.argsort(-sizes, kind="stable")
+    member, quarter, sizes = member[by_size], quarter[by_size], sizes[by_size]
+    x_all = np.nonzero(member)[1]
+    x_start = np.cumsum(sizes) - sizes
+    q_row, q = np.nonzero(quarter)
+    q_end = np.cumsum(np.count_nonzero(quarter, axis=1))  # rows 0..r hold q[:q_end[r]]
+    occupied = np.zeros(k * n, dtype=bool)
+    kept = np.zeros((k, n), dtype=bool)
+    running = k
+    for step in range(sizes[0]):
+        while sizes[running - 1] <= step:
+            running -= 1
+        x = x_all[x_start[:running] + step]
+        rows, cells = q_row[: q_end[running - 1]], q[: q_end[running - 1]]
+        cells = rows * n + (group.mul(cells, x[rows]) if left else group.mul(x[rows], cells))
+        free = np.ones(running, dtype=bool)
+        free[rows[occupied[cells]]] = False
+        kept[np.flatnonzero(free), x[free]] = True
+        occupied[cells[free[rows]]] = True
+    kept[by_size] = kept.copy()
+    return kept
+
+
+def ruzsa_covering_rows(reps, delta: float) -> list[CoveringReport]:
+    """Per representation: greedy covering witnesses, points whose
+    quarter-radius translates are disjoint."""
+    group, rows = _profiles(reps, delta)
+    member = _members(rows, delta)
+    quarter = _members(rows, delta / 4.0)
+    half = _members(rows, delta / 2.0)
+    x_kept = _greedy_rows(group, member, quarter, left=True)
+    y_kept = _greedy_rows(group, member, quarter, left=False)
+    left_ok = ~(member & ~_product_rows(group, half, x_kept)).any(axis=1)
+    right_ok = ~(member & ~_product_rows(group, y_kept, half)).any(axis=1)
+    return [
+        CoveringReport(
+            rep_label=rep.label,
+            delta=delta,
+            left_cover=tuple(np.flatnonzero(xs).tolist()),
+            right_cover=tuple(np.flatnonzero(ys).tolist()),
+            size_bound=2.0 ** (25.0 * rep.dim**2),
+            left_contained=bool(l_ok),
+            right_contained=bool(r_ok),
+        )
+        for rep, xs, ys, l_ok, r_ok in zip(reps, x_kept, y_kept, left_ok, right_ok)
+    ]
+
+
 def ruzsa_covering(rep: UnitaryRepresentation, delta: float) -> CoveringReport:
     """Greedy covering witnesses: points whose quarter-radius translates are disjoint."""
-    group = rep.group
-    b = bohr_set(rep, delta)
-    quarter = bohr_set(rep, delta / 4.0)
-    half = bohr_set(rep, delta / 2.0)
-    b_idx = b.indices
-    q_idx = quarter.indices
-
-    def greedy(translates: np.ndarray) -> list[int]:
-        # row i holds the cells of the quarter-radius translate at b_idx[i]
-        occupied = np.zeros(group.order, dtype=bool)
-        chosen: list[int] = []
-        for x, cells in zip(b_idx, translates):
-            if not occupied[cells].any():
-                chosen.append(int(x))
-                occupied[cells] = True
-        return chosen
-
-    x_cover = greedy(group.mul(q_idx[None, :], b_idx[:, None]))
-    y_cover = greedy(group.mul(b_idx[:, None], q_idx[None, :]))
-    x_set = GroupSubset.from_indices(group, x_cover)
-    y_set = GroupSubset.from_indices(group, y_cover)
-    left_ok = b.difference(product_set(half, x_set)).size == 0
-    right_ok = b.difference(product_set(y_set, half)).size == 0
-    return CoveringReport(
-        rep_label=rep.label,
-        delta=delta,
-        left_cover=tuple(x_cover),
-        right_cover=tuple(y_cover),
-        size_bound=2.0 ** (25.0 * rep.dim**2),
-        left_contained=left_ok,
-        right_contained=right_ok,
-    )
+    return ruzsa_covering_rows([rep], delta)[0]
 
 
 def multi_bohr_lower_bound_check(pairs) -> BoundReport:
@@ -933,10 +1032,13 @@ def find_regular(rep: UnitaryRepresentation, delta: float) -> float:
     Candidate radii are the midpoints of the jump-free intervals between
     consecutive distance values (sizes jump exactly at distance values, so a
     radius placed on a jump is never regular), plus a uniform fallback grid.
+    delta itself, the smallest candidate, is tried before the others are built.
     """
     if not (0 < delta <= 0.5):
         raise DeltaOutOfRange(f"regular search needs delta in (0, 1/2], got {delta}")
     norms = np.sort(rep.identity_distances())
+    if _regular(norms, rep.dim, delta):
+        return float(delta)
     inside = _distinct(norms[(norms > delta) & (norms < 2.0 * delta)])
     boundaries = np.concatenate(([delta], inside, [2.0 * delta]))
     midpoints = (boundaries[:-1] + boundaries[1:]) / 2.0

@@ -11,6 +11,7 @@ one substantive failure, 2 hypothesis or configuration error.
 from __future__ import annotations
 
 import argparse
+import numbers
 import operator
 import sys
 
@@ -49,16 +50,16 @@ def _emit(records: list[dict], args, columns=None) -> None:
         print("(no records)")
 
 
-def _positive_int(cfg: dict, key: str, default, stop: float = float("inf")):
-    """Config value ``key`` as an integer in [1, stop), or ``default`` when absent."""
+def _positive_int(cfg: dict, key: str, default, stop: float = float("inf"), low: int = 1):
+    """Config value ``key`` as an integer in [low, stop), or ``default`` when absent."""
     if key not in cfg:
         return default
     try:
         n = operator.index(cfg[key])
     except TypeError:
-        n = 0  # not an integer: rejected below with the value as given
-    if not 1 <= n < stop:
-        raise ValueError(f"{key} must be an integer in [1, {stop}), got {cfg[key]!r}")
+        n = low - 1  # not an integer: rejected below with the value as given
+    if not low <= n < stop:
+        raise ValueError(f"{key} must be an integer in [{low}, {stop}), got {cfg[key]!r}")
     return n
 
 
@@ -106,6 +107,8 @@ def cmd_bounds(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
     subset = resolve_subset(group, cfg.get("set", "full"), rng)
     g = cfg.get("g", 1)
+    if not (isinstance(g, numbers.Real) and g > 0):
+        raise ValueError(f"g must be a real number > 0, got {g!r}")
     d = _positive_int(cfg, "d", None) or diameter(subset)
     k = _positive_int(cfg, "k", 2)
     records = []
@@ -167,18 +170,24 @@ def cmd_bohr(args) -> int:
     def add_bound(instance, report, params):
         add(instance, report.bound_name, params, report.measured, report.bound_value, report.verdict)
 
-    for rep in reps:
+    # the kernels need one row at least; the trivial group has no nontrivial rep
+    battery = zip(
+        reps,
+        bohr_mod.bohr_symmetry_normality_rows(reps, delta),
+        bohr_mod.bohr_sum_rule_rows(reps, delta / 2, delta / 2),
+        bohr_mod.bohr_half_size_rows(reps),
+        bohr_mod.bohr_doubling_rows(reps, delta) if delta <= 0.4 else [None] * len(reps),
+        bohr_mod.ruzsa_covering_rows(reps, delta),
+    ) if reps else ()
+    eps_sizes = None
+    for i, (rep, sym, rule, half, doubling, covering) in enumerate(battery):
         label = rep.label
-        sym = bohr_mod.bohr_symmetry_normality_check([rep], delta)
         add(f"{label}-01-symmetry", sym.name, f"delta={delta:g}", sym.failures, 0, sym.verdict)
-        rule = bohr_mod.bohr_sum_rule_check([rep], delta / 2, delta / 2)
         params = f"delta={delta / 2:g}+{delta / 2:g}"
         add(f"{label}-02-sum-rule", rule.name, params, rule.failures, 0, rule.verdict)
-        half = bohr_mod.check_bohr_half_size(rep)
         add_bound(f"{label}-03-half-size", half, f"delta={half.parameters['delta']:g}")
-        if delta <= 0.4:
-            add_bound(f"{label}-04-doubling", bohr_mod.bohr_doubling_check(rep, delta), f"delta={delta:g}")
-        covering = bohr_mod.ruzsa_covering(rep, delta)
+        if doubling is not None:
+            add_bound(f"{label}-04-doubling", doubling, f"delta={delta:g}")
         add(
             f"{label}-05-covering",
             "ruzsa_covering",
@@ -192,8 +201,9 @@ def cmd_bohr(args) -> int:
         params = f"window=[{window:g},{2 * window:g}]"
         add(f"{label}-06-regular", "regular_radius_exists", params, radius, 2 * window, "pass")
         if "eps" in cfg:
-            eps_rep = bohr_mod.check_bohr_eps_size(rep, float(cfg["eps"]))
-            add_bound(f"{label}-07-eps-size", eps_rep, f"eps={cfg['eps']:g}")
+            # after the first regular search, whose failure a bad eps must not mask
+            eps_sizes = eps_sizes or bohr_mod.bohr_eps_size_rows(reps, float(cfg["eps"]))
+            add_bound(f"{label}-07-eps-size", eps_sizes[i], f"eps={cfg['eps']:g}")
     if len(reps) >= 2:
         multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
         add_bound("zz-multi-bohr", multi, f"delta={delta:g}")
@@ -230,7 +240,7 @@ def cmd_scan(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _positive_int(cfg, "seed", 0, low=0)
     name = args.name
     if name not in EXPERIMENTS:
         raise CayleyGapError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -239,13 +249,13 @@ def cmd_experiment(args) -> int:
         result = EXPERIMENTS[name](group, seed)
     elif name == "sidon":
         result = EXPERIMENTS[name](
-            int(cfg.get("N", 101)), int(cfg.get("k", 2)), seed, float(cfg.get("c_k", 1.0))
+            _positive_int(cfg, "N", 101), _positive_int(cfg, "k", 2), seed, float(cfg.get("c_k", 1.0))
         )
     elif name == "additive-basis":
-        result = EXPERIMENTS[name](int(cfg.get("N", 211)), seed)
+        result = EXPERIMENTS[name](_positive_int(cfg, "N", 211), seed)
     else:
         result = EXPERIMENTS[name](
-            int(cfg.get("N", 1009)), float(cfg.get("c1", 2.0)), float(cfg.get("C", 8.0)), seed
+            _positive_int(cfg, "N", 1009), float(cfg.get("c1", 2.0)), float(cfg.get("C", 8.0)), seed
         )
     _emit(result.records, args)
     return EXIT_PASS if result.passed else EXIT_FAIL

@@ -8,6 +8,9 @@ as one read-only ``(k, |G|, d, d)`` stack per dimension (each rep's
 ``matrices`` is a view of its row), so ``IrrepCatalog.coefficients`` takes
 every Fourier coefficient with one matmul per stack; ``fourier_transform``
 stays the per-rep form and ``set_norm(s, catalog)`` the per-rep reference loop.
+``IrrepCatalog.identity_distances`` is the ``(k, |G|)`` matrix of ||rho(g) - I||
+that Bohr sets read, built on first use with one ``operator_norms`` call per
+stack; each catalog rep's ``identity_distances()`` is its row.
 The spectral engine (``spectra.spectral_summary``) never builds the catalog
 of an abelian group, whose nontrivial coefficients come from one FFT; it
 solves the nontrivial blocks of the other cataloged groups in batches and
@@ -36,9 +39,21 @@ ORTHOGONALITY_TOL = 1e-8
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (k, d, d) stack; plain |z| when d = 1."""
+    """Largest singular value of each matrix of a (k, d, d) stack.
+
+    Plain |z| when d = 1. When d = 2 it is the square root of the top
+    eigenvalue of the column Gram matrix [[p, w], [w*, q]], taken as
+    (p + q)/2 + hypot((p - q)/2, |w|); the textbook discriminant
+    (p + q)^2 - 4|det|^2 cancels and loses about half the digits.
+    """
     if stack.shape[1] == 1:
         return np.abs(stack[:, 0, 0])
+    if stack.shape[1] == 2:
+        a, b = stack[:, :, 0], stack[:, :, 1]
+        p = (a.real**2 + a.imag**2).sum(axis=1)
+        q = (b.real**2 + b.imag**2).sum(axis=1)
+        w = np.abs((a.conj() * b).sum(axis=1))
+        return np.sqrt((p + q) / 2.0 + np.hypot((p - q) / 2.0, w))
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
@@ -130,6 +145,18 @@ class UnitaryRepresentation:
             )
 
 
+class _CatalogRep(UnitaryRepresentation):
+    """Row ``index`` of a catalog, reading its distances from the catalog's matrix."""
+
+    def __init__(self, catalog: "IrrepCatalog", index: int, matrices: np.ndarray, label: str):
+        super().__init__(catalog.group, matrices, label, is_trivial=(index == catalog.trivial_index))
+        self._catalog = catalog
+        self._index = index
+
+    def identity_distances(self) -> np.ndarray:
+        return self._catalog.identity_distances()[self._index]
+
+
 class IrrepCatalog:
     """Complete list of irreducible unitary representations of a group: the
     rows of the read-only ``(k, |G|, d, d)`` stacks in turn, the first trivial."""
@@ -144,9 +171,24 @@ class IrrepCatalog:
         self.group = group
         self.stacks = tuple(stacks)
         self.reps = tuple(
-            UnitaryRepresentation(group, mats, label, is_trivial=(i == 0))
+            _CatalogRep(self, i, mats, label)
             for i, (mats, label) in enumerate(zip((m for st in stacks for m in st), labels, strict=True))
         )
+        self._identity_distances = None
+
+    def identity_distances(self) -> np.ndarray:
+        """Read-only ``(len, |G|)`` matrix of ||rho(g) - I||, one row per rep in
+        catalog order, from one ``operator_norms`` call per stack; each rep's
+        ``identity_distances()`` is its row."""
+        if self._identity_distances is None:
+            rows = np.concatenate([
+                operator_norms((stack - np.eye(d)).reshape(k * n, d, d)).reshape(k, n)
+                for stack in self.stacks
+                for k, n, d, _ in [stack.shape]
+            ])
+            rows.flags.writeable = False
+            self._identity_distances = rows
+        return self._identity_distances
 
     def coefficients(self, f: GroupFunction) -> list[np.ndarray]:
         """Every Fourier coefficient sum_g f(g) rho(g) in catalog order, as one

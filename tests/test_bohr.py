@@ -1,6 +1,7 @@
 """Bohr sets, convolution-mass shares, scans, size bounds, and regularity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,14 @@ from cayleygap import (
     verify_progression_basis_bound,
 )
 from cayleygap import bohr as bohr_module
-from cayleygap.bohr import bohr_symmetry_normality_check, is_prime, max_progression_mass
+from cayleygap.bohr import (
+    CoveringReport,
+    InclusionReport,
+    bohr_symmetry_normality_check,
+    is_prime,
+    max_progression_mass,
+)
+from cayleygap.bounds import BoundReport
 from cayleygap.bounds import exceptional_set, rep_count, symmetrized_rep_count
 from cayleygap.errors import (
     DeltaOutOfRange,
@@ -55,6 +63,8 @@ from cayleygap.errors import (
     TrivialRep,
     ZeroMass,
 )
+from cayleygap.groups import product_set
+from cayleygap.representations import UnitaryRepresentation
 from cayleygap.sampling import random_subset, random_symmetric_subset
 from cayleygap.spectra import spectral_summary
 
@@ -98,8 +108,9 @@ class TestBohrSet:
         # real Bohr sets are always normal, so hand the check a chosen set
         d3 = make_group("dihedral(3)")
         fake = GroupSubset.from_indices(d3, members)
-        monkeypatch.setattr(bohr_module, "bohr_set", lambda reps, delta: fake)
-        report = bohr_symmetry_normality_check(irrep_catalog(d3).nontrivial(), 0.5)
+        rep = irrep_catalog(d3)[1]
+        monkeypatch.setattr(rep, "identity_distances", lambda: np.where(fake.membership, 0.0, 1.0))
+        report = bohr_symmetry_normality_check(rep, 0.5)
         assert report.failures == failures
         assert report.checked == d3.order + 2
 
@@ -789,3 +800,188 @@ def test_unknown_form_rejected(z7, check):
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
+
+
+# -- the row kernels against the one-representation bodies they replaced ------------
+
+
+def _oracle_bohr(reps, delta):
+    reps = (reps,) if isinstance(reps, UnitaryRepresentation) else tuple(reps)
+    member = np.ones(reps[0].group.order, dtype=bool)
+    for rep in reps:
+        member &= rep.identity_distances() <= delta + 1e-12
+    return GroupSubset(reps[0].group, member.astype(np.int8))
+
+
+def _oracle_symmetry(reps, delta):
+    b = _oracle_bohr(reps, delta)
+    group = b.group
+    failures = int(group.identity not in b) + int(b != inverse_set(b))
+    labels = group.class_labels()
+    inside = np.bincount(labels, weights=b.membership)
+    failures += int(np.any((inside > 0) & (inside < np.bincount(labels))))
+    return InclusionReport(
+        name="bohr_symmetry_normality", checked=group.order + 2, failures=failures,
+        parameters={"delta": delta, "size": b.size},
+    )
+
+
+def _oracle_sum_rule(reps, delta1, delta2):
+    produced = product_set(_oracle_bohr(reps, delta1), _oracle_bohr(reps, delta2))
+    target = _oracle_bohr(reps, delta1 + delta2)
+    return InclusionReport(
+        name="bohr_sum_rule", checked=produced.size, failures=produced.difference(target).size,
+        vacuous=target.size == target.group.order, parameters={"delta1": delta1, "delta2": delta2},
+    )
+
+
+def _oracle_half_size(rep):
+    radius = bohr_size_thresholds(rep).half_radius
+    return BoundReport(
+        bound_name="bohr_half_size", bound_value=rep.group.order / 2.0,
+        measured=float(_oracle_bohr(rep, radius).size), sense="<=",
+        parameters={"group_order": rep.group.order, "rep": rep.label, "delta": radius},
+    )
+
+
+def _oracle_eps_size(rep, eps):
+    witness = normal_subgroup_min_index(rep.group, math.floor(1.0 / eps))
+    if witness is not None:
+        raise HypothesisFail(f"{rep.group.name} has a normal proper subgroup of index {witness} <= 1/eps")
+    radius = bohr_size_thresholds(rep).eps_radius(eps)
+    return BoundReport(
+        bound_name="bohr_eps_size", bound_value=eps * rep.group.order,
+        measured=float(_oracle_bohr(rep, radius).size), sense="<=",
+        parameters={"group_order": rep.group.order, "rep": rep.label, "eps": eps, "delta": radius},
+    )
+
+
+def _oracle_doubling(rep, delta):
+    b = _oracle_bohr(rep, delta)
+    return BoundReport(
+        bound_name="bohr_doubling_ratio", bound_value=2.0 ** (21.0 * rep.dim**2 / 2.0),
+        measured=product_set(b, b).size / b.size, sense="<=",
+        parameters={"group_order": rep.group.order, "rep": rep.label, "delta": delta, "bohr_size": b.size},
+    )
+
+
+def _oracle_covering(rep, delta):
+    group = rep.group
+    b, quarter, half = (_oracle_bohr(rep, r) for r in (delta, delta / 4.0, delta / 2.0))
+
+    def greedy(translates):
+        occupied = np.zeros(group.order, dtype=bool)
+        chosen = []
+        for x, cells in zip(b.indices, translates):
+            if not occupied[cells].any():
+                chosen.append(int(x))
+                occupied[cells] = True
+        return chosen
+
+    x_cover = greedy(group.mul(quarter.indices[None, :], b.indices[:, None]))
+    y_cover = greedy(group.mul(b.indices[:, None], quarter.indices[None, :]))
+    x_set, y_set = GroupSubset.from_indices(group, x_cover), GroupSubset.from_indices(group, y_cover)
+    return CoveringReport(
+        rep_label=rep.label, delta=delta, left_cover=tuple(x_cover), right_cover=tuple(y_cover),
+        size_bound=2.0 ** (25.0 * rep.dim**2),
+        left_contained=b.difference(product_set(half, x_set)).size == 0,
+        right_contained=b.difference(product_set(y_set, half)).size == 0,
+    )
+
+
+def _same(got, expected):
+    # repr also tells a numpy scalar from the Python number the reports carry
+    assert [repr(r) for r in got] == [repr(r) for r in expected]
+
+
+BATTERY_GROUPS = ["cyclic(12)", "cyclic(199)", "abelian_product([12, 15])", "dihedral(6)", "dihedral(200)"]
+
+
+def _on_a_distance(reps):
+    """A radius sitting exactly on a distance value of the last representation."""
+    values = np.sort(reps[-1].identity_distances())
+    return float(values[values > 0][1])
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("descriptor", BATTERY_GROUPS)
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.4, 0.8, "on-a-distance"])
+    def test_battery_matches_one_rep_bodies(self, descriptor, delta):
+        reps = irrep_catalog(make_group(descriptor)).nontrivial()
+        if delta == "on-a-distance":
+            delta = _on_a_distance(reps)
+            assert np.any(np.stack([r.identity_distances() for r in reps]) == delta)
+        _same(bohr_module.bohr_symmetry_normality_rows(reps, delta), [_oracle_symmetry(r, delta) for r in reps])
+        _same(
+            bohr_module.bohr_sum_rule_rows(reps, delta / 2, delta / 2),
+            [_oracle_sum_rule(r, delta / 2, delta / 2) for r in reps],
+        )
+        _same(bohr_module.bohr_sum_rule_rows(reps, delta, 0.3), [_oracle_sum_rule(r, delta, 0.3) for r in reps])
+        if delta <= 0.4:
+            _same(bohr_module.bohr_doubling_rows(reps, delta), [_oracle_doubling(r, delta) for r in reps])
+        _same(bohr_module.ruzsa_covering_rows(reps, delta), [_oracle_covering(r, delta) for r in reps])
+        _same([bohr_set(r, delta) for r in reps], [_oracle_bohr(r, delta) for r in reps])
+
+    @pytest.mark.parametrize("descriptor", BATTERY_GROUPS)
+    def test_size_checks_match_one_rep_bodies(self, descriptor):
+        group = make_group(descriptor)
+        reps = irrep_catalog(group).nontrivial()
+        _same(bohr_module.bohr_half_size_rows(reps), [_oracle_half_size(r) for r in reps])
+        for eps in (0.2, 0.5):
+            if group.order > bohr_module.NORMAL_SUBGROUP_CAP:
+                with pytest.raises(GroupTooLarge):
+                    bohr_module.bohr_eps_size_rows(reps, eps)
+                continue
+            try:
+                expected = [_oracle_eps_size(r, eps) for r in reps]
+            except HypothesisFail as exc:
+                with pytest.raises(HypothesisFail, match=re.escape(str(exc))):
+                    bohr_module.bohr_eps_size_rows(reps, eps)
+            else:
+                _same(bohr_module.bohr_eps_size_rows(reps, eps), expected)
+
+    @pytest.mark.parametrize("descriptor", BATTERY_GROUPS)
+    @pytest.mark.parametrize("delta", [0.3, 0.8])
+    def test_joint_rows_match_one_rep_bodies(self, descriptor, delta):
+        reps = irrep_catalog(make_group(descriptor)).nontrivial()
+        items = [reps[:2], reps[-3:], [reps[0], reps[len(reps) // 2]]]
+        _same(bohr_module.bohr_symmetry_normality_rows(items, delta), [_oracle_symmetry(i, delta) for i in items])
+        _same(
+            bohr_module.bohr_sum_rule_rows(items, delta / 2, delta),
+            [_oracle_sum_rule(i, delta / 2, delta) for i in items],
+        )
+        _same([bohr_set(i, delta) for i in items], [_oracle_bohr(i, delta) for i in items])
+
+    def test_rows_larger_than_one_chunk(self):
+        # the sign reps of D_400 have a Bohr set of 400 rotations (or mixed
+        # elements) at every radius below 2, so each product has 160000 pairs
+        mixed = irrep_catalog(make_group("dihedral(400)")).nontrivial()[:6]  # 3 sign reps, 3 planes
+        assert min(_oracle_bohr(r, 0.15).size for r in mixed[:3]) ** 2 > bohr_module._PAIR_CHUNK
+        _same(bohr_module.bohr_sum_rule_rows(mixed, 0.15, 0.15), [_oracle_sum_rule(r, 0.15, 0.15) for r in mixed])
+        _same(bohr_module.bohr_doubling_rows(mixed, 0.3), [_oracle_doubling(r, 0.3) for r in mixed])
+        _same(bohr_module.ruzsa_covering_rows(mixed, 0.3), [_oracle_covering(r, 0.3) for r in mixed])
+
+    def test_catalog_rows_are_the_rep_distances(self):
+        catalog = irrep_catalog(make_group("dihedral(12)"))
+        rows = catalog.identity_distances()
+        assert rows.shape == (len(catalog), 24) and not rows.flags.writeable
+        for i, rep in enumerate(catalog):
+            assert np.shares_memory(rep.identity_distances(), rows)
+            expected = np.linalg.svd(rep.matrices - np.eye(rep.dim), compute_uv=False)[:, 0]
+            np.testing.assert_allclose(rows[i], expected, rtol=0, atol=1e-15)
+
+
+def _find_regular_full_scan(rep, delta):
+    """Oracle: the first regular radius among all candidates, built up front."""
+    norms = np.sort(rep.identity_distances())
+    inside = np.unique(norms[(norms > delta) & (norms < 2.0 * delta)])
+    bounds = np.concatenate(([delta], inside, [2.0 * delta]))
+    candidates = np.unique(np.concatenate(((bounds[:-1] + bounds[1:]) / 2, np.linspace(delta, 2 * delta, 1024))))
+    return float(next(r for r in candidates if bohr_module._regular(norms, rep.dim, r)))
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic(199)", "dihedral(200)", "abelian_product([12, 15])"])
+def test_find_regular_matches_full_candidate_scan(descriptor):
+    for rep in irrep_catalog(make_group(descriptor)).nontrivial():
+        for delta in (0.1, 0.25, 0.3, 0.5):
+            assert find_regular(rep, delta) == _find_regular_full_scan(rep, delta), (rep.label, delta)

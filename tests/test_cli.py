@@ -217,6 +217,9 @@ class TestConfigErrors:
             ("bounds", "group = cyclic(13)\nset = random(4)\nd = 0\n"),
             ("bounds", "group = cyclic(13)\nset = random(4)\nk = 0\n"),
             ("bounds", "group = cyclic(13)\nset = random(4)\nk = 1.5\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\ng = x\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\ng = -1\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\ng = 0\n"),
         ],
     )
     def test_malformed_input_exits_2_without_traceback(self, tmp_path, capsys, command, body):
@@ -224,6 +227,24 @@ class TestConfigErrors:
         assert main([command, "--config", cfg]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(("error: ", "config error: ")) and "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "name, body",
+        [
+            ("sidon", "N = 61.7\n"),
+            ("sidon", "k = 2.9\n"),
+            ("sidon", "N = 0\n"),
+            ("sidon", "seed = 1.5\n"),
+            ("sidon", "seed = -1\n"),
+            ("additive-basis", "N = 211.5\n"),
+            ("interval-union", "N = x\n"),
+        ],
+    )
+    def test_experiment_sizes_and_seed_are_integers(self, tmp_path, capsys, name, body):
+        cfg = write_config(tmp_path, "x.cfg", body)
+        assert main(["experiment", name, "--config", cfg]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestImports:

@@ -15,6 +15,7 @@ from cayleygap import (
     make_group,
     set_norm,
 )
+from cayleygap.representations import operator_norms
 from cayleygap.errors import GroupMismatch, IncompleteCatalog, NotCataloged
 from cayleygap.sampling import random_function
 
@@ -243,3 +244,25 @@ class TestStackedCatalog:
     def test_coefficients_group_mismatch(self, z5, z7):
         with pytest.raises(GroupMismatch):
             irrep_catalog(z7).coefficients(GroupFunction.delta(z5))
+
+
+class TestOperatorNorms:
+    """The closed form of 2 x 2 stacks against LAPACK's singular values."""
+
+    @staticmethod
+    def _relative_error(stack):
+        exact = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        got = operator_norms(stack)
+        nonzero = exact > 0
+        assert np.all(got[~nonzero] == 0)
+        return float(np.max(np.abs(got - exact)[nonzero] / exact[nonzero]))
+
+    def test_dihedral_distance_stack(self):
+        planes = irrep_catalog(make_group("dihedral(200)")).stacks[1]
+        assert self._relative_error((planes - np.eye(2)).reshape(-1, 2, 2)) <= 2e-15
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_random_complex_matrices(self, scale):
+        rng = np.random.default_rng(7)
+        stack = scale * (rng.standard_normal((100_000, 2, 2)) + 1j * rng.standard_normal((100_000, 2, 2)))
+        assert self._relative_error(stack) <= 2e-15
