@@ -706,7 +706,7 @@ def large_spectrum(a: GroupSubset, eps: float) -> LargeSpectrum:
         set_size=a.size,
         eps=eps,
         indices=tuple(members),
-        labels=tuple(catalog[i].label for i in members),
+        labels=tuple(catalog.labels[i] for i in members),
         norms=tuple(norms[i] for i in members),
     )
 

@@ -63,10 +63,15 @@ def _positive_int(cfg: dict, key: str, default, stop: float = float("inf"), low:
     return n
 
 
+def _seed(args, cfg: dict) -> int:
+    """The ``--seed`` override, else the config ``seed`` as an integer >= 0 (default 0)."""
+    return args.seed if args.seed is not None else _positive_int(cfg, "seed", 0, low=0)
+
+
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     group = make_group(cfg["group"])
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
+    rng = np.random.default_rng(_seed(args, cfg))
     subset = resolve_subset(group, cfg.get("set", "full"), rng)
     dense = laplace_spectrum_dense(subset)
     records = []
@@ -104,7 +109,7 @@ def cmd_spectrum(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     group = make_group(cfg["group"])
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.get("seed", 0))
+    rng = np.random.default_rng(_seed(args, cfg))
     subset = resolve_subset(group, cfg.get("set", "full"), rng)
     g = cfg.get("g", 1)
     if not (isinstance(g, numbers.Real) and g > 0):
@@ -214,7 +219,7 @@ def cmd_bohr(args) -> int:
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
     group = make_group(cfg["group"])
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(args, cfg)
     rng = np.random.default_rng(seed)
     subset = resolve_subset(group, cfg.get("set", "full"), rng)
     d = _positive_int(cfg, "d", 2)
@@ -240,7 +245,7 @@ def cmd_scan(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else _positive_int(cfg, "seed", 0, low=0)
+    seed = _seed(args, cfg)
     name = args.name
     if name not in EXPERIMENTS:
         raise CayleyGapError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")

@@ -3,11 +3,16 @@ matrix Fourier transform.
 
 Catalogs exist for cyclic groups, abelian products, and dihedral groups.
 Generic groups deliberately get no numerically synthesized irreps; operations
-that need the catalog raise NotCataloged.  A catalog stores its matrices
-as one read-only ``(k, |G|, d, d)`` stack per dimension (each rep's
-``matrices`` is a view of its row), so ``IrrepCatalog.coefficients`` takes
-every Fourier coefficient with one matmul per stack; ``fourier_transform``
-stays the per-rep form and ``set_norm(s, catalog)`` the per-rep reference loop.
+that need the catalog raise NotCataloged.  ``IrrepCatalog.coefficients`` takes
+every Fourier coefficient by FFTs over the group's cyclic factors: one
+``ifftn`` over the factor orders on abelian groups, and on dihedral groups one
+``ifft`` and one ``fft`` of the two coset rows, whose entries fill the sign
+and plane blocks.  ``IrrepCatalog.norms`` reads those coefficients, so neither
+touches a matrix.  The matrices themselves, one read-only ``(k, |G|, d, d)``
+stack per dimension with each rep's ``matrices`` a view of its row, are built
+on first read of ``stacks`` or ``reps``; ``fourier_transform`` (the per-rep
+``tensordot`` on those matrices) and ``set_norm(s, catalog)`` stay the
+reference the FFTs are tested against.
 ``IrrepCatalog.identity_distances`` is the ``(k, |G|)`` matrix of ||rho(g) - I||
 that Bohr sets read, built on first use with one ``operator_norms`` call per
 stack; each catalog rep's ``identity_distances()`` is its row.
@@ -20,7 +25,7 @@ diagonalizes the dense operator only where ``irrep_catalog`` raises NotCataloged
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,23 +163,48 @@ class _CatalogRep(UnitaryRepresentation):
 
 
 class IrrepCatalog:
-    """Complete list of irreducible unitary representations of a group: the
-    rows of the read-only ``(k, |G|, d, d)`` stacks in turn, the first trivial."""
+    """Complete list of irreducible unitary representations of a group, the
+    first trivial, in ``len(shapes)`` stacks of ``k`` reps of dimension ``d``.
+
+    A family subclass takes every Fourier coefficient by FFT (``_transform``),
+    names its reps (``labels``) and builds the ``(k, |G|, d, d)`` matrix
+    stacks (``_build``).  ``stacks`` and the ``reps`` that view their rows
+    are built on first read, so coefficients and norms never touch them.
+    """
 
     trivial_index = 0
 
-    def __init__(self, group: FiniteGroup, stacks: list[np.ndarray], labels: list[str]):
-        if sum(stack.shape[0] * stack.shape[2] ** 2 for stack in stacks) != group.order:
-            raise ValueError("catalog dimension check failed: sum of d^2 != order")
+    def __init__(self, group: FiniteGroup, shapes: list[tuple[int, int]]):
+        self.group = group
+        self.shapes = tuple(shapes)  # (k, d) per stack
+        self._identity_distances = None
+
+    def _build(self) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    def _transform(self, values: np.ndarray) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        stacks = self._build()
+        order = self.group.order
+        declared = [(k, order, d, d) for k, d in self.shapes]
+        if [stack.shape for stack in stacks] != declared or sum(k * d * d for k, d in self.shapes) != order:
+            raise ValueError(
+                f"catalog dimension check failed: stacks {[stack.shape for stack in stacks]}, "
+                f"declared {declared}, sum of k d^2 must be the order {order}"
+            )
         for stack in stacks:
             stack.flags.writeable = False
-        self.group = group
-        self.stacks = tuple(stacks)
-        self.reps = tuple(
-            _CatalogRep(self, i, mats, label)
-            for i, (mats, label) in enumerate(zip((m for st in stacks for m in st), labels, strict=True))
+        return tuple(stacks)
+
+    @cached_property
+    def reps(self) -> tuple[UnitaryRepresentation, ...]:
+        rows = (mats for stack in self.stacks for mats in stack)
+        return tuple(
+            _CatalogRep(self, i, mats, label) for i, (mats, label) in enumerate(zip(rows, self.labels, strict=True))
         )
-        self._identity_distances = None
 
     def identity_distances(self) -> np.ndarray:
         """Read-only ``(len, |G|)`` matrix of ||rho(g) - I||, one row per rep in
@@ -192,22 +222,17 @@ class IrrepCatalog:
 
     def coefficients(self, f: GroupFunction) -> list[np.ndarray]:
         """Every Fourier coefficient sum_g f(g) rho(g) in catalog order, as one
-        ``(k, d, d)`` array per stack, by one matmul per stack."""
+        ``(k, d, d)`` array per stack, by FFTs over the group's cyclic factors."""
         if f.group != self.group:
             raise GroupMismatch(f"function on {f.group.name}, catalog of {self.group.name}")
-        values = f.values.astype(np.complex128)
-        return [
-            (values @ stack.reshape(k, n, d * d)).reshape(k, d, d)
-            for stack in self.stacks
-            for k, n, d, _ in [stack.shape]
-        ]
+        return self._transform(f.values.astype(np.complex128))
 
     def norms(self, f: GroupFunction) -> np.ndarray:
         """Operator norm of every Fourier coefficient of f, in catalog order."""
         return np.concatenate([operator_norms(block) for block in self.coefficients(f)])
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return sum(k for k, _ in self.shapes)
 
     def __iter__(self):
         return iter(self.reps)
@@ -224,7 +249,9 @@ class IrrepCatalog:
 
     @property
     def d_min(self) -> int:
-        return min(r.dim for r in self.nontrivial())
+        dims = [d for k, d in self.shapes for _ in range(k)]
+        del dims[self.trivial_index]
+        return min(dims)
 
     def report(self) -> list[dict]:
         rows = []
@@ -242,61 +269,89 @@ class IrrepCatalog:
         return rows
 
 
-def _cyclic_catalog(group: CyclicGroup) -> IrrepCatalog:
-    n = group.order
-    x = np.arange(n)
-    stack = np.empty((n, n, 1, 1), dtype=np.complex128)
-    for r in range(n):
-        stack[r, :, 0, 0] = np.exp(2j * np.pi * r * x / n)
-    return IrrepCatalog(group, [stack], [f"chi{r}" for r in range(n)])
+class _AbelianCatalog(IrrepCatalog):
+    """Characters chi_r(x) = exp(2 pi i sum_j r_j x_j / n_j) of a cyclic group
+    (one factor) or an abelian product, in C-order of the frequency digits r."""
+
+    def __init__(self, group: CyclicGroup | AbelianProductGroup):
+        super().__init__(group, [(group.order, 1)])
+        self.factor_orders = getattr(group, "factor_orders", (group.order,))
+
+    def _build(self) -> list[np.ndarray]:
+        group = self.group
+        n = group.order
+        if isinstance(group, CyclicGroup):
+            x = np.arange(n)
+            phases = 2j * np.pi * x[:, None] * x / n
+        else:
+            digits = group.digit_matrix()  # (order, k); row r is also frequency r
+            freqs = digits / np.array(group.factor_orders, dtype=np.float64)
+            phases = 2j * np.pi * (digits * freqs[:, None, :]).sum(axis=2)
+        return [np.exp(phases).reshape(n, n, 1, 1)]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        if isinstance(self.group, CyclicGroup):
+            return tuple(f"chi{r}" for r in range(self.group.order))
+        return tuple("chi" + "_".join(map(str, row)) for row in self.group.digit_matrix().tolist())
+
+    def _transform(self, values: np.ndarray) -> list[np.ndarray]:
+        # ifftn without the 1/n factor is sum_x f(x) e^{+2 pi i <r, x>}, the catalog's sign
+        coeffs = np.fft.ifftn(values.reshape(self.factor_orders), norm="forward")
+        return [coeffs.reshape(-1, 1, 1)]
 
 
-def _abelian_product_catalog(group: AbelianProductGroup) -> IrrepCatalog:
-    digits = group.digit_matrix()  # (order, k)
-    orders = np.array(group.factor_orders, dtype=np.float64)
-    stack = np.empty((group.order, group.order, 1, 1), dtype=np.complex128)
-    labels = []
-    for label_idx in range(group.order):
-        freq = np.array(group.decode(label_idx), dtype=np.float64)
-        phases = (digits * (freq / orders)).sum(axis=1)
-        stack[label_idx, :, 0, 0] = np.exp(2j * np.pi * phases)
-        labels.append("chi" + "_".join(str(d) for d in group.decode(label_idx)))
-    return IrrepCatalog(group, [stack], labels)
+class _DihedralCatalog(IrrepCatalog):
+    """Sign reps, then plane rep h sending s^t r^i to swap^t @ diag(omega^h, omega^-h)^i
+    for 1 <= h < n/2, where omega = exp(2 pi i / n) and element t n + i is s^t r^i."""
 
+    def __init__(self, group: DihedralGroup):
+        n = group.n
+        self.harmonics = np.arange(1, (n + 1) // 2)
+        super().__init__(group, [(2 if n % 2 else 4, 1), (self.harmonics.size, 2)])
 
-def _dihedral_catalog(group: DihedralGroup) -> IrrepCatalog:
-    n = group.n
-    order = group.order
-    t, i = np.divmod(np.arange(order), n)
-    signs = [np.ones(order), (-1.0) ** t]
-    labels = ["triv", "reflection_sign"]
-    if n % 2 == 0:
-        signs += [(-1.0) ** i, (-1.0) ** (t + i)]
-        labels += ["rotation_sign", "mixed_sign"]
-    lines = np.array(signs, dtype=np.complex128).reshape(len(signs), order, 1, 1)
-    omega = np.exp(2j * np.pi / n)
-    # plane rep h sends s^t r^i to swap^t @ diag(omega^h, omega^-h)^i
-    harmonics = range(1, (n - 1) // 2 + 1 if n % 2 else n // 2)
-    planes = np.zeros((len(harmonics), order, 2, 2), dtype=np.complex128)
-    for mats, h in zip(planes, harmonics):
-        rot = omega ** (h * i)
-        mats[t == 0, 0, 0] = rot[t == 0]
-        mats[t == 0, 1, 1] = rot[t == 0].conj()
-        mats[t == 1, 0, 1] = rot[t == 1].conj()
-        mats[t == 1, 1, 0] = rot[t == 1]
-    labels += [f"plane{h}" for h in harmonics]
-    return IrrepCatalog(group, [lines, planes], labels)
+    def _build(self) -> list[np.ndarray]:
+        n = self.group.n
+        order = self.group.order
+        t, i = np.divmod(np.arange(order), n)
+        signs = [np.ones(order), (-1.0) ** t]
+        if n % 2 == 0:
+            signs += [(-1.0) ** i, (-1.0) ** (t + i)]
+        lines = np.array(signs, dtype=np.complex128).reshape(len(signs), order, 1, 1)
+        omega = np.exp(2j * np.pi / n)
+        rot = omega ** (self.harmonics[:, None] * np.arange(n))  # (harmonics, n)
+        planes = np.zeros((self.harmonics.size, order, 2, 2), dtype=np.complex128)
+        planes[:, :n, 0, 0] = rot
+        planes[:, :n, 1, 1] = rot.conj()
+        planes[:, n:, 0, 1] = rot.conj()
+        planes[:, n:, 1, 0] = rot
+        return [lines, planes]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        signs = ("triv", "reflection_sign") + (("rotation_sign", "mixed_sign") if self.group.n % 2 == 0 else ())
+        return signs + tuple(f"plane{h}" for h in self.harmonics)
+
+    def _transform(self, values: np.ndarray) -> list[np.ndarray]:
+        n = self.group.n
+        rows = values.reshape(2, n)  # f(s^t r^i) at [t, i]
+        plus = np.fft.ifft(rows, norm="forward")  # sum_i f(s^t r^i) omega^(h i)
+        minus = np.fft.fft(rows)  # sum_i f(s^t r^i) omega^(-h i)
+        lines = [plus[0, 0] + plus[1, 0], plus[0, 0] - plus[1, 0]]
+        if n % 2 == 0:
+            lines += [plus[0, n // 2] + plus[1, n // 2], plus[0, n // 2] - plus[1, n // 2]]
+        h = self.harmonics
+        planes = np.stack([plus[0, h], minus[1, h], plus[1, h], minus[0, h]], axis=-1)
+        return [np.array(lines).reshape(-1, 1, 1), planes.reshape(-1, 2, 2)]
 
 
 @lru_cache(maxsize=None)
 def irrep_catalog(group: FiniteGroup) -> IrrepCatalog:
     """Full irrep catalog for cataloged families; NotCataloged otherwise."""
-    if isinstance(group, CyclicGroup):
-        return _cyclic_catalog(group)
-    if isinstance(group, AbelianProductGroup):
-        return _abelian_product_catalog(group)
+    if isinstance(group, (CyclicGroup, AbelianProductGroup)):
+        return _AbelianCatalog(group)
     if isinstance(group, DihedralGroup):
-        return _dihedral_catalog(group)
+        return _DihedralCatalog(group)
     raise NotCataloged(f"no representation catalog for {group.name}")
 
 

@@ -75,6 +75,15 @@ def variational_lambda1(delta: np.ndarray) -> float:
     return float(np.delete(values, np.argmin(np.abs(values - trivial))).min())
 
 
+def _laplacian(m: np.ndarray, scale: float) -> np.ndarray:
+    """I - m / scale in one new n x n array, byte for byte np.eye(n) - m / scale:
+    0.0 - x keeps the +0.0 that np.negative would write as -0.0."""
+    delta = m / scale
+    np.subtract(0.0, delta, out=delta)
+    delta.flat[:: delta.shape[0] + 1] += 1.0
+    return delta
+
+
 def _hermitian_gaps(blocks: np.ndarray, size: int) -> np.ndarray:
     """Smallest eigenvalue of I - (B + B*)/(2|S|) for each Fourier block B of a (k, d, d) stack."""
     herm = np.eye(blocks.shape[1]) - (blocks + blocks.conj().transpose(0, 2, 1)) / (2.0 * size)
@@ -198,14 +207,14 @@ def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, n
     A normal operator takes one solve of Delta (``eigvals`` only when ``full``
     needs it anyway); other sets solve the star operator and Hermitian part."""
     m = markov_matrix(s)
-    n, size = s.group.order, s.size
-    delta = np.eye(n) - m / size
+    size = s.size
+    delta = _laplacian(m, size)
     symmetric = s.is_symmetric
     if symmetric or (full and is_normal_operator(s)):
         del m
         mu = np.linalg.eigvalsh(delta).astype(np.complex128) if symmetric else np.linalg.eigvals(delta)
         return (mu, *_normal_gaps(mu))
-    star = np.sort(np.linalg.eigvalsh(np.eye(n) - (m @ m.T) / (size * size)))
+    star = np.sort(np.linalg.eigvalsh(_laplacian(m @ m.T, size * size)))
     del m
     return np.linalg.eigvals(delta) if full else None, variational_lambda1(delta), star
 
@@ -330,8 +339,7 @@ def lambda1_of_function(f: GroupFunction) -> float:
     mass = f.l1_norm
     if mass == 0:
         raise EmptySet("lambda1 of a zero-mass function")
-    delta = np.eye(f.group.order) - markov_of_function(f) / mass
-    return variational_lambda1(delta)
+    return variational_lambda1(_laplacian(markov_of_function(f), mass))
 
 
 def balanced_function(b: GroupSubset) -> GroupFunction:

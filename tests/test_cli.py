@@ -247,6 +247,15 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("config error: ")
 
 
+    @pytest.mark.parametrize("command", ["spectrum", "bounds", "scan"])
+    @pytest.mark.parametrize("seed", ["1.5", "-1", "x"])
+    def test_config_seed_is_a_nonnegative_integer(self, tmp_path, capsys, command, seed):
+        cfg = write_config(tmp_path, "x.cfg", f"group = cyclic(13)\nset = random(4)\nseed = {seed}\n")
+        assert main([command, "--config", cfg]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be") and "Traceback" not in err
+
+
 class TestImports:
     """A CLI run never imports ``numpy.ma``: numpy's unique pulls it in on its
     first call, so one stray call costs every run that import."""

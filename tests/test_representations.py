@@ -15,7 +15,10 @@ from cayleygap import (
     make_group,
     set_norm,
 )
+from cayleygap import representations
+from cayleygap.bohr import large_spectrum, large_spectrum_product_check
 from cayleygap.representations import operator_norms
+from cayleygap.spectra import laplace_spectrum_blocks, spectral_summary
 from cayleygap.errors import GroupMismatch, IncompleteCatalog, NotCataloged
 from cayleygap.sampling import random_function
 
@@ -244,6 +247,137 @@ class TestStackedCatalog:
     def test_coefficients_group_mismatch(self, z5, z7):
         with pytest.raises(GroupMismatch):
             irrep_catalog(z7).coefficients(GroupFunction.delta(z5))
+
+
+class TestFFTCoefficients:
+    """FFT coefficients against the per-rep tensordot on the catalog matrices."""
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "cyclic(1009)",
+            "abelian_product([12, 15])",
+            "abelian_product([2, 3, 4])",
+            "dihedral(500)",
+            "dihedral(7)",
+            "dihedral(3)",
+        ],
+    )
+    def test_fft_matches_per_rep_transform(self, descriptor, rng):
+        group = make_group(descriptor)
+        catalog = irrep_catalog(group)
+        f = GroupFunction(group, rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order))
+        bound = 1e-12 * max(1.0, float(np.abs(f.values).sum()))
+        coefficients = [matrix for stack in catalog.coefficients(f) for matrix in stack]
+        assert len(coefficients) == len(catalog)
+        for rep, matrix in zip(catalog, coefficients):
+            assert np.abs(matrix - fourier_transform(f, rep).matrix).max() <= bound, rep.label
+
+
+def _cyclic_stacks_loop(group):
+    n = group.order
+    x = np.arange(n)
+    stack = np.empty((n, n, 1, 1), dtype=np.complex128)
+    for r in range(n):
+        stack[r, :, 0, 0] = np.exp(2j * np.pi * r * x / n)
+    return [stack]
+
+
+def _abelian_product_stacks_loop(group):
+    digits = group.digit_matrix()
+    orders = np.array(group.factor_orders, dtype=np.float64)
+    stack = np.empty((group.order, group.order, 1, 1), dtype=np.complex128)
+    for label_idx in range(group.order):
+        freq = np.array(group.decode(label_idx), dtype=np.float64)
+        phases = (digits * (freq / orders)).sum(axis=1)
+        stack[label_idx, :, 0, 0] = np.exp(2j * np.pi * phases)
+    return [stack]
+
+
+def _dihedral_stacks_loop(group):
+    n = group.n
+    order = group.order
+    t, i = np.divmod(np.arange(order), n)
+    signs = [np.ones(order), (-1.0) ** t]
+    if n % 2 == 0:
+        signs += [(-1.0) ** i, (-1.0) ** (t + i)]
+    lines = np.array(signs, dtype=np.complex128).reshape(len(signs), order, 1, 1)
+    omega = np.exp(2j * np.pi / n)
+    harmonics = range(1, (n - 1) // 2 + 1 if n % 2 else n // 2)
+    planes = np.zeros((len(harmonics), order, 2, 2), dtype=np.complex128)
+    for mats, h in zip(planes, harmonics):
+        rot = omega ** (h * i)
+        mats[t == 0, 0, 0] = rot[t == 0]
+        mats[t == 0, 1, 1] = rot[t == 0].conj()
+        mats[t == 1, 0, 1] = rot[t == 1].conj()
+        mats[t == 1, 1, 0] = rot[t == 1]
+    return [lines, planes]
+
+
+class TestLazyStacks:
+    """Stacks are built on first read, by broadcasts equal to the row loops."""
+
+    @pytest.mark.parametrize(
+        "descriptor, oracle",
+        [
+            ("cyclic(1)", _cyclic_stacks_loop),
+            ("cyclic(12)", _cyclic_stacks_loop),
+            ("cyclic(1009)", _cyclic_stacks_loop),
+            ("abelian_product([2, 3, 4])", _abelian_product_stacks_loop),
+            ("abelian_product([12, 15])", _abelian_product_stacks_loop),
+            ("dihedral(3)", _dihedral_stacks_loop),
+            ("dihedral(4)", _dihedral_stacks_loop),
+            ("dihedral(7)", _dihedral_stacks_loop),
+            ("dihedral(200)", _dihedral_stacks_loop),
+        ],
+    )
+    def test_builders_equal_row_loops_bit_for_bit(self, descriptor, oracle):
+        group = make_group(descriptor)
+        stacks = irrep_catalog(group).stacks
+        expected = oracle(group)
+        assert [stack.shape for stack in stacks] == [stack.shape for stack in expected]
+        for stack, reference in zip(stacks, expected):
+            assert stack.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("descriptor, count", [("dihedral(500)", 253), ("cyclic(1200)", 1200)])
+    def test_spectral_paths_leave_stacks_unbuilt(self, descriptor, count):
+        irrep_catalog.cache_clear()
+        spectral_summary.cache_clear()
+        group = make_group(descriptor)
+        s = GroupSubset.from_indices(group, [1, 2, 7, group.order - 1])
+        laplace_spectrum_blocks(s)
+        spectral_summary(s)
+        catalog = irrep_catalog(group)
+        catalog.norms(s.indicator())
+        assert len(large_spectrum(s, 0.5)) >= 1
+        if group.is_abelian:
+            large_spectrum_product_check(s, 0.1, 0.1)
+        assert len(catalog) == count
+        assert catalog.d_min == 1
+        assert "stacks" not in vars(catalog) and "reps" not in vars(catalog)
+        assert catalog[1].matrices.shape[0] == group.order
+        assert "stacks" in vars(catalog) and "reps" in vars(catalog)
+
+    def test_wrong_builder_dimensions_raise_on_build(self):
+        group = make_group("dihedral(6)")
+
+        class Truncated(representations._DihedralCatalog):
+            def _build(self):
+                lines, planes = super()._build()
+                return [lines, planes[:-1]]
+
+        class WrongOrder(representations._AbelianCatalog):
+            def _build(self):
+                return [stack[:, 1:] for stack in super()._build()]
+
+        catalog = Truncated(group)
+        assert catalog.coefficients(GroupFunction.delta(group))[1].shape == (2, 2, 2)
+        with pytest.raises(ValueError, match="dimension check"):
+            catalog.stacks
+        with pytest.raises(ValueError, match="dimension check"):
+            catalog.reps
+        with pytest.raises(ValueError, match="dimension check"):
+            WrongOrder(make_group("cyclic(5)")).stacks
 
 
 class TestOperatorNorms:

@@ -25,6 +25,7 @@ from cayleygap.cli import main as cli_main
 from cayleygap.errors import EmptySet, KZero, NotCataloged
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
 from cayleygap.spectra import (
+    _laplacian,
     is_normal_operator,
     markov_of_function,
     spectral_summary,
@@ -407,6 +408,25 @@ class TestBatchedBlocks:
             assert np.abs(report.star_eigenvalues - star).max() <= 1e-12
             assert abs(report.lambda1 - gap) <= 1e-12
             assert abs(report.lambda1_star - (star[1] if star.size > 1 else 0.0)) <= 1e-12
+
+
+class TestInPlaceLaplacian:
+    """The in-place I - M/scale is byte for byte np.eye(n) - M/scale, signed zeros included."""
+
+    @pytest.mark.parametrize("descriptor", ["cyclic(120)", "dihedral(250)", "cyclic(1000)", "cyclic(1200)"])
+    def test_bytes_equal_eye_minus_scaled(self, descriptor, rng):
+        group = make_group(descriptor)
+        n = group.order
+        s = random_nonempty_subset(group, rng, max_size=12)
+        weights = GroupFunction(group, rng.normal(size=n) + 1j * rng.normal(size=n))
+        for m, scale in (
+            (markov_matrix(s), s.size),
+            (markov_matrix(s) @ markov_matrix(s).T, s.size * s.size),
+            (markov_of_function(weights), weights.l1_norm),
+        ):
+            before = m.tobytes()
+            assert _laplacian(m, scale).tobytes() == (np.eye(n) - m / scale).tobytes()
+            assert m.tobytes() == before
 
 
 class TestVariationalLambda1:
