@@ -7,10 +7,17 @@ first nontrivial eigenvalue is reported variationally, as the minimum of the
 quadratic form of the Hermitian part on the mean-zero subspace, which keeps it
 well defined for non-symmetric generating sets.
 
-The dense path solves one n x n eigenproblem when the operator is certified
-normal (``is_normal_operator``): the spectrum mu of Delta then gives the
-variational gap (min Re mu) and the star spectrum 1 - |1 - mu|^2 too.  The
-block path solves each stack of equal-dimension blocks in one batched call.
+The dense path needs no n x n solve when S is closed under conjugation (every
+set in an abelian group, every union of classes): the inversion J f = f o inv
+then satisfies J M J = M^T, and in the basis of J-even and J-odd vectors Delta
+splits into two half-size symmetric blocks and a skew coupling, read straight
+from the group law.  The coupling, rotated into the blocks' eigenvectors,
+lives in clusters of equal real part; each cluster is a small block, and a
+Bauer-Fike certificate on the dropped remainder falls back to the n x n solve
+above 1e-9.  Another operator certified normal (``is_normal_operator``) takes
+one n x n solve.  Either way the spectrum mu of Delta gives the variational
+gap (min Re mu) and the star spectrum 1 - |1 - mu|^2 too.  The block path
+solves each stack of equal-dimension blocks in one batched call.
 
 The scalar queries ``lambda1``, ``lambda1_star`` and ``set_norm`` read one
 memoized per-subset ``SpectralSummary``, computed by the cheapest exact path:
@@ -37,6 +44,9 @@ from .groups import (
 )
 from .representations import irrep_catalog
 
+_CLUSTER_GAP = 1e-6  # eigenvalues closer than this along the real axis share a cluster
+_SPLIT_TOL = 1e-9  # largest certified error of the inversion-split spectrum
+
 
 def markov_matrix(s: GroupSubset) -> np.ndarray:
     """Adjacency operator M(x, y) = S(x^-1 y) of the Cayley graph; rows sum to |S|."""
@@ -46,12 +56,17 @@ def markov_matrix(s: GroupSubset) -> np.ndarray:
 
 
 def markov_of_function(f: GroupFunction) -> np.ndarray:
-    """Weighted adjacency M(x, y) = F(x^-1 y) for an arbitrary function F; the one
-    builder of the n x n Cayley index, from the group law on int32 indices."""
+    """Weighted adjacency M(x, y) = F(x^-1 y) for an arbitrary function F,
+    scattered from the group law: row x holds F(s) at column x s for every s
+    in the support of F (every entry whose bytes are not +0.0, so a -0.0
+    weight lands too).  No n x n index is built."""
     group = f.group
-    idx = group._indices()
-    values = f.values if f.values.dtype.kind == "c" else f.values.astype(np.float64)
-    return values[group.mul(group.inv(idx)[:, None], idx[None, :])]
+    idx = group._indices()[:, None]
+    values = np.ascontiguousarray(f.values if f.values.dtype.kind == "c" else f.values.astype(np.float64))
+    supp = np.flatnonzero(values.view(np.uint8).reshape(values.size, -1).any(axis=1))
+    m = np.zeros((group.order, group.order), dtype=values.dtype)
+    m[idx, group.mul(idx, supp[None, :])] = values[supp]
+    return m
 
 
 def variational_lambda1(delta: np.ndarray) -> float:
@@ -128,10 +143,7 @@ def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
 def cluster_eigenvalues(values: np.ndarray) -> np.ndarray:
     """Cluster ids over sorted real values; a new cluster starts at a gap > 1e-6."""
     arr = np.sort(np.asarray(values, dtype=np.float64))
-    labels = np.zeros(arr.size, dtype=np.int64)
-    for i in range(1, arr.size):
-        labels[i] = labels[i - 1] + (1 if arr[i] - arr[i - 1] > 1e-6 else 0)
-    return labels
+    return np.cumsum(np.diff(arr, prepend=arr[:1]) > _CLUSTER_GAP)
 
 
 @dataclass(frozen=True)
@@ -151,29 +163,23 @@ class SpectrumReport:
     def rows(self) -> list[dict]:
         """Columnar serialization: one row per eigenvalue index."""
         eig = self.eigenvalues
-        real_spectrum = np.abs(eig.imag).max(initial=0.0) < 1e-9
-        sorted_real = np.sort(eig.real) if real_spectrum else None
-        labels = cluster_eigenvalues(sorted_real) if real_spectrum else None
-        rows = []
-        for j in range(self.order):
-            value = eig[j]
-            if real_spectrum:
-                pos = int(np.searchsorted(sorted_real, value.real))
-                pos = min(pos, labels.size - 1)
-                cluster = int(labels[pos])
-            else:
-                cluster = -1
-            rows.append(
-                {
-                    "index": j,
-                    "eigenvalue_re": float(value.real),
-                    "eigenvalue_im": float(value.imag),
-                    "star_eigenvalue": float(self.star_eigenvalues[j]),
-                    "cluster": cluster,
-                    "path": self.path,
-                }
-            )
-        return rows
+        if np.abs(eig.imag).max(initial=0.0) < 1e-9:  # a real spectrum gets cluster ids
+            sorted_real = np.sort(eig.real)
+            pos = np.minimum(np.searchsorted(sorted_real, eig.real), eig.size - 1)
+            clusters = cluster_eigenvalues(sorted_real)[pos].tolist()
+        else:
+            clusters = [-1] * eig.size
+        return [
+            {
+                "index": j,
+                "eigenvalue_re": float(value.real),
+                "eigenvalue_im": float(value.imag),
+                "star_eigenvalue": float(star),
+                "cluster": cluster,
+                "path": self.path,
+            }
+            for j, (value, star, cluster) in enumerate(zip(eig, self.star_eigenvalues, clusters))
+        ]
 
 
 def is_normal_operator(s: GroupSubset) -> bool:
@@ -200,12 +206,112 @@ def _normal_gaps(mu: np.ndarray) -> tuple[float, np.ndarray]:
     return float(rest.real.min()) if rest.size else 0.0, np.sort(1.0 - np.abs(1.0 - mu) ** 2)
 
 
+def _conjugation_closed(s: GroupSubset) -> bool:
+    """Exact test that g s g^-1 lies in S for every g in G and s in S."""
+    group = s.group
+    if group.is_abelian:
+        return True
+    idx = group._indices()[:, None]
+    return bool(s.membership[group.mul(group.mul(idx, s.indices[None, :]), group.inv(idx))].all())
+
+
+def _inversion_blocks(s: GroupSubset):
+    """Yield A, then C, then B (only for a non-symmetric S; it vanishes for a
+    symmetric one) of R^T Delta R = [[A, B], [-B^T, C]] for a conjugation-closed S.
+
+    J f = f o inv satisfies J M J = M^T when S is closed under conjugation.  R
+    is the orthonormal basis of J-even vectors, (e_p + e_p^-1)/sqrt2 for the
+    pairs p < p^-1 followed by e_t for the t = t^-1, then J-odd vectors
+    (e_p - e_p^-1)/sqrt2.  The entries are int8 counts, gathered from the
+    membership at products of the representatives: G1 = |S| M(x, y), G2 = |S|
+    M(x, y^-1) and G3 = |S| M(x^-1, y), with M(x^-1, y^-1) = G1^T by the
+    closure, divided by |S| and the norms of the two basis vectors (sqrt2 for a
+    pair, 2 for an even fixed point).  Each float block is built only when the
+    caller asks for the next, so a solved block can be freed first."""
+    group = s.group
+    idx = group._indices()
+    inverse = group.inv(idx)
+    pairs = np.flatnonzero(idx < inverse)
+    reps = np.concatenate((pairs, np.flatnonzero(idx == inverse))).astype(idx.dtype)[:, None]
+    k = pairs.size
+    member = s.membership
+    g1 = member[group.mul(inverse[reps], reps.T)]
+    g2 = member[group.mul(inverse[reps], inverse[reps].T)]
+    g3 = member[group.mul(reps, reps.T)]
+    a = (g1 + g1.T + g2 + g3) / (-2.0 * s.size)
+    a[:k, k:] /= np.sqrt(2.0)
+    a[k:, :k] /= np.sqrt(2.0)
+    a[k:, k:] /= 2.0
+    a.flat[:: reps.size + 1] += 1.0
+    yield a
+    del a
+    c = (g1 + g1.T - g2 - g3)[:k, :k] / (-2.0 * s.size)
+    c.flat[:: k + 1] += 1.0
+    yield c
+    del c
+    if not s.is_symmetric:
+        b = (g1.T - g1 + g2 - g3)[:, :k] / (2.0 * s.size)
+        b[k:] /= np.sqrt(2.0)
+        yield b
+
+
+def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of the normal N = [[diag lam_e, W], [-W^T, diag lam_o]], or None.
+
+    Its symmetric and skew parts commute, so (lam_e[i] - lam_o[j]) W[i, j] = 0
+    and W lives inside clusters of equal real part (``cluster_eigenvalues``).
+    Each cluster's block is solved, one batched ``eigvals`` per block size; a
+    one-element cluster is its own eigenvalue.  Dropping W outside the clusters
+    is a perturbation of 2-norm at most its Frobenius norm eps_drop, so by
+    Bauer-Fike every returned value lies within eps_drop of an eigenvalue of N.
+    Above ``_SPLIT_TOL`` the result is refused (None)."""
+    lam = np.concatenate((lam_e, lam_o))
+    ne = lam_e.size
+    order = np.argsort(lam, kind="stable")
+    sorted_labels = cluster_eigenvalues(lam[order])
+    labels = np.empty_like(sorted_labels)
+    labels[order] = sorted_labels
+    if np.linalg.norm(np.where(labels[:ne, None] != labels[None, ne:], w, 0.0)) > _SPLIT_TOL:
+        return None
+    starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
+    sizes = np.diff(starts, append=lam.size)
+    parts = [lam[order[starts[sizes == 1]]]]
+    for size in np.unique(sizes[sizes > 1]):
+        members = order[starts[sizes == size][:, None] + np.arange(size)]  # (clusters, size)
+        rows, cols = members[:, :, None], members[:, None, :]
+        even, odd = np.minimum(rows, cols), np.maximum(rows, cols) - ne  # even indices come first
+        mixed = (even < ne) & (odd >= 0)
+        coupling = np.where(mixed, w[np.minimum(even, ne - 1), np.maximum(odd, 0)], 0.0)
+        block = np.where(rows < cols, coupling, -coupling)
+        block[:, np.arange(size), np.arange(size)] = lam[members]
+        parts.append(np.linalg.eigvals(block).ravel())
+    return np.concatenate(parts).astype(np.complex128)
+
+
+def _split_spectrum(s: GroupSubset) -> np.ndarray | None:
+    """Eigenvalues of Delta for a conjugation-closed S from two half-size
+    symmetric solves, or None when the coupling certificate refuses them."""
+    blocks = _inversion_blocks(s)
+    if s.is_symmetric:
+        return np.concatenate(list(map(np.linalg.eigvalsh, blocks))).astype(np.complex128)
+    lam_e, q_e = np.linalg.eigh(next(blocks))
+    lam_o, q_o = np.linalg.eigh(next(blocks))
+    w = q_e.T @ next(blocks) @ q_o
+    del q_e, q_o
+    return _coupled_spectrum(lam_e, lam_o, w)
+
+
 def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, np.ndarray]:
     """Eigenvalues of Delta = I - M/|S| (None unless ``full``), its variational
     gap, and the ascending spectrum of I - M M^T / |S|^2.
 
-    A normal operator takes one solve of Delta (``eigvals`` only when ``full``
-    needs it anyway); other sets solve the star operator and Hermitian part."""
+    A conjugation-closed set takes the inversion split (``_split_spectrum``);
+    another normal operator takes one solve of Delta (``eigvals`` only when
+    ``full`` needs it anyway); other sets solve the star operator and Hermitian
+    part."""
+    mu = _split_spectrum(s) if _conjugation_closed(s) else None
+    if mu is not None:
+        return (mu, *_normal_gaps(mu))
     m = markov_matrix(s)
     size = s.size
     delta = _laplacian(m, size)

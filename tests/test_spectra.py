@@ -21,16 +21,25 @@ from cayleygap import (
     set_norm,
     walk_energy,
 )
+from cayleygap import representations, spectra
 from cayleygap.cli import main as cli_main
 from cayleygap.errors import EmptySet, KZero, NotCataloged
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
 from cayleygap.spectra import (
+    _conjugation_closed,
+    _coupled_spectrum,
+    _inversion_blocks,
     _laplacian,
+    _split_spectrum,
     is_normal_operator,
     markov_of_function,
     spectral_summary,
     variational_lambda1,
 )
+
+S4 = '["(1 2 3 4)", "(1 2)"]'
+S5 = '["(1 2 3 4 5)", "(1 2)"]'
+FROBENIUS_21 = '["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]'
 
 
 class TestMarkovMatrix:
@@ -58,6 +67,41 @@ class TestMarkovMatrix:
     def test_empty_rejected(self, z5):
         with pytest.raises(EmptySet):
             markov_matrix(GroupSubset.empty(z5))
+
+    @staticmethod
+    def _gathered(f):
+        """The former builder: one gather of F at the n x n Cayley index x^-1 y."""
+        group = f.group
+        idx = group._indices()
+        values = f.values if f.values.dtype.kind == "c" else f.values.astype(np.float64)
+        return values[group.mul(group.inv(idx)[:, None], idx[None, :])]
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "cyclic(13)",
+            "dihedral(7)",
+            "abelian_product([2, 3, 4])",
+            f"permutation_closure({S5})",
+            "multiplication_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]])",
+        ],
+    )
+    def test_scatter_equals_gather(self, descriptor, rng):
+        group = make_group(descriptor)
+        n = group.order
+        signed = rng.normal(size=n)
+        signed[::3] = 0.0
+        signed[1::4] = -0.0
+        complex_weights = rng.normal(size=n) + 1j * rng.normal(size=n)
+        complex_weights[::3] = 0.0
+        complex_weights[1::5] = complex(-0.0, 0.0)
+        complex_weights[2::5] = complex(0.0, -0.0)
+        weights = [rng.integers(0, 2, size=n), np.zeros(n, dtype=np.int64), signed, complex_weights]
+        for values in weights:
+            f = GroupFunction(group, values)
+            built, oracle = markov_of_function(f), self._gathered(f)
+            assert built.dtype == oracle.dtype
+            assert built.tobytes() == oracle.tobytes()
 
 
 class TestDenseSpectrum:
@@ -243,10 +287,6 @@ class TestSpectralEngine:
         assert irrep_catalog.cache_info().misses == before
 
 
-S4 = '["(1 2 3 4)", "(1 2)"]'
-FROBENIUS_21 = '["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]'
-
-
 def _frobenius_set():
     """A class of 7-cycles (size 3) with a class of order-3 elements (size 7)
     in the Frobenius group of order 21: normal, not symmetric, generating."""
@@ -349,7 +389,7 @@ class TestNormalOperator:
 
     @staticmethod
     def _solves(monkeypatch, call, s):
-        counts = {"eigvalsh": 0, "eigvals": 0}
+        counts = {"eigvalsh": 0, "eigvals": 0, "eigh": 0}
         for name in counts:
 
             def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
@@ -359,20 +399,151 @@ class TestNormalOperator:
             monkeypatch.setattr(np.linalg, name, counted)
         call(s)
         monkeypatch.undo()
-        return counts["eigvalsh"], counts["eigvals"]
+        return counts["eigvalsh"], counts["eigvals"], counts["eigh"]
 
     def test_solve_counts(self, monkeypatch, rng):
         symmetric = random_symmetric_subset(make_group("dihedral(7)"), 3, rng)
+        reflection = GroupSubset.singleton(make_group("dihedral(7)"), 7)
+        rotation = GroupSubset.singleton(make_group("dihedral(7)"), 1)
         abelian = GroupSubset.from_indices(make_group("cyclic(31)"), [1, 5, 6])
         non_normal, s4_non_normal, _ = self._non_normal_sets(rng, 1)
         s4_symmetric = random_symmetric_subset(s4_non_normal.group, 3, rng)
         summary = spectral_summary.__wrapped__  # uncached, so every call solves
         assert not abelian.is_symmetric and not non_normal.is_symmetric
-        assert self._solves(monkeypatch, laplace_spectrum_dense, symmetric) == (1, 0)
-        assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 1)
-        assert self._solves(monkeypatch, laplace_spectrum_dense, non_normal) == (2, 1)
-        assert self._solves(monkeypatch, summary, s4_symmetric) == (1, 0)
-        assert self._solves(monkeypatch, summary, s4_non_normal) == (2, 0)
+        # the drawn symmetric set is every nontrivial rotation, a union of classes:
+        # the inversion split solves its two half-size blocks
+        assert _conjugation_closed(symmetric) and not _conjugation_closed(reflection)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, symmetric) == (2, 0, 0)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, reflection) == (1, 0, 0)
+        # two half-size eigh and one batched eigvals of the 2 x 2 conjugate-pair blocks
+        assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 1, 2)
+        # normal but not conjugation-closed: one eigvals of Delta, as before the split
+        assert is_normal_operator(rotation) and not rotation.is_symmetric and not _conjugation_closed(rotation)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, rotation) == (0, 1, 0)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, non_normal) == (2, 1, 0)
+        assert self._solves(monkeypatch, summary, s4_symmetric) == (1, 0, 0)
+        assert self._solves(monkeypatch, summary, s4_non_normal) == (2, 0, 0)
+
+
+def _full_eigvals(s):
+    """Every eigenvalue of Delta from one n x n ``eigvals``."""
+    return np.linalg.eigvals(np.eye(s.group.order) - markov_matrix(s) / s.size)
+
+
+A4 = '["(1 2 3)", "(1 2)(3 4)"]'
+
+
+class TestInversionSplit:
+    """Conjugation-closed sets: two half-size symmetric solves plus cluster blocks."""
+
+    @staticmethod
+    def _cases(rng):
+        cases = []
+        for descriptor in ("cyclic(31)", "cyclic(32)", "abelian_product([2, 2, 2, 4])", "abelian_product([2, 2, 2])"):
+            group = make_group(descriptor)
+            cases += [random_nonempty_subset(group, rng, max_size=group.order // 2) for _ in range(3)]
+            cases += [random_symmetric_subset(group, 3, rng), GroupSubset.full(group)]
+            cases += [GroupSubset.singleton(group, 1), GroupSubset.singleton(group, group.order - 1)]
+        cases.append(GroupSubset.full(make_group("cyclic(1)")))
+        z30 = make_group("cyclic(30)")
+        cases.append(GroupSubset.from_indices(z30, range(0, 30, 6)))  # a subgroup
+        cases.append(GroupSubset.from_indices(z30, range(1, 30, 6)))  # its coset: mu = 1 for 24 characters
+        d7 = make_group("dihedral(7)")
+        cases.append(GroupSubset.from_indices(d7, np.concatenate(d7.conjugacy_classes()[1:3])))
+        cases.append(_frobenius_set())
+        a4 = make_group(f"permutation_closure({A4})")
+        cases += [GroupSubset.from_indices(a4, c) for c in a4.conjugacy_classes() if c.size == 4]
+        return cases
+
+    def test_matches_full_eigvals(self, rng):
+        nonsymmetric = 0
+        for s in self._cases(rng):
+            assert _conjugation_closed(s)
+            nonsymmetric += not s.is_symmetric
+            mu = _split_spectrum(s)
+            assert mu is not None and mu.dtype == np.complex128
+            assert multiset_distance(mu, _full_eigvals(s)) <= 1e-12, s
+            report = laplace_spectrum_dense(s)
+            lam1, star = _three_solves(s)
+            assert multiset_distance(report.eigenvalues, _full_eigvals(s)) <= 1e-12
+            assert abs(report.lambda1 - lam1) <= 1e-12
+            assert np.abs(report.star_eigenvalues - star).max() <= 1e-12
+            assert abs(report.lambda1_star - (star[1] if star.size > 1 else 0.0)) <= 1e-12
+        assert nonsymmetric >= 15
+
+    def test_odd_part_and_fixed_points(self):
+        """F = {x = x^-1} has one element in Z/31, two in Z/32 and all of (Z/2)^3."""
+        for descriptor, fixed in (("cyclic(31)", 1), ("cyclic(32)", 2), ("abelian_product([2, 2, 2])", 8)):
+            group = make_group(descriptor)
+            blocks = [b.shape for b in _inversion_blocks(GroupSubset.from_indices(group, [1]))]
+            pairs = (group.order - fixed) // 2
+            coupling = [] if fixed == group.order else [(pairs + fixed, pairs)]  # {1} is symmetric in (Z/2)^3
+            assert blocks == [(pairs + fixed, pairs + fixed), (pairs, pairs), *coupling]
+
+    def test_rotated_blocks_reassemble_delta(self, rng):
+        """R^T Delta R = [[A, B], [-B^T, C]] with A and C symmetric, B the skew coupling."""
+        for descriptor in ("cyclic(32)", "abelian_product([2, 2, 2, 4])"):
+            group = make_group(descriptor)
+            s = random_nonempty_subset(group, rng, max_size=group.order // 2)
+            s = s if not s.is_symmetric else GroupSubset.singleton(group, 1)
+            idx = np.arange(group.order)
+            inverse = group.inv(idx)
+            pairs, fixed = np.flatnonzero(idx < inverse), np.flatnonzero(idx == inverse)
+            r = np.zeros((group.order, group.order))
+            r[pairs, np.arange(pairs.size)] = r[inverse[pairs], np.arange(pairs.size)] = np.sqrt(0.5)
+            r[fixed, pairs.size + np.arange(fixed.size)] = 1.0
+            odd = pairs.size + fixed.size + np.arange(pairs.size)
+            r[pairs, odd] = np.sqrt(0.5)
+            r[inverse[pairs], odd] = -np.sqrt(0.5)
+            a, c, b = _inversion_blocks(s)
+            assert np.array_equal(a, a.T) and np.array_equal(c, c.T)
+            rotated = r.T @ (np.eye(group.order) - markov_matrix(s) / s.size) @ r
+            assert np.abs(rotated - np.block([[a, b], [-b.T, c]])).max() <= 1e-15
+
+    def test_certificate_refuses_planted_coupling(self):
+        lam_e, lam_o = np.array([0.0, 0.5]), np.array([0.5])
+        inside = np.array([[0.0], [0.25]])
+        mu = _coupled_spectrum(lam_e, lam_o, inside)
+        assert multiset_distance(mu, [0.0, 0.5 + 0.25j, 0.5 - 0.25j]) <= 1e-15
+        assert _coupled_spectrum(lam_e, lam_o, inside + [[1e-12], [0.0]]) is not None
+        assert _coupled_spectrum(lam_e, lam_o, inside + [[1e-8], [0.0]]) is None
+
+    def test_refused_split_falls_back_to_eigvals(self, monkeypatch):
+        s = GroupSubset.from_indices(make_group("cyclic(31)"), [1, 5, 6])
+        expected = laplace_spectrum_dense(s)
+        coupled = spectra._coupled_spectrum
+
+        refused = []
+
+        def planted(lam_e, lam_o, w):
+            w = w.copy()
+            w[np.argmin(lam_e), np.argmax(lam_o)] += 1e-6  # the trivial 0 couples to nothing
+            result = coupled(lam_e, lam_o, w)
+            refused.append(result is None)
+            return result
+
+        monkeypatch.setattr(spectra, "_coupled_spectrum", planted)
+        # the refused split solves no block; its one eigvals is the n x n fallback
+        assert TestNormalOperator._solves(monkeypatch, laplace_spectrum_dense, s) == (0, 1, 2)
+        monkeypatch.setattr(spectra, "_coupled_spectrum", planted)
+        report = laplace_spectrum_dense(s)
+        assert refused == [True, True]
+        assert multiset_distance(report.eigenvalues, expected.eigenvalues) <= 1e-12
+        assert abs(report.lambda1 - expected.lambda1) <= 1e-12
+
+    def test_dense_path_reads_no_catalog_and_no_fft(self, monkeypatch, rng):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense path must not read the catalog or an FFT")
+
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, forbidden)
+        monkeypatch.setattr(spectra, "irrep_catalog", forbidden)
+        monkeypatch.setattr(representations, "irrep_catalog", forbidden)
+        for descriptor in ("cyclic(31)", "abelian_product([4, 6])", "dihedral(7)"):
+            group = make_group(descriptor)
+            for s in (random_nonempty_subset(group, rng), random_symmetric_subset(group, 3, rng)):
+                assert laplace_spectrum_dense(s).path == "dense"
+        assert laplace_spectrum_dense(_frobenius_set()).path == "dense"
 
 
 class TestBatchedBlocks:
@@ -472,6 +643,29 @@ class TestMultiplicity:
         labels = cluster_eigenvalues([0.0, 1e-8, 0.5, 0.5 + 1e-7, 1.0])
         assert labels.tolist() == [0, 0, 1, 1, 2]
 
+    @staticmethod
+    def _looped_clusters(values):
+        """The former Python loop over n, kept as the oracle."""
+        arr = np.sort(np.asarray(values, dtype=np.float64))
+        labels = np.zeros(arr.size, dtype=np.int64)
+        for i in range(1, arr.size):
+            labels[i] = labels[i - 1] + (1 if arr[i] - arr[i - 1] > 1e-6 else 0)
+        return labels
+
+    def test_cluster_function_matches_loop(self, rng):
+        draws = [
+            [],
+            [0.5],
+            rng.normal(size=200),
+            np.repeat(rng.normal(size=20), 3) + rng.normal(scale=1e-7, size=60),
+            np.cumsum(np.full(50, 1e-6)),  # gaps at the threshold itself
+            [0.0, 1e-6, 2e-6 + 1e-12, np.nan, 1.0],
+        ]
+        for values in draws:
+            labels = cluster_eigenvalues(values)
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, self._looped_clusters(values))
+
 
 class TestWalkEnergy:
     def test_full_group_vanishes(self, d6):
@@ -517,3 +711,40 @@ class TestReportRows:
         rows = laplace_spectrum_dense(s).rows()
         assert len(rows) == 12
         assert {"index", "eigenvalue_re", "eigenvalue_im", "star_eigenvalue", "cluster", "path"} <= set(rows[0])
+
+    @staticmethod
+    def _looped_rows(report):
+        """The former per-row serialization with one searchsorted per row, kept as the oracle."""
+        eig = report.eigenvalues
+        real_spectrum = np.abs(eig.imag).max(initial=0.0) < 1e-9
+        sorted_real = np.sort(eig.real) if real_spectrum else None
+        labels = cluster_eigenvalues(sorted_real) if real_spectrum else None
+        rows = []
+        for j in range(report.order):
+            value = eig[j]
+            if real_spectrum:
+                pos = min(int(np.searchsorted(sorted_real, value.real)), labels.size - 1)
+                cluster = int(labels[pos])
+            else:
+                cluster = -1
+            rows.append(
+                {
+                    "index": j,
+                    "eigenvalue_re": float(value.real),
+                    "eigenvalue_im": float(value.imag),
+                    "star_eigenvalue": float(report.star_eigenvalues[j]),
+                    "cluster": cluster,
+                    "path": report.path,
+                }
+            )
+        return rows
+
+    @pytest.mark.parametrize("descriptor", ["cyclic(1)", "cyclic(40)", "dihedral(6)", "abelian_product([4, 6])"])
+    def test_rows_match_per_row_loop(self, descriptor, rng):
+        group = make_group(descriptor)
+        subsets = [random_nonempty_subset(group, rng), random_symmetric_subset(group, 3, rng), GroupSubset.full(group)]
+        for s in subsets:
+            for report in (laplace_spectrum_dense(s), laplace_spectrum_blocks(s)):
+                rows = report.rows()
+                assert rows == self._looped_rows(report)
+                assert [type(row["cluster"]) for row in rows] == [int] * report.order
