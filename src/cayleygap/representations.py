@@ -16,10 +16,10 @@ reference the FFTs are tested against.
 ``IrrepCatalog.identity_distances`` is the ``(k, |G|)`` matrix of ||rho(g) - I||
 that Bohr sets read, built on first use with one ``operator_norms`` call per
 stack; each catalog rep's ``identity_distances()`` is its row.
-The spectral engine (``spectra.spectral_summary``) never builds the catalog
-of an abelian group, whose nontrivial coefficients come from one FFT; it
-solves the nontrivial blocks of the other cataloged groups in batches and
-diagonalizes the dense operator only where ``irrep_catalog`` raises NotCataloged.
+The spectral engine (``spectra.spectral_summary``) takes ``coefficients``
+once per subset on every cataloged group and reads gaps and norms from those
+blocks, so it never builds the stacks; it diagonalizes the dense operator only
+where ``irrep_catalog`` raises NotCataloged.
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ def set_norm(s: GroupSubset, catalog: IrrepCatalog | None = None) -> float:
     This is the quantity whose square gives the singular gap via
     lambda1* = 1 - ||S||^2 / |S|^2; it is 0 for the full group and |S| <= bound.
     Without an explicit catalog a nonempty set reads the memoized spectral
-    summary (one FFT on abelian groups); an explicit catalog is looped over.
+    summary (one coefficient pass by FFT); an explicit catalog is looped over.
     """
     if catalog is None and s.size:
         from .spectra import spectral_summary  # spectra builds on this module

@@ -13,18 +13,19 @@ then satisfies J M J = M^T, and in the basis of J-even and J-odd vectors Delta
 splits into two half-size symmetric blocks and a skew coupling, read straight
 from the group law.  The coupling, rotated into the blocks' eigenvectors,
 lives in clusters of equal real part; each cluster is a small block, and a
-Bauer-Fike certificate on the dropped remainder falls back to the n x n solve
-above 1e-9.  Another operator certified normal (``is_normal_operator``) takes
-one n x n solve.  Either way the spectrum mu of Delta gives the variational
-gap (min Re mu) and the star spectrum 1 - |1 - mu|^2 too.  The block path
-solves each stack of equal-dimension blocks in one batched call.
+Bauer-Fike certificate on the dropped remainder falls back to one n x n solve
+above 1e-9, as does a symmetric set that is not closed.  Either way the
+spectrum mu of Delta gives the variational gap (min Re mu) and the star
+spectrum 1 - |1 - mu|^2 too.  Any other set solves the star operator and the
+Hermitian part.  The block path solves each stack of equal-dimension blocks in
+one batched call.
 
 The scalar queries ``lambda1``, ``lambda1_star`` and ``set_norm`` read one
-memoized per-subset ``SpectralSummary``, computed by the cheapest exact path:
-one FFT over the factor orders on cyclic and abelian-product groups, the
-nontrivial irrep blocks on other cataloged groups (dihedral), and the dense
-operator only where no catalog exists.  ``laplace_spectrum_dense`` reads
-neither the summary nor the catalog, so it stays an independent cross-check.
+memoized per-subset ``SpectralSummary``.  On a cataloged group it takes the
+Fourier coefficients once (FFTs over the cyclic factors) and reads the gap and
+the norm from the same nontrivial blocks; only where no catalog exists does it
+diagonalize the dense operator.  ``laplace_spectrum_dense`` reads neither the
+summary nor the catalog, so it stays an independent cross-check.
 """
 
 from __future__ import annotations
@@ -35,14 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptySet, KZero, NotCataloged
-from .groups import (
-    AbelianProductGroup,
-    CyclicGroup,
-    GroupFunction,
-    GroupSubset,
-    iterated_convolution,
-)
-from .representations import irrep_catalog
+from .groups import GroupFunction, GroupSubset, iterated_convolution
+from .representations import irrep_catalog, operator_norms
 
 _CLUSTER_GAP = 1e-6  # eigenvalues closer than this along the real axis share a cluster
 _SPLIT_TOL = 1e-9  # largest certified error of the inversion-split spectrum
@@ -182,22 +177,6 @@ class SpectrumReport:
         ]
 
 
-def is_normal_operator(s: GroupSubset) -> bool:
-    """Exact certificate that the Markov operator M of s commutes with M^T.
-
-    (M M^T)(x, z) counts the pairs in S x S with s t^-1 = x^-1 z, (M^T M)(y, w)
-    those with s^-1 t = y^-1 w; so M is normal exactly when S S^-1 and S^-1 S
-    have equal representation counts (O(|S|^2 + n) integer work).
-    """
-    group = s.group
-    elements = s.indices
-    inverses = group.inv(elements)
-    return np.array_equal(
-        np.bincount(group.mul(elements[:, None], inverses[None, :]).ravel(), minlength=group.order),
-        np.bincount(group.mul(inverses[:, None], elements[None, :]).ravel(), minlength=group.order),
-    )
-
-
 def _normal_gaps(mu: np.ndarray) -> tuple[float, np.ndarray]:
     """Variational gap and ascending star spectrum of a normal Delta from its
     eigenvalues mu: its Hermitian part has eigenvalues Re mu (less one copy of
@@ -305,18 +284,19 @@ def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, n
     """Eigenvalues of Delta = I - M/|S| (None unless ``full``), its variational
     gap, and the ascending spectrum of I - M M^T / |S|^2.
 
-    A conjugation-closed set takes the inversion split (``_split_spectrum``);
-    another normal operator takes one solve of Delta (``eigvals`` only when
-    ``full`` needs it anyway); other sets solve the star operator and Hermitian
-    part."""
-    mu = _split_spectrum(s) if _conjugation_closed(s) else None
+    A conjugation-closed set takes the inversion split (``_split_spectrum``).
+    Where its certificate refuses, the operator, central and so normal, takes
+    one solve of Delta (``eigvals`` only when ``full`` needs it anyway), as a
+    symmetric set does; other sets solve the star operator and Hermitian part."""
+    closed = _conjugation_closed(s)
+    mu = _split_spectrum(s) if closed else None
     if mu is not None:
         return (mu, *_normal_gaps(mu))
     m = markov_matrix(s)
     size = s.size
     delta = _laplacian(m, size)
     symmetric = s.is_symmetric
-    if symmetric or (full and is_normal_operator(s)):
+    if symmetric or (full and closed):
         del m
         mu = np.linalg.eigvalsh(delta).astype(np.complex128) if symmetric else np.linalg.eigvals(delta)
         return (mu, *_normal_gaps(mu))
@@ -386,35 +366,25 @@ class SpectralSummary:
 def spectral_summary(s: GroupSubset) -> SpectralSummary:
     """lambda1, lambda1* and the largest nontrivial norm, computed once per subset.
 
-    Cyclic and abelian-product groups take one FFT of the membership vector
-    reshaped to the factor orders (the mixed-radix index is C-order); over the
-    nontrivial coefficients lambda1 = 1 - max Re Shat / |S| and
-    lambda1* = 1 - max |Shat|^2 / |S|^2.  Other cataloged groups take the
-    Hermitian parts and operator norms of their nontrivial irrep blocks.
-    Everything else diagonalizes the dense operator.
+    A cataloged group takes its Fourier coefficients once
+    (``IrrepCatalog.coefficients``: FFTs over the cyclic factors); over the
+    nontrivial blocks B, lambda1 is the least eigenvalue of I - (B + B*)/(2|S|)
+    and lambda1* = 1 - max ||B||^2 / |S|^2.  The path reads "fft" on abelian
+    groups, whose blocks are 1 x 1, and "blocks" otherwise.  A group without a
+    catalog diagonalizes the dense operator.
     """
     if s.size == 0:
         raise EmptySet("spectral summary of the empty set")
-    group = s.group
+    try:
+        catalog = irrep_catalog(s.group)
+    except NotCataloged:
+        _, lam1, star = _dense_gaps(s, full=False)
+        return SpectralSummary(lam1, float(star[1]) if star.size > 1 else 0.0, norm=None, path="dense")
     size = s.size
-    if isinstance(group, (CyclicGroup, AbelianProductGroup)):
-        shape = getattr(group, "factor_orders", (group.order,))
-        coeffs = np.fft.fftn(s.membership.reshape(shape)).ravel()[1:]
-        gaps = 1.0 - coeffs.real / size
-        norms = np.abs(coeffs)
-        path = "fft"
-    else:
-        try:
-            catalog = irrep_catalog(group)
-        except NotCataloged:
-            _, lam1, star = _dense_gaps(s, full=False)
-            return SpectralSummary(lam1, float(star[1]) if star.size > 1 else 0.0, norm=None, path="dense")
-        f = s.indicator()
-        gaps = np.delete(
-            np.concatenate([_hermitian_gaps(b, size) for b in catalog.coefficients(f)]), catalog.trivial_index
-        )
-        norms = np.delete(catalog.norms(f), catalog.trivial_index)
-        path = "blocks"
+    blocks = catalog.coefficients(s.indicator())
+    gaps = np.delete(np.concatenate([_hermitian_gaps(b, size) for b in blocks]), catalog.trivial_index)
+    norms = np.delete(np.concatenate([operator_norms(b) for b in blocks]), catalog.trivial_index)
+    path = "fft" if s.group.is_abelian else "blocks"
     if norms.size == 0:  # the trivial group has no nontrivial irrep
         return SpectralSummary(lambda1=0.0, lambda1_star=0.0, norm=0.0, path=path)
     norm = float(norms.max())
@@ -428,15 +398,11 @@ def spectral_summary(s: GroupSubset) -> SpectralSummary:
 
 def lambda1(s: GroupSubset) -> float:
     """Variational first nontrivial eigenvalue of the Cayley Laplacian."""
-    if s.size == 0:
-        raise EmptySet("lambda1 of the empty set")
     return spectral_summary(s).lambda1
 
 
 def lambda1_star(s: GroupSubset) -> float:
     """First nontrivial eigenvalue of I - M M^T / |S|^2."""
-    if s.size == 0:
-        raise EmptySet("lambda1_star of the empty set")
     return spectral_summary(s).lambda1_star
 
 
