@@ -1149,14 +1149,16 @@ def verify_bohr_basis_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None
 
 
 def verify_bohr_basis_bound_certified(b: GroupSubset, d: int, g, omega: GroupSubset) -> BoundReport:
-    """Certified form: no normal proper subgroup of index <= 2/eps lifts the
-    bound to eps^(log_{3/2} 3) g |G| / (16 d^2 |B|^(2d))."""
+    """Certified form: no normal proper subgroup of index <= 2/eps (uncertifiable
+    above NORMAL_SUBGROUP_CAP) lifts the bound to eps^(log_{3/2} 3) g |G| / (16 d^2 |B|^(2d))."""
     order = b.group.order
 
     def formula(omega_size):
         eps = Fraction(order - omega_size, order)
         if eps <= 0:
             raise HypothesisFail("exceptional set covers the whole group")
+        if order > NORMAL_SUBGROUP_CAP:
+            raise HypothesisFail(f"normal subgroups uncertified above order {NORMAL_SUBGROUP_CAP}")
         witness = normal_subgroup_min_index(b.group, math.floor(2.0 / float(eps)))
         if witness is not None:
             raise HypothesisFail(

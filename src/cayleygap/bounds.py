@@ -1,19 +1,20 @@
 """Spectral-gap lower bounds for Cayley graphs and regular graphs.
 
-Every bound is checked as a BoundReport: the formula side is evaluated in
-exact rational arithmetic whenever the inputs are integers, the verifier
-reads the measured side itself (set gaps and norms from the spectral engine
-``spectra.spectral_summary``, weighted-operator and graph gaps from a dense
-eigensolve), and the report records the slack and a pass / vacuous-pass /
-fail verdict.  Hypotheses (representation counts at least g outside the
-exceptional set, path counts in graphs) are certified before the measured
-side is computed; HypothesisFail is raised otherwise.
+Every bound is checked as a BoundReport: the formula side is exact rational
+whenever the inputs are integers, the verifier reads the measured side itself
+(set gaps and norms from ``spectra.spectral_summary``, weighted-operator and
+graph gaps from a dense eigensolve), and the report records the slack and a
+pass / vacuous-pass / fail verdict.  Each verifier alone certifies its
+hypotheses (counts at least g off the exceptional set, path counts in graphs)
+before the measured side is computed, raising HypothesisFail otherwise.
+Representation counts are convolved once per (factors, d) and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 
 import numpy as np
@@ -25,7 +26,6 @@ from .groups import (
     convolve,
     convolution_power,
     inverse_set,
-    iterated_convolution,
     require_same_group,
 )
 from .representations import set_norm
@@ -87,11 +87,17 @@ def _exact(x) -> Fraction | None:
 # -- representation counts and exceptional sets -----------------------------
 
 
+@lru_cache(maxsize=128)
+def _count(factors: tuple[GroupSubset, ...], d: int) -> GroupFunction:
+    """(1_F1 * ... * 1_Fm)^(d), convolved once per (factors, d); the result is read-only."""
+    return convolution_power([f.indicator() for f in factors], d)
+
+
 def rep_count(b: GroupSubset, d: int) -> GroupFunction:
     """B^(d): number of ways to write each element as a product of d elements of B."""
     if b.size == 0:
         raise EmptySet("rep_count of the empty set")
-    return iterated_convolution(b.indicator(), d)
+    return _count((b,), d)
 
 
 def pair_rep_count(b1: GroupSubset, b2: GroupSubset, d: int) -> GroupFunction:
@@ -99,7 +105,7 @@ def pair_rep_count(b1: GroupSubset, b2: GroupSubset, d: int) -> GroupFunction:
     require_same_group(b1, b2)
     if b1.size == 0 or b2.size == 0:
         raise EmptySet("pair_rep_count with an empty factor")
-    return convolution_power([b1.indicator(), b2.indicator()], d)
+    return _count((b1, b2), d)
 
 
 def symmetrized_rep_count(b: GroupSubset, d: int) -> GroupFunction:
@@ -126,8 +132,11 @@ def basis_bound_value(order: int, set_size: int, d: int) -> Fraction:
     return Fraction(order, d * set_size**d)
 
 
-def _gap_report(name: str, s: GroupSubset, d: int, exact: Fraction) -> BoundReport:
-    """Shared body of the plain gap bounds: the exact formula side against lambda1(S)."""
+def _gap_report(name: str, s: GroupSubset, d: int, formula) -> BoundReport:
+    """Shared body of the plain gap bounds: S nonempty, then ``formula()`` against lambda1(S)."""
+    if s.size == 0:
+        raise EmptySet(f"{name} of the empty set")
+    exact = formula()
     return BoundReport(
         bound_name=name,
         bound_value=float(exact),
@@ -138,11 +147,11 @@ def _gap_report(name: str, s: GroupSubset, d: int, exact: Fraction) -> BoundRepo
 
 
 def verify_diameter_bound(s: GroupSubset, d: int) -> BoundReport:
-    return _gap_report("gap_vs_diameter", s, d, diameter_bound_value(s.size, d))
+    return _gap_report("gap_vs_diameter", s, d, lambda: diameter_bound_value(s.size, d))
 
 
 def verify_basis_bound(s: GroupSubset, d: int) -> BoundReport:
-    return _gap_report("gap_vs_basis", s, d, basis_bound_value(s.group.order, s.size, d))
+    return _gap_report("gap_vs_basis", s, d, lambda: basis_bound_value(s.group.order, s.size, d))
 
 
 # -- basis bounds with an exceptional set ------------------------------------
@@ -239,9 +248,7 @@ def verify_fourier_norm_bound(b: GroupSubset, d: int, g) -> BoundReport:
     """max nontrivial ||Bhat(rho)|| against the covering upper bound (sense <=)."""
     counts = symmetrized_rep_count(b, d).values.real
     if counts.min() < g:
-        raise HypothesisFail(
-            f"norm bound: (B*B^-1)^({d}) has minimum {counts.min()} < g={g}"
-        )
+        raise HypothesisFail(f"norm bound: (B*B^-1)^({d}) has minimum {counts.min()} < g={g}")
     value = fourier_norm_bound_value(b.group.order, b.size, d, g)
     return BoundReport(
         bound_name="fourier_norm_vs_covering",

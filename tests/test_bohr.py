@@ -763,6 +763,18 @@ class TestBasisCorollaries:
         report = verify_bohr_basis_bound_certified(b, 2, 1, omega)
         assert report.holds
 
+    def test_bohr_basis_certified_above_the_cap_is_a_hypothesis_failure(self):
+        # normal subgroups are enumerated up to NORMAL_SUBGROUP_CAP only; above it the
+        # certificate's hypothesis is uncertified, not the group too large to report
+        group = make_group("cyclic(211)")
+        assert group.order > bohr_module.NORMAL_SUBGROUP_CAP
+        b = random_subset(group, 20, np.random.default_rng(0))
+        counts = symmetrized_rep_count(b, 2).values.real
+        omega = GroupSubset(group, (counts < 1).astype(np.int8))
+        assert omega.size < group.order
+        with pytest.raises(HypothesisFail, match="uncertified above order"):
+            verify_bohr_basis_bound_certified(b, 2, 1, omega)
+
     def test_requires_prime_modulus(self, z12, rng):
         b = random_subset(z12, 5, rng)
         with pytest.raises(HypothesisFail):

@@ -72,6 +72,15 @@ class TestRepCount:
         with pytest.raises(EmptySet):
             rep_count(GroupSubset.empty(z5), 2)
 
+    def test_equal_subsets_share_one_count(self, z7):
+        # two equal subsets built separately hash alike: the second call convolves nothing
+        b1 = GroupSubset.from_indices(z7, [1, 3])
+        b2 = GroupSubset(z7, b1.membership.copy())
+        assert b1 is not b2
+        assert rep_count(b1, 3) is rep_count(b2, 3)
+        assert pair_rep_count(b1, inverse_set(b1), 2) is symmetrized_rep_count(b2, 2)
+        assert rep_count(b1, 2) is not rep_count(b1, 3)
+
     @pytest.mark.parametrize("descriptor", ["dihedral(7)", 'permutation_closure(["(1 2 3 4 5)", "(1 2 3)"])'])
     def test_pair_fold_is_power_of_product(self, descriptor, rng):
         group = make_group(descriptor)
@@ -114,6 +123,12 @@ class TestBasisAndDiameterBounds:
         assert r1.holds and r2.holds
         assert r1.bound_value == 0.03125
         assert r2.bound_value == 0.21875
+
+    @pytest.mark.parametrize("verify", [verify_diameter_bound, verify_basis_bound])
+    def test_empty_set_rejected_before_the_formula(self, z7, verify):
+        # the formulas divide by |S|; the empty set is an EmptySet, not a ZeroDivisionError
+        with pytest.raises(EmptySet):
+            verify(GroupSubset.empty(z7), 2)
 
     def test_complete_graph_case(self, d6):
         s = GroupSubset.full(d6)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from cayleygap import bounds as bounds_module
+from cayleygap import groups as groups_module
 from cayleygap.cli import EXIT_ERROR, EXIT_PASS, main
 
 
@@ -44,6 +46,65 @@ class TestBoundsCommand:
     def test_no_finite_diameter_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "b.cfg", "group = cyclic(10)\nset = [2]\n")
         assert main(["bounds", "--config", cfg]) == EXIT_ERROR
+
+    def test_empty_set_with_d_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "b.cfg", "group = cyclic(13)\nset = []\nd = 2\n")
+        assert main(["bounds", "--config", cfg]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @staticmethod
+    def _rows(tmp_path, capsys, body):
+        cfg = write_config(tmp_path, "b.cfg", body)
+        code = main(["bounds", "--config", cfg])
+        lines = capsys.readouterr().out.splitlines()[1:]
+        return code, {line.split(",")[0]: line.split(",")[-1] for line in lines}
+
+    def test_uniformity_row_needs_counts_of_one_not_g(self, tmp_path, capsys):
+        # row 06's hypothesis is (B*B^-1)^(d) >= 1; g = 12 leaves out the norm row only
+        body = "group = cyclic(13)\nset = random(4)\nd = 2\ng = 12\n"
+        code, rows = self._rows(tmp_path, capsys, body)
+        assert code == EXIT_PASS
+        assert "05-fourier-norm" not in rows and rows["06-uniformity"] == "pass"
+
+    ALL_ROWS = {
+        "01-diameter", "02-basis", "03-exceptional", "04-exceptional-star", "05-fourier-norm",
+        "06-uniformity", "07-progression-basis", "08-bohr-basis", "09-bohr-basis-certified",
+    }
+
+    # rows that each verifier's own hypothesis leaves out
+    @pytest.mark.parametrize(
+        "body, left_out",
+        [
+            ("group = cyclic(12)\nset = random(5)\nd = 2\n", {"07-progression-basis", "09-bohr-basis-certified"}),
+            (
+                "group = cyclic(13)\nset = random(5)\nd = 1\n",
+                {"05-fourier-norm", "06-uniformity", "07-progression-basis", "08-bohr-basis", "09-bohr-basis-certified"},
+            ),
+            ("group = cyclic(211)\nset = random(20)\nd = 2\n", {"09-bohr-basis-certified"}),
+            (
+                'group = permutation_closure(["(1 2 3 4 5)", "(1 2)"])\nset = symmetric_random(14)\n',
+                {"05-fourier-norm", "07-progression-basis", "09-bohr-basis-certified"},
+            ),
+            (
+                "group = dihedral(6)\nset = random(3)\nd = 2\n",
+                {"05-fourier-norm", "06-uniformity", "07-progression-basis", "09-bohr-basis-certified"},
+            ),
+        ],
+    )
+    def test_rows_left_out(self, tmp_path, capsys, body, left_out):
+        _, rows = self._rows(tmp_path, capsys, body)
+        assert set(rows) == self.ALL_ROWS - left_out
+
+    def test_each_count_is_convolved_once(self, tmp_path, capsys, monkeypatch):
+        # one B^(2), one (B*B^-1)^(2) and one B^(4) for row 06: 1 + 3 + 3 convolutions
+        calls = []
+        convolve = groups_module.convolve
+        monkeypatch.setattr(groups_module, "convolve", lambda f, g: calls.append(1) or convolve(f, g))
+        bounds_module._count.cache_clear()
+        code, rows = self._rows(tmp_path, capsys, "group = cyclic(13)\nset = random(4)\nd = 2\n")
+        assert code == EXIT_PASS and set(rows) == self.ALL_ROWS
+        assert len(calls) == 7
 
 
 class TestBohrCommand:
