@@ -812,21 +812,17 @@ def bohr_symmetry_normality_rows(items, delta: float) -> list[InclusionReport]:
     """Per item: identity membership, closure under inverse, and conjugation
     invariance of its Bohr set.
 
-    B is conjugation invariant exactly when every conjugacy class lies wholly
-    inside or wholly outside it; a violation counts once.
+    B is conjugation invariant exactly when s^-1 x s lies in B just when x does,
+    for every x and every generator s; a violation counts once.
     """
     group, rows = _profiles(items, delta)
     member = _members(rows, delta)
-    labels = group.class_labels()
-    class_sizes = np.bincount(labels)
-    inside = np.add.reduceat(
-        member[:, np.argsort(labels, kind="stable")], np.cumsum(class_sizes) - class_sizes,
-        axis=1, dtype=np.intp,
-    )
+    idx, gens = np.arange(group.order), group.generators[:, None]
+    conjugates = group.mul(group.mul(group.inv(gens), idx[None, :]), gens)
     failures = np.count_nonzero([
         ~member[:, group.identity],
-        (member != member[:, group.inv(np.arange(group.order))]).any(axis=1),
-        ((inside > 0) & (inside < class_sizes)).any(axis=1),
+        (member != member[:, group.inv(idx)]).any(axis=1),
+        (member[:, conjugates] != member[:, None, :]).any(axis=(1, 2)),
     ], axis=0)
     return [
         InclusionReport(

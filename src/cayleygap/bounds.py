@@ -19,7 +19,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import EmptySet, HypothesisFail, NotRegular
+from .errors import EmptySet, HypothesisFail, NotRegular, RangeViolation
 from .groups import (
     GroupFunction,
     GroupSubset,
@@ -315,9 +315,12 @@ class RegularGraph:
 
 
 def graph_paths(graph: RegularGraph, d: int) -> np.ndarray:
-    """M^d: entry (x, y) counts paths of length d from x to y."""
+    """M^d: entry (x, y) counts paths of length d from x to y.  No entry of any power
+    up to the d-th exceeds valency^d, so the int64 product is exact below 2^63."""
     if d < 1:
         raise ValueError(f"path length must be >= 1, got {d}")
+    if graph.valency ** min(d, 63) >= 2**63:  # a valency >= 2 reaches 2^63 by d = 63
+        raise RangeViolation(f"path counts up to {graph.valency}^{d} overflow int64")
     return np.linalg.matrix_power(graph.adjacency, d)
 
 

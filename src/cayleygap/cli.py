@@ -63,6 +63,14 @@ def _positive_int(cfg: dict, key: str, default, stop: float = float("inf"), low:
     return n
 
 
+def _real(cfg: dict, key: str, default) -> float:
+    """Config value ``key`` as a finite float (a bool is no number), or ``default`` when absent."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{key} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def _seed(args, cfg: dict) -> int:
     """The ``--seed`` override, else the config ``seed`` as an integer >= 0 (default 0)."""
     return args.seed if args.seed is not None else _positive_int(cfg, "seed", 0, low=0)
@@ -114,8 +122,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bounds(args) -> int:
     cfg, group, _, subset = _instance(args)
-    g = cfg.get("g", 1)
-    if not (isinstance(g, numbers.Real) and g > 0):
+    g = cfg.get("g", 1)  # kept as given: the reports carry g as the config wrote it
+    if _real(cfg, "g", 1) <= 0:
         raise ValueError(f"g must be a real number > 0, got {g!r}")
     d = _positive_int(cfg, "d", None) or diameter(subset)
     k = _positive_int(cfg, "k", 2)
@@ -147,7 +155,7 @@ def cmd_bohr(args) -> int:
     cfg = load_config(args.config)
     group = make_group(cfg["group"])
     catalog = irrep_catalog(group)
-    delta = float(cfg.get("delta", 0.5))
+    delta = _real(cfg, "delta", 0.5)
     records = []
     index = _positive_int(cfg, "rep", None, stop=len(catalog))
     reps = catalog.nontrivial() if index is None else [catalog[index]]
@@ -200,7 +208,7 @@ def cmd_bohr(args) -> int:
         add(f"{label}-06-regular", "regular_radius_exists", params, radius, 2 * window, "pass")
         if "eps" in cfg:
             # after the first regular search, whose failure a bad eps must not mask
-            eps_sizes = eps_sizes or bohr_mod.bohr_eps_size_rows(reps, float(cfg["eps"]))
+            eps_sizes = eps_sizes or bohr_mod.bohr_eps_size_rows(reps, _real(cfg, "eps", None))
             add_bound(f"{label}-07-eps-size", eps_sizes[i], f"eps={cfg['eps']:g}")
     if len(reps) >= 2:
         multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
@@ -212,7 +220,7 @@ def cmd_bohr(args) -> int:
 def cmd_scan(args) -> int:
     cfg, group, seed, subset = _instance(args)
     d = _positive_int(cfg, "d", 2)
-    delta = float(cfg.get("delta", 0.4))
+    delta = _real(cfg, "delta", 0.4)
     direction = cfg.get("direction", "both")
     if direction not in ("forward", "reverse", "both"):
         raise ValueError(f"direction must be forward, reverse or both, got {direction!r}")
@@ -243,13 +251,13 @@ def cmd_experiment(args) -> int:
         result = EXPERIMENTS[name](group, seed)
     elif name == "sidon":
         result = EXPERIMENTS[name](
-            _positive_int(cfg, "N", 101), _positive_int(cfg, "k", 2), seed, float(cfg.get("c_k", 1.0))
+            _positive_int(cfg, "N", 101), _positive_int(cfg, "k", 2), seed, _real(cfg, "c_k", 1.0)
         )
     elif name == "additive-basis":
         result = EXPERIMENTS[name](_positive_int(cfg, "N", 211), seed)
     else:
         result = EXPERIMENTS[name](
-            _positive_int(cfg, "N", 1009), float(cfg.get("c1", 2.0)), float(cfg.get("C", 8.0)), seed
+            _positive_int(cfg, "N", 1009), _real(cfg, "c1", 2.0), _real(cfg, "C", 8.0), seed
         )
     _emit(result.records, args)
     return EXIT_PASS if result.passed else EXIT_FAIL
@@ -293,7 +301,7 @@ def main(argv=None) -> int:
     except CayleyGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

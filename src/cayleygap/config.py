@@ -55,7 +55,8 @@ _SET_CALL_RE = re.compile(r"^([a-z_]+)\s*\((.*)\)$")
 
 def resolve_subset(group: FiniteGroup, spec, rng: np.random.Generator) -> GroupSubset:
     """Subset from a config value: explicit index list, ``full``,
-    ``random(size)``, ``symmetric_random(size)``, or ``interval(start, length)``."""
+    ``random(size)``, ``symmetric_random(size)``, or ``interval(start, length)``.
+    A size or length must lie in [0, |G|], and a ``symmetric_random`` size in [1, |G|]."""
     if isinstance(spec, (list, tuple)):
         return GroupSubset.from_indices(group, spec)
     if isinstance(spec, str):
@@ -66,13 +67,11 @@ def resolve_subset(group: FiniteGroup, spec, rng: np.random.Generator) -> GroupS
         if match:
             kind = match.group(1)
             args = [int(a) for a in match.group(2).split(",") if a.strip()]
-            if kind == "random" and len(args) == 1:
-                return random_subset(group, args[0], rng)
-            if kind == "symmetric_random" and len(args) == 1:
-                return random_symmetric_subset(group, args[0], rng)
-            if kind == "interval" and len(args) == 2:
-                start, length = args
-                return GroupSubset.from_indices(
-                    group, [(start + j) % group.order for j in range(length)]
-                )
+            if len(args) == {"random": 1, "symmetric_random": 1, "interval": 2}.get(kind):
+                low = int(kind == "symmetric_random")
+                if not low <= args[-1] <= group.order:
+                    raise ValueError(f"set {spec!r}: size {args[-1]} outside [{low}, {group.order}] on {group.name}")
+                if kind == "interval":
+                    return GroupSubset.from_indices(group, [(args[0] + j) % group.order for j in range(args[1])])
+                return (random_symmetric_subset if low else random_subset)(group, args[0], rng)
     raise ValueError(f"cannot resolve set spec {spec!r}")

@@ -82,7 +82,7 @@ class NoneFound(CayleyGapError):
 
 
 class RangeViolation(CayleyGapError):
-    """Parameter outside the admissible range for the inclusion check."""
+    """Parameter outside the admissible range for the check."""
 
 
 class NotBk(CayleyGapError):

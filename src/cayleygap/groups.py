@@ -44,19 +44,26 @@ def _int_dtype(order: int):
     return np.int32 if order < 2**31 - 1 else np.int64
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class FiniteGroup:
     """A finite group whose elements are the indices ``0..order-1``.
 
     Subclasses supply array-valued ``mul``/``inv``: they take ints or index
     arrays and broadcast like numpy operators, and they are the group law.
-    ``is_abelian`` is known when the group is built; the conjugacy classes are
-    derived from the law and cached.
+    ``is_abelian`` and the read-only index array ``generators`` are set when the
+    group is built: a law "for all g" holds once it holds on each generator.
+    The conjugacy classes are derived from the law and cached.
     """
 
     order: int
     name: str
     identity: int = 0
     is_abelian: bool
+    generators: np.ndarray
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -103,25 +110,17 @@ class FiniteGroup:
             return cached
         idx = self._indices()
         inv = self.inv(idx)
-        labels = np.full(self.order, -1, dtype=np.int64)
+        seen = np.zeros(self.order, dtype=bool)
         classes: list[np.ndarray] = []
         for x in range(self.order):
-            if labels[x] >= 0:
+            if seen[x]:
                 continue
             in_orbit = np.zeros(self.order, dtype=bool)
             in_orbit[self.mul(self.mul(idx, x), inv)] = True
-            orbit = np.flatnonzero(in_orbit)
-            labels[orbit] = len(classes)
-            classes.append(orbit)
-        labels.flags.writeable = False
-        self._class_labels = labels
+            seen |= in_orbit
+            classes.append(np.flatnonzero(in_orbit))
         self._classes = classes
         return classes
-
-    def class_labels(self) -> np.ndarray:
-        """Index into ``conjugacy_classes()`` of every element's class."""
-        self.conjugacy_classes()
-        return self._class_labels
 
 
 class CyclicGroup(FiniteGroup):
@@ -135,6 +134,7 @@ class CyclicGroup(FiniteGroup):
             raise InvalidTable(f"cyclic order must be >= 1, got {n}")
         self.order = n
         self.name = f"cyclic({n})"
+        self.generators = _read_only(np.arange(1, min(n, 2)))
 
     def mul(self, a, b):
         return (a + b) % self.order
@@ -160,6 +160,9 @@ class AbelianProductGroup(FiniteGroup):
         self.factor_orders = orders
         self.order = int(np.prod(orders))
         self.name = "abelian_product(" + "x".join(str(n) for n in orders) + ")"
+        # the unit digit vector of factor i is its mixed-radix stride
+        strides = [int(np.prod(orders[i + 1:])) for i, m in enumerate(orders) if m > 1]
+        self.generators = _read_only(np.array(strides, dtype=np.int64))
 
     def decode(self, x) -> tuple:
         """Mixed-radix digits of ``x``, one entry (or array) per factor."""
@@ -180,9 +183,7 @@ class AbelianProductGroup(FiniteGroup):
         """(order, k) matrix of mixed-radix digits per element."""
         cached = getattr(self, "_digits", None)
         if cached is None:
-            cached = np.stack(self.decode(self._indices()), axis=1)
-            cached.flags.writeable = False
-            self._digits = cached
+            cached = self._digits = _read_only(np.stack(self.decode(self._indices()), axis=1))
         return cached
 
 
@@ -198,6 +199,7 @@ class DihedralGroup(FiniteGroup):
         self.n = n
         self.order = 2 * self.n
         self.name = f"dihedral({n})"
+        self.generators = _read_only(np.array([1, n]))  # r and s
 
     def mul(self, a, b):
         n = self.n
@@ -234,12 +236,10 @@ class TableGroup(FiniteGroup):
             raise InvalidTable("table entries out of range")
         self.order = n
         self.name = name
-        table32 = arr.astype(_int_dtype(n))
-        table32.flags.writeable = False
-        self._mul_table = table32
+        self._mul_table = table32 = _read_only(arr.astype(_int_dtype(n)))
         self.identity = self._find_identity(table32)
         self._inv_table = self._find_inverses(table32, self.identity)
-        self._check_associative()
+        self.generators = self._check_associative()
         self.is_abelian = bool(np.array_equal(table32, table32.T))
 
     @staticmethod
@@ -256,15 +256,14 @@ class TableGroup(FiniteGroup):
         rows, cols = np.nonzero(table == e)  # row-major: rows is 0..n-1 iff each row holds e once
         if not np.array_equal(rows, np.arange(table.shape[0])):
             raise InvalidTable("some element has no unique inverse")
-        inv = cols.astype(table.dtype)
-        inv.flags.writeable = False
-        return inv
+        return _read_only(cols.astype(table.dtype))
 
-    def _check_associative(self) -> None:
+    def _check_associative(self) -> np.ndarray:
         """Light's test (Clifford-Preston, *Algebraic Theory of Semigroups* I, 1.2): the a with
         (x a) y = x (a y) for all x, y are closed under products, so a generating set proves
         associativity.  Each generator is the first element not yet reached; in a group it at
-        least doubles the reached subgroup, so no group needs more than floor(log2 n) of them."""
+        least doubles the reached subgroup, so no group needs more than floor(log2 n) of them.
+        Returns the generating set it proved."""
         table = self._mul_table
         gens: list[int] = []
         reached = generated_subgroup(self, gens)
@@ -276,6 +275,7 @@ class TableGroup(FiniteGroup):
                 raise InvalidTable(f"associativity fails at a={a}")
             gens.append(a)
             reached = generated_subgroup(self, gens)
+        return _read_only(np.array(gens, dtype=np.int64))
 
     def mul(self, a, b):
         return self._mul_table[a, b]
@@ -438,10 +438,8 @@ class GroupSubset:
             raise ValueError(f"membership length {arr.shape} != order {group.order}")
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("membership values must be 0 or 1")
-        indicator = arr.astype(np.int8)
-        indicator.flags.writeable = False
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "membership", indicator)
+        object.__setattr__(self, "membership", _read_only(arr.astype(np.int8)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupSubset is immutable")
@@ -531,10 +529,8 @@ class GroupFunction:
             raise ValueError(f"values length {arr.shape} != order {group.order}")
         if arr.dtype.kind not in "ifc":
             arr = arr.astype(np.complex128)
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _read_only(arr.copy()))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupFunction is immutable")
@@ -608,9 +604,11 @@ _INT_CONV_MASS_LIMIT = 2**62
 
 
 def _convolve_values(group: FiniteGroup, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # every value and partial sum is at most |f|_1 |g|_1; as int64 the float sums keep 2x headroom below 2^63
+    mass = float(np.abs(f, dtype=np.float64).sum()) * float(np.abs(g, dtype=np.float64).sum())
+    if mass == float("inf"):
+        raise OverflowError("convolution values would exceed the float64 range")
     if f.dtype.kind == "i" and g.dtype.kind == "i":
-        # every value is at most |f|_1 |g|_1; the float sums keep 2x headroom below 2^63
-        mass = np.abs(f, dtype=np.float64).sum() * np.abs(g, dtype=np.float64).sum()
         dtype = np.float64 if mass >= _INT_CONV_MASS_LIMIT else np.int64
         f, g = f.astype(dtype), g.astype(dtype)
     idx = group._indices()
@@ -622,7 +620,7 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """Group convolution (f*g)(x) = sum_y f(y) g(y^-1 x).
 
     Reads only the rows y in supp(f), so it costs O(|supp f| |G|) time and
-    memory: callers put the sparser factor first.
+    memory: callers put the sparser factor first.  Past float64 it raises OverflowError.
     """
     group = require_same_group(f, g)
     return GroupFunction(group, _convolve_values(group, f.values, g.values))

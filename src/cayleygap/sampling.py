@@ -8,8 +8,7 @@ from .groups import FiniteGroup, GroupFunction, GroupSubset
 
 
 def random_subset(group: FiniteGroup, size: int, rng: np.random.Generator) -> GroupSubset:
-    """Uniform random subset of the prescribed size."""
-    size = max(0, min(size, group.order))
+    """Uniform random subset of the prescribed size, in [0, |G|]."""
     idx = rng.choice(group.order, size=size, replace=False)
     return GroupSubset.from_indices(group, idx)
 
@@ -17,8 +16,7 @@ def random_subset(group: FiniteGroup, size: int, rng: np.random.Generator) -> Gr
 def random_symmetric_subset(
     group: FiniteGroup, size_hint: int, rng: np.random.Generator
 ) -> GroupSubset:
-    """T union T^-1 for a random T of the hinted size; symmetric by construction."""
-    size_hint = max(1, min(size_hint, group.order))
+    """T union T^-1 for a random T of the hinted size, in [1, |G|]; symmetric by construction."""
     t = rng.choice(group.order, size=size_hint, replace=False)
     member = np.zeros(group.order, dtype=np.int8)
     member[t] = 1

@@ -829,7 +829,9 @@ def _oracle_symmetry(reps, delta):
     b = _oracle_bohr(reps, delta)
     group = b.group
     failures = int(group.identity not in b) + int(b != inverse_set(b))
-    labels = group.class_labels()
+    labels = np.zeros(group.order, dtype=np.intp)
+    for label, cls in enumerate(group.conjugacy_classes()):
+        labels[cls] = label
     inside = np.bincount(labels, weights=b.membership)
     failures += int(np.any((inside > 0) & (inside < np.bincount(labels))))
     return InclusionReport(
@@ -963,6 +965,31 @@ class TestRowKernels:
             [_oracle_sum_rule(i, delta / 2, delta) for i in items],
         )
         _same([bohr_set(i, delta) for i in items], [_oracle_bohr(i, delta) for i in items])
+
+    def test_normality_of_sets_that_are_no_union_of_classes(self, d6, rng):
+        # rho = 1 on the set and -1 off it (no homomorphism) makes the set itself the
+        # Bohr set at radius 1: {e, s} fails only conjugation by r, and {e, r} fails
+        # inversion and conjugation by s, each failure counted once
+        def masked(group, member):
+            return UnitaryRepresentation(group, np.where(member, 1.0, -1.0).reshape(-1, 1, 1), "mask")
+
+        items = [masked(d6, np.isin(np.arange(d6.order), m)) for m in ([0, 6], [0, 1], [0, 1, 5])]
+        s5 = make_group('permutation_closure(["(1 2 3 4 5)", "(1 2)"])')
+        classes = s5.conjugacy_classes()
+        for _ in range(6):
+            member = rng.random(s5.order) < 0.1
+            member[s5.identity] = True
+            items.append(masked(s5, member))
+            member = np.zeros(s5.order, dtype=bool)
+            member[np.concatenate([classes[i] for i in range(len(classes)) if rng.random() < 0.5])] = True
+            items.append(masked(s5, member | np.eye(s5.order, dtype=bool)[s5.identity]))
+        failures = []
+        for item in items:
+            (report,) = bohr_module.bohr_symmetry_normality_rows([item], 1.0)
+            _same([report], [_oracle_symmetry(item, 1.0)])
+            failures.append(report.failures)
+        assert failures[:3] == [1, 2, 0]
+        assert 0 in failures[3:] and 2 in failures[3:]
 
     def test_rows_larger_than_one_chunk(self):
         # the sign reps of D_400 have a Bohr set of 400 rotations (or mixed

@@ -40,7 +40,7 @@ from cayleygap import (
     verify_uniformity,
 )
 from cayleygap.bounds import BoundReport
-from cayleygap.errors import EmptySet, HypothesisFail, NotRegular
+from cayleygap.errors import EmptySet, HypothesisFail, NotRegular, RangeViolation
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
 from cayleygap.spectra import spectral_summary
 
@@ -302,6 +302,17 @@ class TestGraphs:
             assert d <= 10
         report = verify_graph_bound(graph, d, int(graph_paths(graph, d).min()))
         assert report.holds
+
+    def test_path_counts_that_overflow_int64_are_refused(self):
+        # every entry of M^20 is 10^19 >= 2^63, which int64 matrix_power wraps
+        # to -8446744073709551616 with no error
+        graph = RegularGraph(np.ones((10, 10), dtype=int))
+        with pytest.raises(RangeViolation, match="overflow int64"):
+            graph_paths(graph, 20)
+        with pytest.raises(RangeViolation):
+            verify_graph_bound(graph, 20, 1)
+        assert (graph_paths(graph, 18) == 10**17).all()  # 10^18 < 2^63: still exact
+        assert graph_paths(RegularGraph(np.eye(3, dtype=int)), 10**6).tolist() == np.eye(3).tolist()
 
     def test_not_regular_rejected(self):
         adj = np.zeros((3, 3), dtype=int)

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cayleygap import bounds as bounds_module
 from cayleygap import groups as groups_module
 from cayleygap.cli import EXIT_ERROR, EXIT_PASS, main
+from cayleygap.config import resolve_subset
 
 
 def write_config(tmp_path, name, text):
@@ -307,6 +309,56 @@ class TestConfigErrors:
         assert main(["experiment", name, "--config", cfg]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("config error: ")
 
+
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            # |B|^(2d) and |B|^d overflow a float inside the checks
+            (["bounds"], "group = cyclic(13)\nset = random(4)\nd = 600\n"),
+            (["scan"], "group = cyclic(13)\nset = random(4)\nd = 100000\n"),
+            # 1e400 parses as inf, which no real-valued key accepts
+            (["experiment", "interval-union"], "N = 1009\nc1 = 1e400\n"),
+            (["bohr"], "group = cyclic(13)\ndelta = 1e400\n"),
+        ],
+    )
+    def test_config_sized_numbers_exit_2_without_traceback(self, tmp_path, capsys, argv, body):
+        cfg = write_config(tmp_path, "x.cfg", body)
+        assert main([*argv, "--config", cfg]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, body, key",
+        [
+            (["bohr"], "group = cyclic(13)\ndelta = True\n", "delta"),
+            (["bohr"], "group = cyclic(13)\neps = -1e400\n", "eps"),
+            (["scan"], "group = cyclic(13)\nset = random(4)\ndelta = nan\n", "delta"),
+            (["experiment", "sidon"], "c_k = True\n", "c_k"),
+            (["experiment", "interval-union"], "C = 1e400\n", "C"),
+            # an infinite g would give rows 03 and 04 a nan bound and a fail
+            (["bounds"], "group = cyclic(13)\nset = random(4)\ng = 1e400\n", "g"),
+            (["bounds"], "group = cyclic(13)\nset = random(4)\ng = True\n", "g"),
+        ],
+    )
+    def test_real_keys_are_finite_numbers(self, tmp_path, capsys, argv, body, key):
+        cfg = write_config(tmp_path, "x.cfg", body)
+        assert main([*argv, "--config", cfg]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be a finite real number")
+
+    @pytest.mark.parametrize(
+        "spec", ["random(50)", "random(-3)", "symmetric_random(0)", "symmetric_random(14)", "interval(3, 40)", "interval(3, -1)"]
+    )
+    def test_set_sizes_outside_the_group_are_refused(self, tmp_path, capsys, spec):
+        cfg = write_config(tmp_path, "x.cfg", f"group = cyclic(13)\nset = {spec}\n")
+        assert main(["spectrum", "--config", cfg]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: set {spec!r}: size")
+
+    @pytest.mark.parametrize(
+        "spec, size", [("random(13)", 13), ("random(0)", 0), ("symmetric_random(13)", 13), ("interval(5, 13)", 13), ("interval(5, 0)", 0)]
+    )
+    def test_set_sizes_at_the_ends_are_drawn(self, spec, size):
+        group = groups_module.make_group("cyclic(13)")
+        assert resolve_subset(group, spec, np.random.default_rng(0)).size == size
 
     @pytest.mark.parametrize("command", ["spectrum", "bounds", "scan"])
     @pytest.mark.parametrize("seed", ["1.5", "-1", "x"])

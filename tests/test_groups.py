@@ -342,6 +342,61 @@ class TestTableGroupProof:
             assert closure == sub
 
 
+S5 = 'permutation_closure(["(1 2 3 4 5)", "(1 2)"])'
+
+
+class TestGenerators:
+    """Each family names read-only ``generators`` that generate the whole group."""
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "cyclic(1)",
+            "cyclic(5)",
+            "cyclic(12)",
+            "cyclic(30)",
+            "abelian_product([2, 3, 4])",
+            "abelian_product([2, 1, 4])",
+            "abelian_product([1, 1])",
+            "abelian_product([12, 15])",
+            "dihedral(3)",
+            "dihedral(4)",
+            "dihedral(6)",
+            "dihedral(10)",
+            "dihedral(500)",
+            S5,
+            A5,
+            "multiplication_table([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])",
+        ],
+    )
+    def test_generators_generate_the_group(self, descriptor):
+        group = make_group(descriptor)
+        assert not group.generators.flags.writeable
+        assert generated_subgroup(group, group.generators).all()
+        # none is the identity, so each one counts toward generating
+        assert group.identity not in group.generators.tolist()
+
+    @pytest.mark.parametrize(
+        ("descriptor", "expected"),
+        [
+            ("cyclic(1)", []),
+            ("cyclic(12)", [1]),
+            ("abelian_product([2, 1, 4])", [4, 1]),  # unit digit vectors of the factors of order > 1
+            ("dihedral(6)", [1, 6]),  # r and s
+            (S5, [1, 2, 6, 24]),  # Light's greedy set
+        ],
+    )
+    def test_named_sets(self, descriptor, expected):
+        assert make_group(descriptor).generators.tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_relabeled_table_gets_a_generating_set(self, seed):
+        group = make_group("dihedral(7)")
+        sigma = np.random.default_rng(seed).permutation(group.order)
+        table = TableGroup(relabeled_table(group, sigma))
+        assert generated_subgroup(table, table.generators).all()
+
+
 class TestProductSet:
     def test_identity_factor(self, z7):
         b = GroupSubset.from_indices(z7, [2, 3])
@@ -463,6 +518,14 @@ class TestConvolve:
         values = convolve(f, g).values
         assert values.dtype == np.float64
         assert values[0] == 2.0**80
+
+    def test_float_overflow_is_refused(self, z5):
+        # 4^600 ways to write an element: the float64 values would read inf
+        f = GroupFunction(z5, np.array([1e200, 1e200, 0, 0, 0]))
+        with pytest.raises(OverflowError, match="float64 range"):
+            convolve(f, f)
+        with pytest.raises(OverflowError):
+            iterated_convolution(GroupSubset.from_indices(z5, [0, 1, 2, 3]).indicator(), 600)
 
     def test_sparse_left_factor_allocates_no_square(self):
         group = make_group("cyclic(4001)")

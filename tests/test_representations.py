@@ -17,7 +17,7 @@ from cayleygap import (
 )
 from cayleygap import representations
 from cayleygap.bohr import large_spectrum, large_spectrum_product_check
-from cayleygap.representations import operator_norms
+from cayleygap.representations import UnitaryRepresentation, operator_norms
 from cayleygap.spectra import laplace_spectrum_blocks, spectral_summary
 from cayleygap.errors import GroupMismatch, IncompleteCatalog, NotCataloged
 from cayleygap.sampling import random_function
@@ -67,6 +67,50 @@ class TestCatalogs:
     def test_generic_group_not_cataloged(self, a5):
         with pytest.raises(NotCataloged):
             irrep_catalog(a5)
+
+
+def _character(group, j):
+    """The character x -> e^(2 pi i j x / n) of Z/n as a one-dimensional rep, built directly."""
+    n = group.order
+    return np.exp(2j * np.pi * j * np.arange(n) / n).reshape(n, 1, 1)
+
+
+class TestValidation:
+    """``validate()`` checks rho(x) rho(s) = rho(xs) on every x and generator s: the whole law."""
+
+    def test_one_rotated_value_is_rejected_on_a_large_order(self):
+        # chi(19) rotated by e^(0.5i) stays unimodular; the pairs (18, 1) and (19, 1)
+        # are off by |1 - e^(0.5i)| = 0.495, yet a seeded sample of 4096 pairs
+        # (default_rng(0)) on Z/50021 draws no pair that involves 19
+        group = make_group("cyclic(50021)")
+        mats = _character(group, 1)
+        rep = UnitaryRepresentation(group, mats.copy(), "chi1")
+        rep.validate()
+        mats[19] *= np.exp(0.5j)
+        rotated = UnitaryRepresentation(group, mats, "chi1-rotated")
+        res = rotated.validation_residuals()
+        assert res["unitarity"] < 1e-12 and res["identity"] == 0 and res["trace_orthogonality"] < 1e-6
+        assert res["homomorphism"] == pytest.approx(abs(1 - np.exp(0.5j)))
+        with pytest.raises(ValueError, match="not a homomorphism"):
+            rotated.validate()
+
+    @pytest.mark.parametrize("descriptor", ["dihedral(6)", "abelian_product([2, 3, 4])"])
+    def test_every_single_corrupted_element_is_caught(self, descriptor):
+        group = make_group(descriptor)
+        rep = max(irrep_catalog(group), key=lambda r: (r.dim, r.label))
+        for x in range(group.order):
+            mats = rep.matrices.copy()
+            mats[x] = mats[x] @ np.diag(np.exp(0.5j * np.arange(1, rep.dim + 1)))  # still unitary
+            res = UnitaryRepresentation(group, mats, "bent").validation_residuals()
+            assert max(res["identity"], res["homomorphism"]) > 0.1, x
+
+    def test_no_random_draw(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validation drew a random sample")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        for rep in irrep_catalog(make_group("dihedral(500)")):
+            rep.validate()
 
 
 class TestFourierTransform:

@@ -432,6 +432,36 @@ def _full_eigvals(s):
 
 
 A4 = '["(1 2 3)", "(1 2)(3 4)"]'
+S5 = '["(1 2 3 4 5)", "(1 2)"]'
+
+
+def _gathered_closure(s):
+    """Oracle: the full n |S| gather, g s g^-1 in S for every g in G and s in S."""
+    group = s.group
+    idx = np.arange(group.order)[:, None]
+    return bool(s.membership[group.mul(group.mul(idx, s.indices[None, :]), group.inv(idx))].all())
+
+
+class TestConjugationClosed:
+    @pytest.mark.parametrize("descriptor", ["dihedral(7)", f"permutation_closure({A4})", f"permutation_closure({S5})"])
+    def test_generators_decide_like_the_full_gather(self, descriptor, rng):
+        group = make_group(descriptor)
+        classes = group.conjugacy_classes()
+        cases = [random_nonempty_subset(group, rng, max_size=8) for _ in range(10)]
+        for _ in range(10):
+            picked = rng.choice(len(classes), size=rng.integers(1, len(classes)), replace=False)
+            cases.append(GroupSubset.from_indices(group, np.concatenate([classes[i] for i in picked])))
+        # orbits of one element under conjugation by a single generator: closed
+        # under that generator, and under the whole group only when a class
+        for s in group.generators.tolist():
+            for x in rng.choice(group.order, size=4, replace=False).tolist():
+                orbit = [x]
+                while (y := int(group.mul(group.mul(group.inv(s), orbit[-1]), s))) != x:
+                    orbit.append(y)
+                cases.append(GroupSubset.from_indices(group, orbit))
+        closed = [_conjugation_closed(s) for s in cases]
+        assert closed == [_gathered_closure(s) for s in cases]
+        assert 10 <= sum(closed) < len(cases)
 
 
 class TestInversionSplit:
@@ -571,7 +601,7 @@ class TestBatchedBlocks:
         group = make_group(descriptor)
         for i in range(6):
             if i % 2:
-                s = random_symmetric_subset(group, int(rng.integers(1, 4)), rng)
+                s = random_symmetric_subset(group, min(int(rng.integers(1, 4)), group.order), rng)
             else:
                 s = random_nonempty_subset(group, rng, max_size=max(2, group.order // 2))
             report = laplace_spectrum_blocks(s)
@@ -743,7 +773,8 @@ class TestReportRows:
     @pytest.mark.parametrize("descriptor", ["cyclic(1)", "cyclic(40)", "dihedral(6)", "abelian_product([4, 6])"])
     def test_rows_match_per_row_loop(self, descriptor, rng):
         group = make_group(descriptor)
-        subsets = [random_nonempty_subset(group, rng), random_symmetric_subset(group, 3, rng), GroupSubset.full(group)]
+        symmetric = random_symmetric_subset(group, min(3, group.order), rng)
+        subsets = [random_nonempty_subset(group, rng), symmetric, GroupSubset.full(group)]
         for s in subsets:
             for report in (laplace_spectrum_dense(s), laplace_spectrum_blocks(s)):
                 rows = report.rows()
