@@ -74,11 +74,13 @@ class BoundReport:
 
 
 def _exact(x) -> Fraction | None:
-    """Fraction when the input is integral (int, integral float) or rational."""
-    if isinstance(x, Rational):
-        return Fraction(x)
+    """Fraction when the input is integral (int, integral float) or rational.
+    Integers come first: numpy registers ``np.integer`` as ``Rational``, and a
+    Fraction of an ``np.int64`` keeps that type and wraps in its arithmetic."""
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
+    if isinstance(x, Rational):
+        return Fraction(x)
     if isinstance(x, (float, np.floating)) and float(x).is_integer():
         return Fraction(int(x))
     return None

@@ -7,18 +7,27 @@ first nontrivial eigenvalue is reported variationally, as the minimum of the
 quadratic form of the Hermitian part on the mean-zero subspace, which keeps it
 well defined for non-symmetric generating sets.
 
-The dense path needs no n x n solve when S is closed under conjugation (every
-set in an abelian group, every union of classes): the inversion J f = f o inv
-then satisfies J M J = M^T, and in the basis of J-even and J-odd vectors Delta
-splits into two half-size symmetric blocks and a skew coupling, read straight
-from the group law.  The coupling, rotated into the blocks' eigenvectors,
-lives in clusters of equal real part; each cluster is a small block, and a
-Bauer-Fike certificate on the dropped remainder falls back to one n x n solve
-above 1e-9, as does a symmetric set that is not closed.  Either way the
-spectrum mu of Delta gives the variational gap (min Re mu) and the star
-spectrum 1 - |1 - mu|^2 too.  Any other set solves the star operator and the
-Hermitian part.  The block path solves each stack of equal-dimension blocks in
-one batched call.
+The dense path first splits by a central involution z, where G has one
+(every even-order abelian group, dihedral(n) for even n): M commutes with the left
+translation L_z, so Delta is block-diagonal on the even and odd halves of L_z,
+each of size n/2 and gathered from the group law, and every solve below runs
+once per half.  Within a part (a half, or the whole space when there is no z),
+a set closed under conjugation (every set in an abelian group, every union of
+classes) takes the inversion split: J f = f o inv satisfies J M J = M^T and,
+z being central, maps each half to itself, so in the basis of J-even and
+J-odd vectors the part splits into two symmetric blocks and a skew coupling.
+The coupling, rotated into the blocks' eigenvectors, lives in clusters of
+equal real part; each cluster is a small block, and a Bauer-Fike certificate
+on the dropped remainder falls back to one solve of the part above 1e-9, as
+does a symmetric set that is not closed.  Either way the spectrum mu of Delta
+gives the variational gap (min Re mu) and the star spectrum 1 - |1 - mu|^2
+too.  Any other set solves the star operator and the Hermitian part.  On the
+benchmark's spectrum configs, cyclic(1200) random(12) and abelian_product([12,
+15]) random(10) take the split with coupling on each half, cyclic(1000)
+symmetric_random(10) the symmetric split on each half, dihedral(500)
+symmetric_random(8) one eigvalsh per half, and S5, which has no z, one
+eigvalsh of the whole operator.  The block path solves each stack of
+equal-dimension blocks in one batched call.
 
 The scalar queries ``lambda1``, ``lambda1_star`` and ``set_norm`` read one
 memoized per-subset ``SpectralSummary``.  On a cataloged group it takes the
@@ -193,43 +202,105 @@ def _conjugation_closed(s: GroupSubset) -> bool:
     return bool(s.membership[group.mul(group.mul(group.inv(gens), s.indices[None, :]), gens)].all())
 
 
-def _inversion_blocks(s: GroupSubset):
-    """Yield A, then C, then B (only for a non-symmetric S; it vanishes for a
-    symmetric one) of R^T Delta R = [[A, B], [-B^T, C]] for a conjugation-closed S.
-
-    J f = f o inv satisfies J M J = M^T when S is closed under conjugation.  R
-    is the orthonormal basis of J-even vectors, (e_p + e_p^-1)/sqrt2 for the
-    pairs p < p^-1 followed by e_t for the t = t^-1, then J-odd vectors
-    (e_p - e_p^-1)/sqrt2.  The entries are int8 counts, gathered from the
-    membership at products of the representatives: G1 = |S| M(x, y), G2 = |S|
-    M(x, y^-1) and G3 = |S| M(x^-1, y), with M(x^-1, y^-1) = G1^T by the
-    closure, divided by |S| and the norms of the two basis vectors (sqrt2 for a
-    pair, 2 for an even fixed point).  Each float block is built only when the
-    caller asks for the next, so a solved block can be freed first."""
-    group = s.group
+def _central_involution(group) -> int | None:
+    """The smallest index z != e with z^2 = e that commutes with every
+    generator, hence with all of G; None when G has no such z."""
     idx = group._indices()
-    inverse = group.inv(idx)
-    pairs = np.flatnonzero(idx < inverse)
-    reps = np.concatenate((pairs, np.flatnonzero(idx == inverse))).astype(idx.dtype)[:, None]
-    k = pairs.size
-    member = s.membership
-    g1 = member[group.mul(inverse[reps], reps.T)]
-    g2 = member[group.mul(inverse[reps], inverse[reps].T)]
-    g3 = member[group.mul(reps, reps.T)]
-    a = (g1 + g1.T + g2 + g3) / (-2.0 * s.size)
-    a[:k, k:] /= np.sqrt(2.0)
-    a[k:, :k] /= np.sqrt(2.0)
-    a[k:, k:] /= 2.0
-    a.flat[:: reps.size + 1] += 1.0
+    candidates = idx[(group.mul(idx, idx) == group.identity) & (idx != group.identity)][:, None]
+    gens = group.generators[None, :]
+    central = np.flatnonzero((group.mul(candidates, gens) == group.mul(gens, candidates)).all(axis=1))
+    return int(candidates[central[0], 0]) if central.size else None
+
+
+def _parts(s: GroupSubset) -> list:
+    """The pieces Delta splits into: [None], the whole space, when G has no
+    central involution, else the even and odd halves (z, +1, R) and (z, -1, R)
+    of the left translation L_z, which commutes with every M(x, y) = S(x^-1 y).
+    A half has the orthonormal basis w_x = (e_x + sign e_zx)/sqrt2 over the
+    representatives R = {x : x < zx} of the pairs {x, zx}."""
+    z = _central_involution(s.group)
+    if z is None:
+        return [None]
+    idx = s.group._indices()
+    half = idx[idx < s.group.mul(z, idx)]
+    return [(z, 1, half), (z, -1, half)]
+
+
+def _counts(s: GroupSubset, rows: np.ndarray, cols: np.ndarray, part) -> np.ndarray:
+    """int8 |S| <w_x, M w_y> over any group elements x in ``rows`` and y in
+    ``cols``, gathered from the membership: S(x^-1 y) on the whole space, and
+    S(x^-1 y) + sign S(x^-1 z y) on a half, where w_zx = sign w_x."""
+    group = s.group
+    left = group.inv(rows)[:, None]
+    counts = s.membership[group.mul(left, cols[None, :])]
+    if part is not None:
+        z, sign, _ = part
+        counts = counts + np.int8(sign) * s.membership[group.mul(left, group.mul(z, cols)[None, :])]
+    return counts
+
+
+def _part_markov(s: GroupSubset, part) -> np.ndarray:
+    """|S| times M on one part of ``_parts``, as a float matrix."""
+    if part is None:
+        return markov_matrix(s)
+    half = part[2]
+    return _counts(s, half, half, part).astype(np.float64)
+
+
+def _scale_fixed_points(block: np.ndarray, k: int) -> None:
+    """Normalize the rows and columns from k on, those of the J-fixed points.
+    The counts are taken against w_p +- w_p^-1, of norm sqrt2 for a pair but
+    2 for a fixed point t (w_t^-1 = +-w_t), so each fixed index takes one more
+    factor 1/sqrt2."""
+    block[:k, k:] /= np.sqrt(2.0)
+    block[k:, :k] /= np.sqrt(2.0)
+    block[k:, k:] /= 2.0
+
+
+def _inversion_blocks(s: GroupSubset, part=None):
+    """Yield A, then C, then B (only for a non-symmetric S; it vanishes for a
+    symmetric one) of R^T Delta R = [[A, B], [-B^T, C]] on one part of
+    ``_parts`` for a conjugation-closed S.
+
+    J f = f o inv satisfies J M J = M^T when S is closed under conjugation, and
+    it commutes with L_z for a central z, so it maps each half to itself:
+    J w_x = w_x^-1, a signed permutation of the basis once x^-1 is written as
+    +-w of its representative.  R is the orthonormal basis of J-even vectors,
+    (w_p + w_p^-1)/sqrt2 for the pairs p < rep(p^-1), then w_t for the fixed
+    points of sign +1 (t^-1 = t, or t^-1 = zt on the even half), then J-odd
+    vectors (w_p - w_p^-1)/sqrt2 and w_t for the fixed points of sign -1 (t^2 = z
+    on the odd half).  The entries are int8 counts (``_counts``): G1 = <w_x, M w_y>,
+    G2 = <w_x, M w_y^-1> and G3 = <w_x^-1, M w_y> over the representatives, with
+    <w_x^-1, M w_y^-1> = G1^T by the closure, divided by |S| and the norms of
+    the two basis vectors (``_scale_fixed_points``).  Each float block is built
+    only when the caller asks for the next, so a solved block can be freed first."""
+    group = s.group
+    z, sign, half = part if part is not None else (None, 1, group._indices())
+    inverse = group.inv(half)
+    partner = inverse if z is None else np.minimum(inverse, group.mul(z, inverse))  # the representative of x^-1
+    pairs = half[half < partner]
+    fixed = half[half == partner]
+    odd = (sign < 0) & (inverse[half == partner] != fixed)  # t^-1 = zt: J w_t = -w_t
+    reps = np.concatenate((pairs, fixed[~odd], fixed[odd]))
+    k, ke = pairs.size, reps.size - int(odd.sum())
+    inverse_reps = group.inv(reps)
+    g1 = _counts(s, reps, reps, part)
+    g2 = _counts(s, reps, inverse_reps, part)
+    g3 = _counts(s, inverse_reps, reps, part)
+    odd_rows = np.r_[0:k, ke : reps.size]
+    a = (g1 + g1.T + g2 + g3)[:ke, :ke] / (-2.0 * s.size)
+    _scale_fixed_points(a, k)
+    a.flat[:: ke + 1] += 1.0
     yield a
     del a
-    c = (g1 + g1.T - g2 - g3)[:k, :k] / (-2.0 * s.size)
-    c.flat[:: k + 1] += 1.0
+    c = (g1 + g1.T - g2 - g3)[np.ix_(odd_rows, odd_rows)] / (-2.0 * s.size)
+    _scale_fixed_points(c, k)
+    c.flat[:: odd_rows.size + 1] += 1.0
     yield c
     del c
     if not s.is_symmetric:
-        b = (g1.T - g1 + g2 - g3)[:, :k] / (2.0 * s.size)
-        b[k:] /= np.sqrt(2.0)
+        b = (g1.T - g1 + g2 - g3)[:ke, odd_rows] / (2.0 * s.size)
+        _scale_fixed_points(b, k)
         yield b
 
 
@@ -243,6 +314,8 @@ def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np
     is a perturbation of 2-norm at most its Frobenius norm eps_drop, so by
     Bauer-Fike every returned value lies within eps_drop of an eigenvalue of N.
     Above ``_SPLIT_TOL`` the result is refused (None)."""
+    if lam_o.size == 0:  # no J-odd vector, so nothing couples
+        return lam_e.astype(np.complex128)
     lam = np.concatenate((lam_e, lam_o))
     ne = lam_e.size
     order = np.argsort(lam, kind="stable")
@@ -266,10 +339,10 @@ def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np
     return np.concatenate(parts).astype(np.complex128)
 
 
-def _split_spectrum(s: GroupSubset) -> np.ndarray | None:
-    """Eigenvalues of Delta for a conjugation-closed S from two half-size
+def _split_spectrum(s: GroupSubset, part=None) -> np.ndarray | None:
+    """Eigenvalues of Delta on one part for a conjugation-closed S from two
     symmetric solves, or None when the coupling certificate refuses them."""
-    blocks = _inversion_blocks(s)
+    blocks = _inversion_blocks(s, part)
     if s.is_symmetric:
         return np.concatenate(list(map(np.linalg.eigvalsh, blocks))).astype(np.complex128)
     lam_e, q_e = np.linalg.eigh(next(blocks))
@@ -279,29 +352,46 @@ def _split_spectrum(s: GroupSubset) -> np.ndarray | None:
     return _coupled_spectrum(lam_e, lam_o, w)
 
 
+def _normal_spectrum(s: GroupSubset, part, closed: bool) -> np.ndarray:
+    """Eigenvalues of Delta on one part for a symmetric or conjugation-closed
+    S, whose operator is normal: the inversion split when S is closed; where
+    that is refused, or S is not closed, one solve of the part's Delta."""
+    mu = _split_spectrum(s, part) if closed else None
+    if mu is None:
+        delta = _laplacian(_part_markov(s, part), s.size)
+        mu = np.linalg.eigvalsh(delta).astype(np.complex128) if s.is_symmetric else np.linalg.eigvals(delta)
+    return mu
+
+
+def _star_and_hermitian(s: GroupSubset, part, full: bool, trivial: bool):
+    """Eigenvalues of Delta on one part (None unless ``full``), the least
+    eigenvalue of its Hermitian part (less the trivial one when the part holds
+    the constants) and the spectrum of I - M M^T / |S|^2 there."""
+    m = _part_markov(s, part)
+    size = s.size
+    delta = _laplacian(m, size)
+    star = np.linalg.eigvalsh(_laplacian(m @ m.T, size * size))
+    del m
+    gap = variational_lambda1(delta) if trivial else float(np.linalg.eigvalsh((delta + delta.T) / 2.0)[0])
+    return np.linalg.eigvals(delta) if full else None, gap, star
+
+
 def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, np.ndarray]:
     """Eigenvalues of Delta = I - M/|S| (None unless ``full``), its variational
     gap, and the ascending spectrum of I - M M^T / |S|^2.
 
-    A conjugation-closed set takes the inversion split (``_split_spectrum``).
-    Where its certificate refuses, the operator, central and so normal, takes
-    one solve of Delta (``eigvals`` only when ``full`` needs it anyway), as a
-    symmetric set does; other sets solve the star operator and Hermitian part."""
+    Every solve runs once per part of ``_parts``: on the two halves of a
+    central involution, or on the whole space.  A symmetric or
+    conjugation-closed set has a normal operator and takes
+    ``_normal_spectrum``; other sets solve the star operator and the
+    Hermitian part, whose trivial eigenvalue lies in the first part."""
     closed = _conjugation_closed(s)
-    mu = _split_spectrum(s) if closed else None
-    if mu is not None:
+    parts = _parts(s)
+    if closed or s.is_symmetric:
+        mu = np.concatenate([_normal_spectrum(s, part, closed) for part in parts])
         return (mu, *_normal_gaps(mu))
-    m = markov_matrix(s)
-    size = s.size
-    delta = _laplacian(m, size)
-    symmetric = s.is_symmetric
-    if symmetric or (full and closed):
-        del m
-        mu = np.linalg.eigvalsh(delta).astype(np.complex128) if symmetric else np.linalg.eigvals(delta)
-        return (mu, *_normal_gaps(mu))
-    star = np.sort(np.linalg.eigvalsh(_laplacian(m @ m.T, size * size)))
-    del m
-    return np.linalg.eigvals(delta) if full else None, variational_lambda1(delta), star
+    eigenvalues, gaps, stars = zip(*(_star_and_hermitian(s, part, full, i == 0) for i, part in enumerate(parts)))
+    return np.concatenate(eigenvalues) if full else None, min(gaps), np.sort(np.concatenate(stars))
 
 
 def laplace_spectrum_dense(s: GroupSubset) -> SpectrumReport:

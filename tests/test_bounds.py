@@ -188,6 +188,16 @@ class TestExceptionalBound:
             values.append(value)
         assert all(x >= y for x, y in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("integer", [np.int8, np.int32, np.int64, np.uint16])
+    def test_numpy_integer_g_is_exact_like_int(self, integer):
+        """A numpy integer g gives the same exact Fraction as the Python int: no
+        np.int64 numerator whose arithmetic wraps, as (50 + 3 * 1)**12 > 2**63 does."""
+        expected = exceptional_bound_value(1009, 50, 12, 3, 1)
+        value, exact = exceptional_bound_value(1009, 50, 12, integer(3), 1)
+        assert exact == expected[1] and value == expected[0]
+        assert type(exact.numerator) is int and type(exact.denominator) is int
+        assert exact == Fraction(3 * 1009, 12 * 53**12) - Fraction(3, 50)
+
     def test_star_form(self, d6, rng):
         for _ in range(5):
             b = random_nonempty_subset(d6, rng)

@@ -1,5 +1,7 @@
 """Laplace spectra: dense vs block paths, the singular gap, walk energies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,14 +25,18 @@ from cayleygap import (
 )
 from cayleygap import representations, spectra
 from cayleygap.cli import main as cli_main
+from cayleygap.config import resolve_subset
 from cayleygap.errors import EmptySet, KZero, NotCataloged
+from cayleygap.groups import TableGroup
 from cayleygap.representations import operator_norms
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
 from cayleygap.spectra import (
+    _central_involution,
     _conjugation_closed,
     _coupled_spectrum,
     _inversion_blocks,
     _laplacian,
+    _parts,
     _split_spectrum,
     markov_of_function,
     spectral_summary,
@@ -40,6 +46,7 @@ from cayleygap.spectra import (
 S4 = '["(1 2 3 4)", "(1 2)"]'
 S5 = '["(1 2 3 4 5)", "(1 2)"]'
 FROBENIUS_21 = '["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]'
+Q8 = '["(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)"]'  # i and j of the quaternion group
 
 
 class TestMarkovMatrix:
@@ -425,6 +432,32 @@ class TestNormalOperator:
         assert self._solves(monkeypatch, summary, s4_symmetric) == (1, 0, 0)
         assert self._solves(monkeypatch, summary, s4_non_normal) == (2, 0, 0)
 
+    def test_solve_counts_on_the_halves(self, monkeypatch):
+        """A central involution runs every solve above once on each half."""
+        d8 = make_group("dihedral(8)")
+        q8 = make_group(f"permutation_closure({Q8})")
+        z32 = make_group("cyclic(32)")
+        summary = spectral_summary.__wrapped__
+        d8_symmetric = GroupSubset.from_indices(d8, [1, 7, 8])  # r, r^-1 and a reflection: not closed
+        d8_rotation = GroupSubset.singleton(d8, 1)
+        x = int(np.flatnonzero(q8.mul(np.arange(8), np.arange(8)) != q8.identity)[0])  # an element of order 4
+        q8_symmetric = GroupSubset.from_indices(q8, [x, int(q8.inv(x))])  # in Q8 a class, so closed
+        q8_order_four = GroupSubset.singleton(q8, x)
+        abelian = GroupSubset.from_indices(z32, [1, 5, 6])
+        assert d8_symmetric.is_symmetric and not _conjugation_closed(d8_symmetric)
+        assert not d8_rotation.is_symmetric and not _conjugation_closed(d8_rotation)
+        assert not q8_order_four.is_symmetric and not _conjugation_closed(q8_order_four)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, d8_symmetric) == (2, 0, 0)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, GroupSubset.full(d8)) == (4, 0, 0)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, d8_rotation) == (4, 2, 0)
+        # two eigh per half; the odd half batches its 2 x 2 conjugate pairs, the even
+        # half also a 3 x 3 and a 4 x 4 cluster (characters 8, 16, 24 share the real
+        # part -1, and 4, 12, 20, 28 the real part 0)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 4, 4)
+        assert _conjugation_closed(q8_symmetric)
+        assert self._solves(monkeypatch, summary, q8_symmetric) == (4, 0, 0)
+        assert self._solves(monkeypatch, summary, q8_order_four) == (4, 0, 0)
+
 
 def _full_eigvals(s):
     """Every eigenvalue of Delta from one n x n ``eigvals``."""
@@ -575,6 +608,204 @@ class TestInversionSplit:
             for s in (random_nonempty_subset(group, rng), random_symmetric_subset(group, 3, rng)):
                 assert laplace_spectrum_dense(s).path == "dense"
         assert laplace_spectrum_dense(_frobenius_set()).path == "dense"
+
+
+def _relabeled(descriptor, seed):
+    """A ``TableGroup`` copy of the group in which element i is named label[i],
+    for a seeded permutation label."""
+    group = make_group(descriptor)
+    label = np.random.default_rng(seed).permutation(group.order)
+    idx = np.arange(group.order)
+    table = np.empty((group.order, group.order), dtype=np.int64)
+    table[label[:, None], label[None, :]] = label[group.mul(idx[:, None], idx[None, :])]
+    return TableGroup(table), label
+
+
+def _central_oracle(group):
+    """The smallest z != e with z^2 = e that commutes with every element of G."""
+    idx = np.arange(group.order)
+    for z in idx.tolist():
+        if z != group.identity and group.mul(z, z) == group.identity:
+            if np.array_equal(group.mul(z, idx), group.mul(idx, z)):
+                return z
+    return None
+
+
+def _half_basis(group, z, sign):
+    """Orthonormal J-even and J-odd columns of one half, from the definitions:
+    w_g = (e_g + sign e_zg)/sqrt2 for every g; over the representatives x < zx,
+    a pair x < rep(x^-1) gives (w_x +- w_x^-1)/sqrt2, and a fixed point
+    x = rep(x^-1) gives w_x, J-odd exactly when w_x + w_x^-1 = 0."""
+    n = group.order
+
+    def w(g):
+        v = np.zeros(n)
+        v[g] += np.sqrt(0.5)
+        v[int(group.mul(z, g))] += sign * np.sqrt(0.5)
+        return v
+
+    even_pairs, odd_pairs, even_fixed, odd_fixed = [], [], [], []
+    for x in (x for x in range(n) if x < group.mul(z, x)):
+        y = int(group.inv(x))
+        rep = min(y, int(group.mul(z, y)))
+        if x < rep:
+            even_pairs.append((w(x) + w(y)) * np.sqrt(0.5))
+            odd_pairs.append((w(x) - w(y)) * np.sqrt(0.5))
+        elif x == rep:
+            (even_fixed if np.abs(w(x) + w(y)).max() > 0 else odd_fixed).append(w(x))
+    even = np.array(even_pairs + even_fixed).reshape(-1, n).T
+    odd = np.array(odd_pairs + odd_fixed).reshape(-1, n).T
+    return even, odd
+
+
+class TestCentralInvolutionSplit:
+    """Groups with a central involution z: every dense solve runs on the two
+    halves of the left translation L_z."""
+
+    DESCRIPTORS = (
+        "cyclic(32)",
+        "cyclic(2)",
+        "dihedral(8)",
+        "dihedral(7)",
+        "abelian_product([2, 2, 2, 4])",
+        "abelian_product([12, 15])",
+        f"permutation_closure({A4})",
+        f"permutation_closure({S4})",
+        f"permutation_closure({Q8})",
+    )
+
+    @classmethod
+    def _groups(cls):
+        return [make_group(d) for d in cls.DESCRIPTORS] + [_relabeled("dihedral(8)", 8)[0]]
+
+    @classmethod
+    def _cases(cls, rng):
+        """Symmetric, non-symmetric and class-union sets on every group, the
+        whole group, and where z exists {z}, <z> = {e, z} and a coset {x, zx}."""
+        cases = []
+        for group in cls._groups():
+            n = group.order
+            classes = group.conjugacy_classes()
+            cases += [random_symmetric_subset(group, min(3, n), rng), GroupSubset.full(group)]
+            cases += [random_nonempty_subset(group, rng, max_size=max(1, n // 2)) for _ in range(3)]
+            for _ in range(2):
+                picked = rng.choice(len(classes), size=rng.integers(1, len(classes) + 1), replace=False)
+                cases.append(GroupSubset.from_indices(group, np.concatenate([classes[i] for i in picked])))
+            # a class that is not its own inverse (the 3-cycles of A4): closed, not symmetric
+            cases += [GroupSubset.from_indices(group, c) for c in classes if not np.isin(group.inv(c), c).all()][:1]
+            z = _central_involution(group)
+            if z is not None:
+                x = int(rng.integers(n))
+                cases.append(GroupSubset.singleton(group, z))
+                cases.append(GroupSubset.from_indices(group, [group.identity, z]))
+                cases.append(GroupSubset.from_indices(group, [x, int(group.mul(z, x))]))
+        return cases
+
+    def test_central_involution_is_the_smallest_central_one(self):
+        expected = dict(zip(self.DESCRIPTORS, (16, 1, 4, None, 2, 90, None, None)))
+        assert [_central_involution(make_group(d)) for d in expected] == list(expected.values())
+        for group in self._groups():
+            z = _central_oracle(group)
+            assert _central_involution(group) == z
+            assert (_parts(GroupSubset.full(group)) == [None]) == (z is None)
+        q8 = make_group(f"permutation_closure({Q8})")
+        squares = q8.mul(np.arange(8), np.arange(8))
+        z = _central_involution(q8)
+        assert np.flatnonzero(squares == q8.identity).tolist() == sorted([q8.identity, z])  # one involution
+        assert np.count_nonzero(squares == z) == 6
+        table, label = _relabeled("dihedral(8)", 8)
+        assert table.identity == label[0] and _central_involution(table) == label[4]  # r^4
+
+    def test_matches_full_eigvals_and_three_solves(self, rng):
+        kinds = {}
+        for s in self._cases(rng):
+            n = s.group.order
+            report = laplace_spectrum_dense(s)
+            lam1, star = _three_solves(s)
+            _, summary_lam1, summary_star = spectra._dense_gaps(s, full=False)
+            closed = _conjugation_closed(s)
+            if closed or s.is_symmetric:
+                assert multiset_distance(report.eigenvalues, _full_eigvals(s)) <= 1e-12, s
+            else:
+                # a non-normal Delta may be defective; its eigenvalues then move by
+                # about sqrt(eps) between any two solvers (1.2e-8 on dihedral(8)),
+                # while the power sums tr Delta^k stay well conditioned
+                delta = np.eye(n) - markov_matrix(s) / s.size
+                for k in (1, 2, 3):
+                    power_sum = (report.eigenvalues**k).sum()
+                    assert abs(power_sum - np.trace(np.linalg.matrix_power(delta, k))) <= 1e-12 * n, s
+                assert multiset_distance(report.eigenvalues, _full_eigvals(s)) <= 1e-6, s
+            for gap, spectrum in ((report.lambda1, report.star_eigenvalues), (summary_lam1, summary_star)):
+                assert abs(gap - lam1) <= 1e-12, s
+                assert np.abs(spectrum - star).max() <= 1e-12, s
+            assert abs(report.lambda1_star - (star[1] if star.size > 1 else 0.0)) <= 1e-12
+            key = (_central_involution(s.group) is not None, closed, s.is_symmetric)
+            kinds[key] = kinds.get(key, 0) + 1
+        # on groups with z: closed or not, symmetric or not, and so also without z
+        assert all(kinds.get((True, closed, symmetric), 0) >= 3 for closed in (0, 1) for symmetric in (0, 1))
+
+    def test_fixed_points_of_the_halves(self):
+        """cyclic(32): z = 16, the pairs {p, 16 - p} for p = 1..7, and the
+        fixed points 0 (an involution) and 8 (8 + 8 = z, J-odd on the odd
+        half).  Q8: every representative is fixed, and i, j, k are J-odd on
+        the odd half."""
+        z32 = make_group("cyclic(32)")
+        even, odd = _parts(GroupSubset.from_indices(z32, [1]))
+        assert [b.shape for b in _inversion_blocks(GroupSubset.from_indices(z32, [1]), even)] == [(9, 9), (7, 7), (9, 7)]
+        assert [b.shape for b in _inversion_blocks(GroupSubset.from_indices(z32, [1]), odd)] == [(8, 8), (8, 8), (8, 8)]
+        q8 = make_group(f"permutation_closure({Q8})")
+        x = int(np.flatnonzero(q8.mul(np.arange(8), np.arange(8)) != q8.identity)[0])
+        s = GroupSubset.from_indices(q8, [x, int(q8.inv(x))])
+        even, odd = _parts(s)
+        assert [b.shape for b in _inversion_blocks(s, even)] == [(4, 4), (0, 0)]
+        assert [b.shape for b in _inversion_blocks(s, odd)] == [(1, 1), (3, 3)]
+
+    def test_rotated_halves_reassemble_delta(self, rng):
+        """In the basis built from the definitions, each half of Delta is
+        [[A, B], [-B^T, C]] with A and C symmetric, and the halves do not couple."""
+        cases = []
+        for descriptor in ("cyclic(32)", "abelian_product([2, 2, 2, 4])"):
+            group = make_group(descriptor)
+            cases += [GroupSubset.singleton(group, 1), random_nonempty_subset(group, rng, max_size=16)]
+            cases.append(random_symmetric_subset(group, 3, rng))
+        q8 = make_group(f"permutation_closure({Q8})")
+        cases += [GroupSubset.from_indices(q8, c) for c in q8.conjugacy_classes()[1:]]
+        for s in cases:
+            group, n = s.group, s.group.order
+            assert _conjugation_closed(s)
+            z = _central_involution(group)
+            delta = np.eye(n) - markov_matrix(s) / s.size
+            columns = []
+            for part, sign in zip(_parts(s), (1, -1)):
+                a, c, *coupling = _inversion_blocks(s, part)
+                b = coupling[0] if coupling else np.zeros((a.shape[0], c.shape[0]))
+                assert np.array_equal(a, a.T) and np.array_equal(c, c.T)
+                assert bool(coupling) != s.is_symmetric
+                r = np.hstack(_half_basis(group, z, sign))
+                assert np.abs(r.T @ delta @ r - np.block([[a, b], [-b.T, c]])).max() <= 1e-15
+                columns.append(r)
+            r = np.hstack(columns)
+            assert np.abs(r.T @ r - np.eye(n)).max() <= 1e-15
+            assert np.abs((r.T @ delta @ r)[: n // 2, n // 2 :]).max() <= 1e-15
+
+
+class TestDenseAllocation:
+    """The dense path allocates less than one float n x n operator."""
+
+    @pytest.mark.parametrize(
+        "descriptor, spec",
+        [("cyclic(1200)", "random(12)"), ("cyclic(1000)", "symmetric_random(10)"), ("dihedral(500)", "symmetric_random(8)")],
+    )
+    def test_peak_below_one_dense_operator(self, descriptor, spec):
+        group = make_group(descriptor)
+        s = resolve_subset(group, spec, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            laplace_spectrum_dense(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < group.order**2 * 8
 
 
 class TestBatchedBlocks:
