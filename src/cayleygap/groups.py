@@ -179,13 +179,6 @@ class AbelianProductGroup(FiniteGroup):
     def signature(self) -> tuple:
         return ("abelian_product", self.factor_orders)
 
-    def digit_matrix(self) -> np.ndarray:
-        """(order, k) matrix of mixed-radix digits per element."""
-        cached = getattr(self, "_digits", None)
-        if cached is None:
-            cached = self._digits = _read_only(np.stack(self.decode(self._indices()), axis=1))
-        return cached
-
 
 class DihedralGroup(FiniteGroup):
     """Dihedral group of order 2n: index t*n + i stands for s^t r^i."""

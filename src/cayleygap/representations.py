@@ -3,16 +3,19 @@ matrix Fourier transform.
 
 Catalogs exist for cyclic groups, abelian products, and dihedral groups.
 Generic groups deliberately get no numerically synthesized irreps; operations
-that need the catalog raise NotCataloged.  ``IrrepCatalog.coefficients`` takes
-every Fourier coefficient by FFTs over the group's cyclic factors: one
-``ifftn`` over the factor orders on abelian groups, and on dihedral groups one
-``ifft`` and one ``fft`` of the two coset rows, whose entries fill the sign
-and plane blocks.  ``IrrepCatalog.norms`` reads those coefficients, so neither
-touches a matrix.  The matrices themselves, one read-only ``(k, |G|, d, d)``
-stack per dimension with each rep's ``matrices`` a view of its row, are built
-on first read of ``stacks`` or ``reps``; ``fourier_transform`` (the per-rep
-``tensordot`` on those matrices) and ``set_norm(s, catalog)`` stay the
-reference the FFTs are tested against.
+that need the catalog raise NotCataloged.  Each family writes its irreps once,
+as ``_transform``: every Fourier coefficient by FFTs over the group's cyclic
+factors, one ``ifftn`` over the factor orders on abelian groups, and on
+dihedral groups one ``ifft`` and one ``fft`` of the two coset rows, whose
+entries fill the sign and plane blocks.  ``IrrepCatalog.coefficients`` and
+``IrrepCatalog.norms`` read it, so neither touches a matrix.  The matrices
+themselves, one read-only ``(k, |G|, d, d)`` stack per dimension with each
+rep's ``matrices`` a view of its row, are the same transform batched over the
+identity, since rho(g) is the coefficient of the point mass at g; they are
+built on first read of ``stacks`` or ``reps``, after a check against
+``DENSE_BYTES_BUDGET`` that raises GroupTooLarge before anything is allocated.
+``fourier_transform`` (the per-rep ``tensordot`` on those matrices) and
+``set_norm(s, catalog)`` stay the reference the FFTs are tested against.
 ``IrrepCatalog.identity_distances`` is the ``(k, |G|)`` matrix of ||rho(g) - I||
 that Bohr sets read, built on first use with one ``operator_norms`` call per
 stack; each catalog rep's ``identity_distances()`` is its row.
@@ -29,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GroupMismatch, IncompleteCatalog, NotCataloged
+from .errors import GroupMismatch, GroupTooLarge, IncompleteCatalog, NotCataloged
 from .groups import (
     AbelianProductGroup,
     CyclicGroup,
@@ -41,6 +44,7 @@ from .groups import (
 
 UNITARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
+DENSE_BYTES_BUDGET = 2 * 2**30  # largest dense array set one call may allocate, in bytes
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
@@ -163,10 +167,12 @@ class IrrepCatalog:
     """Complete list of irreducible unitary representations of a group, the
     first trivial, in ``len(shapes)`` stacks of ``k`` reps of dimension ``d``.
 
-    A family subclass takes every Fourier coefficient by FFT (``_transform``),
-    names its reps (``labels``) and builds the ``(k, |G|, d, d)`` matrix
-    stacks (``_build``).  ``stacks`` and the ``reps`` that view their rows
-    are built on first read, so coefficients and norms never touch them.
+    A family subclass takes every Fourier coefficient by FFT (``_transform``,
+    from ``(|G|, *batch)`` values to ``(k, *batch, d, d)`` blocks per stack)
+    and names its reps (``labels``).
+    ``stacks``, the ``(k, |G|, d, d)`` matrices, are ``_transform`` of the
+    identity; they and the ``reps`` that view their rows are built on first
+    read, so coefficients and norms never touch them.
     """
 
     trivial_index = 0
@@ -176,16 +182,20 @@ class IrrepCatalog:
         self.shapes = tuple(shapes)  # (k, d) per stack
         self._identity_distances = None
 
-    def _build(self) -> list[np.ndarray]:
-        raise NotImplementedError
-
     def _transform(self, values: np.ndarray) -> list[np.ndarray]:
         raise NotImplementedError
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
-        stacks = self._build()
         order = self.group.order
+        needed = 2 * order * order * 16  # the complex identity and the transform's output
+        if needed > DENSE_BYTES_BUDGET:
+            raise GroupTooLarge(
+                f"matrix stacks of {self.group.name} need {needed / 2**30:.1f} GiB, "
+                f"over the dense budget of {DENSE_BYTES_BUDGET / 2**30:.0f} GiB"
+            )
+        # rho(g) is the Fourier coefficient of the point mass at g
+        stacks = self._transform(np.eye(order, dtype=np.complex128))
         declared = [(k, order, d, d) for k, d in self.shapes]
         if [stack.shape for stack in stacks] != declared or sum(k * d * d for k, d in self.shapes) != order:
             raise ValueError(
@@ -274,28 +284,17 @@ class _AbelianCatalog(IrrepCatalog):
         super().__init__(group, [(group.order, 1)])
         self.factor_orders = getattr(group, "factor_orders", (group.order,))
 
-    def _build(self) -> list[np.ndarray]:
-        group = self.group
-        n = group.order
-        if isinstance(group, CyclicGroup):
-            x = np.arange(n)
-            phases = 2j * np.pi * x[:, None] * x / n
-        else:
-            digits = group.digit_matrix()  # (order, k); row r is also frequency r
-            freqs = digits / np.array(group.factor_orders, dtype=np.float64)
-            phases = 2j * np.pi * (digits * freqs[:, None, :]).sum(axis=2)
-        return [np.exp(phases).reshape(n, n, 1, 1)]
-
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        if isinstance(self.group, CyclicGroup):
-            return tuple(f"chi{r}" for r in range(self.group.order))
-        return tuple("chi" + "_".join(map(str, row)) for row in self.group.digit_matrix().tolist())
+        digits = np.unravel_index(np.arange(self.group.order), self.factor_orders)
+        return tuple("chi" + "_".join(map(str, row)) for row in zip(*(d.tolist() for d in digits)))
 
     def _transform(self, values: np.ndarray) -> list[np.ndarray]:
         # ifftn without the 1/n factor is sum_x f(x) e^{+2 pi i <r, x>}, the catalog's sign
-        coeffs = np.fft.ifftn(values.reshape(self.factor_orders), norm="forward")
-        return [coeffs.reshape(-1, 1, 1)]
+        batch = values.shape[1:]
+        axes = tuple(range(len(self.factor_orders)))
+        coeffs = np.fft.ifftn(values.reshape(self.factor_orders + batch), axes=axes, norm="forward")
+        return [coeffs.reshape(-1, *batch, 1, 1)]
 
 
 class _DihedralCatalog(IrrepCatalog):
@@ -304,25 +303,8 @@ class _DihedralCatalog(IrrepCatalog):
 
     def __init__(self, group: DihedralGroup):
         n = group.n
-        self.harmonics = np.arange(1, (n + 1) // 2)
-        super().__init__(group, [(2 if n % 2 else 4, 1), (self.harmonics.size, 2)])
-
-    def _build(self) -> list[np.ndarray]:
-        n = self.group.n
-        order = self.group.order
-        t, i = np.divmod(np.arange(order), n)
-        signs = [np.ones(order), (-1.0) ** t]
-        if n % 2 == 0:
-            signs += [(-1.0) ** i, (-1.0) ** (t + i)]
-        lines = np.array(signs, dtype=np.complex128).reshape(len(signs), order, 1, 1)
-        omega = np.exp(2j * np.pi / n)
-        rot = omega ** (self.harmonics[:, None] * np.arange(n))  # (harmonics, n)
-        planes = np.zeros((self.harmonics.size, order, 2, 2), dtype=np.complex128)
-        planes[:, :n, 0, 0] = rot
-        planes[:, :n, 1, 1] = rot.conj()
-        planes[:, n:, 0, 1] = rot.conj()
-        planes[:, n:, 1, 0] = rot
-        return [lines, planes]
+        self.harmonics = range(1, (n + 1) // 2)
+        super().__init__(group, [(2 if n % 2 else 4, 1), (len(self.harmonics), 2)])
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -331,15 +313,16 @@ class _DihedralCatalog(IrrepCatalog):
 
     def _transform(self, values: np.ndarray) -> list[np.ndarray]:
         n = self.group.n
-        rows = values.reshape(2, n)  # f(s^t r^i) at [t, i]
-        plus = np.fft.ifft(rows, norm="forward")  # sum_i f(s^t r^i) omega^(h i)
-        minus = np.fft.fft(rows)  # sum_i f(s^t r^i) omega^(-h i)
+        batch = values.shape[1:]
+        rows = values.reshape(2, n, *batch)  # f(s^t r^i) at [t, i]
+        plus = np.fft.ifft(rows, axis=1, norm="forward")  # sum_i f(s^t r^i) omega^(h i)
+        minus = np.fft.fft(rows, axis=1)  # sum_i f(s^t r^i) omega^(-h i)
         lines = [plus[0, 0] + plus[1, 0], plus[0, 0] - plus[1, 0]]
         if n % 2 == 0:
             lines += [plus[0, n // 2] + plus[1, n // 2], plus[0, n // 2] - plus[1, n // 2]]
-        h = self.harmonics
+        h = slice(1, (n + 1) // 2)  # the harmonics, sliced as views
         planes = np.stack([plus[0, h], minus[1, h], plus[1, h], minus[0, h]], axis=-1)
-        return [np.array(lines).reshape(-1, 1, 1), planes.reshape(-1, 2, 2)]
+        return [np.array(lines).reshape(-1, *batch, 1, 1), planes.reshape(-1, *batch, 2, 2)]
 
 
 @lru_cache(maxsize=None)

@@ -46,6 +46,7 @@ from cayleygap.bohr import (
     CoveringReport,
     InclusionReport,
     bohr_symmetry_normality_check,
+    bohr_symmetry_normality_rows,
     is_prime,
     max_progression_mass,
 )
@@ -121,6 +122,33 @@ class TestBohrSet:
     def test_nonpositive_radius(self, z12):
         with pytest.raises(DeltaOutOfRange):
             bohr_set(irrep_catalog(z12)[1], 0.0)
+
+
+class TestExactPhaseTies:
+    """The stacks carry exact phases, so a distance that ties the radius in exact
+    arithmetic stays inside the Bohr set's 1e-12 membership tolerance."""
+
+    def test_cyclic_ties_at_radius_one_are_symmetric(self):
+        rows = bohr_symmetry_normality_rows(irrep_catalog(make_group("cyclic(1200)")).nontrivial(), 1.0)
+        assert [row.failures for row in rows] == [0] * 1199
+
+    def test_cyclic_distances_are_exact_chords(self):
+        n = 1200
+        x = np.arange(n)
+        k = (x[:, None] * x) % n  # the phase r x mod n, reduced as an integer
+        distances = irrep_catalog(make_group(f"cyclic({n})")).identity_distances()
+        assert np.abs(distances - 2 * np.abs(np.sin(np.pi * k / n))).max() <= 1e-14
+        ties = (k == n // 6) | (k == 5 * n // 6)  # 2 |sin(pi k / n)| = 1 exactly
+        assert np.abs(distances[ties] - 1.0).max() <= 1e-14
+
+    def test_dihedral_radius_two_is_the_whole_group(self):
+        group = make_group("dihedral(600)")
+        for rep in irrep_catalog(group).nontrivial():
+            assert bohr_set(rep, 2.0).size == group.order, rep.label
+
+    def test_dihedral_rows_at_radius_two_have_no_failure(self):
+        rows = bohr_symmetry_normality_rows(irrep_catalog(make_group("dihedral(600)")).nontrivial(), 2.0)
+        assert len(rows) == 302 and all(row.failures == 0 for row in rows)
 
 
 class TestConvolutionShare:

@@ -122,6 +122,12 @@ class TestBohrCommand:
         cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(36)\ndelta = 0.4\nrep = 1\neps = 0.5\n")
         assert main(["bohr", "--config", cfg]) == EXIT_ERROR
 
+    def test_stacks_over_the_dense_budget_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(100003)\ndelta = 0.3\n")
+        assert main(["bohr", "--config", cfg]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "dense budget" in err[0]
+
     def test_not_cataloged_is_error(self, tmp_path):
         cfg = write_config(
             tmp_path, "bo.cfg", 'group = permutation_closure(["(1 2 3 4 5)", "(1 2 3)"])\ndelta = 0.4\n'

@@ -1,5 +1,7 @@
 """Irrep catalogs and the matrix Fourier transform with its identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from cayleygap import representations
 from cayleygap.bohr import large_spectrum, large_spectrum_product_check
 from cayleygap.representations import UnitaryRepresentation, operator_norms
 from cayleygap.spectra import laplace_spectrum_blocks, spectral_summary
-from cayleygap.errors import GroupMismatch, IncompleteCatalog, NotCataloged
+from cayleygap.errors import GroupMismatch, GroupTooLarge, IncompleteCatalog, NotCataloged
 from cayleygap.sampling import random_function
 
 CATALOGED = [
@@ -32,6 +34,8 @@ CATALOGED = [
     "dihedral(4)",
     "dihedral(6)",
     "dihedral(10)",
+    "cyclic(1200)",
+    "dihedral(600)",
 ]
 
 
@@ -323,17 +327,16 @@ def _cyclic_stacks_loop(group):
     x = np.arange(n)
     stack = np.empty((n, n, 1, 1), dtype=np.complex128)
     for r in range(n):
-        stack[r, :, 0, 0] = np.exp(2j * np.pi * r * x / n)
+        stack[r, :, 0, 0] = np.exp(2j * np.pi * ((r * x) % n) / n)
     return [stack]
 
 
 def _abelian_product_stacks_loop(group):
-    digits = group.digit_matrix()
-    orders = np.array(group.factor_orders, dtype=np.float64)
+    digits = group.decode(np.arange(group.order))
     stack = np.empty((group.order, group.order, 1, 1), dtype=np.complex128)
     for label_idx in range(group.order):
-        freq = np.array(group.decode(label_idx), dtype=np.float64)
-        phases = (digits * (freq / orders)).sum(axis=1)
+        freq = group.decode(label_idx)
+        phases = sum(((r * x) % n) / n for r, x, n in zip(freq, digits, group.factor_orders))
         stack[label_idx, :, 0, 0] = np.exp(2j * np.pi * phases)
     return [stack]
 
@@ -346,11 +349,10 @@ def _dihedral_stacks_loop(group):
     if n % 2 == 0:
         signs += [(-1.0) ** i, (-1.0) ** (t + i)]
     lines = np.array(signs, dtype=np.complex128).reshape(len(signs), order, 1, 1)
-    omega = np.exp(2j * np.pi / n)
     harmonics = range(1, (n - 1) // 2 + 1 if n % 2 else n // 2)
     planes = np.zeros((len(harmonics), order, 2, 2), dtype=np.complex128)
     for mats, h in zip(planes, harmonics):
-        rot = omega ** (h * i)
+        rot = np.exp(2j * np.pi * ((h * i) % n) / n)
         mats[t == 0, 0, 0] = rot[t == 0]
         mats[t == 0, 1, 1] = rot[t == 0].conj()
         mats[t == 1, 0, 1] = rot[t == 1].conj()
@@ -359,7 +361,8 @@ def _dihedral_stacks_loop(group):
 
 
 class TestLazyStacks:
-    """Stacks are built on first read, by broadcasts equal to the row loops."""
+    """Stacks are the transform of the identity, built on first read, and match
+    row loops whose phases are reduced exactly as integers."""
 
     @pytest.mark.parametrize(
         "descriptor, oracle",
@@ -367,21 +370,23 @@ class TestLazyStacks:
             ("cyclic(1)", _cyclic_stacks_loop),
             ("cyclic(12)", _cyclic_stacks_loop),
             ("cyclic(1009)", _cyclic_stacks_loop),
+            ("cyclic(1200)", _cyclic_stacks_loop),
             ("abelian_product([2, 3, 4])", _abelian_product_stacks_loop),
             ("abelian_product([12, 15])", _abelian_product_stacks_loop),
             ("dihedral(3)", _dihedral_stacks_loop),
             ("dihedral(4)", _dihedral_stacks_loop),
             ("dihedral(7)", _dihedral_stacks_loop),
             ("dihedral(200)", _dihedral_stacks_loop),
+            ("dihedral(600)", _dihedral_stacks_loop),
         ],
     )
-    def test_builders_equal_row_loops_bit_for_bit(self, descriptor, oracle):
+    def test_stacks_match_exact_phase_row_loops(self, descriptor, oracle):
         group = make_group(descriptor)
         stacks = irrep_catalog(group).stacks
         expected = oracle(group)
         assert [stack.shape for stack in stacks] == [stack.shape for stack in expected]
         for stack, reference in zip(stacks, expected):
-            assert stack.tobytes() == reference.tobytes()
+            assert np.abs(stack - reference).max() <= 1e-14
 
     @pytest.mark.parametrize("descriptor, count", [("dihedral(500)", 253), ("cyclic(1200)", 1200)])
     def test_spectral_paths_leave_stacks_unbuilt(self, descriptor, count):
@@ -402,20 +407,44 @@ class TestLazyStacks:
         assert catalog[1].matrices.shape[0] == group.order
         assert "stacks" in vars(catalog) and "reps" in vars(catalog)
 
+    @staticmethod
+    def _peak_while(read):
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_stacks_hold_the_identity_and_one_transform(self):
+        # the identity, the two FFT outputs and the planes: harmonics sliced as views add no copy
+        catalog = representations._DihedralCatalog(make_group("dihedral(200)"))
+        assert self._peak_while(lambda: catalog.stacks) <= 10 * 2**20
+
+    def test_stacks_over_the_dense_budget_raise_before_allocating(self):
+        catalog = representations._AbelianCatalog(make_group("cyclic(100003)"))
+
+        def read():
+            with pytest.raises(GroupTooLarge, match="dense budget"):
+                catalog.stacks
+
+        assert self._peak_while(read) < 2**20
+        assert "stacks" not in vars(catalog)
+
     def test_wrong_builder_dimensions_raise_on_build(self):
         group = make_group("dihedral(6)")
 
         class Truncated(representations._DihedralCatalog):
-            def _build(self):
-                lines, planes = super()._build()
+            def _transform(self, values):
+                lines, planes = super()._transform(values)
                 return [lines, planes[:-1]]
 
         class WrongOrder(representations._AbelianCatalog):
-            def _build(self):
-                return [stack[:, 1:] for stack in super()._build()]
+            def _transform(self, values):
+                return [stack[:, 1:] for stack in super()._transform(values)]
 
         catalog = Truncated(group)
-        assert catalog.coefficients(GroupFunction.delta(group))[1].shape == (2, 2, 2)
+        assert catalog.coefficients(GroupFunction.delta(group))[1].shape == (1, 2, 2)
         with pytest.raises(ValueError, match="dimension check"):
             catalog.stacks
         with pytest.raises(ValueError, match="dimension check"):
