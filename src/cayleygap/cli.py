@@ -88,34 +88,22 @@ def _instance(args):
 def cmd_spectrum(args) -> int:
     *_, subset = _instance(args)
     dense = laplace_spectrum_dense(subset)
-    records = []
-    for row in dense.rows():
-        row["instance"] = f"dense-{row['index']:05d}"
-        records.append(row)
-    agree = True
     try:
         blocks = laplace_spectrum_blocks(subset)
     except NotCataloged:
         blocks = None
+    records = dense.rows() + (blocks.rows() if blocks is not None else [])
+    for row in records:  # the path is "dense" or "blocks"
+        row["instance"] = "%s-%05d" % (row["path"], row["index"])
+    agree = True
     if blocks is not None:
-        for row in blocks.rows():
-            row["instance"] = f"blocks-{row['index']:05d}"
-            records.append(row)
         gap = multiset_distance(dense.eigenvalues, blocks.eigenvalues)
         agree = gap <= 1e-9
-        records.append(
-            {
-                "instance": "zz-path-agreement",
-                "index": -1,
-                "eigenvalue_re": gap,
-                "eigenvalue_im": 0.0,
-                "star_eigenvalue": float(
-                    np.abs(dense.star_eigenvalues - blocks.star_eigenvalues).max()
-                ),
-                "cluster": -1,
-                "path": "pass" if agree else "fail",
-            }
-        )
+        star_gap = float(np.abs(dense.star_eigenvalues - blocks.star_eigenvalues).max())
+        records.append({
+            "instance": "zz-path-agreement", "index": -1, "eigenvalue_re": gap, "eigenvalue_im": 0.0,
+            "star_eigenvalue": star_gap, "cluster": -1, "path": "pass" if agree else "fail",
+        })
     _emit(records, args, columns=["instance", "index", "eigenvalue_re", "eigenvalue_im", "star_eigenvalue", "cluster", "path"])
     return EXIT_PASS if agree else EXIT_FAIL
 

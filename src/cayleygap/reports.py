@@ -2,7 +2,9 @@
 
 Records are flat dicts; rows are sorted by instance id so identical runs
 produce byte-identical files.  Floating-point values are emitted with 12
-significant digits in both formats.
+significant digits in both formats.  CSV is formatted one column at a time:
+a column of cells of exactly one type among float, int and str takes one %
+pass, any other goes through ``format_value`` cell by cell, to the same bytes.
 """
 
 from __future__ import annotations
@@ -75,17 +77,27 @@ def bound_record(
     return record
 
 
+_COLUMN_FORMATS = {float: "%.12g\n", int: "%d\n", str: "%s\n"}  # format_value of a cell of exactly that type
+
+
+def _csv_column(cells: list) -> list[str]:
+    """The column's CSV cells: one % pass when every cell has one type among float,
+    int and str (a bool or np.float64 is none of them) and, for str, no cell needs
+    quoting or holds a newline; ``format_value`` and quoting cell by cell otherwise."""
+    kinds = set(map(type, cells))
+    if len(kinds) == 1 and (kind := kinds.pop()) in _COLUMN_FORMATS:
+        text = _COLUMN_FORMATS[kind] * len(cells) % tuple(cells)
+        if kind is not str or (text.count("\n") == len(cells) and "," not in text and '"' not in text):
+            return text.split("\n")[:-1]
+    texts = map(format_value, cells)
+    return ['"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text for text in texts]
+
+
 def render_csv(records: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for record in records:
-        cells = []
-        for col in columns:
-            text = format_value(record.get(col, ""))
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """CSV text, one column formatted at a time (``_csv_column``) and the rows joined once."""
+    cells = [_csv_column([record.get(col, "") for record in records]) for col in columns]
+    rows = map(",".join, zip(*cells)) if columns else [""] * len(records)
+    return "\n".join([",".join(columns), *rows]) + "\n"
 
 
 def json_ready(record: dict) -> dict:

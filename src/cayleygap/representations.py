@@ -18,7 +18,8 @@ built on first read of ``stacks`` or ``reps``, after a check against
 ``set_norm(s, catalog)`` stay the reference the FFTs are tested against.
 ``IrrepCatalog.identity_distances`` is the ``(k, |G|)`` matrix of ||rho(g) - I||
 that Bohr sets read, built on first use with one ``operator_norms`` call per
-stack; each catalog rep's ``identity_distances()`` is its row.
+chunk of rows of at most ``_CHUNK_BYTES`` temporaries, so it never copies a
+whole stack; each catalog rep's ``identity_distances()`` is its row.
 The spectral engine (``spectra.spectral_summary``) takes ``coefficients``
 once per subset on every cataloged group and reads gaps and norms from those
 blocks, so it never builds the stacks; it diagonalizes the dense operator only
@@ -45,6 +46,14 @@ from .groups import (
 UNITARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
 DENSE_BYTES_BUDGET = 2 * 2**30  # largest dense array set one call may allocate, in bytes
+_CHUNK_BYTES = 2**22  # temporaries of one row chunk of identity_distances, in bytes
+
+
+def check_dense_budget(needed: int, what: str) -> None:
+    """Raise GroupTooLarge when ``what``, about to be allocated, needs over DENSE_BYTES_BUDGET bytes."""
+    if needed > DENSE_BYTES_BUDGET:
+        budget = f"the dense budget of {DENSE_BYTES_BUDGET / 2**30:.0f} GiB"
+        raise GroupTooLarge(f"{what} need {needed / 2**30:.1f} GiB, over {budget}")
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
@@ -188,12 +197,7 @@ class IrrepCatalog:
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
         order = self.group.order
-        needed = 2 * order * order * 16  # the complex identity and the transform's output
-        if needed > DENSE_BYTES_BUDGET:
-            raise GroupTooLarge(
-                f"matrix stacks of {self.group.name} need {needed / 2**30:.1f} GiB, "
-                f"over the dense budget of {DENSE_BYTES_BUDGET / 2**30:.0f} GiB"
-            )
+        check_dense_budget(2 * order * order * 16, f"matrix stacks of {self.group.name}")  # identity and transform
         # rho(g) is the Fourier coefficient of the point mass at g
         stacks = self._transform(np.eye(order, dtype=np.complex128))
         declared = [(k, order, d, d) for k, d in self.shapes]
@@ -215,14 +219,18 @@ class IrrepCatalog:
 
     def identity_distances(self) -> np.ndarray:
         """Read-only ``(len, |G|)`` matrix of ||rho(g) - I||, one row per rep in
-        catalog order, from one ``operator_norms`` call per stack; each rep's
+        catalog order, from one ``operator_norms`` call per chunk of rows of a
+        stack, so the temporaries stay within ``_CHUNK_BYTES``; each rep's
         ``identity_distances()`` is its row."""
         if self._identity_distances is None:
-            rows = np.concatenate([
-                operator_norms((stack - np.eye(d)).reshape(k * n, d, d)).reshape(k, n)
-                for stack in self.stacks
-                for k, n, d, _ in [stack.shape]
-            ])
+            rows, first = np.empty((len(self), self.group.order)), 0
+            for stack in self.stacks:
+                (k, n, d, _), eye = stack.shape, np.eye(stack.shape[2])
+                step = max(1, _CHUNK_BYTES // (64 * n * d * d))  # rho(g) - I takes a quarter of the chunk
+                for i in range(0, k, step):
+                    j = min(i + step, k)
+                    rows[first + i : first + j] = operator_norms((stack[i:j] - eye).reshape(-1, d, d)).reshape(-1, n)
+                first += k
             rows.flags.writeable = False
             self._identity_distances = rows
         return self._identity_distances

@@ -34,7 +34,9 @@ memoized per-subset ``SpectralSummary``.  On a cataloged group it takes the
 Fourier coefficients once (FFTs over the cyclic factors) and reads the gap and
 the norm from the same nontrivial blocks; only where no catalog exists does it
 diagonalize the dense operator.  ``laplace_spectrum_dense`` reads neither the
-summary nor the catalog, so it stays an independent cross-check.
+summary nor the catalog, so it stays an independent cross-check;
+``multiset_distance`` compares the two paths by greedy nearest matching, run
+per component of the real parts (cut at gaps above 1e-6) and batched by size.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import EmptySet, KZero, NotCataloged
 from .groups import GroupFunction, GroupSubset, iterated_convolution
-from .representations import irrep_catalog, operator_norms
+from .representations import check_dense_budget, irrep_catalog, operator_norms
 
 _CLUSTER_GAP = 1e-6  # eigenvalues closer than this along the real axis share a cluster
 _SPLIT_TOL = 1e-9  # largest certified error of the inversion-split spectrum
@@ -123,25 +125,50 @@ def multiset_key(values: np.ndarray) -> np.ndarray:
     return arr[np.lexsort((arr.imag, arr.real))]
 
 
+def _greedy_worst(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst pick of the greedy matching, run in lockstep over the rows of two
+    (m, k) arrays: each a[:, i] in turn takes its nearest unused b, the first
+    on a tie."""
+    rows = np.arange(a.shape[0])
+    used = np.zeros(b.shape, dtype=bool)
+    worst = 0.0
+    for x in a.T:
+        dist = np.abs(b - x[:, None])
+        dist[used] = np.inf
+        j = np.argmin(dist, axis=1)
+        used[rows, j] = True
+        worst = max(worst, float(dist[rows, j].max()))
+    return worst
+
+
 def multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Worst-pair distance under greedy nearest matching of two spectra.
 
     Robust against near-ties where a lexicographic sort would pair wrong
-    partners across the two eigenvalue paths.
+    partners across the two eigenvalue paths.  The greedy runs per component
+    of the merged real parts cut at gaps above 1e-6, one batch per component
+    size, when both spectra are finite with equal counts in every component.
+    An element outside a component is then over 1e-6 away, so once every
+    pick is within 1e-6 it can neither win nor tie, and the result is the
+    whole-array greedy's; otherwise that greedy runs as one component.
     """
     a = multiset_key(a)
     b = multiset_key(b)
     if a.size != b.size:
         return float("inf")
-    used = np.zeros(b.size, dtype=bool)
-    worst = 0.0
-    for x in a:
-        dist = np.abs(b - x)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        used[j] = True
-        worst = max(worst, float(dist[j]))
-    return worst
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        merged = np.sort(np.concatenate((a.real, b.real)))
+        cuts = merged[:-1][np.diff(merged) > _CLUSTER_GAP]  # the last real part of each component but the last
+        sizes, other = (np.bincount(np.searchsorted(cuts, x.real), minlength=cuts.size + 1) for x in (a, b))
+        if np.array_equal(sizes, other):
+            starts = np.cumsum(sizes) - sizes
+            worst = 0.0
+            for k in sorted(set(sizes.tolist())):
+                members = starts[sizes == k][:, None] + np.arange(k)
+                worst = max(worst, _greedy_worst(a[members], b[members]))
+            if worst <= _CLUSTER_GAP:
+                return worst
+    return _greedy_worst(a[None], b[None])
 
 
 def cluster_eigenvalues(values: np.ndarray) -> np.ndarray:
@@ -173,16 +200,10 @@ class SpectrumReport:
             clusters = cluster_eigenvalues(sorted_real)[pos].tolist()
         else:
             clusters = [-1] * eig.size
+        columns, path = (eig.real.tolist(), eig.imag.tolist(), self.star_eigenvalues.tolist()), self.path
         return [
-            {
-                "index": j,
-                "eigenvalue_re": float(value.real),
-                "eigenvalue_im": float(value.imag),
-                "star_eigenvalue": float(star),
-                "cluster": cluster,
-                "path": self.path,
-            }
-            for j, (value, star, cluster) in enumerate(zip(eig, self.star_eigenvalues, clusters))
+            {"index": j, "eigenvalue_re": re, "eigenvalue_im": im, "star_eigenvalue": star, "cluster": c, "path": path}
+            for j, re, im, star, c in zip(range(eig.size), *columns, clusters)
         ]
 
 
@@ -327,7 +348,7 @@ def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np
     starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
     sizes = np.diff(starts, append=lam.size)
     parts = [lam[order[starts[sizes == 1]]]]
-    for size in np.unique(sizes[sizes > 1]):
+    for size in sorted(set(sizes[sizes > 1].tolist())):  # np.unique would import numpy.ma
         members = order[starts[sizes == size][:, None] + np.arange(size)]  # (clusters, size)
         rows, cols = members[:, :, None], members[:, None, :]
         even, odd = np.minimum(rows, cols), np.maximum(rows, cols) - ne  # even indices come first
@@ -384,9 +405,13 @@ def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, n
     central involution, or on the whole space.  A symmetric or
     conjugation-closed set has a normal operator and takes
     ``_normal_spectrum``; other sets solve the star operator and the
-    Hermitian part, whose trivial eigenvalue lies in the first part."""
-    closed = _conjugation_closed(s)
+    Hermitian part, whose trivial eigenvalue lies in the first part.  A part
+    whose int32 product gather, int8 counts and float block (13 bytes a cell)
+    exceed the dense budget raises GroupTooLarge before anything is gathered."""
     parts = _parts(s)
+    side = s.group.order if parts[0] is None else parts[0][2].size
+    check_dense_budget(13 * side * side, f"dense spectrum of {s.group.name}: the gathers of one part")
+    closed = _conjugation_closed(s)
     if closed or s.is_symmetric:
         mu = np.concatenate([_normal_spectrum(s, part, closed) for part in parts])
         return (mu, *_normal_gaps(mu))

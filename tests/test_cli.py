@@ -390,11 +390,21 @@ class TestImports:
         "print(eager, code, 'numpy.ma' in sys.modules)\n"
     )
 
-    @pytest.mark.parametrize("command, stem", [("bohr", "bohr-cyclic199"), ("bounds", "bounds-s5")])
+    @pytest.mark.parametrize(
+        "command, stem",
+        [
+            ("bohr", "bohr-cyclic199"),
+            ("bounds", "bounds-s5"),
+            ("spectrum", "spectrum-cyclic1200"),  # both take the coupled inversion split
+            ("spectrum", "spectrum-abelian12x15"),
+            ("scan", "scan-cyclic293"),
+            ("experiment sidon", "experiment-sidon"),
+        ],
+    )
     def test_cli_run_never_imports_numpy_ma(self, command, stem):
         root = Path(__file__).resolve().parents[1]
         config = root / "perfbench" / "configs" / f"{stem}.cfg"
-        argv = [str(root / "src"), command, "--config", str(config), "--seed", "0"]
+        argv = [str(root / "src"), *command.split(), "--config", str(config), "--seed", "0"]
         result = subprocess.run(
             [sys.executable, "-I", "-c", self.PROBE, *argv], capture_output=True, text=True, check=True
         )

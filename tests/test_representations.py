@@ -431,6 +431,23 @@ class TestLazyStacks:
         assert self._peak_while(read) < 2**20
         assert "stacks" not in vars(catalog)
 
+    @pytest.mark.parametrize(
+        "catalog_type, descriptor",
+        [(representations._AbelianCatalog, "cyclic(1200)"), (representations._DihedralCatalog, "dihedral(500)")],
+    )
+    def test_identity_distances_in_row_chunks(self, catalog_type, descriptor):
+        """After the stacks, the distances allocate their result and one chunk of
+        temporaries, never a stack-sized rho(g) - I, and equal the whole-stack norms."""
+        catalog = catalog_type(make_group(descriptor))
+        stacks = catalog.stacks
+        size = len(catalog) * catalog.group.order * 8
+        assert self._peak_while(catalog.identity_distances) < size + representations._CHUNK_BYTES
+        whole = np.concatenate([
+            operator_norms((stack - np.eye(stack.shape[2])).reshape(-1, *stack.shape[2:])).reshape(stack.shape[:2])
+            for stack in stacks
+        ])
+        assert np.array_equal(catalog.identity_distances(), whole)
+
     def test_wrong_builder_dimensions_raise_on_build(self):
         group = make_group("dihedral(6)")
 

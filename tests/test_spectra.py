@@ -1,6 +1,10 @@
 """Laplace spectra: dense vs block paths, the singular gap, walk energies."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from cayleygap import (
 from cayleygap import representations, spectra
 from cayleygap.cli import main as cli_main
 from cayleygap.config import resolve_subset
-from cayleygap.errors import EmptySet, KZero, NotCataloged
+from cayleygap.errors import EmptySet, GroupTooLarge, KZero, NotCataloged
 from cayleygap.groups import TableGroup
 from cayleygap.representations import operator_norms
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
@@ -39,6 +43,7 @@ from cayleygap.spectra import (
     _parts,
     _split_spectrum,
     markov_of_function,
+    multiset_key,
     spectral_summary,
     variational_lambda1,
 )
@@ -806,6 +811,120 @@ class TestDenseAllocation:
         finally:
             tracemalloc.stop()
         assert peak < group.order**2 * 8
+
+
+class TestDenseBudget:
+    """The dense path refuses a part whose gathers exceed the dense budget before it allocates."""
+
+    def test_budget_counts_one_half(self, monkeypatch):
+        s = resolve_subset(make_group("cyclic(100)"), "random(5)", np.random.default_rng(0))
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 13 * 50 * 50)  # the halves of the central involution
+        laplace_spectrum_dense(s)
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 13 * 50 * 50 - 1)
+        with pytest.raises(GroupTooLarge, match="dense budget"):
+            laplace_spectrum_dense(s)
+
+    def test_large_group_exits_2_under_an_address_space_limit(self, tmp_path):
+        """cyclic(100003) random(50) has no central involution: one 100003-wide
+        part, whose first gather alone was a 9.31 GiB int32 array.  The child
+        runs under its own 3 GiB address-space limit, so a missing guard fails
+        here with a MemoryError rather than taking the machine's memory."""
+        resource = pytest.importorskip("resource")
+        config = tmp_path / "large.cfg"
+        config.write_text("group = cyclic(100003)\nset = random(50)\n")
+        limit = 3 * 2**30
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(spectra.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "cayleygap.cli", "spectrum", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            timeout=120,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: dense spectrum of cyclic(100003)")
+        assert result.stderr.count("\n") == 1
+
+
+def _greedy_oracle(a, b) -> float:
+    """The former per-eigenvalue greedy loop of multiset_distance, kept as the oracle."""
+    a, b = multiset_key(a), multiset_key(b)
+    if a.size != b.size:
+        return float("inf")
+    used = np.zeros(b.size, dtype=bool)
+    worst = 0.0
+    for x in a:
+        dist = np.abs(b - x)
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        used[j] = True
+        worst = max(worst, float(dist[j]))
+    return worst
+
+
+def _planted_spectrum(rng, n: int) -> np.ndarray:
+    """Random spectrum with repeated values, conjugate pairs and runs of equal real part."""
+    values = np.round(rng.normal(size=n) + 1j * rng.normal(size=n), int(rng.integers(1, 4)))  # rounding plants ties
+    values.real[rng.random(n) < 0.3] = values.real[0]  # a run of equal real part
+    values.imag[rng.random(n) < 0.3] = 0.0
+    values = np.repeat(values, rng.integers(1, 4, size=n))  # multiplicities
+    return np.concatenate((values, values[rng.random(values.size) < 0.5].conj()))
+
+
+class TestMultisetDistance:
+    """Component-batched matching gives exactly the whole-array greedy's result."""
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-15, 1e-12, 1e-9, 5e-7, 1e-5, 1e-2])
+    def test_planted_spectra_match_greedy_loop(self, scale, rng):
+        for _ in range(60):
+            a = _planted_spectrum(rng, int(rng.integers(1, 25)))
+            b = rng.permutation(a + scale * (rng.normal(size=a.size) + 1j * rng.normal(size=a.size)))
+            assert multiset_distance(a, b) == _greedy_oracle(a, b)
+            assert multiset_distance(b, a) == _greedy_oracle(b, a)
+
+    @pytest.mark.parametrize("spacing, spread", [(1e-9, 1e-7), (0.1, 1.0)])
+    def test_shared_real_grid_matches_greedy_loop(self, spacing, spread, rng):
+        """Both spectra take their real parts from one grid, and the imaginary
+        parts spread wider than its spacing, so nearest partners cross real values:
+        within one component at 1e-9, across components (whole-array greedy) at 0.1."""
+        for _ in range(60):
+            real = rng.integers(0, 4, size=int(rng.integers(2, 30))) * spacing
+            a = real + 1j * spread * rng.normal(size=real.size)
+            b = rng.permutation(real) + 1j * spread * rng.normal(size=real.size)
+            assert multiset_distance(a, b) == _greedy_oracle(a, b)
+
+    def test_cyclic1200_near_tie(self):
+        """At seed 3 a lexicographic pairing of the two paths is off by about 1;
+        the greedy pairs them within roundoff."""
+        s = resolve_subset(make_group("cyclic(1200)"), "random(12)", np.random.default_rng(3))
+        dense, blocks = laplace_spectrum_dense(s).eigenvalues, laplace_spectrum_blocks(s).eigenvalues
+        assert np.abs(multiset_key(dense) - multiset_key(blocks)).max() > 1.0
+        assert multiset_distance(dense, blocks) == _greedy_oracle(dense, blocks) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ([0, 1e-9 + 5e-7j], [5e-7j, 1e-9], 1e-9),  # nearest partner across a real-part gap below 1e-6
+            ([0, 2 + 10j], [2, 10j], 2.0),  # components pick 10 each: the whole-array greedy decides
+            ([0, 1], [0, 1, 2], float("inf")),
+            ([], [], 0.0),
+        ],
+    )
+    def test_hand_cases(self, a, b, expected):
+        assert multiset_distance(a, b) == _greedy_oracle(a, b) == expected
+
+    @pytest.mark.parametrize(
+        "a, b", [([np.nan, 1], [1, 2]), ([1, np.nan], [np.nan, 1]), ([np.inf, 0], [0, 1]), ([1j * np.nan], [0])]
+    )
+    def test_non_finite_takes_the_greedy_loop(self, a, b):
+        with np.errstate(invalid="ignore"):
+            assert multiset_distance(a, b) == _greedy_oracle(a, b)
 
 
 class TestBatchedBlocks:
