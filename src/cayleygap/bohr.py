@@ -54,6 +54,7 @@ LOG32_3 = math.log(3.0, 1.5)  # exponent in the certified nonabelian basis bound
 
 _EXHAUSTIVE_SCAN_LIMIT = 300
 _SCAN_SAMPLES = 100_000
+_SCAN_BLOCK_CELLS = 2**15  # gathered cells of one block of steps in a progression scan
 NORMAL_SUBGROUP_CAP = 200
 
 #: membership slack so radii sitting exactly on a distance value (norm 1.0 at
@@ -262,6 +263,41 @@ def find_covering_interval(a: GroupSubset, eps: float, delta: float) -> Progress
 # -- progression scans ---------------------------------------------------------
 
 
+def _folded_inverses(n: int) -> np.ndarray:
+    """For each residue m of a prime n, the inverse mod n of its folded step
+    min(m, n - m) (entry 0 is unused): q^(n-2) for q <= n//2 by vectorized
+    square-and-multiply, whose products stay below n^2."""
+    base = np.arange(n // 2 + 1, dtype=np.int64)
+    inverse = np.ones_like(base)
+    e = n - 2
+    while e:
+        if e & 1:
+            inverse = inverse * base % n
+        base = base * base % n
+        e >>= 1
+    m = np.arange(n)
+    return inverse[np.minimum(m, n - m)]
+
+
+def _folded_draws(n: int, length: int, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded (start, step) draws of a sampled scan, each read on a step
+    q <= n//2.  A draw of step k > n//2 is the step-(n - k) window that starts
+    (length - 1)(n - k) terms earlier, and is kept as the negative step k - n.
+    Returns each draw's signed step and window index t: the window of step q
+    that starts at q t mod n.  The draws cost 6 bytes each once folded."""
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, n, samples)
+    step = rng.integers(1, n, samples)
+    back = step > n // 2
+    step -= n * back
+    t = _folded_inverses(n)[step]  # a negative step indexes from the end, as n + step
+    t *= start
+    del start
+    t -= (length - 1) * back  # (start - (length - 1) q) / q for a folded step q
+    np.remainder(t, n, out=t)
+    return step.astype(np.int16 if n < 2**16 else np.int32), t.astype(np.int32)
+
+
 def max_progression_mass(
     values: np.ndarray,
     max_terms: int,
@@ -275,15 +311,28 @@ def max_progression_mass(
 
     Window sums of a nonnegative sequence grow with the term count, so the
     maximum over all lengths up to L is attained at length L; only
-    full-length windows are summed. Both modes build the same per-step table
-    of all n cyclic windows of ``values[(q * idx) % n]``, so both take
-    Theta(n^2) time and O(n + samples) memory; the sampled mode only reads
-    fewer of the windows. Each window is a difference of prefix sums, which
-    equals the directly gathered sum when ``values`` are integers held in
-    float64 with total below 2^53 (as ``rep_count`` counts are).
+    full-length windows are summed, and a negative or non-finite entry is
+    refused.  Step n - q is step q read backwards (its window from start s is
+    step q's window from s - (L-1) q), so only the n//2 steps q <= n/2 are
+    scanned: blocks of about 2^15 cells gather ``values[(q * t) % n]`` for a
+    run of steps, and each row's n cyclic windows are read from one prefix
+    sum of its n terms (a window that wraps adds the row's total).  The
+    smallest maximizing step is <= n/2, so the exhaustive witness (first
+    step, then first window) is that of the full scan; a sampled draw of
+    step > n/2 reads its folded window, and the witness is still the drawn
+    (start, step) of the first maximizing draw.  Both modes take Theta(n^2)
+    time and O(block + samples) memory.  Window sums equal directly gathered
+    sums when ``values`` are integers held in float64 with total below 2^53
+    (as ``rep_count`` counts are).
     """
     n = values.size
     mode = "exhaustive" if exhaustive else "sampled"
+    if not np.isfinite(values).all():
+        raise RangeViolation("progression scans need finite values")
+    if (values < 0).any():
+        raise NegativeValues("progression scans need nonnegative values")
+    if not exhaustive and samples < 1:
+        raise ValueError(f"a sampled progression scan needs samples >= 1, got {samples}")
     if n > 1 and not is_prime(n):  # a non-unit step would miss whole cosets of starts
         raise HypothesisFail(f"progression scans need a prime modulus, got {n}")
     length = max(0, min(max_terms, n))
@@ -291,35 +340,59 @@ def max_progression_mass(
         return 0.0, None, mode
     if n == 1:  # no step in 1..n-1 to scan or draw: the one term is the maximum
         return float(values[0]), Progression(1, 0, 1, 1), mode
-    if not exhaustive:
-        rng = np.random.default_rng(seed)
-        starts = rng.integers(0, n, samples)
-        steps = rng.integers(1, n, samples)
-        by_step = np.argsort(steps, kind="stable")
-        edges = np.searchsorted(steps[by_step], np.arange(n + 1))  # draws of step q: edges[q]:edges[q+1]
+    half = n // 2
+    if exhaustive:
+        best, witness = -1.0, None
+    else:
+        signed, t = _folded_draws(n, length, seed, samples)
+        folded = np.abs(signed)
+        order = np.argsort(folded, kind="stable").astype(np.int32)
+        # the draws of step q are order[edges[q] : edges[q + 1]]
+        edges = np.concatenate([[0], np.cumsum(np.bincount(folded, minlength=half + 1))])
+        del folded
         sums = np.empty(samples)
-        by_start = np.empty(n)
-    best = -1.0
-    witness = None
-    idx = np.arange(n)
-    for q in range(1, n):
-        at = (q * idx) % n  # window t of this step starts at at[t]; a bijection as n is prime
-        permuted = values[at]
-        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([permuted, permuted[: length - 1]]))])
-        windows = prefix[length:] - prefix[:n]
+    rows = min(half, max(1, _SCAN_BLOCK_CELLS // (n + 1)))
+    terms = np.arange(n)
+    padded = np.append(values, 0.0)
+    # column 0 reads padded[n] = 0, so each prefix row starts empty
+    at = np.full((rows, n + 1), n, dtype=np.intp)
+    quotient = np.empty((rows, n), dtype=np.intp)
+    prefix = np.empty((rows, n + 1))
+    windows = np.empty((rows, n))
+    cut = n - length + 1  # the windows from t >= cut wrap past the row's end
+    for q0 in range(1, half + 1, rows):
+        k = min(rows, half + 1 - q0)
+        qt = at[:k, 1:]
+        np.multiply(np.arange(q0, q0 + k)[:, None], terms, out=qt)
+        # q t mod n as q t - n (q t // n), about twice as fast as %:
+        # numpy floor-divides by a scalar with a precomputed multiplier
+        np.floor_divide(qt, n, out=quotient[:k])
+        np.multiply(quotient[:k], n, out=quotient[:k])
+        np.subtract(qt, quotient[:k], out=qt)  # window t of step q starts at qt[q - q0, t]
+        block = np.take(padded, at[:k], out=prefix[:k], mode="clip")
+        np.cumsum(block, axis=1, out=block)  # block[:, j]: the sum of the row's first j terms
+        w = windows[:k]
+        np.subtract(block[:, length:], block[:, :cut], out=w[:, :cut])
+        np.subtract(block[:, n:], block[:, cut:n], out=w[:, cut:])
+        np.add(w[:, cut:], block[:, 1:length], out=w[:, cut:])
         if exhaustive:
-            t = int(np.argmax(windows))
-            if windows[t] > best:
-                best = float(windows[t])
-                witness = Progression(modulus=n, start=int(at[t]), step=q, length=length)
+            tops = w.max(axis=1)
+            r = int(np.argmax(tops))  # the first step of the block that attains its maximum
+            if tops[r] > best:
+                best = float(tops[r])
+                top = int(np.argmax(w[r]))
+                witness = Progression(modulus=n, start=int(qt[r, top]), step=q0 + r, length=length)
         else:
-            by_start[at] = windows
-            drawn = by_step[edges[q] : edges[q + 1]]
-            sums[drawn] = by_start[starts[drawn]]
+            drawn = order[edges[q0] : edges[q0 + k]]
+            sums[drawn] = w[np.abs(signed[drawn]) - q0, t[drawn]]
     if not exhaustive:
         j = int(np.argmax(sums))  # the first maximizing draw
         best = float(sums[j])
-        witness = Progression(modulus=n, start=int(starts[j]), step=int(steps[j]), length=length)
+        q = abs(int(signed[j]))
+        start = q * int(t[j]) % n
+        if signed[j] < 0:  # report the drawn step, read forwards from its own start
+            start, q = (start + (length - 1) * q) % n, n - q
+        witness = Progression(modulus=n, start=start, step=q, length=length)
     return best, witness, mode
 
 

@@ -67,8 +67,10 @@ def markov_of_function(f: GroupFunction) -> np.ndarray:
     in the support of F (every entry whose bytes are not +0.0, so a -0.0
     weight lands too).  No n x n index is built."""
     group = f.group
+    dtype = f.values.dtype if f.values.dtype.kind == "c" else np.dtype(np.float64)
+    check_dense_budget(group.order**2 * dtype.itemsize, f"dense Markov weights of {group.name}")
     idx = group._indices()[:, None]
-    values = np.ascontiguousarray(f.values if f.values.dtype.kind == "c" else f.values.astype(np.float64))
+    values = np.ascontiguousarray(f.values, dtype=dtype)
     supp = np.flatnonzero(values.view(np.uint8).reshape(values.size, -1).any(axis=1))
     m = np.zeros((group.order, group.order), dtype=values.dtype)
     m[idx, group.mul(idx, supp[None, :])] = values[supp]

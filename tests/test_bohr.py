@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,7 @@ from cayleygap.errors import (
     TrivialRep,
     ZeroMass,
 )
+from cayleygap.config import resolve_subset
 from cayleygap.groups import product_set
 from cayleygap.representations import UnitaryRepresentation
 from cayleygap.sampling import random_subset, random_symmetric_subset
@@ -234,6 +236,59 @@ def _gathered_sampled_scan(values, length, seed, samples=100_000):
     return best, witness, "sampled"
 
 
+def _per_step_scan(values, max_terms, exhaustive, seed=0, samples=100_000):
+    """Oracle: the former kernel, one Python iteration per step q = 1..n-1 of
+    Z/n.  Each step sums all n cyclic windows of ``values[(q * t) % n]`` from
+    one prefix sum; the exhaustive witness is the first (step, window) of the
+    maximum, and the sampled draws read a table of each step's windows by
+    start."""
+    n = values.size
+    mode = "exhaustive" if exhaustive else "sampled"
+    length = max(0, min(max_terms, n))
+    if length == 0:
+        return 0.0, None, mode
+    if n == 1:
+        return float(values[0]), Progression(1, 0, 1, 1), mode
+    if not exhaustive:
+        rng = np.random.default_rng(seed)
+        starts = rng.integers(0, n, samples)
+        steps = rng.integers(1, n, samples)
+        by_step = np.argsort(steps, kind="stable")
+        edges = np.searchsorted(steps[by_step], np.arange(n + 1))
+        sums = np.empty(samples)
+        by_start = np.empty(n)
+    best, witness = -1.0, None
+    idx = np.arange(n)
+    for q in range(1, n):
+        at = (q * idx) % n
+        permuted = values[at]
+        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([permuted, permuted[: length - 1]]))])
+        windows = prefix[length:] - prefix[:n]
+        if exhaustive:
+            t = int(np.argmax(windows))
+            if windows[t] > best:
+                best = float(windows[t])
+                witness = Progression(modulus=n, start=int(at[t]), step=q, length=length)
+        else:
+            by_start[at] = windows
+            drawn = by_step[edges[q] : edges[q + 1]]
+            sums[drawn] = by_start[starts[drawn]]
+    if not exhaustive:
+        j = int(np.argmax(sums))
+        best = float(sums[j])
+        witness = Progression(modulus=n, start=int(starts[j]), step=int(steps[j]), length=length)
+    return best, witness, mode
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestProgressionScan:
     def test_progression_type(self):
         p = Progression(modulus=11, start=3, step=2, length=4)
@@ -300,6 +355,74 @@ class TestProgressionScan:
         for samples in (1, 2, 17):
             got = max_progression_mass(values, 30, exhaustive=False, seed=3, samples=samples)
             assert got == _gathered_sampled_scan(values, 30, 3, samples)
+
+    @pytest.mark.parametrize(
+        "n, seeds", [(2, (0, 1, 2)), (3, (0, 1, 2)), (5, (0, 1, 2)), (7, (0, 1, 2)), (293, (0, 1, 2)), (1009, (0, 1)), (2003, (0,))]
+    )
+    def test_half_step_blocks_equal_per_step_loop(self, n, seeds):
+        """Integer counts make every window sum exact, so the fold over steps
+        q <= n/2 gives the former loop's maximum and witness bit for bit."""
+        for seed in seeds:
+            values = np.random.default_rng(seed).integers(0, 40, n).astype(np.float64)
+            scanned = max(1, int(0.4 * n))  # the reverse scan's length at delta = 0.4
+            for length in sorted({1, 2, scanned, scanned + 1, n - 1, n}):
+                for exhaustive in (True, False):
+                    got = max_progression_mass(values, length, exhaustive, seed)
+                    assert got == _per_step_scan(values, length, exhaustive, seed), (seed, length, exhaustive)
+
+    @pytest.mark.parametrize("n", [2, 7, 293])
+    def test_constant_sequence_keeps_the_first_witness(self, n):
+        values = np.full(n, 3.0)
+        length = max(1, n // 3)
+        mass, witness, _ = max_progression_mass(values, length, exhaustive=True)
+        assert (mass, witness) == (3.0 * length, Progression(modulus=n, start=0, step=1, length=length))
+        for seed in (0, 4):
+            got = max_progression_mass(values, length, exhaustive=False, seed=seed, samples=500)
+            assert got == _per_step_scan(values, length, False, seed, 500)
+            rng = np.random.default_rng(seed)
+            start, step = int(rng.integers(0, n, 500)[0]), int(rng.integers(1, n, 500)[0])
+            assert got[1] == Progression(modulus=n, start=start, step=step, length=length)
+
+    def test_sampled_witness_is_the_drawn_backward_step(self):
+        """A winning draw of step k > n/2 is read on step n - k from a shifted
+        start, but reported as drawn."""
+        n, length, samples = 293, 88, 2000
+        b = resolve_subset(make_group("cyclic(293)"), "random(20)", np.random.default_rng(0))
+        values = rep_count(b, 2).values.astype(np.float64)
+        backward = 0
+        for seed in range(6):
+            expected = _per_step_scan(values, length, False, seed, samples)
+            assert max_progression_mass(values, length, False, seed, samples) == expected
+            backward += expected[1].step > n // 2
+        assert backward >= 2
+
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_rejects_inputs_the_full_length_argument_cannot_handle(self, exhaustive):
+        # a negative term makes a shorter window heavier: the true maximum here is 5, not 4
+        with pytest.raises(NegativeValues):
+            max_progression_mass(np.array([5.0, -1, -1, -1, -1, -1, -1]), 2, exhaustive)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(RangeViolation, match="finite"):
+                max_progression_mass(np.array([1.0, bad, 2.0, 0.0, 1.0]), 2, exhaustive)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_scan_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            max_progression_mass(np.ones(7), 3, exhaustive=False, samples=samples)
+
+    def test_sampled_peak_on_scan_cyclic1009(self):
+        """Held at the former kernel's 3.13 MiB: the draws are folded in place
+        and kept as an int32 window index and a signed int16 step."""
+        b = resolve_subset(make_group("cyclic(1009)"), "random(30)", np.random.default_rng(0))
+        counts = rep_count(b, 2).values.astype(np.float64)
+        max_progression_mass(counts, 404, exhaustive=False)  # numpy.random's lazy imports are not the scan's
+        peak = _traced_peak(lambda: max_progression_mass(counts, 404, exhaustive=False))
+        assert peak <= 3.13 * 2**20
+
+    def test_exhaustive_peak_is_one_block(self):
+        values = np.random.default_rng(0).integers(0, 50, 10007).astype(np.float64)
+        peak = _traced_peak(lambda: max_progression_mass(values, 3002, exhaustive=True))
+        assert peak < 2 * 2**20
 
 
 class TestProgressionCharacterization:

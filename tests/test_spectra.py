@@ -31,7 +31,8 @@ from cayleygap import representations, spectra
 from cayleygap.cli import main as cli_main
 from cayleygap.config import resolve_subset
 from cayleygap.errors import EmptySet, GroupTooLarge, KZero, NotCataloged
-from cayleygap.groups import TableGroup
+from cayleygap.bounds import verify_exceptional_bound_pair
+from cayleygap.groups import TableGroup, convolve
 from cayleygap.representations import operator_norms
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
 from cayleygap.spectra import (
@@ -850,6 +851,23 @@ class TestDenseBudget:
         assert result.stdout == ""
         assert result.stderr.startswith("error: dense spectrum of cyclic(100003)")
         assert result.stderr.count("\n") == 1
+
+    def test_weighted_markov_is_refused_before_it_allocates(self):
+        """The pair bound's measured side builds the n x n weights of B1 * B2:
+        74.5 GiB on cyclic(100003), refused before any O(n) array is built."""
+        group = make_group("cyclic(100003)")
+        b1, b2 = GroupSubset.from_indices(group, [1, 2]), GroupSubset.from_indices(group, [3])
+        with pytest.raises(GroupTooLarge, match=r"dense Markov weights of cyclic\(100003\)"):
+            verify_exceptional_bound_pair(b1, b2, 1, 0)
+        weights = convolve(b1.indicator(), b2.indicator())
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupTooLarge):
+                markov_of_function(weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _greedy_oracle(a, b) -> float:
