@@ -881,6 +881,12 @@ def bohr_sum_rule_check(reps, delta1: float, delta2: float) -> InclusionReport:
     return bohr_sum_rule_rows([reps], delta1, delta2)[0]
 
 
+def _conjugates(group: FiniteGroup) -> np.ndarray:
+    """(generators, |G|) array of s^-1 x s for every generator s and element x."""
+    gens = group.generators[:, None]
+    return group.mul(group.mul(group.inv(gens), np.arange(group.order)[None, :]), gens)
+
+
 def bohr_symmetry_normality_rows(items, delta: float) -> list[InclusionReport]:
     """Per item: identity membership, closure under inverse, and conjugation
     invariance of its Bohr set.
@@ -890,12 +896,10 @@ def bohr_symmetry_normality_rows(items, delta: float) -> list[InclusionReport]:
     """
     group, rows = _profiles(items, delta)
     member = _members(rows, delta)
-    idx, gens = np.arange(group.order), group.generators[:, None]
-    conjugates = group.mul(group.mul(group.inv(gens), idx[None, :]), gens)
     failures = np.count_nonzero([
         ~member[:, group.identity],
-        (member != member[:, group.inv(idx)]).any(axis=1),
-        (member[:, conjugates] != member[:, None, :]).any(axis=(1, 2)),
+        (member != member[:, group.inv(np.arange(group.order))]).any(axis=1),
+        (member[:, _conjugates(group)] != member[:, None, :]).any(axis=(1, 2)),
     ], axis=0)
     return [
         InclusionReport(
@@ -999,9 +1003,16 @@ def ruzsa_covering_rows(reps, delta: float) -> list[CoveringReport]:
     quarter = _members(rows, delta / 4.0)
     half = _members(rows, delta / 2.0)
     x_kept = _greedy_rows(group, member, quarter, left=True)
-    y_kept = _greedy_rows(group, member, quarter, left=False)
     left_ok = ~(member & ~_product_rows(group, half, x_kept)).any(axis=1)
-    right_ok = ~(member & ~_product_rows(group, y_kept, half)).any(axis=1)
+    # a Bohr set of a unitary rep is a union of classes, so Q x = x Q keeps the left
+    # greedy's points on the right and Y half = half X; only rows whose quarter or
+    # half set fails the exact check (a float tie could) run the right side
+    conjugates = _conjugates(group)
+    own = ~((quarter[:, conjugates] >= quarter[:, None, :]) & (half[:, conjugates] >= half[:, None, :])).all(axis=(1, 2))
+    y_kept, right_ok = x_kept.copy(), left_ok.copy()
+    if own.any():
+        y_kept[own] = _greedy_rows(group, member[own], quarter[own], left=False)
+        right_ok[own] = ~(member[own] & ~_product_rows(group, y_kept[own], half[own])).any(axis=1)
     return [
         CoveringReport(
             rep_label=rep.label,

@@ -7,26 +7,29 @@ first nontrivial eigenvalue is reported variationally, as the minimum of the
 quadratic form of the Hermitian part on the mean-zero subspace, which keeps it
 well defined for non-symmetric generating sets.
 
-The dense path first splits by a central involution z, where G has one
-(every even-order abelian group, dihedral(n) for even n): M commutes with the left
-translation L_z, so Delta is block-diagonal on the even and odd halves of L_z,
-each of size n/2 and gathered from the group law, and every solve below runs
-once per half.  Within a part (a half, or the whole space when there is no z),
-a set closed under conjugation (every set in an abelian group, every union of
-classes) takes the inversion split: J f = f o inv satisfies J M J = M^T and,
-z being central, maps each half to itself, so in the basis of J-even and
-J-odd vectors the part splits into two symmetric blocks and a skew coupling.
-The coupling, rotated into the blocks' eigenvectors, lives in clusters of
-equal real part; each cluster is a small block, and a Bauer-Fike certificate
-on the dropped remainder falls back to one solve of the part above 1e-9, as
-does a symmetric set that is not closed.  Either way the spectrum mu of Delta
-gives the variational gap (min Re mu) and the star spectrum 1 - |1 - mu|^2
-too.  Any other set solves the star operator and the Hermitian part.  On the
-benchmark's spectrum configs, cyclic(1200) random(12) and abelian_product([12,
-15]) random(10) take the split with coupling on each half, cyclic(1000)
-symmetric_random(10) the symmetric split on each half, dihedral(500)
-symmetric_random(8) one eigvalsh per half, and S5, which has no z, one
-eigvalsh of the whole operator.  The block path solves each stack of
+The dense path first splits over an elementary abelian 2-subgroup H of left
+translations: M(x, y) = S(x^-1 y) commutes with every L_h f(x) = f(hx), so
+Delta is block-diagonal on the 2^r eigenspaces of the sign characters of H,
+each of size |G|/|H| and gathered as integer counts from the group law.  A
+set closed under conjugation (every set in an abelian group, every union of
+classes) takes H = {e, z} for the smallest central involution z, where G
+has one, and then the inversion split on each part: J f = f o inv
+satisfies J M J = M^T and, z being central, maps each part to itself, so in
+the basis of J-even and J-odd vectors the part splits into two symmetric
+blocks and a skew coupling.  The coupling, rotated into the blocks'
+eigenvectors, lives in clusters of equal real part; each cluster is a small
+block, and a Bauer-Fike certificate on the dropped remainder falls back to
+one solve of the part above 1e-9.  Any other set takes a maximal H, built
+greedily by index (the involutions need only commute with each other), and
+runs each solve once over the stack of parts: one eigvalsh of Delta for a
+symmetric set, else the star operator and the Hermitian part.  For a normal
+Delta the spectrum mu gives the variational gap (min Re mu) and the star
+spectrum 1 - |1 - mu|^2 too.  On the benchmark's spectrum configs,
+cyclic(1200) random(12) and abelian_product([12, 15]) random(10) take the
+split with coupling on each half, cyclic(1000) symmetric_random(10) the
+symmetric split on each half, dihedral(500) symmetric_random(8) one eigvalsh
+of its four 250 x 250 parts (H = {e, r^250, s, s r^250}) and S5 one of its
+four 30 x 30 parts.  The block path solves each stack of
 equal-dimension blocks in one batched call.
 
 The scalar queries ``lambda1``, ``lambda1_star`` and ``set_norm`` read one
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from .representations import check_dense_budget, irrep_catalog, operator_norms
 
 _CLUSTER_GAP = 1e-6  # eigenvalues closer than this along the real axis share a cluster
 _SPLIT_TOL = 1e-9  # largest certified error of the inversion-split spectrum
+_GATHER_CELLS = 2**16  # cells of one product index while the split gathers its grids
 
 
 def markov_matrix(s: GroupSubset) -> np.ndarray:
@@ -85,25 +90,36 @@ def variational_lambda1(delta: np.ndarray) -> float:
     as it is for every (weighted) Cayley operator and every regular-graph
     Laplacian; its complement is then invariant and the restricted spectrum
     is the full one less one copy of the row-sum eigenvalue.  That eigenvalue need not be the
-    smallest: signed weights can push it above the rest.
+    smallest: signed weights can push it above the rest.  The Hermitian copy
+    must fit the dense budget.
     """
     n = delta.shape[0]
     if n == 1:
         return 0.0
+    check_dense_budget(delta.nbytes, f"the Hermitian part of a {n} x {n} operator")
     herm = (delta + delta.conj().T) / 2.0
     if np.iscomplexobj(herm) and np.abs(herm.imag).max(initial=0.0) < 1e-12:
         herm = herm.real
-    values = np.linalg.eigvalsh(herm)
-    trivial = herm.sum().real / n
-    return float(np.delete(values, np.argmin(np.abs(values - trivial))).min())
+    return _mean_zero_min(herm[None], np.linalg.eigvalsh(herm)[None])
+
+
+def _mean_zero_min(herm: np.ndarray, values: np.ndarray) -> float:
+    """Least of the eigenvalues ``values`` (k, m) of a stack ``herm`` of
+    Hermitian parts whose first holds the constants, less one copy there of
+    the row-sum eigenvalue, the constants' own."""
+    trivial = herm[0].sum().real / herm.shape[-1]
+    first = np.delete(values[0], np.argmin(np.abs(values[0] - trivial)))
+    return float(np.concatenate((first, values[1:].ravel())).min())
 
 
 def _laplacian(m: np.ndarray, scale: float) -> np.ndarray:
-    """I - m / scale in one new n x n array, byte for byte np.eye(n) - m / scale:
-    0.0 - x keeps the +0.0 that np.negative would write as -0.0."""
+    """I - m / scale in one new float array, for one n x n matrix or a stack of
+    them, byte for byte np.eye(n) - m / scale: 0.0 - x keeps the +0.0 that
+    np.negative would write as -0.0."""
     delta = m / scale
     np.subtract(0.0, delta, out=delta)
-    delta.flat[:: delta.shape[0] + 1] += 1.0
+    n = delta.shape[-1]
+    delta.reshape(-1, n * n)[:, :: n + 1] += 1.0
     return delta
 
 
@@ -225,106 +241,151 @@ def _conjugation_closed(s: GroupSubset) -> bool:
     return bool(s.membership[group.mul(group.mul(group.inv(gens), s.indices[None, :]), gens)].all())
 
 
-def _central_involution(group) -> int | None:
-    """The smallest index z != e with z^2 = e that commutes with every
-    generator, hence with all of G; None when G has no such z."""
+class _Split(NamedTuple):
+    """Delta split over an elementary abelian 2-subgroup H of left translations.
+
+    Element j of ``h`` is the product of H's generators t_i over the bits i set
+    in j, so the sign characters of H are eps_k(h_j) = (-1)^popcount(j & k)
+    (``_characters``).  Part k has the orthonormal basis w_x = sum_h eps_k(h)
+    e_hx / sqrt|H| over the coset representatives ``reps`` = {x : x = min Hx},
+    and ``counts[k]`` holds |S| <w_x, M w_y> = sum_h eps_k(h) S(x^-1 h y) there.
+    Part 0, eps = 1, holds the constants."""
+
+    h: np.ndarray
+    reps: np.ndarray
+    counts: np.ndarray  # (|H|, m, m) integers, m = |G| / |H|
+
+
+def _translations(group, closed: bool) -> np.ndarray:
+    """H, built greedily by index from the involutions t != e, in the order of
+    ``_Split.h``.  For a conjugation-closed S it is {e, z} with z the smallest
+    central involution ({e} without one): the inversion split needs central
+    translations.  Otherwise each next t is the smallest involution outside H
+    that commutes with the t's taken so far; an involution passed over then
+    also fails against the final H, so no involution extends it."""
     idx = group._indices()
-    candidates = idx[(group.mul(idx, idx) == group.identity) & (idx != group.identity)][:, None]
-    gens = group.generators[None, :]
-    central = np.flatnonzero((group.mul(candidates, gens) == group.mul(gens, candidates)).all(axis=1))
-    return int(candidates[central[0], 0]) if central.size else None
+    candidates = idx[(group.mul(idx, idx) == group.identity) & (idx != group.identity)]
+    free = np.ones(candidates.size, dtype=bool)
+    if closed:
+        gens = group.generators[None, :]
+        free = (group.mul(candidates[:, None], gens) == group.mul(gens, candidates[:, None])).all(axis=1)
+    h = np.array([group.identity], dtype=idx.dtype)
+    in_h = np.zeros(group.order, dtype=bool)
+    while free.any():
+        t = candidates[np.argmax(free)]
+        h = np.concatenate((h, group.mul(t, h)))
+        if closed:
+            break
+        in_h[h] = True
+        free &= (group.mul(candidates, t) == group.mul(t, candidates)) & ~in_h[candidates]
+    return h
 
 
-def _parts(s: GroupSubset) -> list:
-    """The pieces Delta splits into: [None], the whole space, when G has no
-    central involution, else the even and odd halves (z, +1, R) and (z, -1, R)
-    of the left translation L_z, which commutes with every M(x, y) = S(x^-1 y).
-    A half has the orthonormal basis w_x = (e_x + sign e_zx)/sqrt2 over the
-    representatives R = {x : x < zx} of the pairs {x, zx}."""
-    z = _central_involution(s.group)
-    if z is None:
-        return [None]
-    idx = s.group._indices()
-    half = idx[idx < s.group.mul(z, idx)]
-    return [(z, 1, half), (z, -1, half)]
+def _characters(size: int) -> np.ndarray:
+    """The sign characters of H as rows: eps_k(h_j) = (-1)^popcount(j & k), the
+    Sylvester-Hadamard matrix of order |H|."""
+    table = np.ones((1, 1), dtype=np.int8)
+    while table.shape[0] < size:
+        table = np.block([[table, table], [table, -table]])
+    return table
 
 
-def _counts(s: GroupSubset, rows: np.ndarray, cols: np.ndarray, part) -> np.ndarray:
-    """int8 |S| <w_x, M w_y> over any group elements x in ``rows`` and y in
-    ``cols``, gathered from the membership: S(x^-1 y) on the whole space, and
-    S(x^-1 y) + sign S(x^-1 z y) on a half, where w_zx = sign w_x."""
+def _split(s: GroupSubset, closed: bool) -> _Split:
+    """The parts of Delta over ``_translations``: M(x, y) = S(x^-1 y) commutes
+    with every left translation L_h f(x) = f(hx), so Delta is block-diagonal on
+    the eigenspaces of the L_h, one per sign character of H.
+
+    The grids G_h = S(R^-1 h R) are gathered once per h, through one product
+    index of at most ``_GATHER_CELLS`` cells at a time, straight into an
+    integer dtype that holds +-|H| (int8 overflows at |H| = 128), and
+    Walsh-Hadamard butterflies (u, v) -> (u + v, u - v) turn them in place
+    into the counts sum_h eps_k(h) G_h of every part.  The counts, one product
+    index and the float stack that the solves take (every part at once for a
+    set that is not closed, one part for a closed one) must fit the dense
+    budget, else GroupTooLarge is raised before anything is gathered."""
     group = s.group
-    left = group.inv(rows)[:, None]
-    counts = s.membership[group.mul(left, cols[None, :])]
-    if part is not None:
-        z, sign, _ = part
-        counts = counts + np.int8(sign) * s.membership[group.mul(left, group.mul(z, cols)[None, :])]
-    return counts
+    h = _translations(group, closed)
+    idx = group._indices()
+    low = idx
+    for x in h[1:].tolist():
+        low = np.minimum(low, group.mul(x, idx))
+    reps = idx[low == idx]
+    k, m = h.size, reps.size
+    dtype = np.dtype(next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= k))
+    chunk = max(1, min(m, _GATHER_CELLS // m))  # rows of one product index
+    index_bytes = chunk * m * group.mul(reps[:1], reps[:1]).itemsize
+    needed = (k * dtype.itemsize + 8 * (1 if closed else k)) * m * m + index_bytes
+    check_dense_budget(needed, f"dense spectrum of {group.name}: the counts of {k} parts of side {m}")
+    counts = np.empty((k, m, m), dtype=dtype)
+    membership, left = s.membership.astype(dtype), group.inv(reps)[:, None]
+    for j, x in enumerate(h.tolist()):
+        hx = group.mul(left, x)
+        for lo in range(0, m, chunk):
+            np.take(membership, group.mul(hx[lo : lo + chunk], reps[None, :]), out=counts[j, lo : lo + chunk])
+    half = 1
+    while half < k:
+        pairs = counts.reshape(-1, 2, half, m, m)
+        u, v = pairs[:, 0], pairs[:, 1]
+        u += v
+        v *= -2
+        v += u
+        half *= 2
+    return _Split(h, reps, counts)
 
 
-def _part_markov(s: GroupSubset, part) -> np.ndarray:
-    """|S| times M on one part of ``_parts``, as a float matrix."""
-    if part is None:
-        return markov_matrix(s)
-    half = part[2]
-    return _counts(s, half, half, part).astype(np.float64)
-
-
-def _scale_fixed_points(block: np.ndarray, k: int) -> None:
-    """Normalize the rows and columns from k on, those of the J-fixed points.
+def _inversion_block(counts: np.ndarray, k: int, scale: float, identity: bool) -> np.ndarray:
+    """counts / scale as a float block, with the rows and columns from k on,
+    those of the J-fixed points, normalized, plus I when ``identity``.
     The counts are taken against w_p +- w_p^-1, of norm sqrt2 for a pair but
     2 for a fixed point t (w_t^-1 = +-w_t), so each fixed index takes one more
     factor 1/sqrt2."""
+    block = counts / scale
     block[:k, k:] /= np.sqrt(2.0)
     block[k:, :k] /= np.sqrt(2.0)
     block[k:, k:] /= 2.0
+    if identity:
+        block.flat[:: block.shape[0] + 1] += 1.0
+    return block
 
 
-def _inversion_blocks(s: GroupSubset, part=None):
+def _inversion_blocks(s: GroupSubset, split: _Split, part: int):
     """Yield A, then C, then B (only for a non-symmetric S; it vanishes for a
-    symmetric one) of R^T Delta R = [[A, B], [-B^T, C]] on one part of
-    ``_parts`` for a conjugation-closed S.
+    symmetric one) of R^T Delta R = [[A, B], [-B^T, C]] on one part of a
+    conjugation-closed S's split, whose H is central.
 
     J f = f o inv satisfies J M J = M^T when S is closed under conjugation, and
-    it commutes with L_z for a central z, so it maps each half to itself:
-    J w_x = w_x^-1, a signed permutation of the basis once x^-1 is written as
-    +-w of its representative.  R is the orthonormal basis of J-even vectors,
+    it commutes with every central L_h, so it maps each part to itself: with
+    x^-1 = h' rep(x^-1), J w_x = w_x^-1 = eps(h') w_rep(x^-1), a signed
+    permutation of the basis.  R is the orthonormal basis of J-even vectors,
     (w_p + w_p^-1)/sqrt2 for the pairs p < rep(p^-1), then w_t for the fixed
     points of sign +1 (t^-1 = t, or t^-1 = zt on the even half), then J-odd
     vectors (w_p - w_p^-1)/sqrt2 and w_t for the fixed points of sign -1 (t^2 = z
-    on the odd half).  The entries are int8 counts (``_counts``): G1 = <w_x, M w_y>,
-    G2 = <w_x, M w_y^-1> and G3 = <w_x^-1, M w_y> over the representatives, with
-    <w_x^-1, M w_y^-1> = G1^T by the closure, divided by |S| and the norms of
-    the two basis vectors (``_scale_fixed_points``).  Each float block is built
-    only when the caller asks for the next, so a solved block can be freed first."""
-    group = s.group
-    z, sign, half = part if part is not None else (None, 1, group._indices())
-    inverse = group.inv(half)
-    partner = inverse if z is None else np.minimum(inverse, group.mul(z, inverse))  # the representative of x^-1
-    pairs = half[half < partner]
-    fixed = half[half == partner]
-    odd = (sign < 0) & (inverse[half == partner] != fixed)  # t^-1 = zt: J w_t = -w_t
-    reps = np.concatenate((pairs, fixed[~odd], fixed[odd]))
-    k, ke = pairs.size, reps.size - int(odd.sum())
-    inverse_reps = group.inv(reps)
-    g1 = _counts(s, reps, reps, part)
-    g2 = _counts(s, reps, inverse_reps, part)
-    g3 = _counts(s, inverse_reps, reps, part)
-    odd_rows = np.r_[0:k, ke : reps.size]
-    a = (g1 + g1.T + g2 + g3)[:ke, :ke] / (-2.0 * s.size)
-    _scale_fixed_points(a, k)
-    a.flat[:: ke + 1] += 1.0
-    yield a
-    del a
-    c = (g1 + g1.T - g2 - g3)[np.ix_(odd_rows, odd_rows)] / (-2.0 * s.size)
-    _scale_fixed_points(c, k)
-    c.flat[:: odd_rows.size + 1] += 1.0
-    yield c
-    del c
+    on the odd half).  The entries are the part's counts G1 = <w_x, M w_y>,
+    G2 = <w_x, M w_y^-1> and G3 = <w_x^-1, M w_y> over the representatives,
+    the latter two signed column and row permutations of the part's counts,
+    with <w_x^-1, M w_y^-1> = G1^T by the closure, divided by |S| and the
+    norms of the two basis vectors (``_inversion_block``).  Each float block
+    is built only when the caller asks for the next and is held by the caller
+    alone, so a solved block is freed first."""
+    h, reps, counts = split
+    coset = s.group.mul(h[:, None], s.group.inv(reps)[None, :])  # H x^-1 for each representative x
+    j = np.argmin(coset, axis=0)
+    q = np.searchsorted(reps, coset[j, np.arange(reps.size)])  # x^-1 = h_j reps[q]
+    sign = _characters(h.size)[part][j]  # J w_x = sign[x] w_reps[q[x]]
+    pos = np.arange(reps.size)
+    pairs, fixed = pos[pos < q], pos[pos == q]
+    odd = sign[fixed] < 0  # w_t^-1 = -w_t
+    order = np.concatenate((pairs, fixed[~odd], fixed[odd]))
+    k, ke = pairs.size, order.size - int(odd.sum())
+    rows, partners = counts[part][order], q[order]  # two-step takes, several times faster than np.ix_
+    g1, g2 = rows[:, order], rows[:, partners] * sign[order]
+    del rows
+    g3 = counts[part][partners][:, order] * sign[order][:, None]
+    odd_rows = np.r_[0:k, ke : order.size]
+    yield _inversion_block((g1 + g1.T + g2 + g3)[:ke, :ke], k, -2.0 * s.size, identity=True)
+    yield _inversion_block((g1 + g1.T - g2 - g3)[odd_rows][:, odd_rows], k, -2.0 * s.size, identity=True)
     if not s.is_symmetric:
-        b = (g1.T - g1 + g2 - g3)[:ke, odd_rows] / (2.0 * s.size)
-        _scale_fixed_points(b, k)
-        yield b
+        yield _inversion_block((g1.T - g1 + g2 - g3)[:ke, odd_rows], k, 2.0 * s.size, identity=False)
 
 
 def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -362,10 +423,10 @@ def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np
     return np.concatenate(parts).astype(np.complex128)
 
 
-def _split_spectrum(s: GroupSubset, part=None) -> np.ndarray | None:
+def _split_spectrum(s: GroupSubset, split: _Split, part: int) -> np.ndarray | None:
     """Eigenvalues of Delta on one part for a conjugation-closed S from two
     symmetric solves, or None when the coupling certificate refuses them."""
-    blocks = _inversion_blocks(s, part)
+    blocks = _inversion_blocks(s, split, part)
     if s.is_symmetric:
         return np.concatenate(list(map(np.linalg.eigvalsh, blocks))).astype(np.complex128)
     lam_e, q_e = np.linalg.eigh(next(blocks))
@@ -375,50 +436,43 @@ def _split_spectrum(s: GroupSubset, part=None) -> np.ndarray | None:
     return _coupled_spectrum(lam_e, lam_o, w)
 
 
-def _normal_spectrum(s: GroupSubset, part, closed: bool) -> np.ndarray:
-    """Eigenvalues of Delta on one part for a symmetric or conjugation-closed
-    S, whose operator is normal: the inversion split when S is closed; where
-    that is refused, or S is not closed, one solve of the part's Delta."""
-    mu = _split_spectrum(s, part) if closed else None
+def _closed_spectrum(s: GroupSubset, split: _Split, part: int) -> np.ndarray:
+    """Eigenvalues of Delta on one part for a conjugation-closed S, whose
+    operator is normal: the inversion split, or where its certificate refuses,
+    one solve of the part's Delta."""
+    mu = _split_spectrum(s, split, part)
     if mu is None:
-        delta = _laplacian(_part_markov(s, part), s.size)
+        delta = _laplacian(split.counts[part], s.size)
         mu = np.linalg.eigvalsh(delta).astype(np.complex128) if s.is_symmetric else np.linalg.eigvals(delta)
     return mu
-
-
-def _star_and_hermitian(s: GroupSubset, part, full: bool, trivial: bool):
-    """Eigenvalues of Delta on one part (None unless ``full``), the least
-    eigenvalue of its Hermitian part (less the trivial one when the part holds
-    the constants) and the spectrum of I - M M^T / |S|^2 there."""
-    m = _part_markov(s, part)
-    size = s.size
-    delta = _laplacian(m, size)
-    star = np.linalg.eigvalsh(_laplacian(m @ m.T, size * size))
-    del m
-    gap = variational_lambda1(delta) if trivial else float(np.linalg.eigvalsh((delta + delta.T) / 2.0)[0])
-    return np.linalg.eigvals(delta) if full else None, gap, star
 
 
 def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, np.ndarray]:
     """Eigenvalues of Delta = I - M/|S| (None unless ``full``), its variational
     gap, and the ascending spectrum of I - M M^T / |S|^2.
 
-    Every solve runs once per part of ``_parts``: on the two halves of a
-    central involution, or on the whole space.  A symmetric or
-    conjugation-closed set has a normal operator and takes
-    ``_normal_spectrum``; other sets solve the star operator and the
-    Hermitian part, whose trivial eigenvalue lies in the first part.  A part
-    whose int32 product gather, int8 counts and float block (13 bytes a cell)
-    exceed the dense budget raises GroupTooLarge before anything is gathered."""
-    parts = _parts(s)
-    side = s.group.order if parts[0] is None else parts[0][2].size
-    check_dense_budget(13 * side * side, f"dense spectrum of {s.group.name}: the gathers of one part")
+    Every solve runs on the parts of ``_split``.  A conjugation-closed set
+    takes ``_closed_spectrum`` on each part; a symmetric set that is not
+    closed takes one ``eigvalsh`` of the stack of parts.  Either operator is
+    normal, so its eigenvalues give the gap and the star spectrum.  Any other
+    set solves the star operator and the Hermitian part, each once over the
+    stack, and the trivial eigenvalue leaves the part of the constants."""
     closed = _conjugation_closed(s)
-    if closed or s.is_symmetric:
-        mu = np.concatenate([_normal_spectrum(s, part, closed) for part in parts])
+    split = _split(s, closed)
+    size = s.size
+    if closed:
+        mu = np.concatenate([_closed_spectrum(s, split, part) for part in range(split.h.size)])
         return (mu, *_normal_gaps(mu))
-    eigenvalues, gaps, stars = zip(*(_star_and_hermitian(s, part, full, i == 0) for i, part in enumerate(parts)))
-    return np.concatenate(eigenvalues) if full else None, min(gaps), np.sort(np.concatenate(stars))
+    if s.is_symmetric:
+        mu = np.linalg.eigvalsh(_laplacian(split.counts, size)).ravel().astype(np.complex128)
+        return (mu, *_normal_gaps(mu))
+    m = split.counts.astype(np.float64)
+    delta = _laplacian(m, size)
+    star = np.sort(np.linalg.eigvalsh(_laplacian(m @ m.transpose(0, 2, 1), size * size)), axis=None)
+    del m
+    herm = (delta + delta.transpose(0, 2, 1)) / 2.0
+    gap = _mean_zero_min(herm, np.linalg.eigvalsh(herm))
+    return np.linalg.eigvals(delta).ravel() if full else None, gap, star
 
 
 def laplace_spectrum_dense(s: GroupSubset) -> SpectrumReport:

@@ -1142,6 +1142,26 @@ class TestRowKernels:
         assert failures[:3] == [1, 2, 0]
         assert 0 in failures[3:] and 2 in failures[3:]
 
+    def test_right_covering_runs_on_a_planted_non_normal_quarter(self, d6, monkeypatch):
+        # rho = 1 on {e, r^2, s} and -1 off it: at delta = 3 every element is a member
+        # and the quarter and half sets are {e, r^2, s}, no union of classes, so
+        # Q x != x Q and the right greedy keeps other points than the left one
+        member = np.isin(np.arange(d6.order), [0, 2, 6])
+        planted = UnitaryRepresentation(d6, np.where(member, 1.0, -1.0).reshape(-1, 1, 1), "planted")
+        reps = [*irrep_catalog(d6).nontrivial(), planted]
+        greedy, sides = bohr_module._greedy_rows, []
+
+        def recorded(group, rows, quarter, left):
+            sides.append((left, rows.shape[0]))
+            return greedy(group, rows, quarter, left)
+
+        monkeypatch.setattr(bohr_module, "_greedy_rows", recorded)
+        reports = bohr_module.ruzsa_covering_rows(reps, 3.0)
+        assert sides == [(True, len(reps)), (False, 1)]  # the right side runs on the planted row alone
+        _same(reports, [_oracle_covering(r, 3.0) for r in reps])
+        assert reports[-1].left_cover != reports[-1].right_cover
+        assert all(r.left_cover == r.right_cover for r in reports[:-1])
+
     def test_rows_larger_than_one_chunk(self):
         # the sign reps of D_400 have a Bohr set of 400 rotations (or mixed
         # elements) at every radius below 2, so each product has 160000 pairs

@@ -4,6 +4,9 @@ A seeded random relabeling sigma turns a cyclic, abelian-product or dihedral
 group into a ``TableGroup`` copy.  The copy has no irrep catalog, so every
 spectral query on it takes the dense path, while the original answers by FFT
 or irrep blocks; every answer that does not depend on the labels must agree.
+S4, A4 and S5 have no catalog on either side, and the dense path splits a
+copy over an H of its own labels, picked greedily by index, so there the two
+dense answers check each other.
 """
 
 import numpy as np
@@ -37,7 +40,7 @@ from cayleygap import (
 )
 from cayleygap.errors import CayleyGapError, HypothesisFail, NoFiniteDiameter, NotCataloged
 from cayleygap.sampling import random_subset, random_symmetric_subset
-from cayleygap.spectra import multiset_distance, spectral_summary
+from cayleygap.spectra import _translations, multiset_distance, spectral_summary
 
 GROUPS = st.one_of(
     st.integers(2, 300).map(lambda n: f"cyclic({n})"),
@@ -48,6 +51,9 @@ GROUPS = st.one_of(
 )
 SEEDS = st.integers(0, 2**32 - 1)
 RELABELING = settings(derandomize=True, max_examples=12, deadline=None)
+UNCATALOGED = st.sampled_from(
+    [f"permutation_closure({gens})" for gens in ('["(1 2 3 4)", "(1 2)"]', '["(1 2 3)", "(1 2)(3 4)"]', '["(1 2 3 4 5)", "(1 2)"]')]
+)
 
 
 def relabeled(group, seed):
@@ -101,6 +107,30 @@ def test_dense_spectrum_of_the_copy_matches_the_blocks(descriptor, seed, size, s
     assert (dense.path, blocks.path) == ("dense", "blocks")
     assert multiset_distance(dense.eigenvalues, blocks.eigenvalues) <= 1e-9
     assert np.abs(dense.star_eigenvalues - blocks.star_eigenvalues).max() <= 1e-9
+
+
+@RELABELING
+@given(UNCATALOGED, SEEDS, st.integers(1, 12), st.booleans())
+def test_dense_answers_of_the_copy_match_without_a_catalog(descriptor, seed, size, symmetric):
+    group = make_group(descriptor)
+    _, _, s, image = instance(group, seed, size, symmetric)
+    assert spectral_summary(s).path == spectral_summary(image).path == "dense"
+    assert abs(lambda1(image) - lambda1(s)) <= 1e-9
+    assert abs(lambda1_star(image) - lambda1_star(s)) <= 1e-9
+    if symmetric:
+        dense, copied = laplace_spectrum_dense(s), laplace_spectrum_dense(image)
+        assert multiset_distance(dense.eigenvalues, copied.eigenvalues) <= 1e-9
+        assert np.abs(dense.star_eigenvalues - copied.star_eigenvalues).max() <= 1e-9
+
+
+@pytest.mark.parametrize("gens", ['["(1 2 3 4)", "(1 2)"]', '["(1 2 3 4 5)", "(1 2)"]'])
+def test_copy_splits_over_another_subgroup(gens):
+    """On S4 and S5 the copy's greedy H is not the image of the original's."""
+    group = make_group(f"permutation_closure({gens})")
+    copy, sigma = relabeled(group, 0)
+    original, copied = sigma[_translations(group, closed=False)], _translations(copy, closed=False)
+    assert original.size == copied.size == 4
+    assert set(original.tolist()) != set(copied.tolist())
 
 
 def bounds_rows(s, d, g):

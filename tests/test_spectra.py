@@ -36,13 +36,13 @@ from cayleygap.groups import TableGroup, convolve
 from cayleygap.representations import operator_norms
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
 from cayleygap.spectra import (
-    _central_involution,
     _conjugation_closed,
     _coupled_spectrum,
     _inversion_blocks,
     _laplacian,
-    _parts,
+    _split,
     _split_spectrum,
+    _translations,
     markov_of_function,
     multiset_key,
     spectral_summary,
@@ -348,6 +348,35 @@ def _three_solves(s):
     return variational_lambda1(np.eye(n) - m / size), star
 
 
+def _sign_characters(size):
+    """eps_k(h_j) = (-1)^popcount(j & k), from the definition, as a (size, size) array."""
+    return np.array([[(-1) ** bin(j & k).count("1") for j in range(size)] for k in range(size)])
+
+
+def _defined_counts(s, h):
+    """|S| <w_x, M w_y> on every part of H, from the definition:
+    sum_j eps_k(h_j) S(x^-1 h_j y) over the representatives x = min Hx."""
+    group = s.group
+    idx = np.arange(group.order)
+    reps = [x for x in idx.tolist() if x == min(int(group.mul(t, x)) for t in h.tolist())]
+    m = markov_matrix(s).astype(np.int64)
+    grids = [m[np.ix_(reps, [int(group.mul(t, y)) for y in reps])] for t in h.tolist()]
+    return np.array([sum(e * g for e, g in zip(eps, grids)) for eps in _sign_characters(h.size)]), reps
+
+
+def _three_solves_on_parts(s):
+    """``_three_solves`` run on each part of the split of a set that is not
+    closed, with the trivial eigenvalue removed in part 0."""
+    counts, _ = _defined_counts(s, _translations(s.group, closed=False))
+    size, m = s.size, counts.shape[1]
+    gaps, stars = [], []
+    for k, part in enumerate(counts.astype(np.float64)):
+        delta = np.eye(m) - part / size
+        stars.append(np.linalg.eigvalsh(np.eye(m) - (part @ part.T) / (size * size)))
+        gaps.append(variational_lambda1(delta) if k == 0 else np.linalg.eigvalsh((delta + delta.T) / 2.0)[0])
+    return min(gaps), np.sort(np.concatenate(stars))
+
+
 class TestNormalOperator:
     def test_frobenius_set(self):
         s = _frobenius_set()
@@ -391,14 +420,20 @@ class TestNormalOperator:
         return cases
 
     def test_non_normal_sets_match_three_solves_exactly(self, rng):
+        """The same three solves, on the same matrices, as one solve per part
+        of the counts taken from their definition; within roundoff of the
+        three solves of the whole operator."""
         cases = self._non_normal_sets(rng, 5)
         assert len(cases) == 15
         for s in cases:
             report = laplace_spectrum_dense(s)
-            lam1, star = _three_solves(s)
+            lam1, star = _three_solves_on_parts(s)
             assert report.lambda1 == lam1
             assert np.array_equal(report.star_eigenvalues, star)
             assert report.lambda1_star == star[1]
+            whole_lam1, whole_star = _three_solves(s)
+            assert abs(report.lambda1 - whole_lam1) <= 1e-12
+            assert np.abs(report.star_eigenvalues - whole_star).max() <= 1e-12
 
     @staticmethod
     def _solves(monkeypatch, call, s):
@@ -427,19 +462,25 @@ class TestNormalOperator:
         # the inversion split solves its two half-size blocks
         assert _conjugation_closed(symmetric) and not _conjugation_closed(reflection)
         assert self._solves(monkeypatch, laplace_spectrum_dense, symmetric) == (2, 0, 0)
+        # not closed: H = {e, s}, and one eigvalsh takes the stack of its two parts
         assert self._solves(monkeypatch, laplace_spectrum_dense, reflection) == (1, 0, 0)
         # two half-size eigh and one batched eigvals of the 2 x 2 conjugate-pair blocks
         assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 1, 2)
         # normal but neither symmetric nor conjugation-closed: nothing certifies
-        # normality cheaply, so it takes the star and Hermitian solves plus eigvals
+        # normality cheaply, so it takes the star and Hermitian solves plus eigvals,
+        # each once over the stack of the two parts of H = {e, s}
         assert _is_normal(rotation) and not rotation.is_symmetric and not _conjugation_closed(rotation)
         assert self._solves(monkeypatch, laplace_spectrum_dense, rotation) == (2, 1, 0)
+        # a non-normal set of dihedral(7), S4 or the Frobenius group: the same three batched solves
         assert self._solves(monkeypatch, laplace_spectrum_dense, non_normal) == (2, 1, 0)
+        # not closed: S4's four parts of H = {e, (3 4), (1 2), (1 2)(3 4)} in one eigvalsh
         assert self._solves(monkeypatch, summary, s4_symmetric) == (1, 0, 0)
+        # the summary needs no eigvals: the star and Hermitian eigvalsh of the stack
         assert self._solves(monkeypatch, summary, s4_non_normal) == (2, 0, 0)
 
     def test_solve_counts_on_the_halves(self, monkeypatch):
-        """A central involution runs every solve above once on each half."""
+        """A closed set runs the inversion split once per half of a central
+        involution; any other set runs each solve once over the stack of parts."""
         d8 = make_group("dihedral(8)")
         q8 = make_group(f"permutation_closure({Q8})")
         z32 = make_group("cyclic(32)")
@@ -453,16 +494,22 @@ class TestNormalOperator:
         assert d8_symmetric.is_symmetric and not _conjugation_closed(d8_symmetric)
         assert not d8_rotation.is_symmetric and not _conjugation_closed(d8_rotation)
         assert not q8_order_four.is_symmetric and not _conjugation_closed(q8_order_four)
-        assert self._solves(monkeypatch, laplace_spectrum_dense, d8_symmetric) == (2, 0, 0)
+        # not closed: one eigvalsh of the four quarters of H = {e, r^4, s, s r^4}
+        assert self._solves(monkeypatch, laplace_spectrum_dense, d8_symmetric) == (1, 0, 0)
+        # closed: the inversion split's two eigvalsh on each half of z = r^4
         assert self._solves(monkeypatch, laplace_spectrum_dense, GroupSubset.full(d8)) == (4, 0, 0)
-        assert self._solves(monkeypatch, laplace_spectrum_dense, d8_rotation) == (4, 2, 0)
+        # not closed: the star and Hermitian eigvalsh and one eigvals, each over the four quarters
+        assert self._solves(monkeypatch, laplace_spectrum_dense, d8_rotation) == (2, 1, 0)
         # two eigh per half; the odd half batches its 2 x 2 conjugate pairs, the even
         # half also a 3 x 3 and a 4 x 4 cluster (characters 8, 16, 24 share the real
         # part -1, and 4, 12, 20, 28 the real part 0)
         assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 4, 4)
         assert _conjugation_closed(q8_symmetric)
+        # closed: the inversion split's two eigvalsh on each half of z = -1
         assert self._solves(monkeypatch, summary, q8_symmetric) == (4, 0, 0)
-        assert self._solves(monkeypatch, summary, q8_order_four) == (4, 0, 0)
+        # not closed: H = {e, -1}, since -1 is Q8's only involution; the star and
+        # Hermitian eigvalsh, each over both halves
+        assert self._solves(monkeypatch, summary, q8_order_four) == (2, 0, 0)
 
 
 def _full_eigvals(s):
@@ -503,6 +550,12 @@ class TestConjugationClosed:
         assert 10 <= sum(closed) < len(cases)
 
 
+def _whole_space(s):
+    """The split over H = {e}: one part, the whole space, with counts S(x^-1 y)."""
+    group = s.group
+    return spectra._Split(np.array([group.identity]), np.arange(group.order), markov_matrix(s).astype(np.int8)[None])
+
+
 class TestInversionSplit:
     """Conjugation-closed sets: two half-size symmetric solves plus cluster blocks."""
 
@@ -530,7 +583,7 @@ class TestInversionSplit:
         for s in self._cases(rng):
             assert _conjugation_closed(s)
             nonsymmetric += not s.is_symmetric
-            mu = _split_spectrum(s)
+            mu = _split_spectrum(s, _whole_space(s), 0)
             assert mu is not None and mu.dtype == np.complex128
             assert multiset_distance(mu, _full_eigvals(s)) <= 1e-12, s
             report = laplace_spectrum_dense(s)
@@ -545,7 +598,8 @@ class TestInversionSplit:
         """F = {x = x^-1} has one element in Z/31, two in Z/32 and all of (Z/2)^3."""
         for descriptor, fixed in (("cyclic(31)", 1), ("cyclic(32)", 2), ("abelian_product([2, 2, 2])", 8)):
             group = make_group(descriptor)
-            blocks = [b.shape for b in _inversion_blocks(GroupSubset.from_indices(group, [1]))]
+            s = GroupSubset.from_indices(group, [1])
+            blocks = [b.shape for b in _inversion_blocks(s, _whole_space(s), 0)]
             pairs = (group.order - fixed) // 2
             coupling = [] if fixed == group.order else [(pairs + fixed, pairs)]  # {1} is symmetric in (Z/2)^3
             assert blocks == [(pairs + fixed, pairs + fixed), (pairs, pairs), *coupling]
@@ -565,7 +619,7 @@ class TestInversionSplit:
             odd = pairs.size + fixed.size + np.arange(pairs.size)
             r[pairs, odd] = np.sqrt(0.5)
             r[inverse[pairs], odd] = -np.sqrt(0.5)
-            a, c, b = _inversion_blocks(s)
+            a, c, b = _inversion_blocks(s, _whole_space(s), 0)
             assert np.array_equal(a, a.T) and np.array_equal(c, c.T)
             rotated = r.T @ (np.eye(group.order) - markov_matrix(s) / s.size) @ r
             assert np.abs(rotated - np.block([[a, b], [-b.T, c]])).max() <= 1e-15
@@ -637,36 +691,78 @@ def _central_oracle(group):
     return None
 
 
-def _half_basis(group, z, sign):
-    """Orthonormal J-even and J-odd columns of one half, from the definitions:
-    w_g = (e_g + sign e_zg)/sqrt2 for every g; over the representatives x < zx,
-    a pair x < rep(x^-1) gives (w_x +- w_x^-1)/sqrt2, and a fixed point
-    x = rep(x^-1) gives w_x, J-odd exactly when w_x + w_x^-1 = 0."""
-    n = group.order
+def _commute(group, x, y):
+    return int(group.mul(x, y)) == int(group.mul(y, x))
+
+
+def _maximal_oracle(group):
+    """Brute force over every element in index order: an involution that is
+    not yet in H and commutes with every element of H doubles H to H u tH."""
+    h = [group.identity]
+    for t in range(group.order):
+        if t not in h and int(group.mul(t, t)) == group.identity and all(_commute(group, t, x) for x in h):
+            h += [int(group.mul(t, x)) for x in h]
+    return h
+
+
+def _part_basis(group, h, k):
+    """Columns w_x = sum_j eps_k(h_j) e_(h_j x) / sqrt|H| over the representatives
+    x = min Hx, ascending, from the definitions."""
+    scale = np.sqrt(1.0 / len(h))
+    reps = [x for x in range(group.order) if x == min(int(group.mul(t, x)) for t in h)]
+    w = np.zeros((group.order, len(reps)))
+    for col, x in enumerate(reps):
+        for eps, t in zip(_sign_characters(len(h))[k], h):
+            w[int(group.mul(t, x)), col] += eps * scale
+    return w
+
+
+def _inversion_basis(group, h, k):
+    """Orthonormal J-even and J-odd columns of part k, from the definitions:
+    w_g = sum_j eps_k(h_j) e_(h_j g) / sqrt|H| for every g; over the
+    representatives x = min Hx, a pair x < rep(x^-1) gives (w_x +- w_x^-1)/sqrt2,
+    and a fixed point x = rep(x^-1) gives w_x, J-odd exactly when w_x + w_x^-1 = 0."""
+    n, scale, signs = group.order, np.sqrt(1.0 / len(h)), _sign_characters(len(h))[k]
 
     def w(g):
         v = np.zeros(n)
-        v[g] += np.sqrt(0.5)
-        v[int(group.mul(z, g))] += sign * np.sqrt(0.5)
+        for eps, t in zip(signs, h):
+            v[int(group.mul(t, g))] += eps * scale
         return v
 
+    def rep(g):
+        return min(int(group.mul(t, g)) for t in h)
+
     even_pairs, odd_pairs, even_fixed, odd_fixed = [], [], [], []
-    for x in (x for x in range(n) if x < group.mul(z, x)):
+    for x in (x for x in range(n) if x == rep(x)):
         y = int(group.inv(x))
-        rep = min(y, int(group.mul(z, y)))
-        if x < rep:
+        if x < rep(y):
             even_pairs.append((w(x) + w(y)) * np.sqrt(0.5))
             odd_pairs.append((w(x) - w(y)) * np.sqrt(0.5))
-        elif x == rep:
+        elif x == rep(y):
             (even_fixed if np.abs(w(x) + w(y)).max() > 0 else odd_fixed).append(w(x))
     even = np.array(even_pairs + even_fixed).reshape(-1, n).T
     odd = np.array(odd_pairs + odd_fixed).reshape(-1, n).T
     return even, odd
 
 
-class TestCentralInvolutionSplit:
-    """Groups with a central involution z: every dense solve runs on the two
-    halves of the left translation L_z."""
+S6 = '["(1 2 3 4 5 6)", "(1 2)"]'
+
+
+def _rank_seven():
+    """D4 x (Z/2)^5, the group (1 2 3 4), (1 3), (5 6), ..., (13 14) generate, of
+    order 256 and 2-rank 7, as a table: (d, v)(d', v') = (dd', v xor v') at
+    index 32 d + v.  A permutation closure takes at most 8 points."""
+    d4, v = make_group("dihedral(4)"), np.arange(32)
+    d = np.arange(8)
+    table = (32 * d4.mul(d[:, None, None, None], d[None, None, :, None]) + (v[None, :, None, None] ^ v[None, None, None, :]))
+    return TableGroup(table.reshape(256, 256), name="D4 x (Z/2)^5")
+
+
+class TestInvolutionSplit:
+    """Every dense solve runs on the parts of an elementary abelian 2-subgroup
+    H of left translations: {e, z} for a conjugation-closed set, a maximal H
+    for any other."""
 
     DESCRIPTORS = (
         "cyclic(32)",
@@ -699,7 +795,7 @@ class TestCentralInvolutionSplit:
                 cases.append(GroupSubset.from_indices(group, np.concatenate([classes[i] for i in picked])))
             # a class that is not its own inverse (the 3-cycles of A4): closed, not symmetric
             cases += [GroupSubset.from_indices(group, c) for c in classes if not np.isin(group.inv(c), c).all()][:1]
-            z = _central_involution(group)
+            z = _central_oracle(group)
             if z is not None:
                 x = int(rng.integers(n))
                 cases.append(GroupSubset.singleton(group, z))
@@ -707,20 +803,56 @@ class TestCentralInvolutionSplit:
                 cases.append(GroupSubset.from_indices(group, [x, int(group.mul(z, x))]))
         return cases
 
-    def test_central_involution_is_the_smallest_central_one(self):
-        expected = dict(zip(self.DESCRIPTORS, (16, 1, 4, None, 2, 90, None, None)))
-        assert [_central_involution(make_group(d)) for d in expected] == list(expected.values())
-        for group in self._groups():
+    def test_translations_match_the_oracles(self):
+        """A closed set's H is {e} or {e, z}, z the smallest central involution;
+        any other set's is the greedy H of the brute-force scan, elementary
+        abelian and extended by no involution."""
+        # the ranks of dihedral(500), S5 and S6 are 2, 2 and 3; Q8 has the one involution -1
+        sizes = {"dihedral(500)": 4, "dihedral(7)": 2, f"permutation_closure({S5})": 4, f"permutation_closure({S6})": 8}
+        named = {make_group(d): size for d, size in sizes.items()}
+        named[make_group(f"permutation_closure({Q8})")] = 2
+        named[_rank_seven()] = 128
+        assert _translations(make_group("dihedral(500)"), closed=False).tolist() == [0, 250, 500, 750]  # r^250, s
+        assert _translations(make_group("dihedral(7)"), closed=False).tolist() == [0, 7]  # s
+        for group in self._groups() + list(named):
             z = _central_oracle(group)
-            assert _central_involution(group) == z
-            assert (_parts(GroupSubset.full(group)) == [None]) == (z is None)
-        q8 = make_group(f"permutation_closure({Q8})")
-        squares = q8.mul(np.arange(8), np.arange(8))
-        z = _central_involution(q8)
-        assert np.flatnonzero(squares == q8.identity).tolist() == sorted([q8.identity, z])  # one involution
-        assert np.count_nonzero(squares == z) == 6
+            assert _translations(group, closed=True).tolist() == [group.identity] + ([] if z is None else [z])
+            h = _translations(group, closed=False).tolist()
+            assert h == _maximal_oracle(group)
+            assert len(h) == named.get(group, len(h)) and len(set(h)) == len(h) and len(h) & (len(h) - 1) == 0
+            assert all(int(group.mul(x, x)) == group.identity and _commute(group, x, y) for x in h for y in h)
+            assert all(int(group.mul(x, y)) in h for x in h for y in h)
+            outside = [t for t in range(group.order) if t not in h and int(group.mul(t, t)) == group.identity]
+            assert not any(all(_commute(group, t, x) for x in h) for t in outside)
         table, label = _relabeled("dihedral(8)", 8)
-        assert table.identity == label[0] and _central_involution(table) == label[4]  # r^4
+        assert table.identity == label[0] and _translations(table, closed=True).tolist() == [label[0], label[4]]  # r^4
+
+    def test_parts_block_diagonalize_delta(self, rng):
+        """In the bases w_x built from the definitions for every character of H,
+        r^T Delta r is block-diagonal with the gathered parts as its blocks."""
+        for group in [make_group(d) for d in ("dihedral(8)", "dihedral(7)", f"permutation_closure({S4})")] + [
+            make_group(f"permutation_closure({A4})"),
+            make_group(f"permutation_closure({Q8})"),
+            _relabeled("dihedral(8)", 8)[0],
+        ]:
+            classes = group.conjugacy_classes()
+            sets = [random_nonempty_subset(group, rng, max_size=group.order // 2), random_symmetric_subset(group, 3, rng)]
+            sets.append(GroupSubset.from_indices(group, np.concatenate(classes[1:3])))
+            for s in sets:
+                closed = _conjugation_closed(s)
+                split = _split(s, closed)
+                h = split.h.tolist()
+                assert h == _translations(group, closed).tolist()
+                counts, reps = _defined_counts(s, split.h)
+                assert split.reps.tolist() == reps and np.array_equal(split.counts, counts)
+                r = np.hstack([_part_basis(group, h, k) for k in range(len(h))])
+                n, m = group.order, len(reps)
+                assert np.abs(r.T @ r - np.eye(n)).max() <= 1e-15
+                rotated = r.T @ (np.eye(n) - markov_matrix(s) / s.size) @ r
+                expected = np.zeros((n, n))
+                for k, c in enumerate(split.counts):
+                    expected[k * m : (k + 1) * m, k * m : (k + 1) * m] = np.eye(m) - c / s.size
+                assert np.abs(rotated - expected).max() <= 1e-15, (group.name, h)
 
     def test_matches_full_eigvals_and_three_solves(self, rng):
         kinds = {}
@@ -745,26 +877,48 @@ class TestCentralInvolutionSplit:
                 assert abs(gap - lam1) <= 1e-12, s
                 assert np.abs(spectrum - star).max() <= 1e-12, s
             assert abs(report.lambda1_star - (star[1] if star.size > 1 else 0.0)) <= 1e-12
-            key = (_central_involution(s.group) is not None, closed, s.is_symmetric)
+            key = (_translations(s.group, closed).size > 1, closed, s.is_symmetric)
             kinds[key] = kinds.get(key, 0) + 1
-        # on groups with z: closed or not, symmetric or not, and so also without z
+        # with a split: closed or not, symmetric or not; without one: closed sets (A4's 3-cycles among them)
         assert all(kinds.get((True, closed, symmetric), 0) >= 3 for closed in (0, 1) for symmetric in (0, 1))
+        assert kinds.get((False, 1, 1), 0) >= 3 and kinds.get((False, 1, 0), 0) >= 1
+
+    def test_rank_seven_counts_overflow_int8(self):
+        """|H| = 128 on D4 x (Z/2)^5: S = H u {x} puts |S n Hy| = 128 into the
+        trivial part, one past int8, so the counts take int16."""
+        group = _rank_seven()
+        assert group.order == 256
+        h = _translations(group, closed=False)
+        x = next(x for x in range(group.order) if not _conjugation_closed(GroupSubset.from_indices(group, [*h, x])))
+        s = GroupSubset.from_indices(group, [*h, x])
+        split = _split(s, closed=False)
+        assert split.h.size == 128 and split.reps.size == 2
+        assert split.counts.dtype == np.int16 and split.counts.max() == 128
+        counts, _ = _defined_counts(s, split.h)
+        assert np.array_equal(split.counts, counts)
+        report = laplace_spectrum_dense(s)
+        lam1, star = _three_solves(s)
+        assert abs(report.lambda1 - lam1) <= 1e-12
+        assert np.abs(report.star_eigenvalues - star).max() <= 1e-12
+        delta = np.eye(group.order) - markov_matrix(s) / s.size
+        for k in (1, 2, 3):
+            assert abs((report.eigenvalues**k).sum() - np.trace(np.linalg.matrix_power(delta, k))) <= 1e-12 * 256
 
     def test_fixed_points_of_the_halves(self):
         """cyclic(32): z = 16, the pairs {p, 16 - p} for p = 1..7, and the
         fixed points 0 (an involution) and 8 (8 + 8 = z, J-odd on the odd
         half).  Q8: every representative is fixed, and i, j, k are J-odd on
         the odd half."""
-        z32 = make_group("cyclic(32)")
-        even, odd = _parts(GroupSubset.from_indices(z32, [1]))
-        assert [b.shape for b in _inversion_blocks(GroupSubset.from_indices(z32, [1]), even)] == [(9, 9), (7, 7), (9, 7)]
-        assert [b.shape for b in _inversion_blocks(GroupSubset.from_indices(z32, [1]), odd)] == [(8, 8), (8, 8), (8, 8)]
+        s = GroupSubset.from_indices(make_group("cyclic(32)"), [1])
+        split = _split(s, closed=True)
+        assert [b.shape for b in _inversion_blocks(s, split, 0)] == [(9, 9), (7, 7), (9, 7)]
+        assert [b.shape for b in _inversion_blocks(s, split, 1)] == [(8, 8), (8, 8), (8, 8)]
         q8 = make_group(f"permutation_closure({Q8})")
         x = int(np.flatnonzero(q8.mul(np.arange(8), np.arange(8)) != q8.identity)[0])
         s = GroupSubset.from_indices(q8, [x, int(q8.inv(x))])
-        even, odd = _parts(s)
-        assert [b.shape for b in _inversion_blocks(s, even)] == [(4, 4), (0, 0)]
-        assert [b.shape for b in _inversion_blocks(s, odd)] == [(1, 1), (3, 3)]
+        split = _split(s, closed=True)
+        assert [b.shape for b in _inversion_blocks(s, split, 0)] == [(4, 4), (0, 0)]
+        assert [b.shape for b in _inversion_blocks(s, split, 1)] == [(1, 1), (3, 3)]
 
     def test_rotated_halves_reassemble_delta(self, rng):
         """In the basis built from the definitions, each half of Delta is
@@ -779,15 +933,17 @@ class TestCentralInvolutionSplit:
         for s in cases:
             group, n = s.group, s.group.order
             assert _conjugation_closed(s)
-            z = _central_involution(group)
+            split = _split(s, closed=True)
+            h = split.h.tolist()
+            assert len(h) == 2
             delta = np.eye(n) - markov_matrix(s) / s.size
             columns = []
-            for part, sign in zip(_parts(s), (1, -1)):
-                a, c, *coupling = _inversion_blocks(s, part)
+            for part in range(2):
+                a, c, *coupling = _inversion_blocks(s, split, part)
                 b = coupling[0] if coupling else np.zeros((a.shape[0], c.shape[0]))
                 assert np.array_equal(a, a.T) and np.array_equal(c, c.T)
                 assert bool(coupling) != s.is_symmetric
-                r = np.hstack(_half_basis(group, z, sign))
+                r = np.hstack(_inversion_basis(group, h, part))
                 assert np.abs(r.T @ delta @ r - np.block([[a, b], [-b.T, c]])).max() <= 1e-15
                 columns.append(r)
             r = np.hstack(columns)
@@ -818,12 +974,37 @@ class TestDenseBudget:
     """The dense path refuses a part whose gathers exceed the dense budget before it allocates."""
 
     def test_budget_counts_one_half(self, monkeypatch):
+        """cyclic(100) random(5) is closed: the int8 counts of both halves of z = 50,
+        one int32 product index and one float half, 2 + 4 + 8 bytes a cell of 50 x 50."""
         s = resolve_subset(make_group("cyclic(100)"), "random(5)", np.random.default_rng(0))
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 13 * 50 * 50)  # the halves of the central involution
+        needed = 14 * 50 * 50
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", needed)
         laplace_spectrum_dense(s)
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 13 * 50 * 50 - 1)
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", needed - 1)
         with pytest.raises(GroupTooLarge, match="dense budget"):
             laplace_spectrum_dense(s)
+
+    def test_budget_counts_the_quarters(self, monkeypatch):
+        """dihedral(8) {r, r^-1, s} is not closed: the counts of the four quarters of
+        H = {e, r^4, s, s r^4} (int8), one int32 product index and the float stack
+        of all four, 4 + 4 + 32 bytes a cell of 4 x 4."""
+        s = GroupSubset.from_indices(make_group("dihedral(8)"), [1, 7, 8])
+        assert s.is_symmetric and not _conjugation_closed(s)
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 40 * 4 * 4)
+        laplace_spectrum_dense(s)
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 40 * 4 * 4 - 1)
+        with pytest.raises(GroupTooLarge, match="dense budget"):
+            laplace_spectrum_dense(s)
+
+    def test_variational_lambda1_checks_the_budget(self, monkeypatch):
+        """The Hermitian copy of an n x n operator is refused before it is built."""
+        delta = _laplacian(markov_matrix(GroupSubset.from_indices(make_group("cyclic(12)"), [1, 5])), 2)
+        expected = variational_lambda1(delta)
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 12 * 12 * 8)
+        assert variational_lambda1(delta) == expected
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 12 * 12 * 8 - 1)
+        with pytest.raises(GroupTooLarge, match=r"Hermitian part of a 12 x 12 operator"):
+            variational_lambda1(delta)
 
     def test_large_group_exits_2_under_an_address_space_limit(self, tmp_path):
         """cyclic(100003) random(50) has no central involution: one 100003-wide
