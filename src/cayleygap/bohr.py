@@ -119,7 +119,7 @@ def _profiles(items, radius=None) -> tuple[FiniteGroup, np.ndarray]:
     a list of them; ``radius``, when given, is checked as ``bohr_set`` checks
     it: after the emptiness check and before the group check."""
     items = [(item,) if isinstance(item, UnitaryRepresentation) else tuple(item) for item in items]
-    if not all(items):
+    if not items or not all(items):
         raise EmptyRepList("Bohr set needs at least one representation")
     if radius is not None:
         _require_radius(radius)
@@ -689,14 +689,13 @@ def bohr_eps_size_rows(reps, eps: float) -> list[BoundReport]:
     certified absence of normal proper subgroups of index at most 1/eps."""
     if not (0 < eps <= 0.5):
         raise HypothesisFail(f"eps must lie in (0, 1/2], got {eps}")
-    group = reps[0].group
+    group, rows = _profiles(reps)
     witness = normal_subgroup_min_index(group, math.floor(1.0 / eps))
     if witness is not None:
         raise HypothesisFail(
             f"{group.name} has a normal proper subgroup of index {witness} <= 1/eps"
         )
     radii = np.array([bohr_size_thresholds(rep).eps_radius(eps) for rep in reps])
-    group, rows = _profiles(reps)
     members = np.where(radii > 0, np.count_nonzero(_members(rows, radii), axis=1), 0)
     return [
         BoundReport(

@@ -135,9 +135,12 @@ def basis_bound_value(order: int, set_size: int, d: int) -> Fraction:
 
 
 def _gap_report(name: str, s: GroupSubset, d: int, formula) -> BoundReport:
-    """Shared body of the plain gap bounds: S nonempty, then ``formula()`` against lambda1(S)."""
+    """Shared body of the plain gap bounds: S nonempty on a group of order > 1,
+    then ``formula()`` against lambda1(S)."""
     if s.size == 0:
         raise EmptySet(f"{name} of the empty set")
+    if s.group.order == 1:
+        raise HypothesisFail(f"{name}: a one-point space has no nontrivial eigenvalue")
     exact = formula()
     return BoundReport(
         bound_name=name,
@@ -177,7 +180,9 @@ def _exceptional_report(
     """Shared body of the count-hypothesis bounds: certify counts >= g off omega,
     evaluate ``formula(omega_size)`` -> (bound, exact Fraction or None, extra
     parameters), which may raise HypothesisFail itself, and only then call
-    ``measure`` for the gap."""
+    ``measure`` for the gap; a one-point space has no gap to bound."""
+    if counts.group.order == 1:
+        raise HypothesisFail(f"{what}: a one-point space has no nontrivial eigenvalue")
     values = counts.values.real
     outside = values if omega is None else values[omega.membership == 0]
     if outside.size and outside.min() < g:
@@ -343,7 +348,10 @@ def graph_bound_value(vertex_count: int, valency: int, d: int, g) -> tuple[float
 
 
 def verify_graph_bound(graph: RegularGraph, d: int, g) -> BoundReport:
-    """lambda1(G) against g|V|/(d V^d) under the g-paths-of-length-d hypothesis."""
+    """lambda1(G) against g|V|/(d V^d) under the g-paths-of-length-d hypothesis,
+    on at least two vertices."""
+    if graph.vertex_count == 1:
+        raise HypothesisFail("graph bound: a one-vertex graph has no nontrivial eigenvalue")
     paths = graph_paths(graph, d)
     if paths.min() < g:
         raise HypothesisFail(

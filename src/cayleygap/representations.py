@@ -16,10 +16,8 @@ built on first read of ``stacks`` or ``reps``, after a check against
 ``DENSE_BYTES_BUDGET`` that raises GroupTooLarge before anything is allocated.
 ``fourier_transform`` (the per-rep ``tensordot`` on those matrices) and
 ``set_norm(s, catalog)`` stay the reference the FFTs are tested against.
-``IrrepCatalog.identity_distances`` is the ``(k, |G|)`` matrix of ||rho(g) - I||
-that Bohr sets read, built on first use with one ``operator_norms`` call per
-chunk of rows of at most ``_CHUNK_BYTES`` temporaries, so it never copies a
-whole stack; each catalog rep's ``identity_distances()`` is its row.
+Each rep computes and caches its own row of ||rho(g) - I|| for Bohr sets
+(``identity_distances``), so at most one rep's rho(g) - I is alive at a time.
 The spectral engine (``spectra.spectral_summary``) takes ``coefficients``
 once per subset on every cataloged group and reads gaps and norms from those
 blocks, so it never builds the stacks; it diagonalizes the dense operator only
@@ -46,7 +44,6 @@ from .groups import (
 UNITARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
 DENSE_BYTES_BUDGET = 2 * 2**30  # largest dense array set one call may allocate, in bytes
-_CHUNK_BYTES = 2**22  # temporaries of one row chunk of identity_distances, in bytes
 
 
 def check_dense_budget(needed: int, what: str) -> None:
@@ -160,18 +157,6 @@ class UnitaryRepresentation:
                 raise ValueError(f"rep {self.label}: {law} ({res[key]:.2e})")
 
 
-class _CatalogRep(UnitaryRepresentation):
-    """Row ``index`` of a catalog, reading its distances from the catalog's matrix."""
-
-    def __init__(self, catalog: "IrrepCatalog", index: int, matrices: np.ndarray, label: str):
-        super().__init__(catalog.group, matrices, label, is_trivial=(index == catalog.trivial_index))
-        self._catalog = catalog
-        self._index = index
-
-    def identity_distances(self) -> np.ndarray:
-        return self._catalog.identity_distances()[self._index]
-
-
 class IrrepCatalog:
     """Complete list of irreducible unitary representations of a group, the
     first trivial, in ``len(shapes)`` stacks of ``k`` reps of dimension ``d``.
@@ -189,7 +174,6 @@ class IrrepCatalog:
     def __init__(self, group: FiniteGroup, shapes: list[tuple[int, int]]):
         self.group = group
         self.shapes = tuple(shapes)  # (k, d) per stack
-        self._identity_distances = None
 
     def _transform(self, values: np.ndarray) -> list[np.ndarray]:
         raise NotImplementedError
@@ -214,26 +198,9 @@ class IrrepCatalog:
     def reps(self) -> tuple[UnitaryRepresentation, ...]:
         rows = (mats for stack in self.stacks for mats in stack)
         return tuple(
-            _CatalogRep(self, i, mats, label) for i, (mats, label) in enumerate(zip(rows, self.labels, strict=True))
+            UnitaryRepresentation(self.group, mats, label, is_trivial=(i == self.trivial_index))
+            for i, (mats, label) in enumerate(zip(rows, self.labels, strict=True))
         )
-
-    def identity_distances(self) -> np.ndarray:
-        """Read-only ``(len, |G|)`` matrix of ||rho(g) - I||, one row per rep in
-        catalog order, from one ``operator_norms`` call per chunk of rows of a
-        stack, so the temporaries stay within ``_CHUNK_BYTES``; each rep's
-        ``identity_distances()`` is its row."""
-        if self._identity_distances is None:
-            rows, first = np.empty((len(self), self.group.order)), 0
-            for stack in self.stacks:
-                (k, n, d, _), eye = stack.shape, np.eye(stack.shape[2])
-                step = max(1, _CHUNK_BYTES // (64 * n * d * d))  # rho(g) - I takes a quarter of the chunk
-                for i in range(0, k, step):
-                    j = min(i + step, k)
-                    rows[first + i : first + j] = operator_norms((stack[i:j] - eye).reshape(-1, d, d)).reshape(-1, n)
-                first += k
-            rows.flags.writeable = False
-            self._identity_distances = rows
-        return self._identity_distances
 
     def coefficients(self, f: GroupFunction) -> list[np.ndarray]:
         """Every Fourier coefficient sum_g f(g) rho(g) in catalog order, as one

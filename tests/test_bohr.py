@@ -121,6 +121,22 @@ class TestBohrSet:
         with pytest.raises(EmptyRepList):
             bohr_set([], 0.5)
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            bohr_module.bohr_half_size_rows,
+            lambda items: bohr_module.bohr_eps_size_rows(items, 0.2),
+            lambda items: bohr_module.bohr_sum_rule_rows(items, 0.3, 0.3),
+            lambda items: bohr_module.bohr_symmetry_normality_rows(items, 0.3),
+            lambda items: bohr_module.bohr_doubling_rows(items, 0.3),
+            lambda items: bohr_module.ruzsa_covering_rows(items, 0.3),
+        ],
+        ids=["half_size", "eps_size", "sum_rule", "symmetry_normality", "doubling", "ruzsa_covering"],
+    )
+    def test_row_kernels_reject_an_empty_list(self, kernel):
+        with pytest.raises(EmptyRepList):
+            kernel([])
+
     def test_nonpositive_radius(self, z12):
         with pytest.raises(DeltaOutOfRange):
             bohr_set(irrep_catalog(z12)[1], 0.0)
@@ -138,7 +154,7 @@ class TestExactPhaseTies:
         n = 1200
         x = np.arange(n)
         k = (x[:, None] * x) % n  # the phase r x mod n, reduced as an integer
-        distances = irrep_catalog(make_group(f"cyclic({n})")).identity_distances()
+        distances = np.stack([rep.identity_distances() for rep in irrep_catalog(make_group(f"cyclic({n})"))])
         assert np.abs(distances - 2 * np.abs(np.sin(np.pi * k / n))).max() <= 1e-14
         ties = (k == n // 6) | (k == 5 * n // 6)  # 2 |sin(pi k / n)| = 1 exactly
         assert np.abs(distances[ties] - 1.0).max() <= 1e-14
@@ -1173,12 +1189,13 @@ class TestRowKernels:
 
     def test_catalog_rows_are_the_rep_distances(self):
         catalog = irrep_catalog(make_group("dihedral(12)"))
-        rows = catalog.identity_distances()
-        assert rows.shape == (len(catalog), 24) and not rows.flags.writeable
-        for i, rep in enumerate(catalog):
-            assert np.shares_memory(rep.identity_distances(), rows)
+        for rep in catalog:
+            assert type(rep) is UnitaryRepresentation
+            row = rep.identity_distances()
+            assert row.shape == (24,) and not row.flags.writeable
+            assert rep.identity_distances() is row  # computed once, then cached
             expected = np.linalg.svd(rep.matrices - np.eye(rep.dim), compute_uv=False)[:, 0]
-            np.testing.assert_allclose(rows[i], expected, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
 
 def _find_regular_full_scan(rep, delta):

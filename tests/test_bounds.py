@@ -154,6 +154,29 @@ class TestBasisAndDiameterBounds:
         assert confirmed >= 5
 
 
+class TestOnePointSpace:
+    """A one-point space has no nontrivial eigenvalue, so no gap bound has a measured side."""
+
+    @pytest.mark.parametrize(
+        "verify",
+        [
+            lambda s: verify_diameter_bound(s, 1),
+            lambda s: verify_basis_bound(s, 1),
+            lambda s: verify_exceptional_bound(s, 1, 1),
+            lambda s: verify_exceptional_bound_pair(s, s, 1, 1),
+            lambda s: verify_exceptional_bound_star(s, 1, 1),
+        ],
+        ids=["diameter", "basis", "exceptional", "pair", "star"],
+    )
+    def test_group_of_order_one(self, verify):
+        with pytest.raises(HypothesisFail, match="one-point"):
+            verify(GroupSubset.full(make_group("cyclic(1)")))
+
+    def test_one_vertex_graph(self):
+        with pytest.raises(HypothesisFail, match="one-vertex"):
+            verify_graph_bound(RegularGraph([[1]]), 1, 1)
+
+
 class TestExceptionalBound:
     def test_hand_case_negative_vacuous(self):
         z4 = make_group("cyclic(4)")

@@ -69,6 +69,12 @@ class TestBoundsCommand:
         assert code == EXIT_PASS
         assert "05-fourier-norm" not in rows and rows["06-uniformity"] == "pass"
 
+    def test_one_point_group_keeps_only_the_norm_rows(self, tmp_path, capsys):
+        # rows 01-04 bound a gap, and a one-point space has no nontrivial eigenvalue
+        code, rows = self._rows(tmp_path, capsys, "group = cyclic(1)\nset = full\n")
+        assert code == EXIT_PASS
+        assert rows == {"05-fourier-norm": "pass", "06-uniformity": "pass"}
+
     ALL_ROWS = {
         "01-diameter", "02-basis", "03-exceptional", "04-exceptional-star", "05-fourier-norm",
         "06-uniformity", "07-progression-basis", "08-bohr-basis", "09-bohr-basis-certified",

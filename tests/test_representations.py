@@ -435,18 +435,18 @@ class TestLazyStacks:
         "catalog_type, descriptor",
         [(representations._AbelianCatalog, "cyclic(1200)"), (representations._DihedralCatalog, "dihedral(500)")],
     )
-    def test_identity_distances_in_row_chunks(self, catalog_type, descriptor):
-        """After the stacks, the distances allocate their result and one chunk of
+    def test_identity_distances_one_rep_at_a_time(self, catalog_type, descriptor):
+        """After the stacks and reps, all rows allocate their result and one rep's
         temporaries, never a stack-sized rho(g) - I, and equal the whole-stack norms."""
         catalog = catalog_type(make_group(descriptor))
-        stacks = catalog.stacks
+        stacks, reps = catalog.stacks, catalog.reps
         size = len(catalog) * catalog.group.order * 8
-        assert self._peak_while(catalog.identity_distances) < size + representations._CHUNK_BYTES
+        assert self._peak_while(lambda: [rep.identity_distances() for rep in reps]) < size + 2**20
         whole = np.concatenate([
             operator_norms((stack - np.eye(stack.shape[2])).reshape(-1, *stack.shape[2:])).reshape(stack.shape[:2])
             for stack in stacks
         ])
-        assert np.array_equal(catalog.identity_distances(), whole)
+        assert np.array_equal(np.stack([rep.identity_distances() for rep in reps]), whole)
 
     def test_wrong_builder_dimensions_raise_on_build(self):
         group = make_group("dihedral(6)")
