@@ -11,6 +11,7 @@ one substantive failure, 2 hypothesis or configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import numbers
 import operator
 import sys
@@ -35,6 +36,16 @@ from .groups import GroupSubset, diameter, make_group
 from .reports import bound_record, emit_report, records_pass, render_report
 from .representations import irrep_catalog
 from .spectra import laplace_spectrum_blocks, laplace_spectrum_dense, multiset_distance
+
+# Everything imported so far lives until exit: moved to the permanent generation,
+# collections during main skip it and the collection at interpreter shutdown
+# neither walks nor frees it.  The entry module freezes, not the package, so a
+# library import of cayleygap leaves the caller's collector as it was.  The freeze
+# takes the whole heap of the process that imports this module, the importer's
+# own objects and any garbage cycles not yet collected included (those are then
+# never freed), so a program that calls main in-process freezes what it holds;
+# one that needs its collector untouched imports cayleygap and its layers instead.
+gc.freeze()
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -69,6 +80,13 @@ def _real(cfg: dict, key: str, default) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
         raise ValueError(f"{key} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _seed_arg(text: str) -> int:
+    """The ``--seed`` value: an integer >= 0, as the config ``seed`` must be."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _seed(args, cfg: dict) -> int:
@@ -265,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to key=value config")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=_seed_arg, default=None, help="override config seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (stdout if omitted)")
         if name == "scan":
@@ -274,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("experiment")
     pe.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
     pe.add_argument("--config", default=None, help="path to key=value config")
-    pe.add_argument("--seed", type=int, default=None, help="override config seed")
+    pe.add_argument("--seed", type=_seed_arg, default=None, help="override config seed")
     pe.add_argument("--format", choices=("csv", "json"), default="csv")
     pe.add_argument("--out", default=None, help="output file (stdout if omitted)")
     pe.set_defaults(func=cmd_experiment)

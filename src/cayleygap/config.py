@@ -1,7 +1,8 @@
 """Key-value experiment configuration files.
 
-Format: one ``key = value`` pair per line, ``#`` comments, values parsed as
-Python literals when possible (numbers, lists) and as bare strings otherwise.
+Format: one ``key = value`` pair per line, each key once, ``#`` comments,
+values parsed as Python literals when possible (numbers, lists) and as bare
+strings otherwise.
 
     experiment = sidon
     group = cyclic(101)
@@ -24,7 +25,9 @@ from .sampling import random_subset, random_symmetric_subset
 
 
 def parse_config_text(text: str) -> dict:
+    """The ``key = value`` pairs of ``text``; a key given twice is an error."""
     values: dict = {}
+    lines: dict[str, int] = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -34,6 +37,9 @@ def parse_config_text(text: str) -> dict:
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
+        if key in lines:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         try:
             value = ast.literal_eval(value_text)
         except (ValueError, SyntaxError):

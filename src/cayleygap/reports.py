@@ -3,8 +3,8 @@
 Records are flat dicts; rows are sorted by instance id so identical runs
 produce byte-identical files.  Floating-point values are emitted with 12
 significant digits in both formats.  CSV is formatted one column at a time:
-a column of cells of exactly one type among float, int and str takes one %
-pass, any other goes through ``format_value`` cell by cell, to the same bytes.
+a column whose cells are all exactly float, int or str takes one % pass, any
+other goes through ``format_value`` cell by cell, to the same bytes.
 """
 
 from __future__ import annotations
@@ -81,13 +81,14 @@ _COLUMN_FORMATS = {float: "%.12g\n", int: "%d\n", str: "%s\n"}  # format_value o
 
 
 def _csv_column(cells: list) -> list[str]:
-    """The column's CSV cells: one % pass when every cell has one type among float,
-    int and str (a bool or np.float64 is none of them) and, for str, no cell needs
-    quoting or holds a newline; ``format_value`` and quoting cell by cell otherwise."""
+    """The column's CSV cells: one % pass, with each cell's format by its type, when
+    every cell is exactly a float, int or str (a bool or np.float64 is none of them)
+    and no str cell needs quoting or holds a newline; ``format_value`` and quoting
+    cell by cell otherwise."""
     kinds = set(map(type, cells))
-    if len(kinds) == 1 and (kind := kinds.pop()) in _COLUMN_FORMATS:
-        text = _COLUMN_FORMATS[kind] * len(cells) % tuple(cells)
-        if kind is not str or (text.count("\n") == len(cells) and "," not in text and '"' not in text):
+    if kinds <= _COLUMN_FORMATS.keys():
+        text = "".join(map(_COLUMN_FORMATS.__getitem__, map(type, cells))) % tuple(cells)
+        if str not in kinds or (text.count("\n") == len(cells) and "," not in text and '"' not in text):
             return text.split("\n")[:-1]
     texts = map(format_value, cells)
     return ['"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text for text in texts]

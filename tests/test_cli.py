@@ -380,6 +380,29 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: seed must be") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "body, key, first, again",
+        [
+            ("group = cyclic(13)\nd = 2\nset = random(4)\nd = 3\n", "d", 2, 4),
+            ("group = cyclic(13)\nset = random(4)\n# set = full\n\nset = [1, 2]\n", "set", 2, 5),
+            ("group = cyclic(13)\nseed=1\n seed = 1\n", "seed", 2, 3),
+        ],
+    )
+    def test_repeated_key_is_a_config_error(self, tmp_path, capsys, body, key, first, again):
+        cfg = write_config(tmp_path, "x.cfg", body)
+        assert main(["bounds", "--config", cfg]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"config error: config line {again}: key {key!r} repeats line {first}\n"
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["bohr"], ["experiment", "sidon"]])
+    @pytest.mark.parametrize("seed", ["-3", "1.5", "x"])
+    def test_seed_flag_is_a_nonnegative_integer(self, tmp_path, capsys, command, seed):
+        cfg = write_config(tmp_path, "x.cfg", "group = cyclic(13)\nset = random(4)\n")
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", cfg, "--seed", seed])
+        assert exc.value.code == EXIT_ERROR
+        assert f"argument --seed: must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+
 
 class TestImports:
     """A CLI run never imports ``numpy.ma``: numpy's unique pulls it in on its
@@ -418,3 +441,35 @@ class TestImports:
         if eager == "True":
             pytest.skip("this numpy imports numpy.ma with numpy itself")
         assert (code, imported) == (str(EXIT_PASS), "False")
+
+
+class TestCollector:
+    """Only the CLI entry module moves the import graph to the permanent
+    generation with ``gc.freeze``; ``import cayleygap`` freezes nothing and
+    leaves the collector on or off as the caller had it."""
+
+    PROBE = (
+        "import gc, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "module, state = sys.argv[2:]\n"
+        "if state == 'off':\n"
+        "    gc.disable()\n"
+        "__import__(module)\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "module, state, expected",
+        [
+            ("cayleygap.cli", "on", "True True"),
+            ("cayleygap", "on", "True False"),
+            ("cayleygap", "off", "False False"),
+        ],
+    )
+    def test_import_leaves_the_collector_as_found(self, module, state, expected):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", self.PROBE, str(src), module, state],
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == expected

@@ -15,16 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleygap import (
+    GroupFunction,
     GroupSubset,
     TableGroup,
+    bohr_sets_from_gap,
     diameter,
     exceptional_set,
+    gap_from_bohr_sets,
+    gap_from_progressions,
     irrep_catalog,
+    is_prime,
     lambda1,
     lambda1_star,
     laplace_spectrum_blocks,
     laplace_spectrum_dense,
+    large_spectrum,
+    large_spectrum_product_check,
     make_group,
+    progressions_from_gap,
+    progressions_from_gap_certified,
     rep_count,
     set_norm,
     symmetrized_rep_count,
@@ -38,7 +47,9 @@ from cayleygap import (
     verify_progression_basis_bound,
     verify_uniformity,
 )
+from cayleygap.bohr import progression_scan
 from cayleygap.errors import CayleyGapError, HypothesisFail, NoFiniteDiameter, NotCataloged
+from cayleygap.groups import convolution_power
 from cayleygap.sampling import random_subset, random_symmetric_subset
 from cayleygap.spectra import _translations, multiset_distance, spectral_summary
 
@@ -80,6 +91,24 @@ def test_rep_counts_permute_exactly(descriptor, seed, size, symmetric, d):
     _, sigma, s, image = instance(make_group(descriptor), seed, size, symmetric)
     assert np.array_equal(rep_count(image, d).values[sigma], rep_count(s, d).values)
     assert np.array_equal(symmetrized_rep_count(image, d).values[sigma], symmetrized_rep_count(s, d).values)
+
+
+@RELABELING
+@given(GROUPS, SEEDS, st.integers(1, 2), st.integers(1, 3))
+def test_convolution_powers_permute_exactly(descriptor, seed, m, k):
+    """(f1 * ... * fm)^(k) of sparse signed integer functions, not only the
+    indicator powers of rep counts; masses stay far below the float switch."""
+    group = make_group(descriptor)
+    copy, sigma = relabeled(group, seed)
+    rng = np.random.default_rng(seed)
+    factors = [rng.integers(-2, 3, group.order) * (rng.random(group.order) < 0.05) for _ in range(m)]
+    images = [np.empty_like(values) for values in factors]
+    for values, image in zip(factors, images):
+        image[sigma] = values
+    power = convolution_power([GroupFunction(group, values) for values in factors], k)
+    copied = convolution_power([GroupFunction(copy, image) for image in images], k)
+    assert copied.values.dtype.kind == "i"
+    assert np.array_equal(copied.values[sigma], power.values)
 
 
 @RELABELING
@@ -181,3 +210,37 @@ def test_bounds_rows_agree_on_the_copy(descriptor, seed, size, symmetric, g):
                 original.verdict, original.bound_value, original.bound_exact
             ), name
             assert abs(copied.measured - original.measured) <= 1e-9, name
+
+
+PRIMES = st.sampled_from([p for p in range(2, 300) if is_prime(p)])
+
+
+@RELABELING
+@given(PRIMES, SEEDS, st.integers(1, 12), st.booleans())
+def test_progression_scans_refuse_the_copy(p, seed, size, symmetric):
+    """A progression of Z/p is a statement about labels: the copy of cyclic(p) is
+    no CyclicGroup, and the prime-cyclic guard refuses it."""
+    _, _, s, image = instance(make_group(f"cyclic({p})"), seed, size, symmetric)
+    for scan in (progression_scan, gap_from_progressions, progressions_from_gap, progressions_from_gap_certified):
+        scan(s, 2, 0.3)
+        with pytest.raises(HypothesisFail, match="Z/N with N prime"):
+            scan(image, 2, 0.3)
+
+
+@RELABELING
+@given(GROUPS, SEEDS, st.integers(1, 12), st.booleans())
+def test_bohr_kernels_refuse_the_copy(descriptor, seed, size, symmetric):
+    """The Bohr kernels read the irrep catalog, which the copy has none of."""
+    group = make_group(descriptor)
+    _, _, s, image = instance(group, seed, size, symmetric)
+    kernels = [
+        lambda b: gap_from_bohr_sets(b, 2, 0.3),
+        lambda b: bohr_sets_from_gap(b, 2, 0.3),
+        lambda b: large_spectrum(b, 0.5),
+    ]
+    if group.is_abelian:
+        kernels.append(lambda b: large_spectrum_product_check(b, 0.1, 0.1))
+    for kernel in kernels:
+        kernel(s)
+        with pytest.raises(NotCataloged):
+            kernel(image)

@@ -43,6 +43,15 @@ CASES = {
     "no records": ([], ["x", "y"]),
     "no columns": (_column([1, 2]), []),
     "plain strings": ([{"x": "dense-00001", "y": "pass"}, {"x": "zz", "y": "fail"}], ["x", "y"]),
+    "floats among ints": (_column([3, 0.5, -0.0, 2**64 + 1, float("nan"), -7, float("inf"), -float("inf"), -(2**70)]), ["x"]),
+    "strings among floats and ints": (_column([1, 0.25, "pass", 2**63, "-0"]), ["x"]),
+    "quoted string among floats and ints": (_column([1, 0.25, "a,b"]), ["x"]),
+    "newline string among ints": (_column([1, "a\nb"]), ["x"]),
+    "numpy scalars among floats and ints": (
+        _column([1, 0.5, np.float64(-0.0), np.int64(2**62), True, float("nan"), 2**63 + 5, np.float64("inf")]),
+        ["x"],
+    ),
+    "bool among floats": (_column([0.5, False, -0.0]), ["x"]),
 }
 
 
@@ -58,10 +67,21 @@ def test_random_float_bits_match_per_cell_loop():
 
 
 @pytest.mark.parametrize(
-    "stem", ["spectrum-cyclic1200", "spectrum-cyclic1000", "spectrum-dihedral500", "spectrum-abelian12x15", "spectrum-s5"]
+    "stem",
+    [
+        "spectrum-cyclic1200",
+        "spectrum-cyclic1000",
+        "spectrum-dihedral500",
+        "spectrum-abelian12x15",
+        "spectrum-s5",
+        # the measured and bound columns mix floats and ints
+        "bohr-dihedral200",
+        "bohr-cyclic199",
+        "bohr-abelian12x15",
+    ],
 )
-def test_spectrum_reports_match_per_cell_loop(stem, monkeypatch, capsys):
-    """The records ``cayleygap spectrum`` renders on each benchmark config."""
+def test_cli_reports_match_per_cell_loop(stem, monkeypatch, capsys):
+    """The records ``cayleygap spectrum`` and ``bohr`` render on each benchmark config."""
     seen = []
 
     def render(records, fmt, columns=None):
@@ -72,6 +92,6 @@ def test_spectrum_reports_match_per_cell_loop(stem, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "render_report", render)
     config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / f"{stem}.cfg"
-    assert cli.main(["spectrum", "--config", str(config), "--seed", "4"]) == cli.EXIT_PASS
+    assert cli.main([stem.partition("-")[0], "--config", str(config), "--seed", "4"]) == cli.EXIT_PASS
     assert seen == [True]
     assert len(capsys.readouterr().out.splitlines()) > 120
