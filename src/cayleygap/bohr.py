@@ -263,41 +263,6 @@ def find_covering_interval(a: GroupSubset, eps: float, delta: float) -> Progress
 # -- progression scans ---------------------------------------------------------
 
 
-def _folded_inverses(n: int) -> np.ndarray:
-    """For each residue m of a prime n, the inverse mod n of its folded step
-    min(m, n - m) (entry 0 is unused): q^(n-2) for q <= n//2 by vectorized
-    square-and-multiply, whose products stay below n^2."""
-    base = np.arange(n // 2 + 1, dtype=np.int64)
-    inverse = np.ones_like(base)
-    e = n - 2
-    while e:
-        if e & 1:
-            inverse = inverse * base % n
-        base = base * base % n
-        e >>= 1
-    m = np.arange(n)
-    return inverse[np.minimum(m, n - m)]
-
-
-def _folded_draws(n: int, length: int, seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded (start, step) draws of a sampled scan, each read on a step
-    q <= n//2.  A draw of step k > n//2 is the step-(n - k) window that starts
-    (length - 1)(n - k) terms earlier, and is kept as the negative step k - n.
-    Returns each draw's signed step and window index t: the window of step q
-    that starts at q t mod n.  The draws cost 6 bytes each once folded."""
-    rng = np.random.default_rng(seed)
-    start = rng.integers(0, n, samples)
-    step = rng.integers(1, n, samples)
-    back = step > n // 2
-    step -= n * back
-    t = _folded_inverses(n)[step]  # a negative step indexes from the end, as n + step
-    t *= start
-    del start
-    t -= (length - 1) * back  # (start - (length - 1) q) / q for a folded step q
-    np.remainder(t, n, out=t)
-    return step.astype(np.int16 if n < 2**16 else np.int32), t.astype(np.int32)
-
-
 def max_progression_mass(
     values: np.ndarray,
     max_terms: int,
@@ -318,12 +283,14 @@ def max_progression_mass(
     run of steps, and each row's n cyclic windows are read from one prefix
     sum of its n terms (a window that wraps adds the row's total).  The
     smallest maximizing step is <= n/2, so the exhaustive witness (first
-    step, then first window) is that of the full scan; a sampled draw of
-    step > n/2 reads its folded window, and the witness is still the drawn
-    (start, step) of the first maximizing draw.  Both modes take Theta(n^2)
-    time and O(block + samples) memory.  Window sums equal directly gathered
-    sums when ``values`` are integers held in float64 with total below 2^53
-    (as ``rep_count`` counts are).
+    step, then first window) is that of the full scan.  A sampled draw
+    (s, k) is kept as drawn and read in the block of its folded step
+    q = min(k, n - k): its window index is s q^-1 mod n, less L - 1 when
+    k = n - q.  Each block keeps only its first maximizing draw (in the
+    order drawn), and the witness is that draw's own (start, step).  Both
+    modes take Theta(n^2) time and O(block + samples) memory.  Window sums
+    equal directly gathered sums when ``values`` are integers held in
+    float64 with total below 2^53 (as ``rep_count`` counts are).
     """
     n = values.size
     mode = "exhaustive" if exhaustive else "sampled"
@@ -341,16 +308,18 @@ def max_progression_mass(
     if n == 1:  # no step in 1..n-1 to scan or draw: the one term is the maximum
         return float(values[0]), Progression(1, 0, 1, 1), mode
     half = n // 2
-    if exhaustive:
-        best, witness = -1.0, None
-    else:
-        signed, t = _folded_draws(n, length, seed, samples)
-        folded = np.abs(signed)
+    best, witness = -1.0, None
+    if not exhaustive:
+        rng = np.random.default_rng(seed)
+        start = rng.integers(0, n, samples).astype(np.int32)  # with step: 6 bytes a draw below n = 2^15
+        step = rng.integers(1, n, samples).astype(np.int16 if n < 2**15 else np.int32)
+        folded = np.minimum(step, n - step)
         order = np.argsort(folded, kind="stable").astype(np.int32)
-        # the draws of step q are order[edges[q] : edges[q + 1]]
+        # once sorted, the draws of folded step q are those in edges[q] : edges[q + 1]
         edges = np.concatenate([[0], np.cumsum(np.bincount(folded, minlength=half + 1))])
         del folded
-        sums = np.empty(samples)
+        start, step = start[order], step[order]  # each block then reads one run of draws
+        inverse = np.array([0] + [pow(q, -1, n) for q in range(1, half + 1)], dtype=np.int64)
     rows = min(half, max(1, _SCAN_BLOCK_CELLS // (n + 1)))
     terms = np.arange(n)
     padded = np.append(values, 0.0)
@@ -383,16 +352,21 @@ def max_progression_mass(
                 top = int(np.argmax(w[r]))
                 witness = Progression(modulus=n, start=int(qt[r, top]), step=q0 + r, length=length)
         else:
-            drawn = order[edges[q0] : edges[q0 + k]]
-            sums[drawn] = w[np.abs(signed[drawn]) - q0, t[drawn]]
-    if not exhaustive:
-        j = int(np.argmax(sums))  # the first maximizing draw
-        best = float(sums[j])
-        q = abs(int(signed[j]))
-        start = q * int(t[j]) % n
-        if signed[j] < 0:  # report the drawn step, read forwards from its own start
-            start, q = (start + (length - 1) * q) % n, n - q
-        witness = Progression(modulus=n, start=start, step=q, length=length)
+            drawn = slice(edges[q0], edges[q0 + k])
+            drawn_step = step[drawn]
+            q = np.minimum(drawn_step, n - drawn_step)
+            t = inverse[q]  # int64, as s q^-1 outgrows int32 above n = 46341
+            t *= start[drawn]
+            t -= (length - 1) * (drawn_step > half)  # step n - q from s: step q's window L - 1 earlier
+            t %= n
+            sums = w[q - q0, t]
+            if sums.size and sums.max() >= best:
+                peak = sums.max()
+                tied = drawn.start + np.flatnonzero(sums == peak)
+                j = tied[np.argmin(order[tied])]  # the block's first maximizing draw, in the order drawn
+                if peak > best or order[j] < first:
+                    best, first = float(peak), order[j]
+                    witness = Progression(modulus=n, start=int(start[j]), step=int(step[j]), length=length)
     return best, witness, mode
 
 
@@ -722,18 +696,19 @@ def normal_subgroup_min_index(group: FiniteGroup, cap: int) -> int | None:
     """Minimal index of a proper normal subgroup if it is at most cap, else None.
 
     Nonabelian groups enumerate the normal subgroups that unions of conjugacy
-    classes generate (``generated_subgroup``); abelian groups always attain the
-    smallest prime factor of the order, so that value is returned directly.
+    classes generate (``generated_subgroup``), up to order NORMAL_SUBGROUP_CAP;
+    abelian groups of any order attain the smallest prime factor of the order,
+    so that value is returned directly.
     """
-    if group.order > NORMAL_SUBGROUP_CAP:
-        raise GroupTooLarge(
-            f"normal subgroup enumeration capped at order {NORMAL_SUBGROUP_CAP}"
-        )
     if group.order == 1:
         return None
     if group.is_abelian:
         index = _smallest_prime_factor(group.order)
         return index if index <= cap else None
+    if group.order > NORMAL_SUBGROUP_CAP:
+        raise GroupTooLarge(
+            f"normal subgroup enumeration capped at order {NORMAL_SUBGROUP_CAP}"
+        )
     classes = group.conjugacy_classes()
     trivial = frozenset({group.identity})
     found = {trivial}

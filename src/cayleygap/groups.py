@@ -5,7 +5,8 @@ an array-valued ``mul``/``inv`` pair that accepts ints or broadcast index
 arrays.  Closed-form families (cyclic, abelian products, dihedral) compute it
 from integer parameters by a rule that holds by construction; generic groups,
 permutation closures included, read it from an integer table that ``TableGroup``
-proves a group once, exactly.  A group holds no n x n array derived from its law.
+proves a group once, exactly.  A closed-form group holds no n x n array derived
+from its law; a table group holds exactly one, its read-only int32 table.
 Subsets are immutable 0/1 indicator vectors and functions are numpy value
 vectors, so product sets, k-th roots, convolution and diameter all reduce to
 vectorized index arithmetic.

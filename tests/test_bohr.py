@@ -427,8 +427,8 @@ class TestProgressionScan:
             max_progression_mass(np.ones(7), 3, exhaustive=False, samples=samples)
 
     def test_sampled_peak_on_scan_cyclic1009(self):
-        """Held at the former kernel's 3.13 MiB: the draws are folded in place
-        and kept as an int32 window index and a signed int16 step."""
+        """Held at the former kernel's 3.13 MiB: the draws are kept as drawn,
+        as an int32 start and an int16 step, and no per-draw sum is stored."""
         b = resolve_subset(make_group("cyclic(1009)"), "random(30)", np.random.default_rng(0))
         counts = rep_count(b, 2).values.astype(np.float64)
         max_progression_mass(counts, 404, exhaustive=False)  # numpy.random's lazy imports are not the scan's
@@ -675,7 +675,14 @@ class TestNormalSubgroups:
 
     def test_cap_enforced(self):
         with pytest.raises(GroupTooLarge):
-            normal_subgroup_min_index(make_group("cyclic(201)"), 5)
+            normal_subgroup_min_index(make_group("dihedral(101)"), 5)
+
+    def test_abelian_groups_answer_above_the_cap(self):
+        """The cap guards the class enumeration of nonabelian groups only: an
+        abelian group of prime order 211 has no proper subgroup but the trivial one."""
+        group = make_group("cyclic(211)")
+        assert normal_subgroup_min_index(group, 211) == 211
+        assert normal_subgroup_min_index(group, 5) is None
 
 
 class TestLargeSpectrum:

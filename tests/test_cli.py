@@ -128,6 +128,13 @@ class TestBohrCommand:
         cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(36)\ndelta = 0.4\nrep = 1\neps = 0.5\n")
         assert main(["bohr", "--config", cfg]) == EXIT_ERROR
 
+    def test_eps_rows_on_an_abelian_group_above_the_enumeration_cap(self, tmp_path):
+        cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(211)\ndelta = 0.3\neps = 0.2\n")
+        out = tmp_path / "bohr.csv"
+        assert main(["bohr", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        rows = [line.split(",") for line in out.read_text().splitlines() if "-07-eps-size," in line]
+        assert len(rows) == 210 and all(row[-1] == "pass" for row in rows)
+
     def test_stacks_over_the_dense_budget_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(100003)\ndelta = 0.3\n")
         assert main(["bohr", "--config", cfg]) == EXIT_ERROR
