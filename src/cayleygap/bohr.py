@@ -10,9 +10,11 @@ bounds with normal-subgroup certification, and the basis bounds they imply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,18 +187,23 @@ def convolution_share(p: GroupSubset, f: GroupFunction, d: int) -> float:
 # -- guaranteed interval search on Z/N ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Progression:
-    """Arithmetic progression {start + j*step mod modulus : 0 <= j < length}."""
-
+class _ProgressionFields(NamedTuple):
     modulus: int
     start: int
     step: int
     length: int
 
-    def __post_init__(self):
+
+class Progression(_ProgressionFields):
+    """Arithmetic progression {start + j*step mod modulus : 0 <= j < length}."""
+
+    __slots__ = ()  # no instance __dict__: the fields stay the only attributes
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (1 <= self.length <= self.modulus):
             raise ValueError(f"progression length {self.length} out of range")
+        return self
 
     def index_array(self) -> np.ndarray:
         return (self.start + self.step * np.arange(self.length)) % self.modulus
@@ -616,8 +623,7 @@ def bohr_tail_check(
     )
 
 
-@dataclass(frozen=True)
-class BohrSizeThresholds:
+class BohrSizeThresholds(NamedTuple):
     """Radii guaranteeing |Bohr| <= |G|/2, and <= eps|G| under certification."""
 
     dim: int
@@ -730,8 +736,7 @@ def normal_subgroup_min_index(group: FiniteGroup, cap: int) -> int | None:
 # -- large spectrum ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LargeSpectrum:
+class LargeSpectrum(NamedTuple):
     """Representations whose Fourier coefficient norm reaches eps |A|."""
 
     set_size: int
@@ -739,9 +744,6 @@ class LargeSpectrum:
     indices: tuple[int, ...]
     labels: tuple[str, ...]
     norms: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def large_spectrum(a: GroupSubset, eps: float) -> LargeSpectrum:
@@ -758,15 +760,14 @@ def large_spectrum(a: GroupSubset, eps: float) -> LargeSpectrum:
     )
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(NamedTuple):
     """Outcome of an exhaustive inclusion check."""
 
     name: str
     checked: int
     failures: int
     vacuous: bool = False
-    parameters: dict = field(default_factory=dict)
+    parameters: Mapping = MappingProxyType({})  # read-only: no instance shares a dict
     pairs: tuple[tuple[int, int, int], ...] = ()  # failing (i, j, k) label triples
 
     @property
@@ -915,8 +916,7 @@ def bohr_doubling_check(rep: UnitaryRepresentation, delta: float) -> BoundReport
     return bohr_doubling_rows([rep], delta)[0]
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(NamedTuple):
     """Greedy Ruzsa covering of Bohr(delta) by translates of Bohr(delta/2)."""
 
     rep_label: str

@@ -12,10 +12,12 @@ Representation counts are convolved once per (factors, d) and shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +36,17 @@ from .spectra import lambda1, lambda1_of_function, lambda1_star, variational_lam
 SLACK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class _BoundFields(NamedTuple):
+    bound_name: str
+    bound_value: float
+    measured: float
+    sense: str = ">="
+    vacuous: bool = False
+    parameters: Mapping = MappingProxyType({})  # read-only: no instance shares a dict
+    bound_exact: Fraction | None = None
+
+
+class BoundReport(_BoundFields):
     """One verified inequality instance.
 
     ``sense`` is the asserted relation between measured and bound value
@@ -44,17 +55,13 @@ class BoundReport:
     holds == (slack >= -1e-9) is uniform across senses.
     """
 
-    bound_name: str
-    bound_value: float
-    measured: float
-    sense: str = ">="
-    vacuous: bool = False
-    parameters: dict = field(default_factory=dict)
-    bound_exact: Fraction | None = None
+    __slots__ = ()  # no instance __dict__: the fields stay the only attributes
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.sense not in (">=", "<="):
             raise ValueError(f"sense must be '>=' or '<=', got {self.sense!r}")
+        return self
 
     @property
     def slack(self) -> float:

@@ -30,7 +30,7 @@ from .bounds import (
     verify_uniformity,
 )
 from .config import load_config, resolve_subset
-from .errors import CayleyGapError, HypothesisFail, NotCataloged
+from .errors import CayleyGapError, GroupTooLarge, HypothesisFail, NotCataloged
 from .experiments import EXPERIMENTS
 from .groups import GroupSubset, diameter, make_group
 from .reports import bound_record, emit_report, records_pass, render_report
@@ -166,18 +166,10 @@ def cmd_bohr(args) -> int:
     index = _positive_int(cfg, "rep", None, stop=len(catalog))
     reps = catalog.nontrivial() if index is None else [catalog[index]]
 
+    columns = ["instance", "check", "group", "params", "measured", "bound", "verdict"]
+
     def add(instance, check, params, measured, bound, verdict):
-        records.append(
-            {
-                "instance": instance,
-                "check": check,
-                "group": group.name,
-                "params": params,
-                "measured": measured,
-                "bound": bound,
-                "verdict": verdict,
-            }
-        )
+        records.append(dict(zip(columns, (instance, check, group.name, params, measured, bound, verdict))))
 
     def add_bound(instance, report, params):
         add(instance, report.bound_name, params, report.measured, report.bound_value, report.verdict)
@@ -191,8 +183,7 @@ def cmd_bohr(args) -> int:
         bohr_mod.bohr_doubling_rows(reps, delta) if delta <= 0.4 else [None] * len(reps),
         bohr_mod.ruzsa_covering_rows(reps, delta),
     ) if reps else ()
-    eps_sizes = None
-    for i, (rep, sym, rule, half, doubling, covering) in enumerate(battery):
+    for rep, sym, rule, half, doubling, covering in battery:
         label = rep.label
         add(f"{label}-01-symmetry", sym.name, f"delta={delta:g}", sym.failures, 0, sym.verdict)
         params = f"delta={delta / 2:g}+{delta / 2:g}"
@@ -212,14 +203,18 @@ def cmd_bohr(args) -> int:
         radius = bohr_mod.find_regular(rep, window)
         params = f"window=[{window:g},{2 * window:g}]"
         add(f"{label}-06-regular", "regular_radius_exists", params, radius, 2 * window, "pass")
-        if "eps" in cfg:
-            # after the first regular search, whose failure a bad eps must not mask
-            eps_sizes = eps_sizes or bohr_mod.bohr_eps_size_rows(reps, _real(cfg, "eps", None))
-            add_bound(f"{label}-07-eps-size", eps_sizes[i], f"eps={cfg['eps']:g}")
+    if "eps" in cfg and reps:
+        # after the whole battery, so a bad eps masks none of its failures
+        try:
+            eps_sizes = bohr_mod.bohr_eps_size_rows(reps, _real(cfg, "eps", None))
+        except GroupTooLarge:
+            eps_sizes = []  # normal subgroups not enumerable at this order: the rows are left out
+        for rep, report in zip(reps, eps_sizes):
+            add_bound(f"{rep.label}-07-eps-size", report, f"eps={cfg['eps']:g}")
     if len(reps) >= 2:
         multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
         add_bound("zz-multi-bohr", multi, f"delta={delta:g}")
-    _emit(records, args, columns=["instance", "check", "group", "params", "measured", "bound", "verdict"])
+    _emit(records, args, columns=columns)
     return EXIT_PASS if records_pass(records) else EXIT_FAIL
 
 

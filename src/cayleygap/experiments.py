@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +39,10 @@ _TRIPLE_FREE_CAP = 500
 _BK_CHECK_CAP = 10_000_000
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     name: str
     seed: int
-    records: list[dict] = field(default_factory=list)
+    records: list[dict]  # appended to by the experiment; each constructor passes a new []
 
     @property
     def passed(self) -> bool:
@@ -92,7 +91,7 @@ def run_triple_free(group: FiniteGroup, seed: int) -> ExperimentResult:
     """Maximal e-free-triple set: gap bounds for Cay(A) and Cay(A u sqrt(A^-1))."""
     if group.order > _TRIPLE_FREE_CAP:
         raise GroupTooLarge(f"triple-free experiment capped at order {_TRIPLE_FREE_CAP}")
-    result = ExperimentResult(name="triple-free", seed=seed)
+    result = ExperimentResult(name="triple-free", seed=seed, records=[])
     a = grow_triple_free(group, seed)
     if a.size == 0:
         raise HypothesisFail("no nonempty triple-free set exists (trivial group)")
@@ -187,7 +186,7 @@ def run_sidon(n: int, k: int, seed: int, size_constant: float = 1.0) -> Experime
         raise HypothesisFail(f"modulus must be prime, got {n}")
     if k < 2:
         raise HypothesisFail(f"B_k sets need k >= 2, got {k}")
-    result = ExperimentResult(name="sidon", seed=seed)
+    result = ExperimentResult(name="sidon", seed=seed, records=[])
     elements = grow_bk_set(n, k, seed)
     if not is_bk_set(elements, k):
         raise NotBk("greedy construction failed the exhaustive k-sum check")
@@ -272,7 +271,7 @@ def run_additive_basis(n: int, seed: int) -> ExperimentResult:
     """Order-2 basis mod N: the gap of Cay(A mod N) is at least ~N/|A|^2."""
     if not is_prime(n):
         raise HypothesisFail(f"modulus must be prime, got {n}")
-    result = ExperimentResult(name="additive-basis", seed=seed)
+    result = ExperimentResult(name="additive-basis", seed=seed, records=[])
     elements = grow_additive_basis(n, seed)
     group = CyclicGroup(n)
     a = GroupSubset.from_indices(group, [x % n for x in elements])
@@ -343,7 +342,7 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
         raise LambdaResampleFail(
             f"no sampled size-{lam_size} set kept double-sum misses below N/4 in 100 tries"
         )
-    result = ExperimentResult(name="interval-union", seed=seed)
+    result = ExperimentResult(name="interval-union", seed=seed, records=[])
     s = lam_set.union(interval)
     gap = lambda1(s)
     result.records.append(

@@ -9,7 +9,6 @@ other goes through ``format_value`` cell by cell, to the same bytes.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .bounds import BoundReport
@@ -120,6 +119,7 @@ def render_report(records: list[dict], fmt: str, columns: list[str] | None = Non
         raise IoFailure(f"unsupported format {fmt!r}; use csv or json")
     ordered = sorted(records, key=lambda r: str(r.get("instance", "")))
     if fmt == "json":
+        import json  # only JSON reports load it: the CLI's CSV runs skip its import
         return json.dumps([json_ready(r) for r in ordered], indent=2, sort_keys=True) + "\n"
     if columns is None:
         columns = list(dict.fromkeys(key for r in ordered for key in r)) or BOUND_COLUMNS

@@ -26,8 +26,8 @@ where ``irrep_catalog`` raises NotCataloged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,8 +310,7 @@ def irrep_catalog(group: FiniteGroup) -> IrrepCatalog:
     raise NotCataloged(f"no representation catalog for {group.name}")
 
 
-@dataclass(frozen=True)
-class FourierCoefficient:
+class FourierCoefficient(NamedTuple):
     """Matrix Fourier coefficient of a function at one representation."""
 
     rep: UnitaryRepresentation

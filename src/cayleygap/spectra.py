@@ -44,7 +44,6 @@ per component of the real parts (cut at gaps above 1e-6) and batched by size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -195,8 +194,7 @@ def cluster_eigenvalues(values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.diff(arr, prepend=arr[:1]) > _CLUSTER_GAP)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Laplace spectrum of a Cayley graph with its singular counterpart."""
 
     eigenvalues: np.ndarray  # display order: trivial 0 first, rest by modulus
@@ -518,8 +516,7 @@ def laplace_spectrum_blocks(s: GroupSubset) -> SpectrumReport:
     )
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     """The scalar spectral quantities of one nonempty subset.
 
     ``norm`` is the largest nontrivial Fourier-coefficient operator norm; the
@@ -591,8 +588,7 @@ def balanced_function(b: GroupSubset) -> GroupFunction:
     return GroupFunction(group, values)
 
 
-@dataclass(frozen=True)
-class WalkEnergyReport:
+class WalkEnergyReport(NamedTuple):
     """Both sides of the closed-walk identity for the balanced function."""
 
     k: int

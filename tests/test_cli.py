@@ -135,6 +135,16 @@ class TestBohrCommand:
         rows = [line.split(",") for line in out.read_text().splitlines() if "-07-eps-size," in line]
         assert len(rows) == 210 and all(row[-1] == "pass" for row in rows)
 
+    def test_eps_rows_left_out_above_the_normal_subgroup_cap(self, tmp_path):
+        # dihedral(101) has order 202, above the nonabelian enumeration cap of 200
+        body = "group = dihedral(101)\ndelta = 0.3\n"
+        plain, with_eps = tmp_path / "plain.csv", tmp_path / "eps.csv"
+        assert main(["bohr", "--config", write_config(tmp_path, "a.cfg", body), "--out", str(plain)]) == EXIT_PASS
+        cfg = write_config(tmp_path, "b.cfg", body + "eps = 0.2\n")
+        assert main(["bohr", "--config", cfg, "--out", str(with_eps)]) == EXIT_PASS
+        assert with_eps.read_bytes() == plain.read_bytes()
+        assert len(plain.read_text().splitlines()) == 1 + 307
+
     def test_stacks_over_the_dense_budget_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(100003)\ndelta = 0.3\n")
         assert main(["bohr", "--config", cfg]) == EXIT_ERROR
@@ -413,7 +423,9 @@ class TestConfigErrors:
 
 class TestImports:
     """A CLI run never imports ``numpy.ma``: numpy's unique pulls it in on its
-    first call, so one stray call costs every run that import."""
+    first call, so one stray call costs every run that import.  Nor does the
+    CLI import load ``dataclasses`` or ``json``: the records are NamedTuples
+    and only JSON reports import ``json``."""
 
     PROBE = (
         "import contextlib, io, sys\n"
@@ -448,6 +460,25 @@ class TestImports:
         if eager == "True":
             pytest.skip("this numpy imports numpy.ma with numpy itself")
         assert (code, imported) == (str(EXIT_PASS), "False")
+
+
+    GUARD = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy\n"
+        "loaded = set(sys.modules)\n"
+        "import cayleygap.cli\n"
+        "print(sorted({'dataclasses', 'json'} & (set(sys.modules) - loaded)))\n"
+    )
+
+    def test_cli_import_loads_neither_dataclasses_nor_json(self):
+        """Against what ``import numpy`` alone loads, so a numpy that imports
+        either module itself does not fail the guard."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", self.GUARD, str(src)], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestCollector:
