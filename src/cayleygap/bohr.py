@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, _exceptional_report, rep_count, symmetrized_rep_count
+from .bounds import BoundReport, _exact, _exceptional_report, rep_count, symmetrized_rep_count
 from .errors import (
     DeltaOutOfRange,
     EmptyRepList,
@@ -1188,12 +1188,13 @@ def verify_progression_basis_bound(
 
 def verify_bohr_basis_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None = None) -> BoundReport:
     """Nonabelian basis bound g(|G| - 2|O|) / (8 d^2 |B|^(2d)) from B*B^-1 counts,
-    exact as a Fraction when g is integral."""
+    exact as a Fraction when g is integral or rational."""
     order = b.group.order
+    ge = _exact(g)
 
     def formula(omega_size):
-        if float(g).is_integer():
-            exact = Fraction(Fraction(g) * (order - 2 * omega_size), 8 * d * d * b.size ** (2 * d))
+        if ge is not None:
+            exact = Fraction(ge * (order - 2 * omega_size), 8 * d * d * b.size ** (2 * d))
             return float(exact), exact, {}
         return float(g) * (order - 2 * omega_size) / (8 * d * d * float(b.size) ** (2 * d)), None, {}
 

@@ -231,6 +231,8 @@ class IrrepCatalog:
 
     @property
     def d_min(self) -> int:
+        if len(self) == 1:
+            raise NotCataloged("trivial group has no nontrivial representation")
         dims = [d for k, d in self.shapes for _ in range(k)]
         del dims[self.trivial_index]
         return min(dims)
@@ -379,7 +381,4 @@ def set_norm(s: GroupSubset, catalog: IrrepCatalog | None = None) -> float:
 
 def d_min(group: FiniteGroup) -> int:
     """Minimal dimension of a nontrivial irreducible representation."""
-    catalog = irrep_catalog(group)
-    if len(catalog) == 1:
-        raise NotCataloged("trivial group has no nontrivial representation")
-    return catalog.d_min
+    return irrep_catalog(group).d_min

@@ -8,23 +8,21 @@ quadratic form of the Hermitian part on the mean-zero subspace, which keeps it
 well defined for non-symmetric generating sets.
 
 The dense path first splits over an elementary abelian 2-subgroup H of left
-translations: M(x, y) = S(x^-1 y) commutes with every L_h f(x) = f(hx), so
+translations, built greedily by index (the involutions need only commute with
+each other): M(x, y) = S(x^-1 y) commutes with every L_h f(x) = f(hx), so
 Delta is block-diagonal on the 2^r eigenspaces of the sign characters of H,
-each of size |G|/|H| and gathered as integer counts from the group law.  A
-set closed under conjugation (every set in an abelian group, every union of
-classes) takes H = {e, z} for the smallest central involution z, where G
-has one, and then the inversion split on each part: J f = f o inv
-satisfies J M J = M^T and, z being central, maps each part to itself, so in
-the basis of J-even and J-odd vectors the part splits into two symmetric
-blocks and a skew coupling.  The coupling, rotated into the blocks'
-eigenvectors, lives in clusters of equal real part; each cluster is a small
-block, and a Bauer-Fike certificate on the dropped remainder falls back to
-one solve of the part above 1e-9.  Any other set takes a maximal H, built
-greedily by index (the involutions need only commute with each other), and
-runs each solve once over the stack of parts: one eigvalsh of Delta for a
-symmetric set, else the star operator and the Hermitian part.  For a normal
-Delta the spectrum mu gives the variational gap (min Re mu) and the star
-spectrum 1 - |1 - mu|^2 too.  On the benchmark's spectrum configs,
+each of size |G|/|H| and gathered as integer counts from the group law.  On
+an abelian group H is every x with x^2 = e, all central, and the parts take
+the inversion split, stacked where they share the blocks' shapes: J f = f o
+inv satisfies J M J = M^T and maps each part to itself, so in the basis of
+J-even and J-odd vectors a part splits into two symmetric blocks and a skew
+coupling.  The coupling, rotated into the blocks' eigenvectors, lives in
+clusters of equal real part; each cluster is a small block, and a Bauer-Fike
+certificate on the dropped remainder falls back to one solve of the part
+above 1e-9.  A nonabelian group solves once over the stack of parts: eigvalsh
+of Delta for a symmetric set, else the star operator and the Hermitian part.
+For a normal Delta the spectrum mu gives the variational gap (min Re mu) and
+the star spectrum 1 - |1 - mu|^2 too.  On the benchmark's spectrum configs,
 cyclic(1200) random(12) and abelian_product([12, 15]) random(10) take the
 split with coupling on each half, cyclic(1000) symmetric_random(10) the
 symmetric split on each half, dihedral(500) symmetric_random(8) one eigvalsh
@@ -55,7 +53,7 @@ from .representations import check_dense_budget, irrep_catalog, operator_norms
 
 _CLUSTER_GAP = 1e-6  # eigenvalues closer than this along the real axis share a cluster
 _SPLIT_TOL = 1e-9  # largest certified error of the inversion-split spectrum
-_GATHER_CELLS = 2**16  # cells of one product index while the split gathers its grids
+_GATHER_CELLS = 2**16  # cells of one product index of the split's gathers, and of one stack of small abelian parts
 
 
 def markov_matrix(s: GroupSubset) -> np.ndarray:
@@ -231,20 +229,12 @@ def _normal_gaps(mu: np.ndarray) -> tuple[float, np.ndarray]:
     return float(rest.real.min()) if rest.size else 0.0, np.sort(1.0 - np.abs(1.0 - mu) ** 2)
 
 
-def _conjugation_closed(s: GroupSubset) -> bool:
-    """Exact test that g^-1 S g lies in S for every g in G: it is enough for each
-    generator, since (gh)^-1 S gh = h^-1 (g^-1 S g) h."""
-    group = s.group
-    gens = group.generators[:, None]
-    return bool(s.membership[group.mul(group.mul(group.inv(gens), s.indices[None, :]), gens)].all())
-
-
 class _Split(NamedTuple):
     """Delta split over an elementary abelian 2-subgroup H of left translations.
 
     Element j of ``h`` is the product of H's generators t_i over the bits i set
     in j, so the sign characters of H are eps_k(h_j) = (-1)^popcount(j & k)
-    (``_characters``).  Part k has the orthonormal basis w_x = sum_h eps_k(h)
+    (``_inversion_layout``).  Part k has the orthonormal basis w_x = sum_h eps_k(h)
     e_hx / sqrt|H| over the coset representatives ``reps`` = {x : x = min Hx},
     and ``counts[k]`` holds |S| <w_x, M w_y> = sum_h eps_k(h) S(x^-1 h y) there.
     Part 0, eps = 1, holds the constants."""
@@ -254,72 +244,56 @@ class _Split(NamedTuple):
     counts: np.ndarray  # (|H|, m, m) integers, m = |G| / |H|
 
 
-def _translations(group, closed: bool) -> np.ndarray:
+def _translations(group) -> np.ndarray:
     """H, built greedily by index from the involutions t != e, in the order of
-    ``_Split.h``.  For a conjugation-closed S it is {e, z} with z the smallest
-    central involution ({e} without one): the inversion split needs central
-    translations.  Otherwise each next t is the smallest involution outside H
-    that commutes with the t's taken so far; an involution passed over then
-    also fails against the final H, so no involution extends it."""
+    ``_Split.h``: each next t is the smallest involution outside H that
+    commutes with the t's taken so far; an involution passed over then also
+    fails against the final H, so no involution extends it.  On an abelian
+    group that is every x with x^2 = e."""
     idx = group._indices()
     candidates = idx[(group.mul(idx, idx) == group.identity) & (idx != group.identity)]
     free = np.ones(candidates.size, dtype=bool)
-    if closed:
-        gens = group.generators[None, :]
-        free = (group.mul(candidates[:, None], gens) == group.mul(gens, candidates[:, None])).all(axis=1)
     h = np.array([group.identity], dtype=idx.dtype)
     in_h = np.zeros(group.order, dtype=bool)
     while free.any():
         t = candidates[np.argmax(free)]
         h = np.concatenate((h, group.mul(t, h)))
-        if closed:
-            break
         in_h[h] = True
         free &= (group.mul(candidates, t) == group.mul(t, candidates)) & ~in_h[candidates]
     return h
 
 
-def _characters(size: int) -> np.ndarray:
-    """The sign characters of H as rows: eps_k(h_j) = (-1)^popcount(j & k), the
-    Sylvester-Hadamard matrix of order |H|."""
-    table = np.ones((1, 1), dtype=np.int8)
-    while table.shape[0] < size:
-        table = np.block([[table, table], [table, -table]])
-    return table
-
-
-def _split(s: GroupSubset, closed: bool) -> _Split:
+def _split(s: GroupSubset) -> _Split:
     """The parts of Delta over ``_translations``: M(x, y) = S(x^-1 y) commutes
     with every left translation L_h f(x) = f(hx), so Delta is block-diagonal on
     the eigenspaces of the L_h, one per sign character of H.
 
-    The grids G_h = S(R^-1 h R) are gathered once per h, through one product
-    index of at most ``_GATHER_CELLS`` cells at a time, straight into an
-    integer dtype that holds +-|H| (int8 overflows at |H| = 128), and
-    Walsh-Hadamard butterflies (u, v) -> (u + v, u - v) turn them in place
-    into the counts sum_h eps_k(h) G_h of every part.  The counts, one product
-    index and the float stack that the solves take (every part at once for a
-    set that is not closed, one part for a closed one) must fit the dense
-    budget, else GroupTooLarge is raised before anything is gathered."""
+    The grids G_h = S(R^-1 h R) of every h are gathered through one product
+    index of at most ``_GATHER_CELLS`` cells (or one row) at a time, straight
+    into an integer dtype that holds +-4|H|, as the inversion split sums four
+    counts, and Walsh-Hadamard butterflies (u, v) -> (u + v, u - v) turn them
+    in place into the counts sum_h eps_k(h) G_h of every part.  The counts, one
+    product index and the float stack that the solves take (every part on a
+    nonabelian group, one on an abelian one, whose stacks of small parts hold at
+    most ``_GATHER_CELLS`` cells more) must fit the dense budget, else
+    GroupTooLarge is raised before anything is gathered."""
     group = s.group
-    h = _translations(group, closed)
-    idx = group._indices()
-    low = idx
-    for x in h[1:].tolist():
-        low = np.minimum(low, group.mul(x, idx))
+    h = _translations(group)
+    low = idx = group._indices()
+    for i in range(h.size.bit_length() - 1):  # min over Hx, one generator h[2^i] of H at a time
+        low = np.minimum(low, low[group.mul(h[1 << i], idx)])
     reps = idx[low == idx]
     k, m = h.size, reps.size
-    dtype = np.dtype(next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= k))
-    chunk = max(1, min(m, _GATHER_CELLS // m))  # rows of one product index
+    dtype = np.dtype(next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= 4 * k))
+    chunk = max(1, min(k * m, _GATHER_CELLS // m))  # rows of one product index
     index_bytes = chunk * m * group.mul(reps[:1], reps[:1]).itemsize
-    needed = (k * dtype.itemsize + 8 * (1 if closed else k)) * m * m + index_bytes
+    needed = (k * dtype.itemsize + 8 * (1 if group.is_abelian else k)) * m * m + index_bytes
     check_dense_budget(needed, f"dense spectrum of {group.name}: the counts of {k} parts of side {m}")
     counts = np.empty((k, m, m), dtype=dtype)
-    membership, left = s.membership.astype(dtype), group.inv(reps)[:, None]
-    for j, x in enumerate(h.tolist()):
-        hx = group.mul(left, x)
-        for lo in range(0, m, chunk):
-            np.take(membership, group.mul(hx[lo : lo + chunk], reps[None, :]), out=counts[j, lo : lo + chunk])
+    membership, rows = s.membership.astype(dtype), counts.reshape(k * m, m)
+    left = group.mul(group.inv(reps)[None, :], h[:, None]).reshape(-1, 1)  # x^-1 h for row (h, x)
+    for lo in range(0, k * m, chunk):
+        np.take(membership, group.mul(left[lo : lo + chunk], reps[None, :]), out=rows[lo : lo + chunk])
     half = 1
     while half < k:
         pairs = counts.reshape(-1, 2, half, m, m)
@@ -332,58 +306,65 @@ def _split(s: GroupSubset, closed: bool) -> _Split:
 
 
 def _inversion_block(counts: np.ndarray, k: int, scale: float, identity: bool) -> np.ndarray:
-    """counts / scale as a float block, with the rows and columns from k on,
-    those of the J-fixed points, normalized, plus I when ``identity``.
-    The counts are taken against w_p +- w_p^-1, of norm sqrt2 for a pair but
-    2 for a fixed point t (w_t^-1 = +-w_t), so each fixed index takes one more
-    factor 1/sqrt2."""
+    """counts / scale as a stack of float blocks, plus I when ``identity``.
+    The counts are taken against w_p +- w_p^-1, of norm sqrt2 for a pair but 2
+    for a J-fixed point t (w_t^-1 = +-w_t), so each index from k on, those of
+    the fixed points, takes one more factor 1/sqrt2."""
     block = counts / scale
-    block[:k, k:] /= np.sqrt(2.0)
-    block[k:, :k] /= np.sqrt(2.0)
-    block[k:, k:] /= 2.0
+    block[:, :k, k:] /= np.sqrt(2.0)
+    block[:, k:, :k] /= np.sqrt(2.0)
+    block[:, k:, k:] /= 2.0
     if identity:
-        block.flat[:: block.shape[0] + 1] += 1.0
+        np.einsum("kii->ki", block)[:] += 1.0  # a view of every diagonal, whatever the layout
     return block
 
 
-def _inversion_blocks(s: GroupSubset, split: _Split, part: int):
-    """Yield A, then C, then B (only for a non-symmetric S; it vanishes for a
-    symmetric one) of R^T Delta R = [[A, B], [-B^T, C]] on one part of a
-    conjugation-closed S's split, whose H is central.
-
-    J f = f o inv satisfies J M J = M^T when S is closed under conjugation, and
-    it commutes with every central L_h, so it maps each part to itself: with
-    x^-1 = h' rep(x^-1), J w_x = w_x^-1 = eps(h') w_rep(x^-1), a signed
-    permutation of the basis.  R is the orthonormal basis of J-even vectors,
-    (w_p + w_p^-1)/sqrt2 for the pairs p < rep(p^-1), then w_t for the fixed
-    points of sign +1 (t^-1 = t, or t^-1 = zt on the even half), then J-odd
-    vectors (w_p - w_p^-1)/sqrt2 and w_t for the fixed points of sign -1 (t^2 = z
-    on the odd half).  The entries are the part's counts G1 = <w_x, M w_y>,
-    G2 = <w_x, M w_y^-1> and G3 = <w_x^-1, M w_y> over the representatives,
-    the latter two signed column and row permutations of the part's counts,
-    with <w_x^-1, M w_y^-1> = G1^T by the closure, divided by |S| and the
-    norms of the two basis vectors (``_inversion_block``).  Each float block
-    is built only when the caller asks for the next and is held by the caller
-    alone, so a solved block is freed first."""
-    h, reps, counts = split
-    coset = s.group.mul(h[:, None], s.group.inv(reps)[None, :])  # H x^-1 for each representative x
+def _inversion_layout(group, split: _Split) -> tuple[np.ndarray, np.ndarray]:
+    """q and signs, shared by the parts of an abelian group's split: x^-1 =
+    h_j reps[q[x]] for each representative x, and J w_x = signs[k, x] w_reps[q[x]]
+    on part k, signs[k, x] = eps_k(h_j) = (-1)^popcount(j & k) by Sylvester's doubling."""
+    h, reps, _ = split
+    coset = group.mul(h[:, None], group.inv(reps)[None, :])  # H x^-1 for each representative x
     j = np.argmin(coset, axis=0)
-    q = np.searchsorted(reps, coset[j, np.arange(reps.size)])  # x^-1 = h_j reps[q]
-    sign = _characters(h.size)[part][j]  # J w_x = sign[x] w_reps[q[x]]
-    pos = np.arange(reps.size)
-    pairs, fixed = pos[pos < q], pos[pos == q]
-    odd = sign[fixed] < 0  # w_t^-1 = -w_t
+    signs = np.ones((1, reps.size), dtype=np.int8)
+    while signs.shape[0] < h.size:
+        signs = np.concatenate((signs, np.where(j & signs.shape[0], -signs, signs)))
+    return np.searchsorted(reps, coset[j, np.arange(reps.size)]), signs
+
+
+def _inversion_blocks(s: GroupSubset, counts: np.ndarray, signs: np.ndarray, q: np.ndarray, parts: list[int]):
+    """Yield A, then C, then B (only for a non-symmetric S; it vanishes for a
+    symmetric one) of R^T Delta R = [[A, B], [-B^T, C]], each stacked over
+    ``parts`` of an abelian group's split with the same signs on the J-fixed
+    points, read from the split's counts and ``_inversion_layout`` without a
+    copy of either.  Any S closed under conjugation and central H would do;
+    every S and H on an abelian group are.
+
+    J f = f o inv satisfies J M J = M^T by the closure and commutes with every
+    central L_h, so it maps each part to itself: J w_x = w_x^-1 = signs[x]
+    w_reps[q[x]].  R is the orthonormal basis of J-even vectors,
+    (w_p + w_p^-1)/sqrt2 for the pairs p < q[p] and w_t for the fixed points
+    t = q[t] of sign +1, then J-odd ones, (w_p - w_p^-1)/sqrt2 and w_t of sign
+    -1.  The entries are the counts G1 = <w_x, M w_y>, G2 = <w_x, M w_y^-1>
+    and G3 = <w_x^-1, M w_y>, the latter two signed permutations of G1's
+    columns and rows, with <w_x^-1, M w_y^-1> = G1^T by the closure, divided
+    by |S| and the norms of the basis vectors (``_inversion_block``).  Each
+    float block is built only when the caller asks for the next and is held by
+    the caller alone, so a solved block is freed first."""
+    pairs, fixed = np.flatnonzero(np.arange(q.size) < q), np.flatnonzero(np.arange(q.size) == q)
+    odd = signs[parts[0], fixed] < 0  # w_t^-1 = -w_t, alike on every part of the stack
     order = np.concatenate((pairs, fixed[~odd], fixed[odd]))
     k, ke = pairs.size, order.size - int(odd.sum())
-    rows, partners = counts[part][order], q[order]  # two-step takes, several times faster than np.ix_
-    g1, g2 = rows[:, order], rows[:, partners] * sign[order]
+    partners, signs, parts = q[order], signs[parts][:, order], np.asarray(parts)[:, None]
+    rows = counts[parts, order]  # two-step takes, several times faster than np.ix_
+    g1, g2 = rows[:, :, order], rows[:, :, partners] * signs[:, None, :]
     del rows
-    g3 = counts[part][partners][:, order] * sign[order][:, None]
-    odd_rows = np.r_[0:k, ke : order.size]
-    yield _inversion_block((g1 + g1.T + g2 + g3)[:ke, :ke], k, -2.0 * s.size, identity=True)
-    yield _inversion_block((g1 + g1.T - g2 - g3)[odd_rows][:, odd_rows], k, -2.0 * s.size, identity=True)
+    g3 = counts[parts, partners][:, :, order] * signs[:, :, None]
+    g1t, odd_rows = g1.transpose(0, 2, 1), np.r_[0:k, ke : order.size]
+    yield _inversion_block((g1 + g1t + g2 + g3)[:, :ke, :ke], k, -2.0 * s.size, identity=True)
+    yield _inversion_block((g1 + g1t - g2 - g3)[:, odd_rows][:, :, odd_rows], k, -2.0 * s.size, identity=True)
     if not s.is_symmetric:
-        yield _inversion_block((g1.T - g1 + g2 - g3)[:ke, odd_rows], k, 2.0 * s.size, identity=False)
+        yield _inversion_block((g1t - g1 + g2 - g3)[:, :ke][:, :, odd_rows], k, 2.0 * s.size, identity=False)
 
 
 def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -421,45 +402,49 @@ def _coupled_spectrum(lam_e: np.ndarray, lam_o: np.ndarray, w: np.ndarray) -> np
     return np.concatenate(parts).astype(np.complex128)
 
 
-def _split_spectrum(s: GroupSubset, split: _Split, part: int) -> np.ndarray | None:
-    """Eigenvalues of Delta on one part for a conjugation-closed S from two
-    symmetric solves, or None when the coupling certificate refuses them."""
-    blocks = _inversion_blocks(s, split, part)
+def _split_spectra(s: GroupSubset, counts: np.ndarray, signs: np.ndarray, q: np.ndarray, parts: list[int]) -> list:
+    """Eigenvalues of Delta on each part of an ``_inversion_blocks`` stack, from
+    two symmetric solves, or None where the coupling certificate refuses them."""
+    blocks = _inversion_blocks(s, counts, signs, q, parts)
     if s.is_symmetric:
-        return np.concatenate(list(map(np.linalg.eigvalsh, blocks))).astype(np.complex128)
+        return list(np.concatenate(list(map(np.linalg.eigvalsh, blocks)), axis=1).astype(np.complex128))
     lam_e, q_e = np.linalg.eigh(next(blocks))
     lam_o, q_o = np.linalg.eigh(next(blocks))
-    w = q_e.T @ next(blocks) @ q_o
+    w = q_e.transpose(0, 2, 1) @ next(blocks) @ q_o
     del q_e, q_o
-    return _coupled_spectrum(lam_e, lam_o, w)
+    return list(map(_coupled_spectrum, lam_e, lam_o, w))
 
 
-def _closed_spectrum(s: GroupSubset, split: _Split, part: int) -> np.ndarray:
-    """Eigenvalues of Delta on one part for a conjugation-closed S, whose
-    operator is normal: the inversion split, or where its certificate refuses,
-    one solve of the part's Delta."""
-    mu = _split_spectrum(s, split, part)
-    if mu is None:
-        delta = _laplacian(split.counts[part], s.size)
-        mu = np.linalg.eigvalsh(delta).astype(np.complex128) if s.is_symmetric else np.linalg.eigvals(delta)
-    return mu
+def _abelian_spectrum(s: GroupSubset, split: _Split) -> np.ndarray:
+    """Eigenvalues of the normal Delta on an abelian group, part after part:
+    the inversion split, or where its certificate refuses (only for a
+    non-symmetric S), one ``eigvals`` of the part's Delta.  Parts with the same
+    signs on the J-fixed points have blocks of the same shapes and are solved
+    together, in stacks of at most ``_GATHER_CELLS`` cells or one part."""
+    counts, (q, signs) = split.counts, _inversion_layout(s.group, split)
+    alike: dict[bytes, list[int]] = {}
+    for part, key in enumerate(map(bytes, signs[:, q == np.arange(q.size)])):
+        alike.setdefault(key, []).append(part)
+    mu, step = np.empty((split.h.size, q.size), dtype=np.complex128), max(1, _GATHER_CELLS // q.size**2)
+    for parts in (same[lo : lo + step] for same in alike.values() for lo in range(0, len(same), step)):
+        for part, values in zip(parts, _split_spectra(s, counts, signs, q, parts)):
+            mu[part] = np.linalg.eigvals(_laplacian(counts[part], s.size)) if values is None else values
+    return mu.ravel()
 
 
 def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, np.ndarray]:
     """Eigenvalues of Delta = I - M/|S| (None unless ``full``), its variational
     gap, and the ascending spectrum of I - M M^T / |S|^2.
 
-    Every solve runs on the parts of ``_split``.  A conjugation-closed set
-    takes ``_closed_spectrum`` on each part; a symmetric set that is not
-    closed takes one ``eigvalsh`` of the stack of parts.  Either operator is
+    Every solve runs on the parts of ``_split``.  A set on an abelian group
+    takes ``_abelian_spectrum``; a symmetric set on a nonabelian
+    group takes one ``eigvalsh`` of the stack of parts.  Either operator is
     normal, so its eigenvalues give the gap and the star spectrum.  Any other
     set solves the star operator and the Hermitian part, each once over the
     stack, and the trivial eigenvalue leaves the part of the constants."""
-    closed = _conjugation_closed(s)
-    split = _split(s, closed)
-    size = s.size
-    if closed:
-        mu = np.concatenate([_closed_spectrum(s, split, part) for part in range(split.h.size)])
+    split, size = _split(s), s.size
+    if s.group.is_abelian:
+        mu = _abelian_spectrum(s, split)
         return (mu, *_normal_gaps(mu))
     if s.is_symmetric:
         mu = np.linalg.eigvalsh(_laplacian(split.counts, size)).ravel().astype(np.complex128)

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -927,6 +928,15 @@ class TestBasisCorollaries:
             omega = GroupSubset(d6, (counts < 1).astype(np.int8))
             report = verify_bohr_basis_bound(b, 2, 1, omega)
             assert report.holds
+
+    def test_bohr_basis_exact_side_for_rational_and_numpy_g(self):
+        # g goes through the same exactness rule as the exceptional bound
+        b = GroupSubset.from_indices(make_group("cyclic(13)"), [0, 1, 2, 3, 5])
+        half = verify_bohr_basis_bound(b, 2, Fraction(1, 2))
+        assert half.bound_exact == Fraction(13, 40000) and half.bound_value == float(half.bound_exact)
+        one = verify_bohr_basis_bound(b, 2, np.int64(1)).bound_exact
+        assert one == Fraction(13, 20000) and type(one.numerator) is int and type(one.denominator) is int
+        assert verify_bohr_basis_bound(b, 2, 0.5).bound_exact is None
 
     def test_bohr_basis_certified_a5(self, a5, rng):
         b = random_symmetric_subset(a5, 6, rng)

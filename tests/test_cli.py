@@ -215,6 +215,21 @@ class TestExperimentCommand:
         assert main(["experiment", name, "--config", cfg, "--out", str(out2)]) == EXIT_PASS
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "name,body,message",
+        [
+            # LambdaResampleFail: no size-1 set keeps the double-sum misses below N/4
+            ("interval-union", "N = 1009\nc1 = 0.01\nC = 1\n", "in 100 tries"),
+            # NotABasis: on N = 2 the uncovered set is above N/4
+            ("additive-basis", "N = 2\n", "above N/4"),
+        ],
+    )
+    def test_typed_failure_exits_2(self, tmp_path, capsys, name, body, message):
+        cfg = write_config(tmp_path, "e.cfg", body)
+        assert main(["experiment", name, "--config", cfg, "--out", str(tmp_path / "e.csv")]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
     def test_unknown_experiment(self, tmp_path):
         assert main(["experiment", "nope"]) == EXIT_ERROR
 

@@ -18,7 +18,7 @@ from cayleygap.experiments import (
     grow_triple_free,
     is_bk_set,
 )
-from cayleygap.errors import GroupTooLarge, HypothesisFail, IoFailure
+from cayleygap.errors import GroupTooLarge, HypothesisFail, IoFailure, NotBk
 
 
 class TestTripleFree:
@@ -61,6 +61,11 @@ class TestSidon:
     def test_bk_checker(self):
         assert is_bk_set([1, 2, 5, 11], 2)
         assert not is_bk_set([1, 2, 3], 2)  # 1+3 = 2+2
+
+    def test_bk_checker_is_capped(self):
+        # |A|^k = 39^6 lies above the 10^7 cap, so nothing is enumerated
+        with pytest.raises(NotBk, match="capped"):
+            is_bk_set(list(range(1, 40)), 6)
 
     def test_greedy_is_bk(self):
         for k in (2, 3):

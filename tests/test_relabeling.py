@@ -157,7 +157,7 @@ def test_copy_splits_over_another_subgroup(gens):
     """On S4 and S5 the copy's greedy H is not the image of the original's."""
     group = make_group(f"permutation_closure({gens})")
     copy, sigma = relabeled(group, 0)
-    original, copied = sigma[_translations(group, closed=False)], _translations(copy, closed=False)
+    original, copied = sigma[_translations(group)], _translations(copy)
     assert original.size == copied.size == 4
     assert set(original.tolist()) != set(copied.tolist())
 

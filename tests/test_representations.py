@@ -198,6 +198,12 @@ class TestDMin:
         with pytest.raises(NotCataloged):
             d_min(a5)
 
+    def test_one_point_group_property(self):
+        # the property itself refuses, not only the module function
+        catalog = irrep_catalog(make_group("cyclic(1)"))
+        with pytest.raises(NotCataloged, match="no nontrivial representation"):
+            catalog.d_min
+
 
 class TestIdentities:
     @pytest.mark.parametrize("descriptor", [d for d in CATALOGED if d != "cyclic(1)"])

@@ -36,12 +36,13 @@ from cayleygap.groups import TableGroup, convolve
 from cayleygap.representations import operator_norms
 from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
 from cayleygap.spectra import (
-    _conjugation_closed,
     _coupled_spectrum,
+    _abelian_spectrum,
     _inversion_blocks,
+    _inversion_layout,
     _laplacian,
     _split,
-    _split_spectrum,
+    _split_spectra,
     _translations,
     markov_of_function,
     multiset_key,
@@ -365,9 +366,9 @@ def _defined_counts(s, h):
 
 
 def _three_solves_on_parts(s):
-    """``_three_solves`` run on each part of the split of a set that is not
-    closed, with the trivial eigenvalue removed in part 0."""
-    counts, _ = _defined_counts(s, _translations(s.group, closed=False))
+    """``_three_solves`` run on each part of the split of a set on a nonabelian
+    group, with the trivial eigenvalue removed in part 0."""
+    counts, _ = _defined_counts(s, _translations(s.group))
     size, m = s.size, counts.shape[1]
     gaps, stars = [], []
     for k, part in enumerate(counts.astype(np.float64)):
@@ -458,19 +459,31 @@ class TestNormalOperator:
         s4_symmetric = random_symmetric_subset(s4_non_normal.group, 3, rng)
         summary = spectral_summary.__wrapped__  # uncached, so every call solves
         assert not abelian.is_symmetric and not non_normal.is_symmetric
-        # the drawn symmetric set is every nontrivial rotation, a union of classes:
-        # the inversion split solves its two half-size blocks
-        assert _conjugation_closed(symmetric) and not _conjugation_closed(reflection)
-        assert self._solves(monkeypatch, laplace_spectrum_dense, symmetric) == (2, 0, 0)
-        # not closed: H = {e, s}, and one eigvalsh takes the stack of its two parts
+        # the drawn symmetric set is every nontrivial rotation, a union of classes,
+        # and the reflection is not closed: either way a nonabelian group's
+        # symmetric set takes one eigvalsh of the stack of the two parts of H = {e, s}
+        assert _gathered_closure(symmetric) and not _gathered_closure(reflection)
+        assert self._solves(monkeypatch, laplace_spectrum_dense, symmetric) == (1, 0, 0)
         assert self._solves(monkeypatch, laplace_spectrum_dense, reflection) == (1, 0, 0)
-        # two half-size eigh and one batched eigvals of the 2 x 2 conjugate-pair blocks
+        # abelian: two half-size eigh and one batched eigvals of the 2 x 2 conjugate-pair blocks
         assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 1, 2)
-        # normal but neither symmetric nor conjugation-closed: nothing certifies
+        # abelian with H = {x : x^2 = e} of order 8: the fixed points 0 and 2 of the
+        # representatives 0..3 sort the 8 parts into two stacks of 4 by the sign of
+        # h = 4 (-2 = 2 + 4), two eigh on each stack and one batched eigvals per part
+        z2z2z8 = GroupSubset.from_indices(make_group("abelian_product([2, 2, 8])"), [1, 5, 6])
+        assert not z2z2z8.is_symmetric and _translations(z2z2z8.group).size == 8
+        assert self._solves(monkeypatch, laplace_spectrum_dense, z2z2z8) == (0, 8, 4)
+        # normal but not symmetric on a nonabelian group: nothing certifies
         # normality cheaply, so it takes the star and Hermitian solves plus eigvals,
         # each once over the stack of the two parts of H = {e, s}
-        assert _is_normal(rotation) and not rotation.is_symmetric and not _conjugation_closed(rotation)
+        assert _is_normal(rotation) and not rotation.is_symmetric and not _gathered_closure(rotation)
         assert self._solves(monkeypatch, laplace_spectrum_dense, rotation) == (2, 1, 0)
+        # a 3-cycle class of A4 is closed and normal but not symmetric: the same
+        # three solves over the four parts of the Klein four-group
+        a4 = make_group(f"permutation_closure({A4})")
+        three_cycles = next(GroupSubset.from_indices(a4, c) for c in a4.conjugacy_classes() if c.size == 4)
+        assert _gathered_closure(three_cycles) and not three_cycles.is_symmetric
+        assert self._solves(monkeypatch, laplace_spectrum_dense, three_cycles) == (2, 1, 0)
         # a non-normal set of dihedral(7), S4 or the Frobenius group: the same three batched solves
         assert self._solves(monkeypatch, laplace_spectrum_dense, non_normal) == (2, 1, 0)
         # not closed: S4's four parts of H = {e, (3 4), (1 2), (1 2)(3 4)} in one eigvalsh
@@ -479,8 +492,8 @@ class TestNormalOperator:
         assert self._solves(monkeypatch, summary, s4_non_normal) == (2, 0, 0)
 
     def test_solve_counts_on_the_halves(self, monkeypatch):
-        """A closed set runs the inversion split once per half of a central
-        involution; any other set runs each solve once over the stack of parts."""
+        """A set on an abelian group runs the inversion split once per part; a set
+        on a nonabelian group runs each solve once over the stack of parts."""
         d8 = make_group("dihedral(8)")
         q8 = make_group(f"permutation_closure({Q8})")
         z32 = make_group("cyclic(32)")
@@ -491,23 +504,22 @@ class TestNormalOperator:
         q8_symmetric = GroupSubset.from_indices(q8, [x, int(q8.inv(x))])  # in Q8 a class, so closed
         q8_order_four = GroupSubset.singleton(q8, x)
         abelian = GroupSubset.from_indices(z32, [1, 5, 6])
-        assert d8_symmetric.is_symmetric and not _conjugation_closed(d8_symmetric)
-        assert not d8_rotation.is_symmetric and not _conjugation_closed(d8_rotation)
-        assert not q8_order_four.is_symmetric and not _conjugation_closed(q8_order_four)
-        # not closed: one eigvalsh of the four quarters of H = {e, r^4, s, s r^4}
+        assert d8_symmetric.is_symmetric and not _gathered_closure(d8_symmetric)
+        assert not d8_rotation.is_symmetric and not _gathered_closure(d8_rotation)
+        assert not q8_order_four.is_symmetric and not _gathered_closure(q8_order_four)
+        # one eigvalsh of the four quarters of H = {e, r^4, s, s r^4}, closed or not
         assert self._solves(monkeypatch, laplace_spectrum_dense, d8_symmetric) == (1, 0, 0)
-        # closed: the inversion split's two eigvalsh on each half of z = r^4
-        assert self._solves(monkeypatch, laplace_spectrum_dense, GroupSubset.full(d8)) == (4, 0, 0)
-        # not closed: the star and Hermitian eigvalsh and one eigvals, each over the four quarters
+        assert self._solves(monkeypatch, laplace_spectrum_dense, GroupSubset.full(d8)) == (1, 0, 0)
+        # the star and Hermitian eigvalsh and one eigvals, each over the four quarters
         assert self._solves(monkeypatch, laplace_spectrum_dense, d8_rotation) == (2, 1, 0)
         # two eigh per half; the odd half batches its 2 x 2 conjugate pairs, the even
         # half also a 3 x 3 and a 4 x 4 cluster (characters 8, 16, 24 share the real
         # part -1, and 4, 12, 20, 28 the real part 0)
         assert self._solves(monkeypatch, laplace_spectrum_dense, abelian) == (0, 4, 4)
-        assert _conjugation_closed(q8_symmetric)
-        # closed: the inversion split's two eigvalsh on each half of z = -1
-        assert self._solves(monkeypatch, summary, q8_symmetric) == (4, 0, 0)
-        # not closed: H = {e, -1}, since -1 is Q8's only involution; the star and
+        assert _gathered_closure(q8_symmetric)
+        # closed, yet nonabelian: one eigvalsh of both halves of H = {e, -1}
+        assert self._solves(monkeypatch, summary, q8_symmetric) == (1, 0, 0)
+        # H = {e, -1}, since -1 is Q8's only involution; the star and
         # Hermitian eigvalsh, each over both halves
         assert self._solves(monkeypatch, summary, q8_order_four) == (2, 0, 0)
 
@@ -528,32 +540,21 @@ def _gathered_closure(s):
     return bool(s.membership[group.mul(group.mul(idx, s.indices[None, :]), group.inv(idx))].all())
 
 
-class TestConjugationClosed:
-    @pytest.mark.parametrize("descriptor", ["dihedral(7)", f"permutation_closure({A4})", f"permutation_closure({S5})"])
-    def test_generators_decide_like_the_full_gather(self, descriptor, rng):
-        group = make_group(descriptor)
-        classes = group.conjugacy_classes()
-        cases = [random_nonempty_subset(group, rng, max_size=8) for _ in range(10)]
-        for _ in range(10):
-            picked = rng.choice(len(classes), size=rng.integers(1, len(classes)), replace=False)
-            cases.append(GroupSubset.from_indices(group, np.concatenate([classes[i] for i in picked])))
-        # orbits of one element under conjugation by a single generator: closed
-        # under that generator, and under the whole group only when a class
-        for s in group.generators.tolist():
-            for x in rng.choice(group.order, size=4, replace=False).tolist():
-                orbit = [x]
-                while (y := int(group.mul(group.mul(group.inv(s), orbit[-1]), s))) != x:
-                    orbit.append(y)
-                cases.append(GroupSubset.from_indices(group, orbit))
-        closed = [_conjugation_closed(s) for s in cases]
-        assert closed == [_gathered_closure(s) for s in cases]
-        assert 10 <= sum(closed) < len(cases)
-
-
 def _whole_space(s):
     """The split over H = {e}: one part, the whole space, with counts S(x^-1 y)."""
     group = s.group
     return spectra._Split(np.array([group.identity]), np.arange(group.order), markov_matrix(s).astype(np.int8)[None])
+
+
+def _part(s, split, part):
+    """The arguments of the stacked inversion helpers for one part of a split."""
+    q, signs = _inversion_layout(s.group, split)
+    return split.counts, signs, q, [part]
+
+
+def _part_blocks(s, split, part):
+    """The inversion blocks of one part, unstacked."""
+    return [b[0] for b in _inversion_blocks(s, *_part(s, split, part))]
 
 
 class TestInversionSplit:
@@ -581,9 +582,9 @@ class TestInversionSplit:
     def test_matches_full_eigvals(self, rng):
         nonsymmetric = 0
         for s in self._cases(rng):
-            assert _conjugation_closed(s)
+            assert _gathered_closure(s)
             nonsymmetric += not s.is_symmetric
-            mu = _split_spectrum(s, _whole_space(s), 0)
+            [mu] = _split_spectra(s, *_part(s, _whole_space(s), 0))
             assert mu is not None and mu.dtype == np.complex128
             assert multiset_distance(mu, _full_eigvals(s)) <= 1e-12, s
             report = laplace_spectrum_dense(s)
@@ -599,7 +600,7 @@ class TestInversionSplit:
         for descriptor, fixed in (("cyclic(31)", 1), ("cyclic(32)", 2), ("abelian_product([2, 2, 2])", 8)):
             group = make_group(descriptor)
             s = GroupSubset.from_indices(group, [1])
-            blocks = [b.shape for b in _inversion_blocks(s, _whole_space(s), 0)]
+            blocks = [b.shape for b in _part_blocks(s, _whole_space(s), 0)]
             pairs = (group.order - fixed) // 2
             coupling = [] if fixed == group.order else [(pairs + fixed, pairs)]  # {1} is symmetric in (Z/2)^3
             assert blocks == [(pairs + fixed, pairs + fixed), (pairs, pairs), *coupling]
@@ -619,7 +620,7 @@ class TestInversionSplit:
             odd = pairs.size + fixed.size + np.arange(pairs.size)
             r[pairs, odd] = np.sqrt(0.5)
             r[inverse[pairs], odd] = -np.sqrt(0.5)
-            a, c, b = _inversion_blocks(s, _whole_space(s), 0)
+            a, c, b = _part_blocks(s, _whole_space(s), 0)
             assert np.array_equal(a, a.T) and np.array_equal(c, c.T)
             rotated = r.T @ (np.eye(group.order) - markov_matrix(s) / s.size) @ r
             assert np.abs(rotated - np.block([[a, b], [-b.T, c]])).max() <= 1e-15
@@ -760,9 +761,8 @@ def _rank_seven():
 
 
 class TestInvolutionSplit:
-    """Every dense solve runs on the parts of an elementary abelian 2-subgroup
-    H of left translations: {e, z} for a conjugation-closed set, a maximal H
-    for any other."""
+    """Every dense solve runs on the parts of a maximal elementary abelian
+    2-subgroup H of left translations; on an abelian group H = {x : x^2 = e}."""
 
     DESCRIPTORS = (
         "cyclic(32)",
@@ -804,28 +804,29 @@ class TestInvolutionSplit:
         return cases
 
     def test_translations_match_the_oracles(self):
-        """A closed set's H is {e} or {e, z}, z the smallest central involution;
-        any other set's is the greedy H of the brute-force scan, elementary
-        abelian and extended by no involution."""
+        """H is the greedy H of the brute-force scan, elementary abelian and
+        extended by no involution; on an abelian group, every x with x^2 = e."""
         # the ranks of dihedral(500), S5 and S6 are 2, 2 and 3; Q8 has the one involution -1
         sizes = {"dihedral(500)": 4, "dihedral(7)": 2, f"permutation_closure({S5})": 4, f"permutation_closure({S6})": 8}
         named = {make_group(d): size for d, size in sizes.items()}
         named[make_group(f"permutation_closure({Q8})")] = 2
         named[_rank_seven()] = 128
-        assert _translations(make_group("dihedral(500)"), closed=False).tolist() == [0, 250, 500, 750]  # r^250, s
-        assert _translations(make_group("dihedral(7)"), closed=False).tolist() == [0, 7]  # s
+        assert _translations(make_group("dihedral(500)")).tolist() == [0, 250, 500, 750]  # r^250, s
+        assert _translations(make_group("dihedral(7)")).tolist() == [0, 7]  # s
+        abelian = 0
         for group in self._groups() + list(named):
-            z = _central_oracle(group)
-            assert _translations(group, closed=True).tolist() == [group.identity] + ([] if z is None else [z])
-            h = _translations(group, closed=False).tolist()
+            h = _translations(group).tolist()
+            if group.is_abelian:
+                abelian += 1
+                idx = np.arange(group.order)
+                assert sorted(h) == idx[group.mul(idx, idx) == group.identity].tolist()
             assert h == _maximal_oracle(group)
             assert len(h) == named.get(group, len(h)) and len(set(h)) == len(h) and len(h) & (len(h) - 1) == 0
             assert all(int(group.mul(x, x)) == group.identity and _commute(group, x, y) for x in h for y in h)
             assert all(int(group.mul(x, y)) in h for x in h for y in h)
             outside = [t for t in range(group.order) if t not in h and int(group.mul(t, t)) == group.identity]
             assert not any(all(_commute(group, t, x) for x in h) for t in outside)
-        table, label = _relabeled("dihedral(8)", 8)
-        assert table.identity == label[0] and _translations(table, closed=True).tolist() == [label[0], label[4]]  # r^4
+        assert abelian == 4
 
     def test_parts_block_diagonalize_delta(self, rng):
         """In the bases w_x built from the definitions for every character of H,
@@ -839,10 +840,9 @@ class TestInvolutionSplit:
             sets = [random_nonempty_subset(group, rng, max_size=group.order // 2), random_symmetric_subset(group, 3, rng)]
             sets.append(GroupSubset.from_indices(group, np.concatenate(classes[1:3])))
             for s in sets:
-                closed = _conjugation_closed(s)
-                split = _split(s, closed)
+                split = _split(s)
                 h = split.h.tolist()
-                assert h == _translations(group, closed).tolist()
+                assert h == _translations(group).tolist()
                 counts, reps = _defined_counts(s, split.h)
                 assert split.reps.tolist() == reps and np.array_equal(split.counts, counts)
                 r = np.hstack([_part_basis(group, h, k) for k in range(len(h))])
@@ -861,8 +861,7 @@ class TestInvolutionSplit:
             report = laplace_spectrum_dense(s)
             lam1, star = _three_solves(s)
             _, summary_lam1, summary_star = spectra._dense_gaps(s, full=False)
-            closed = _conjugation_closed(s)
-            if closed or s.is_symmetric:
+            if _gathered_closure(s) or s.is_symmetric:
                 assert multiset_distance(report.eigenvalues, _full_eigvals(s)) <= 1e-12, s
             else:
                 # a non-normal Delta may be defective; its eigenvalues then move by
@@ -877,21 +876,22 @@ class TestInvolutionSplit:
                 assert abs(gap - lam1) <= 1e-12, s
                 assert np.abs(spectrum - star).max() <= 1e-12, s
             assert abs(report.lambda1_star - (star[1] if star.size > 1 else 0.0)) <= 1e-12
-            key = (_translations(s.group, closed).size > 1, closed, s.is_symmetric)
+            key = (_translations(s.group).size > 1, s.group.is_abelian, s.is_symmetric)
             kinds[key] = kinds.get(key, 0) + 1
-        # with a split: closed or not, symmetric or not; without one: closed sets (A4's 3-cycles among them)
-        assert all(kinds.get((True, closed, symmetric), 0) >= 3 for closed in (0, 1) for symmetric in (0, 1))
-        assert kinds.get((False, 1, 1), 0) >= 3 and kinds.get((False, 1, 0), 0) >= 1
+        # every group here has an involution, so every set is split: abelian or
+        # not, symmetric or not
+        assert all(kinds.get((True, abelian, symmetric), 0) >= 3 for abelian in (0, 1) for symmetric in (0, 1))
+        assert all(split for split, _, _ in kinds)
 
     def test_rank_seven_counts_overflow_int8(self):
         """|H| = 128 on D4 x (Z/2)^5: S = H u {x} puts |S n Hy| = 128 into the
         trivial part, one past int8, so the counts take int16."""
         group = _rank_seven()
         assert group.order == 256
-        h = _translations(group, closed=False)
-        x = next(x for x in range(group.order) if not _conjugation_closed(GroupSubset.from_indices(group, [*h, x])))
+        h = _translations(group)
+        x = next(x for x in range(group.order) if not _gathered_closure(GroupSubset.from_indices(group, [*h, x])))
         s = GroupSubset.from_indices(group, [*h, x])
-        split = _split(s, closed=False)
+        split = _split(s)
         assert split.h.size == 128 and split.reps.size == 2
         assert split.counts.dtype == np.int16 and split.counts.max() == 128
         counts, _ = _defined_counts(s, split.h)
@@ -910,19 +910,21 @@ class TestInvolutionSplit:
         half).  Q8: every representative is fixed, and i, j, k are J-odd on
         the odd half."""
         s = GroupSubset.from_indices(make_group("cyclic(32)"), [1])
-        split = _split(s, closed=True)
-        assert [b.shape for b in _inversion_blocks(s, split, 0)] == [(9, 9), (7, 7), (9, 7)]
-        assert [b.shape for b in _inversion_blocks(s, split, 1)] == [(8, 8), (8, 8), (8, 8)]
+        split = _split(s)
+        assert [b.shape for b in _part_blocks(s, split, 0)] == [(9, 9), (7, 7), (9, 7)]
+        assert [b.shape for b in _part_blocks(s, split, 1)] == [(8, 8), (8, 8), (8, 8)]
         q8 = make_group(f"permutation_closure({Q8})")
         x = int(np.flatnonzero(q8.mul(np.arange(8), np.arange(8)) != q8.identity)[0])
         s = GroupSubset.from_indices(q8, [x, int(q8.inv(x))])
-        split = _split(s, closed=True)
-        assert [b.shape for b in _inversion_blocks(s, split, 0)] == [(4, 4), (0, 0)]
-        assert [b.shape for b in _inversion_blocks(s, split, 1)] == [(1, 1), (3, 3)]
+        split = _split(s)
+        assert [b.shape for b in _part_blocks(s, split, 0)] == [(4, 4), (0, 0)]
+        assert [b.shape for b in _part_blocks(s, split, 1)] == [(1, 1), (3, 3)]
 
     def test_rotated_halves_reassemble_delta(self, rng):
-        """In the basis built from the definitions, each half of Delta is
-        [[A, B], [-B^T, C]] with A and C symmetric, and the halves do not couple."""
+        """In the basis built from the definitions, each part of Delta is
+        [[A, B], [-B^T, C]] with A and C symmetric, and the parts do not couple.
+        H is {e, 16} on cyclic(32) and {e, -1} on Q8, and has order 16 on
+        abelian_product([2, 2, 2, 4])."""
         cases = []
         for descriptor in ("cyclic(32)", "abelian_product([2, 2, 2, 4])"):
             group = make_group(descriptor)
@@ -932,14 +934,14 @@ class TestInvolutionSplit:
         cases += [GroupSubset.from_indices(q8, c) for c in q8.conjugacy_classes()[1:]]
         for s in cases:
             group, n = s.group, s.group.order
-            assert _conjugation_closed(s)
-            split = _split(s, closed=True)
+            assert _gathered_closure(s)
+            split = _split(s)
             h = split.h.tolist()
-            assert len(h) == 2
+            assert len(h) == (16 if group.name == "abelian_product(2x2x2x4)" else 2)
             delta = np.eye(n) - markov_matrix(s) / s.size
             columns = []
-            for part in range(2):
-                a, c, *coupling = _inversion_blocks(s, split, part)
+            for part in range(len(h)):
+                a, c, *coupling = _part_blocks(s, split, part)
                 b = coupling[0] if coupling else np.zeros((a.shape[0], c.shape[0]))
                 assert np.array_equal(a, a.T) and np.array_equal(c, c.T)
                 assert bool(coupling) != s.is_symmetric
@@ -948,7 +950,66 @@ class TestInvolutionSplit:
                 columns.append(r)
             r = np.hstack(columns)
             assert np.abs(r.T @ r - np.eye(n)).max() <= 1e-15
-            assert np.abs((r.T @ delta @ r)[: n // 2, n // 2 :]).max() <= 1e-15
+            m = n // len(h)
+            rotated = r.T @ delta @ r
+            for part in range(len(h)):
+                rotated[part * m : (part + 1) * m, part * m : (part + 1) * m] = 0.0
+            assert np.abs(rotated).max() <= 1e-15
+
+
+class TestAbelianStacks:
+    """On an abelian group H is every x with x^2 = e, so |H| can be large and
+    its parts small: the inversion split sums four counts of up to |H| each, and
+    parts with the same signs on the J-fixed points are solved as one stack."""
+
+    def test_four_sums_of_counts_fit_the_dtype(self, rng):
+        """|H| = 32 or 64 and a coset meeting S in 32 elements: the trivial part's
+        A block sums four counts of 32, one past int8, so the counts take int16."""
+        z2_5, z2_6 = make_group("abelian_product([2, 2, 2, 2, 2])"), make_group("abelian_product([2, 2, 2, 2, 2, 2])")
+        z2_4z4 = make_group("abelian_product([2, 2, 2, 2, 4])")
+        cases = [GroupSubset.full(z2_5), GroupSubset.full(z2_4z4)]
+        cases += [GroupSubset.from_indices(z2_6, rng.choice(64, size=32, replace=False)) for _ in range(2)]
+        cases += [GroupSubset.from_indices(z2_4z4, rng.choice(64, size=40, replace=False)) for _ in range(2)]
+        assert any(not s.is_symmetric for s in cases)
+        for s in cases:
+            split = _split(s)
+            assert split.h.size >= 32 and split.counts.dtype == np.int16
+            report = laplace_spectrum_dense(s)
+            assert multiset_distance(report.eigenvalues, _full_eigvals(s)) <= 1e-12, s
+            lam1, star = _three_solves(s)
+            assert abs(report.lambda1 - lam1) <= 1e-12
+            assert np.abs(report.star_eigenvalues - star).max() <= 1e-12
+
+    def test_layout_matches_the_definitions(self):
+        """x^-1 = h_j reps[q[x]] for every representative x, and column x of the
+        signs is eps_k(h_j) for every part k."""
+        for descriptor in ("cyclic(32)", "abelian_product([2, 2, 2, 4])", "abelian_product([4, 4, 2])"):
+            group = make_group(descriptor)
+            split = _split(GroupSubset.full(group))
+            q, signs = _inversion_layout(group, split)
+            h, characters = split.h.tolist(), _sign_characters(split.h.size)
+            assert signs.shape == (len(h), split.reps.size)
+            for x, inverse in enumerate(group.inv(split.reps).tolist()):
+                j = next(j for j, t in enumerate(h) if int(group.mul(t, split.reps[q[x]])) == inverse)
+                assert np.array_equal(signs[:, x], characters[:, j])
+
+    def test_stacks_match_one_part_at_a_time(self, monkeypatch, rng):
+        """The stacked solves give every part the eigenvalues it has alone, with
+        the default stacks and with stacks and product indices of at most 8 cells,
+        which cut the rows of one h and the parts that share their signs."""
+        for descriptor in ("abelian_product([2, 2, 2, 3])", "abelian_product([2, 2, 2, 4])", "abelian_product([4, 4, 4])"):
+            group = make_group(descriptor)
+            sets = [random_symmetric_subset(group, 3, rng)]
+            sets += [random_nonempty_subset(group, rng, max_size=group.order // 2) for _ in range(2)]
+            for s in sets:
+                split = _split(s)
+                alone = [_split_spectra(s, *_part(s, split, part))[0] for part in range(split.h.size)]
+                assert all(values is not None for values in alone)
+                counts, _ = _defined_counts(s, split.h)
+                for cells in (spectra._GATHER_CELLS, 8):
+                    monkeypatch.setattr(spectra, "_GATHER_CELLS", cells)
+                    assert np.array_equal(_split(s).counts, counts)
+                    assert np.abs(_abelian_spectrum(s, split) - np.concatenate(alone)).max() <= 1e-13, s
 
 
 class TestDenseAllocation:
@@ -974,10 +1035,11 @@ class TestDenseBudget:
     """The dense path refuses a part whose gathers exceed the dense budget before it allocates."""
 
     def test_budget_counts_one_half(self, monkeypatch):
-        """cyclic(100) random(5) is closed: the int8 counts of both halves of z = 50,
-        one int32 product index and one float half, 2 + 4 + 8 bytes a cell of 50 x 50."""
+        """cyclic(100) random(5) is abelian: the int8 counts of both halves of z = 50,
+        one int32 product index over the rows of both halves and one float half,
+        2 + 8 + 8 bytes a cell of 50 x 50."""
         s = resolve_subset(make_group("cyclic(100)"), "random(5)", np.random.default_rng(0))
-        needed = 14 * 50 * 50
+        needed = 18 * 50 * 50
         monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", needed)
         laplace_spectrum_dense(s)
         monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", needed - 1)
@@ -985,14 +1047,14 @@ class TestDenseBudget:
             laplace_spectrum_dense(s)
 
     def test_budget_counts_the_quarters(self, monkeypatch):
-        """dihedral(8) {r, r^-1, s} is not closed: the counts of the four quarters of
-        H = {e, r^4, s, s r^4} (int8), one int32 product index and the float stack
-        of all four, 4 + 4 + 32 bytes a cell of 4 x 4."""
+        """dihedral(8) {r, r^-1, s} is nonabelian: the counts of the four quarters of
+        H = {e, r^4, s, s r^4} (int8), one int32 product index over the rows of all
+        four and the float stack of all four, 4 + 16 + 32 bytes a cell of 4 x 4."""
         s = GroupSubset.from_indices(make_group("dihedral(8)"), [1, 7, 8])
-        assert s.is_symmetric and not _conjugation_closed(s)
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 40 * 4 * 4)
+        assert s.is_symmetric and not s.group.is_abelian
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 52 * 4 * 4)
         laplace_spectrum_dense(s)
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 40 * 4 * 4 - 1)
+        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 52 * 4 * 4 - 1)
         with pytest.raises(GroupTooLarge, match="dense budget"):
             laplace_spectrum_dense(s)
 
