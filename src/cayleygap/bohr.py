@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundReport, _exact, _exceptional_report, rep_count, symmetrized_rep_count
+from .bounds import BoundReport, _exceptional_report, _rational, rep_count, symmetrized_rep_count
 from .errors import (
     DeltaOutOfRange,
     EmptyRepList,
@@ -207,11 +207,6 @@ class Progression(_ProgressionFields):
 
     def index_array(self) -> np.ndarray:
         return (self.start + self.step * np.arange(self.length)) % self.modulus
-
-    def subset(self, group: CyclicGroup) -> GroupSubset:
-        if group.order != self.modulus:
-            raise ValueError("progression modulus does not match the group order")
-        return GroupSubset.from_indices(group, self.index_array())
 
     def label(self) -> str:
         return f"AP(start={self.start},step={self.step},len={self.length})"
@@ -531,13 +526,13 @@ def _bohr_share_scan(b: GroupSubset, d: int, delta: float) -> tuple[float, str]:
     reps = irrep_catalog(b.group).nontrivial()
     if b.size == 0:
         raise EmptySet("Bohr scan of the empty set")
-    fd = symmetrized_rep_count(b, d).values.real.astype(np.float64)
-    total = float(b.size) ** (2 * d)
-    shares = [float(fd[bohr_set(rep, delta).membership == 1].sum()) / total for rep in reps]
-    if not shares:
+    if not reps:
         return 0.0, ""
+    fd = symmetrized_rep_count(b, d).values.real.astype(np.float64)
+    _, rows = _profiles(reps, delta)
+    shares = _members(rows, delta) @ fd / float(b.size) ** (2 * d)  # integer sums, exact below 2^53
     top = int(np.argmax(shares))
-    return shares[top], reps[top].label
+    return float(shares[top]), reps[top].label
 
 
 def gap_from_bohr_sets(
@@ -1190,13 +1185,9 @@ def verify_bohr_basis_bound(b: GroupSubset, d: int, g, omega: GroupSubset | None
     """Nonabelian basis bound g(|G| - 2|O|) / (8 d^2 |B|^(2d)) from B*B^-1 counts,
     exact as a Fraction when g is integral or rational."""
     order = b.group.order
-    ge = _exact(g)
 
     def formula(omega_size):
-        if ge is not None:
-            exact = Fraction(ge * (order - 2 * omega_size), 8 * d * d * b.size ** (2 * d))
-            return float(exact), exact, {}
-        return float(g) * (order - 2 * omega_size) / (8 * d * d * float(b.size) ** (2 * d)), None, {}
+        return *_rational(lambda g: g * (order - 2 * omega_size) / (8 * d * d * b.size ** (2 * d)), g), {}
 
     return _basis_report(
         "gap_vs_bohr_basis", "Bohr basis bound", symmetrized_rep_count, b, d, g, omega, formula

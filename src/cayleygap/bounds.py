@@ -31,7 +31,7 @@ from .groups import (
     require_same_group,
 )
 from .representations import set_norm
-from .spectra import lambda1, lambda1_of_function, lambda1_star, variational_lambda1
+from .spectra import _laplacian, lambda1, lambda1_of_function, lambda1_star, variational_lambda1
 
 SLACK_TOL = 1e-9
 
@@ -91,6 +91,16 @@ def _exact(x) -> Fraction | None:
     if isinstance(x, (float, np.floating)) and float(x).is_integer():
         return Fraction(int(x))
     return None
+
+
+def _rational(formula, g) -> tuple[float, Fraction | None]:
+    """``formula`` of g as (float, exact): evaluated on Fraction(g) when ``_exact``
+    gives one, so the float is that Fraction's, else on g itself with no exact side."""
+    exact = _exact(g)
+    if exact is None:
+        return float(formula(g)), None
+    exact = formula(exact)
+    return float(exact), exact
 
 
 # -- representation counts and exceptional sets -----------------------------
@@ -171,14 +181,7 @@ def verify_basis_bound(s: GroupSubset, d: int) -> BoundReport:
 
 def exceptional_bound_value(order: int, mass: int, d: int, g, omega_size: int) -> tuple[float, Fraction | None]:
     """g|G| / (d (mass + g|O|)^d) - g|O| / mass, where mass is |B| (or |B1||B2|)."""
-    ge = _exact(g)
-    if ge is not None:
-        exact = Fraction(ge * order, d * (mass + ge * omega_size) ** d) - Fraction(
-            ge * omega_size, mass
-        )
-        return float(exact), exact
-    value = g * order / (d * (mass + g * omega_size) ** d) - g * omega_size / mass
-    return value, None
+    return _rational(lambda g: g * order / (d * (mass + g * omega_size) ** d) - g * omega_size / mass, g)
 
 
 def _exceptional_report(
@@ -340,18 +343,12 @@ def graph_paths(graph: RegularGraph, d: int) -> np.ndarray:
 
 def graph_lambda1(graph: RegularGraph) -> float:
     """Variational gap of I - M/valency on the mean-zero subspace."""
-    n = graph.vertex_count
-    delta = np.eye(n) - graph.adjacency.astype(np.float64) / graph.valency
-    return variational_lambda1(delta)
+    return variational_lambda1(_laplacian(graph.adjacency, graph.valency))
 
 
 def graph_bound_value(vertex_count: int, valency: int, d: int, g) -> tuple[float, Fraction | None]:
     """g|V| / (d * valency^d)."""
-    ge = _exact(g)
-    if ge is not None:
-        exact = Fraction(ge * vertex_count, d * valency**d)
-        return float(exact), exact
-    return g * vertex_count / (d * valency**d), None
+    return _rational(lambda g: g * vertex_count / (d * valency**d), g)
 
 
 def verify_graph_bound(graph: RegularGraph, d: int, g) -> BoundReport:
@@ -378,30 +375,3 @@ def verify_graph_bound(graph: RegularGraph, d: int, g) -> BoundReport:
             "g": g,
         },
     )
-
-
-__all__ = [
-    "SLACK_TOL",
-    "BoundReport",
-    "rep_count",
-    "pair_rep_count",
-    "symmetrized_rep_count",
-    "exceptional_set",
-    "diameter_bound_value",
-    "basis_bound_value",
-    "verify_diameter_bound",
-    "verify_basis_bound",
-    "exceptional_bound_value",
-    "verify_exceptional_bound",
-    "verify_exceptional_bound_pair",
-    "verify_exceptional_bound_star",
-    "fourier_norm_bound_value",
-    "verify_fourier_norm_bound",
-    "uniformity_error_bound",
-    "verify_uniformity",
-    "RegularGraph",
-    "graph_paths",
-    "graph_lambda1",
-    "graph_bound_value",
-    "verify_graph_bound",
-]

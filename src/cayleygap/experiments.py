@@ -163,20 +163,16 @@ def grow_bk_set(n: int, k: int, seed: int) -> list[int]:
     sums: set[int] = set()
     for x in rng.permutation(np.arange(1, n)):
         x = int(x)
-        trial = chosen + [x]
-        new_sums = []
-        fresh = True
-        for combo in itertools.combinations_with_replacement(sorted(trial), k):
-            if x not in combo:
-                continue
-            total = sum(combo)
+        new_sums: set[int] = set()
+        # the k-multisets holding x are x plus each (k-1)-multiset of chosen + [x]
+        for rest in itertools.combinations_with_replacement(chosen + [x], k - 1):
+            total = x + sum(rest)
             if total in sums or total in new_sums:
-                fresh = False
                 break
-            new_sums.append(total)
-        if fresh:
-            chosen = trial
-            sums.update(new_sums)
+            new_sums.add(total)
+        else:
+            chosen.append(x)
+            sums |= new_sums
     return sorted(chosen)
 
 

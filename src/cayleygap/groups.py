@@ -105,7 +105,7 @@ class FiniteGroup:
         return acc
 
     def conjugacy_classes(self) -> list[np.ndarray]:
-        """Conjugacy classes as sorted index arrays, identity class first."""
+        """Conjugacy classes as sorted index arrays: the identity's first, then by smallest index."""
         cached = getattr(self, "_classes", None)
         if cached is not None:
             return cached
@@ -113,7 +113,7 @@ class FiniteGroup:
         inv = self.inv(idx)
         seen = np.zeros(self.order, dtype=bool)
         classes: list[np.ndarray] = []
-        for x in range(self.order):
+        for x in (self.identity, *range(self.order)):
             if seen[x]:
                 continue
             in_orbit = np.zeros(self.order, dtype=bool)

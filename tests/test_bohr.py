@@ -938,6 +938,16 @@ class TestBasisCorollaries:
         assert one == Fraction(13, 20000) and type(one.numerator) is int and type(one.denominator) is int
         assert verify_bohr_basis_bound(b, 2, 0.5).bound_exact is None
 
+    @pytest.mark.parametrize("g", [1.5, np.float64(2.5), 0.5])
+    def test_bohr_basis_float_side_of_a_non_integral_g(self, g):
+        """A float g has no exact side, and its float is the exact formula's to 4 ulp."""
+        b = GroupSubset.from_indices(make_group("cyclic(13)"), [0, 1, 2, 3, 5])
+        omega = GroupSubset(b.group, (symmetrized_rep_count(b, 2).values.real < 30).astype(np.int8))
+        report = verify_bohr_basis_bound(b, 2, g, omega)
+        exact = float(Fraction(g) * (13 - 2 * omega.size) / (8 * 2 * 2 * b.size**4))
+        assert omega.size > 0 and report.bound_exact is None
+        assert abs(report.bound_value - exact) <= 4 * math.ulp(exact)
+
     def test_bohr_basis_certified_a5(self, a5, rng):
         b = random_symmetric_subset(a5, 6, rng)
         counts = symmetrized_rep_count(b, 2).values.real

@@ -1,5 +1,6 @@
 """Gap lower bounds: formulas in exact arithmetic, hypotheses, graph variants."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,17 @@ class TestExceptionalBound:
         assert type(exact.numerator) is int and type(exact.denominator) is int
         assert exact == Fraction(3 * 1009, 12 * 53**12) - Fraction(3, 50)
 
+    @pytest.mark.parametrize("g", [1.5, np.float64(2.5), 0.5])
+    def test_float_side_of_a_non_integral_g(self, g):
+        """A float g has no exact side, and its float is the exact formula's to 4 ulp."""
+        b = GroupSubset.from_indices(make_group("cyclic(13)"), [0, 1, 2, 3, 5])
+        omega = exceptional_set(b, 2, 3)
+        report = verify_exceptional_bound(b, 2, g, omega)
+        x, w = Fraction(g), omega.size
+        exact = float(x * 13 / (2 * (b.size + x * w) ** 2) - x * w / b.size)
+        assert w > 0 and report.bound_exact is None
+        assert abs(report.bound_value - exact) <= 4 * math.ulp(exact)
+
     def test_star_form(self, d6, rng):
         for _ in range(5):
             b = random_nonempty_subset(d6, rng)
@@ -291,6 +303,14 @@ class TestGraphs:
         assert report.bound_value == 1.0
         assert abs(report.measured - 1.0) < 1e-9
         assert report.holds
+
+    @pytest.mark.parametrize("g", [1.5, np.float64(2.5), 0.5])
+    def test_float_side_of_a_non_integral_g(self, g):
+        """A float g has no exact side, and its float is the exact formula's to 4 ulp."""
+        report = verify_graph_bound(RegularGraph(np.ones((5, 5), dtype=int)), 2, g)  # 5 paths everywhere
+        exact = float(Fraction(g) * 5 / (2 * 5**2))
+        assert report.bound_exact is None
+        assert abs(report.bound_value - exact) <= 4 * math.ulp(exact)
 
     def test_cycle_fails_hypothesis(self):
         graph = circulant_graph(5, (1, 4))

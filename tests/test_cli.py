@@ -124,6 +124,12 @@ class TestBohrCommand:
         for token in ("symmetry", "sum-rule", "half-size", "doubling", "covering", "regular"):
             assert token in text
 
+    def test_one_point_group_prints_no_records(self, tmp_path, capsys):
+        # cyclic(1) has no nontrivial representation, so every Bohr row is left out
+        cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(1)\n")
+        assert main(["bohr", "--config", cfg]) == EXIT_PASS
+        assert capsys.readouterr() == ("(no records)\n", "")
+
     def test_uncertified_eps_is_error(self, tmp_path):
         cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(36)\ndelta = 0.4\nrep = 1\neps = 0.5\n")
         assert main(["bohr", "--config", cfg]) == EXIT_ERROR

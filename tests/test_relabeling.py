@@ -86,6 +86,17 @@ def instance(group, seed, size, symmetric):
 
 
 @RELABELING
+@given(st.one_of(GROUPS, UNCATALOGED), SEEDS)
+def test_conjugacy_classes_of_the_copy_start_at_the_identity(descriptor, seed):
+    group = make_group(descriptor)
+    copy, sigma = relabeled(group, seed)
+    classes = copy.conjugacy_classes()
+    assert classes[0].tolist() == [copy.identity]
+    assert [c[0] for c in classes[1:]] == sorted(c[0] for c in classes[1:])
+    assert sorted(map(list, classes)) == sorted(sorted(sigma[c].tolist()) for c in group.conjugacy_classes())
+
+
+@RELABELING
 @given(GROUPS, SEEDS, st.integers(1, 12), st.booleans(), st.integers(1, 3))
 def test_rep_counts_permute_exactly(descriptor, seed, size, symmetric, d):
     _, sigma, s, image = instance(make_group(descriptor), seed, size, symmetric)

@@ -1,5 +1,7 @@
 """Irrep catalogs and the matrix Fourier transform with its identities."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -496,3 +498,35 @@ class TestOperatorNorms:
         rng = np.random.default_rng(7)
         stack = scale * (rng.standard_normal((100_000, 2, 2)) + 1j * rng.standard_normal((100_000, 2, 2)))
         assert self._relative_error(stack) <= 2e-15
+
+    def test_s5_standard_rep_distances_by_cycle_type(self):
+        """d = 4: S5 on the sum-zero subspace of C^5.  rho(g) - I is normal, so its
+        norm is the largest |z - 1| over the roots of unity of g's cycles."""
+        group = make_group('permutation_closure(["(1 2 3 4 5)", "(1 2)"])')
+        perms = sorted(itertools.permutations(range(5)))  # element a is the a-th image list
+        mats = np.zeros((group.order, 5, 5))
+        for a, perm in enumerate(perms):
+            mats[a, perm, range(5)] = 1.0  # e_j -> e_perm[j], so a * b = p_a o p_b is the product
+        basis = np.linalg.qr(np.eye(5, 4) - np.eye(5, 4, k=-1))[0]  # spans the differences e_j - e_j+1
+        rep = UnitaryRepresentation(group, basis.T @ mats @ basis, "standard")
+        rep.validate()
+        expected = []
+        for perm in perms:
+            lengths = []
+            for start in range(5):
+                j, length = perm[start], 1
+                while j != start:
+                    j, length = perm[j], length + 1
+                lengths.append(length)  # the length of start's cycle, once per point of it
+            if any(length % 2 == 0 for length in lengths):
+                expected.append(2.0)
+            else:
+                expected.append({1: 0.0, 3: math.sqrt(3.0), 5: 2 * math.sin(2 * math.pi / 5)}[max(lengths)])
+        assert np.abs(rep.identity_distances() - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_random_complex_matrices_of_larger_dimension(self, d):
+        rng = np.random.default_rng(d)
+        stack = rng.standard_normal((200, d, d)) + 1j * rng.standard_normal((200, d, d))
+        expected = [np.linalg.norm(m, 2) for m in stack]
+        assert np.allclose(operator_norms(stack), expected, rtol=1e-13, atol=0.0)
