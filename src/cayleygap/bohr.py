@@ -40,6 +40,7 @@ from .groups import (
     FiniteGroup,
     GroupFunction,
     GroupSubset,
+    _smallest_prime_factor,
     generated_subgroup,
     iterated_convolution,
     require_same_group,
@@ -68,17 +69,6 @@ def _require_form(form: str, *forms: str) -> None:
     """Reject a ``form`` argument outside the listed paper / certified forms."""
     if form not in forms:
         raise ValueError(f"unknown form {form!r}; choose from {', '.join(forms)}")
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
 
 
 def is_prime(n: int) -> bool:
@@ -416,7 +406,10 @@ def _forward_report(name, b, d, delta, alpha, share_max, where, bound, **extra) 
     (attained ``where``) at most 1 - alpha forces lambda1 >= ``bound(alpha)``.
 
     Called after the scan: a supplied alpha that ``share_max`` refutes raises
-    HypothesisFail before lambda1 is computed; without one, alpha is 1 - share_max."""
+    HypothesisFail before lambda1 is computed; without one, alpha is 1 - share_max.
+    A one-point space has no gap to bound."""
+    if b.group.order == 1:
+        raise HypothesisFail(f"{name}: a one-point space has no nontrivial eigenvalue")
     if alpha is None:
         alpha = 1.0 - share_max
     elif share_max > 1.0 - alpha + 1e-12:

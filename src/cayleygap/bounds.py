@@ -7,11 +7,13 @@ graph gaps from a dense eigensolve), and the report records the slack and a
 pass / vacuous-pass / fail verdict.  Each verifier alone certifies its
 hypotheses (counts at least g off the exceptional set, path counts in graphs)
 before the measured side is computed, raising HypothesisFail otherwise.
-Representation counts are convolved once per (factors, d) and shared.
+Representation counts are computed once per (factors, d) and shared: by FFT on
+abelian groups where an a-priori rounding bound admits it, else by the gather.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -23,14 +25,17 @@ import numpy as np
 
 from .errors import EmptySet, HypothesisFail, NotRegular, RangeViolation
 from .groups import (
+    AbelianProductGroup,
+    CyclicGroup,
     GroupFunction,
     GroupSubset,
+    _smallest_prime_factor,
     convolve,
     convolution_power,
     inverse_set,
     require_same_group,
 )
-from .representations import set_norm
+from .representations import irrep_catalog, set_norm
 from .spectra import _laplacian, lambda1, lambda1_of_function, lambda1_star, variational_lambda1
 
 SLACK_TOL = 1e-9
@@ -106,10 +111,110 @@ def _rational(formula, g) -> tuple[float, Fraction | None]:
 # -- representation counts and exceptional sets -----------------------------
 
 
+_U = 2.0**-53  # unit roundoff of float64
+_CMUL = math.sqrt(5) * _U  # relative error of one complex product (Brent, Percival, Zimmermann 2007)
+_ROOT = 16 * _U  # |computed - exact| of a tabulated root of unity
+_SCALE = 2 * _U / (1 - 2 * _U)  # gamma_2: the 1/n factor, rounded, and its product
+
+
+def _pass_error(p: int) -> float:
+    """eta_p: relative 2-norm error of one radix-p Cooley-Tukey pass, the butterfly
+    sqrt(2p) ((1 + mu)(1 + u)^(2p) - 1) and the twiddle product (1 + mu)(1 + sqrt5 u)."""
+    butterfly = math.sqrt(2 * p) * math.expm1(math.log1p(_ROOT) + 2 * p * math.log1p(_U))
+    return (1 + butterfly) * (1 + _ROOT) * (1 + _CMUL) - 1
+
+
+@lru_cache(maxsize=None)
+def _fft_error(n: int) -> float:
+    """E(n) = max(E_CT(n), E_B(n)): relative 2-norm error of a length-n transform,
+    by mixed-radix Cooley-Tukey or by Bluestein, whichever pocketfft takes."""
+    passes, rest = math.log1p(_SCALE), n
+    while rest > 1:  # one pass per prime factor
+        p = _smallest_prime_factor(rest)
+        passes += math.log1p(_pass_error(p))
+        rest //= p
+    cooley_tukey = math.expm1(passes)
+    # the padded length M' in [2n - 1, 4n) has only factors 2..11: bound per bit of M'
+    per_bit = max(math.log1p(_pass_error(p)) / math.log2(p) for p in (2, 3, 5, 7, 11))
+    padded = math.expm1(per_bit * math.log2(4 * n))
+    chirp = (1 + _ROOT) * (1 + _CMUL) - 1
+    kernel = (1 + _CMUL) * (1 + math.sqrt(2) * ((1 + padded) * (1 + _SCALE) * (1 + _ROOT) - 1)) - 1
+    stages = (1 + chirp) ** 2 * (1 + padded) ** 2 * (1 + kernel) * (1 + _SCALE) - 1
+    return max(cooley_tukey, (2 * n - 1) / math.sqrt(n) * stages)
+
+
+def _count_error(factor_orders: tuple[int, ...], m: int, d: int, mass: int) -> float:
+    """The a-priori bound of ``_count`` on max |computed - exact| of the FFT path."""
+    if mass >= 2**64:  # refused, as the bound exceeds 2u mass, before mass can overflow a float
+        return math.inf
+    n = math.prod(factor_orders)
+    eps = math.expm1(sum(math.log1p(_fft_error(k)) for k in factor_orders))
+    k = m * d
+    product = math.expm1((k - 1) * math.log1p(_CMUL))
+    coefficients = math.expm1(k * math.log1p(eps * math.sqrt(n))) / math.sqrt(n)
+    return mass * math.expm1(math.log1p(eps) + math.log1p(product) + math.log1p(coefficients))
+
+
 @lru_cache(maxsize=128)
 def _count(factors: tuple[GroupSubset, ...], d: int) -> GroupFunction:
-    """(1_F1 * ... * 1_Fm)^(d), convolved once per (factors, d); the result is read-only."""
+    """(1_F1 * ... * 1_Fm)^(d) as int64 counts, computed once per (factors, d); the result is read-only.
+
+    On a cyclic group or an abelian product the counts come from the catalog: one
+    ``coefficients`` FFT per factor, the product of the k = m d coefficient vectors
+    (k - 1 complex products), one ``_AbelianCatalog._inverse`` and ``np.rint``.  That
+    path runs only when the a-priori bound below on the largest absolute error of the
+    float counts is under 1/2, so rounding returns the exact integers; otherwise, and
+    on every other group, the gather ``convolution_power`` runs.
+
+    Bound.  With u = 2^-53, N = |G| = n_1 ... n_r (the factor orders), mass
+    T = prod |F_i|^d and eps the relative 2-norm error of one catalog transform,
+        max_x |computed(x) - count(x)|
+            <= T [(1 + eps)(1 + sqrt5 u)^(k-1)(1 + ((1 + eps sqrt N)^k - 1) / sqrt N) - 1],
+    with eps = prod_a (1 + E(n_a)) - 1 over the axes, E(n) = max(E_CT(n), E_B(n)), mu = 16u
+    (tabulated roots of unity) and gamma_2 = 2u/(1 - 2u) (the 1/n scaling):
+      - mixed-radix Cooley-Tukey, pocketfft's passes of radix 2, 3, 4, 5, 7, 8, 11 and
+        its generic radix: E_CT(n) = (1 + gamma_2) prod_p (1 + eta_p) - 1 over the prime
+        factors p of n with multiplicity (a radix-4 or radix-8 pass is its radix-2
+        passes), eta_p = (1 + sqrt(2p)((1 + mu)(1 + u)^(2p) - 1))(1 + mu)(1 + sqrt5 u) - 1,
+        modelling each butterfly output as a sum of p inputs along at most 2p roundings
+        whose path coefficients have moduli summing to at most sqrt 2;
+      - Bluestein, pocketfft's path for a length n >= 50 with a large prime factor (the
+        primes 1009 and 1511 among them): a chirp product, a cyclic convolution of padded
+        length M' in [2n - 1, 4n) (two Cooley-Tukey transforms of radices 2..11 and the
+        product with the precomputed kernel spectrum, itself one such transform), a chirp
+        product.  The stage norms multiply to 2n - 1 against ||F_n|| = sqrt n, so
+        E_B(n) = ((2n - 1)/sqrt n)[(1 + w)^2 (1 + E_M)^2 (1 + e_K)(1 + gamma_2) - 1], with
+        w = (1 + mu)(1 + sqrt5 u) - 1, E_M = exp(h log2(4n)) - 1 for h the largest
+        log(1 + eta_p)/log2 p over p = 2..11, and
+        e_K = (1 + sqrt5 u)(1 + sqrt2 ((1 + E_M)(1 + gamma_2)(1 + mu) - 1)) - 1.
+    Each transform is a product of stages A_j evaluated in turn with error at most
+    eta_j ||A_j|| ||v||, so its error is at most (prod (1 + eta_j) - 1) prod ||A_j|| ||x||:
+    the argument of Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 24.2, which Percival, Math. Comp. 72 (2003) 387-395, Thm 5.1, applies to an FFT
+    convolution.  A complex product errs by at most sqrt5 u relative (Brent, Percival and
+    Zimmermann, Math. Comp. 76 (2007) 1469-1481).  The exact coefficients a_j have
+    ||a_j||_inf <= |F_j| and errors ||e_j||_2 <= eps sqrt(N |F_j|); telescoping the
+    product bounds its 2-norm error by T sqrt N [(1 + sqrt5 u)^(k-1)(1 + R) - 1], with R the
+    last term above; Parseval gives ||P||_2 = sqrt N ||count||_2 <= sqrt N T; the inverse
+    adds eps times its input's norm over sqrt N, and max_x <= the 2-norm.  Underflow is
+    left out: its absolute error, 2^-1074 per operation, is far below 1/2.
+    """
+    group = factors[0].group
+    if d >= 1 and isinstance(group, (CyclicGroup, AbelianProductGroup)):
+        catalog = irrep_catalog(group)
+        mass = math.prod(f.size for f in factors) ** d
+        if _count_error(catalog.factor_orders, len(factors), d, mass) < 0.5:
+            return GroupFunction(group, np.rint(_fft_counts(catalog, factors, d).real).astype(np.int64))
     return convolution_power([f.indicator() for f in factors], d)
+
+
+def _fft_counts(catalog, factors: tuple[GroupSubset, ...], d: int) -> np.ndarray:
+    """The unrounded counts of ``_count`` on an abelian catalog, as complex floats."""
+    chain = [catalog.coefficients(f.indicator())[0].reshape(-1) for f in factors] * d
+    product = chain[0].copy()
+    for coefficients in chain[1:]:
+        product *= coefficients
+    return catalog._inverse(product)
 
 
 def rep_count(b: GroupSubset, d: int) -> GroupFunction:

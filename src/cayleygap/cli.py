@@ -99,7 +99,7 @@ def _instance(args):
     cfg = load_config(args.config)
     group = make_group(cfg["group"])
     seed = _seed(args, cfg)
-    subset = resolve_subset(group, cfg.get("set", "full"), np.random.default_rng(seed))
+    subset = resolve_subset(group, cfg.get("set", "full"), seed)
     return cfg, group, seed, subset
 
 

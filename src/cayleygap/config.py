@@ -59,10 +59,12 @@ def load_config(path: str | Path) -> dict:
 _SET_CALL_RE = re.compile(r"^([a-z_]+)\s*\((.*)\)$")
 
 
-def resolve_subset(group: FiniteGroup, spec, rng: np.random.Generator) -> GroupSubset:
+def resolve_subset(group: FiniteGroup, spec, seed: int) -> GroupSubset:
     """Subset from a config value: explicit index list, ``full``,
     ``random(size)``, ``symmetric_random(size)``, or ``interval(start, length)``.
-    A size or length must lie in [0, |G|], and a ``symmetric_random`` size in [1, |G|]."""
+    A size or length must lie in [0, |G|], and a ``symmetric_random`` size in [1, |G|].
+    Only the two random kinds build a generator, ``np.random.default_rng(seed)``, so
+    the other specs never import ``numpy.random``."""
     if isinstance(spec, (list, tuple)):
         return GroupSubset.from_indices(group, spec)
     if isinstance(spec, str):
@@ -79,5 +81,6 @@ def resolve_subset(group: FiniteGroup, spec, rng: np.random.Generator) -> GroupS
                     raise ValueError(f"set {spec!r}: size {args[-1]} outside [{low}, {group.order}] on {group.name}")
                 if kind == "interval":
                     return GroupSubset.from_indices(group, [(args[0] + j) % group.order for j in range(args[1])])
-                return (random_symmetric_subset if low else random_subset)(group, args[0], rng)
+                draw = random_symmetric_subset if low else random_subset
+                return draw(group, args[0], np.random.default_rng(seed))
     raise ValueError(f"cannot resolve set spec {spec!r}")

@@ -50,6 +50,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _smallest_prime_factor(n: int) -> int:
+    if n % 2 == 0:
+        return 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 2
+    return n
+
+
 class FiniteGroup:
     """A finite group whose elements are the indices ``0..order-1``.
 

@@ -8,9 +8,11 @@ as ``_transform``: every Fourier coefficient by FFTs over the group's cyclic
 factors, one ``ifftn`` over the factor orders on abelian groups, and on
 dihedral groups one ``ifft`` and one ``fft`` of the two coset rows, whose
 entries fill the sign and plane blocks.  ``IrrepCatalog.coefficients`` and
-``IrrepCatalog.norms`` read it, so neither touches a matrix.  The matrices
-themselves, one read-only ``(k, |G|, d, d)`` stack per dimension with each
-rep's ``matrices`` a view of its row, are the same transform batched over the
+``IrrepCatalog.norms`` read it, so neither touches a matrix; an abelian
+catalog also inverts it (``_inverse``, one ``fftn``) for the representation
+counts of ``bounds``.  The matrices themselves, one read-only
+``(k, |G|, d, d)`` stack per dimension with each rep's ``matrices`` a view of
+its row, are the same transform batched over the
 identity, since rho(g) is the coefficient of the point mass at g; they are
 built on first read of ``stacks`` or ``reps``, after a check against
 ``DENSE_BYTES_BUDGET`` that raises GroupTooLarge before anything is allocated.
@@ -272,6 +274,11 @@ class _AbelianCatalog(IrrepCatalog):
         axes = tuple(range(len(self.factor_orders)))
         coeffs = np.fft.ifftn(values.reshape(self.factor_orders + batch), axes=axes, norm="forward")
         return [coeffs.reshape(-1, *batch, 1, 1)]
+
+    def _inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """f from its ``(|G|,)`` coefficients: f(x) = (1/|G|) sum_r fhat(r) e^{-2 pi i <r, x>},
+        one ``fftn`` with the 1/n factor, the opposite sign of ``_transform``."""
+        return np.fft.fftn(coeffs.reshape(self.factor_orders), norm="forward").reshape(-1)
 
 
 class _DihedralCatalog(IrrepCatalog):

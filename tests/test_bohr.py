@@ -404,7 +404,7 @@ class TestProgressionScan:
         """A winning draw of step k > n/2 is read on step n - k from a shifted
         start, but reported as drawn."""
         n, length, samples = 293, 88, 2000
-        b = resolve_subset(make_group("cyclic(293)"), "random(20)", np.random.default_rng(0))
+        b = resolve_subset(make_group("cyclic(293)"), "random(20)", 0)
         values = rep_count(b, 2).values.astype(np.float64)
         backward = 0
         for seed in range(6):
@@ -430,7 +430,7 @@ class TestProgressionScan:
     def test_sampled_peak_on_scan_cyclic1009(self):
         """Held at the former kernel's 3.13 MiB: the draws are kept as drawn,
         as an int32 start and an int16 step, and no per-draw sum is stored."""
-        b = resolve_subset(make_group("cyclic(1009)"), "random(30)", np.random.default_rng(0))
+        b = resolve_subset(make_group("cyclic(1009)"), "random(30)", 0)
         counts = rep_count(b, 2).values.astype(np.float64)
         max_progression_mass(counts, 404, exhaustive=False)  # numpy.random's lazy imports are not the scan's
         peak = _traced_peak(lambda: max_progression_mass(counts, 404, exhaustive=False))
@@ -558,6 +558,12 @@ class TestBohrCharacterization:
         assert report.parameters["alpha"] == pytest.approx(0.5)
         assert report.measured == pytest.approx(0.0, abs=1e-9)
         assert report.verdict == "fail"
+
+    def test_forward_on_a_one_point_space_is_a_hypothesis_failure(self):
+        # no nontrivial eigenvalue to bound: the share scan finds no Bohr set,
+        # and alpha = 1 must not be checked against lambda1 = 0 as a "fail"
+        with pytest.raises(HypothesisFail, match="one-point space"):
+            gap_from_bohr_sets(GroupSubset.full(make_group("cyclic(1)")), 2, 0.3)
 
 
 @pytest.mark.parametrize("forward", [gap_from_progressions, gap_from_bohr_sets])

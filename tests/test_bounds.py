@@ -1,7 +1,9 @@
 """Gap lower bounds: formulas in exact arithmetic, hypotheses, graph variants."""
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +42,13 @@ from cayleygap import (
     verify_progression_basis_bound,
     verify_uniformity,
 )
-from cayleygap.bounds import BoundReport
+from cayleygap import bounds as bounds_module
+from cayleygap.bounds import BoundReport, _count_error
+from cayleygap.cli import main
+from cayleygap.groups import convolution_power
+from cayleygap.representations import _AbelianCatalog, irrep_catalog
 from cayleygap.errors import EmptySet, HypothesisFail, NotRegular, RangeViolation
-from cayleygap.sampling import random_nonempty_subset, random_symmetric_subset
+from cayleygap.sampling import random_nonempty_subset, random_subset, random_symmetric_subset
 from cayleygap.spectra import spectral_summary
 
 
@@ -94,6 +100,82 @@ class TestRepCount:
                 star = iterated_convolution(convolve(b1.indicator(), inverse_set(b1).indicator()), d)
                 assert np.array_equal(symmetrized_rep_count(b1, d).values, star.values)
                 assert power.dtype == star.values.dtype == np.int64
+
+
+def _gather(factors, d):
+    return convolution_power([f.indicator() for f in factors], d)
+
+
+def _admitted(factors, d):
+    mass = math.prod(f.size for f in factors) ** d
+    return _count_error(irrep_catalog(factors[0].group).factor_orders, len(factors), d, mass) < 0.5
+
+
+class TestFftCounts:
+    """Counts on abelian groups come from one FFT per factor where the rounding
+    bound admits them; the gather ``convolution_power`` is the oracle."""
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["cyclic(1)", "cyclic(2)", "cyclic(1009)", "cyclic(4096)", "abelian_product([12, 15])", "abelian_product([2, 2, 3])"],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["B", "B B^-1", "B1 B2"])
+    def test_counts_match_the_gather(self, descriptor, d, kind, rng):
+        group = make_group(descriptor)
+        for _ in range(3):
+            b1 = random_subset(group, int(rng.integers(1, min(group.order, 12) + 1)), rng)
+            b2 = random_subset(group, int(rng.integers(1, min(group.order, 12) + 1)), rng)
+            factors = {"B": (b1,), "B B^-1": (b1, inverse_set(b1)), "B1 B2": (b1, b2)}[kind]
+            assert _admitted(factors, d)
+            got, want = bounds_module._count(factors, d).values, _gather(factors, d).values
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_benchmark_instances_are_admitted_and_exact(self, tmp_path, monkeypatch):
+        """Every count a benchmark config asks for on an abelian group, seeds 0-3."""
+        root = Path(__file__).resolve().parents[1]
+        asked = []
+        count = bounds_module._count
+        monkeypatch.setattr(bounds_module, "_count", lambda factors, d: asked.append((factors, d)) or count(factors, d))
+        for cfg in sorted((root / "perfbench" / "configs").glob("*.cfg")):
+            if not re.search(r"^group = (cyclic|abelian_product)\(", cfg.read_text(), re.M):
+                continue
+            kind, _, name = cfg.stem.partition("-")
+            command = ["experiment", name] if kind == "experiment" else [kind]
+            for seed in range(4):
+                asked.clear()
+                main([*command, "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / "out.csv")])
+                assert asked or kind in ("bohr", "spectrum"), cfg.stem
+                for factors, d in asked:
+                    assert _admitted(factors, d), (cfg.stem, seed, len(factors), d)
+                    assert np.array_equal(count(factors, d).values, _gather(factors, d).values)
+
+    def test_gate_refuses_the_symmetrized_fifth_power_on_z_100003(self):
+        # (B*B^-1)^(5) with |B| = 50 has mass 50^10 > 2^53; B^(4) of the same set is admitted
+        assert _count_error((100003,), 2, 5, 50**10) >= 0.5
+        assert _count_error((100003,), 1, 4, 50**4) < 0.5
+
+    def test_refused_count_runs_the_gather(self, monkeypatch):
+        inverses = []
+        inverse = _AbelianCatalog._inverse
+        monkeypatch.setattr(_AbelianCatalog, "_inverse", lambda self, c: inverses.append(1) or inverse(self, c))
+        b = GroupSubset.from_indices(make_group("cyclic(101)"), range(0, 101, 2))
+        assert not _admitted((b, inverse_set(b)), 6)  # 51^12 > 2^53
+        bounds_module._count.cache_clear()
+        assert np.array_equal(symmetrized_rep_count(b, 6).values, _gather((b, inverse_set(b)), 6).values)
+        assert inverses == []
+
+    @pytest.mark.parametrize("descriptor", ["cyclic(1009)", "cyclic(1511)", "cyclic(4096)", "abelian_product([12, 15])"])
+    def test_bound_dominates_the_float_error(self, descriptor, rng):
+        # the unrounded FFT counts stay within the bound, by a wide margin
+        group = make_group(descriptor)
+        catalog = irrep_catalog(group)
+        for d in (2, 3):
+            b = random_subset(group, 40, rng)
+            factors = (b, inverse_set(b))
+            error = np.abs(bounds_module._fft_counts(catalog, factors, d) - _gather(factors, d).values).max()
+            assert 0 < error < 1e-2 * _count_error(catalog.factor_orders, 2, d, 40 ** (2 * d))
 
 
 class TestExceptionalSet:

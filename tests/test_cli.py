@@ -1,16 +1,17 @@
 """CLI subcommands, exit codes, and file determinism."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cayleygap import bounds as bounds_module
 from cayleygap import groups as groups_module
 from cayleygap.cli import EXIT_ERROR, EXIT_PASS, main
 from cayleygap.config import resolve_subset
+from cayleygap.representations import _AbelianCatalog
 
 
 def write_config(tmp_path, name, text):
@@ -106,13 +107,27 @@ class TestBoundsCommand:
 
     def test_each_count_is_convolved_once(self, tmp_path, capsys, monkeypatch):
         # one B^(2), one (B*B^-1)^(2) and one B^(4) for row 06: 1 + 3 + 3 convolutions
+        # on the gather, which a gate refusing every FFT count forces here
         calls = []
         convolve = groups_module.convolve
         monkeypatch.setattr(groups_module, "convolve", lambda f, g: calls.append(1) or convolve(f, g))
+        monkeypatch.setattr(bounds_module, "_count_error", lambda *args: math.inf)
         bounds_module._count.cache_clear()
         code, rows = self._rows(tmp_path, capsys, "group = cyclic(13)\nset = random(4)\nd = 2\n")
         assert code == EXIT_PASS and set(rows) == self.ALL_ROWS
         assert len(calls) == 7
+
+    def test_each_count_takes_one_inverse_fft(self, tmp_path, capsys, monkeypatch):
+        # the same three counts on Z/13 come from the catalog: one inverse each, no convolution
+        inverses, convolutions = [], []
+        inverse = _AbelianCatalog._inverse
+        convolve = groups_module.convolve
+        monkeypatch.setattr(_AbelianCatalog, "_inverse", lambda self, c: inverses.append(1) or inverse(self, c))
+        monkeypatch.setattr(groups_module, "convolve", lambda f, g: convolutions.append(1) or convolve(f, g))
+        bounds_module._count.cache_clear()
+        code, rows = self._rows(tmp_path, capsys, "group = cyclic(13)\nset = random(4)\nd = 2\n")
+        assert code == EXIT_PASS and set(rows) == self.ALL_ROWS
+        assert (len(inverses), len(convolutions)) == (3, 0)
 
 
 class TestBohrCommand:
@@ -408,7 +423,7 @@ class TestConfigErrors:
     )
     def test_set_sizes_at_the_ends_are_drawn(self, spec, size):
         group = groups_module.make_group("cyclic(13)")
-        assert resolve_subset(group, spec, np.random.default_rng(0)).size == size
+        assert resolve_subset(group, spec, 0).size == size
 
     @pytest.mark.parametrize("command", ["spectrum", "bounds", "scan"])
     @pytest.mark.parametrize("seed", ["1.5", "-1", "x"])
@@ -446,7 +461,8 @@ class TestImports:
     """A CLI run never imports ``numpy.ma``: numpy's unique pulls it in on its
     first call, so one stray call costs every run that import.  Nor does the
     CLI import load ``dataclasses`` or ``json``: the records are NamedTuples
-    and only JSON reports import ``json``."""
+    and only JSON reports import ``json``.  A set spec that draws nothing
+    leaves ``numpy.random`` unimported."""
 
     PROBE = (
         "import contextlib, io, sys\n"
@@ -491,6 +507,31 @@ class TestImports:
         "import cayleygap.cli\n"
         "print(sorted({'dataclasses', 'json'} & (set(sys.modules) - loaded)))\n"
     )
+
+    RANDOM_PROBE = (
+        "import contextlib, io, os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from cayleygap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['spectrum', '--config', sys.argv[2], '--out', os.devnull])\n"
+        "print(eager, code, 'numpy.random' in sys.modules)\n"
+    )
+
+    def test_a_set_drawn_from_no_generator_never_imports_numpy_random(self):
+        """An explicit index list builds no generator, so ``numpy.random`` (and the
+        ``secrets``/OpenSSL imports behind it) is never loaded."""
+        root = Path(__file__).resolve().parents[1]
+        config = root / "tests" / "configs" / "spectrum-dihedral500-classes.cfg"
+        result = subprocess.run(
+            [sys.executable, "-I", "-c", self.RANDOM_PROBE, str(root / "src"), str(config)],
+            capture_output=True, text=True, check=True,
+        )
+        eager, code, imported = result.stdout.split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert (code, imported) == (str(EXIT_PASS), "False")
 
     def test_cli_import_loads_neither_dataclasses_nor_json(self):
         """Against what ``import numpy`` alone loads, so a numpy that imports
