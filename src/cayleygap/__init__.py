@@ -95,7 +95,6 @@ from .representations import (
     fourier_transform,
     inverse_fourier,
     irrep_catalog,
-    operator_norm,
     set_norm,
 )
 from .spectra import (

@@ -358,20 +358,21 @@ def verify_exceptional_bound_star(
 # -- Fourier norm bound and uniform distribution -----------------------------
 
 
-def fourier_norm_bound_value(order: int, set_size: int, d: int, g) -> float:
-    """|B| (1 - g|G| / (d |B|^(2d)))^(1/2), an upper bound for nontrivial norms."""
-    inner = 1.0 - float(g) * order / (d * float(set_size) ** (2 * d))
+def _covering_deficit(b: GroupSubset, d: int, g, what: str) -> float:
+    """1 - g|G| / (d |B|^(2d)) once (B*B^-1)^(d) >= g is certified; the
+    nontrivial Fourier norms are at most |B| times its square root."""
+    counts = symmetrized_rep_count(b, d).values.real
+    if counts.min() < g:
+        raise HypothesisFail(f"{what}: (B*B^-1)^({d}) has minimum {counts.min()} < g={g}")
+    inner = 1.0 - float(g) * b.group.order / (d * float(b.size) ** (2 * d))
     if inner < 0:
-        raise HypothesisFail("norm bound undefined: g|G| exceeds d |B|^(2d)")
-    return set_size * float(np.sqrt(inner))
+        raise HypothesisFail(f"{what} undefined: g|G| exceeds d |B|^(2d)")
+    return inner
 
 
 def verify_fourier_norm_bound(b: GroupSubset, d: int, g) -> BoundReport:
-    """max nontrivial ||Bhat(rho)|| against the covering upper bound (sense <=)."""
-    counts = symmetrized_rep_count(b, d).values.real
-    if counts.min() < g:
-        raise HypothesisFail(f"norm bound: (B*B^-1)^({d}) has minimum {counts.min()} < g={g}")
-    value = fourier_norm_bound_value(b.group.order, b.size, d, g)
+    """max nontrivial ||Bhat(rho)|| against |B| (1 - g|G| / (d |B|^(2d)))^(1/2) (sense <=)."""
+    value = b.size * float(np.sqrt(_covering_deficit(b, d, g, "norm bound")))
     return BoundReport(
         bound_name="fourier_norm_vs_covering",
         bound_value=value,
@@ -382,26 +383,15 @@ def verify_fourier_norm_bound(b: GroupSubset, d: int, g) -> BoundReport:
     )
 
 
-def uniformity_error_bound(order: int, set_size: int, d: int, k: int) -> float:
-    """(1 - |G| / (d |B|^(2d)))^(k/2) |B|^(k+1): deviation cap for B^(k+2)."""
-    inner = 1.0 - order / (d * float(set_size) ** (2 * d))
-    if inner < 0:
-        raise HypothesisFail("uniformity bound undefined: |G| exceeds d |B|^(2d)")
-    return float(inner ** (k / 2) * float(set_size) ** (k + 1))
-
-
 def verify_uniformity(b: GroupSubset, d: int, k: int) -> BoundReport:
-    """max_x |B^(k+2)(x) - |B|^(k+2)/|G|| against the explicit error bound."""
-    counts = symmetrized_rep_count(b, d).values.real
-    if counts.min() < 1:
-        raise HypothesisFail(f"uniformity: (B*B^-1)^({d}) is not >= 1 everywhere")
+    """max_x |B^(k+2)(x) - |B|^(k+2)/|G|| against (1 - |G| / (d |B|^(2d)))^(k/2) |B|^(k+1)."""
+    inner = _covering_deficit(b, d, 1, "uniformity bound")
     order = b.group.order
     values = rep_count(b, k + 2).values.astype(np.float64)
     deviation = float(np.abs(values - float(b.size) ** (k + 2) / order).max())
-    bound = uniformity_error_bound(order, b.size, d, k)
     return BoundReport(
         bound_name="uniform_distribution_deviation",
-        bound_value=bound,
+        bound_value=float(inner ** (k / 2) * float(b.size) ** (k + 1)),
         measured=deviation,
         sense="<=",
         parameters={"group_order": order, "set_size": b.size, "d": d, "k": k},

@@ -4,8 +4,9 @@ Subcommands: ``spectrum`` (dense vs block eigenvalues), ``bounds`` (gap bound
 battery on one instance), ``bohr`` (Bohr-set calculus battery), ``scan``
 (progression characterization, both directions), ``experiment <name>``.
 
-Exit codes: 0 all checks pass (vacuous passes count as passes), 1 at least
-one substantive failure, 2 hypothesis or configuration error.
+Each subcommand returns its rows and column order; ``main`` writes the report
+and sets the exit code: 0 all checks pass (vacuous passes count as passes), 1
+at least one asserted row reads ``fail``, 2 hypothesis or configuration error.
 """
 
 from __future__ import annotations
@@ -52,15 +53,6 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
-def _emit(records: list[dict], args, columns=None) -> None:
-    if args.out:
-        emit_report(records, args.format, args.out, columns=columns)
-    elif records:
-        print(render_report(records, args.format, columns), end="")
-    else:
-        print("(no records)")
-
-
 def _positive_int(cfg: dict, key: str, default, stop: float = float("inf"), low: int = 1):
     """Config value ``key`` as an integer in [low, stop), or ``default`` when absent."""
     if key not in cfg:
@@ -69,7 +61,7 @@ def _positive_int(cfg: dict, key: str, default, stop: float = float("inf"), low:
         n = operator.index(cfg[key])
     except TypeError:
         n = low - 1  # not an integer: rejected below with the value as given
-    if not low <= n < stop:
+    if isinstance(cfg[key], bool) or not low <= n < stop:  # a bool is no integer
         raise ValueError(f"{key} must be an integer in [{low}, {stop}), got {cfg[key]!r}")
     return n
 
@@ -103,7 +95,7 @@ def _instance(args):
     return cfg, group, seed, subset
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[list[dict], list[str] | None]:
     *_, subset = _instance(args)
     dense = laplace_spectrum_dense(subset)
     try:
@@ -113,20 +105,18 @@ def cmd_spectrum(args) -> int:
     records = dense.rows() + (blocks.rows() if blocks is not None else [])
     for row in records:  # the path is "dense" or "blocks"
         row["instance"] = "%s-%05d" % (row["path"], row["index"])
-    agree = True
     if blocks is not None:
         gap = multiset_distance(dense.eigenvalues, blocks.eigenvalues)
-        agree = gap <= 1e-9
         star_gap = float(np.abs(dense.star_eigenvalues - blocks.star_eigenvalues).max())
+        verdict = "pass" if max(gap, star_gap) <= 1e-9 else "fail"
         records.append({
             "instance": "zz-path-agreement", "index": -1, "eigenvalue_re": gap, "eigenvalue_im": 0.0,
-            "star_eigenvalue": star_gap, "cluster": -1, "path": "pass" if agree else "fail",
+            "star_eigenvalue": star_gap, "cluster": -1, "path": verdict, "verdict": verdict,
         })
-    _emit(records, args, columns=["instance", "index", "eigenvalue_re", "eigenvalue_im", "star_eigenvalue", "cluster", "path"])
-    return EXIT_PASS if agree else EXIT_FAIL
+    return records, ["instance", "index", "eigenvalue_re", "eigenvalue_im", "star_eigenvalue", "cluster", "path"]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[list[dict], list[str] | None]:
     cfg, group, _, subset = _instance(args)
     g = cfg.get("g", 1)  # kept as given: the reports carry g as the config wrote it
     if _real(cfg, "g", 1) <= 0:
@@ -153,11 +143,10 @@ def cmd_bounds(args) -> int:
         except (HypothesisFail, NotCataloged):
             continue  # the verifier cannot certify its hypothesis here: the row is left out
         records.append(bound_record(report, instance, group.name))
-    _emit(records, args)
-    return EXIT_PASS if records_pass(records) else EXIT_FAIL
+    return records, None
 
 
-def cmd_bohr(args) -> int:
+def cmd_bohr(args) -> tuple[list[dict], list[str] | None]:
     cfg = load_config(args.config)
     group = make_group(cfg["group"])
     catalog = irrep_catalog(group)
@@ -214,11 +203,10 @@ def cmd_bohr(args) -> int:
     if len(reps) >= 2:
         multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
         add_bound("zz-multi-bohr", multi, f"delta={delta:g}")
-    _emit(records, args, columns=columns)
-    return EXIT_PASS if records_pass(records) else EXIT_FAIL
+    return records, columns
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[list[dict], list[str] | None]:
     cfg, group, seed, subset = _instance(args)
     d = _positive_int(cfg, "d", 2)
     delta = _real(cfg, "delta", 0.4)
@@ -237,11 +225,10 @@ def cmd_scan(args) -> int:
         scan = bohr_mod.progression_scan(subset, d, delta, exhaustive=exhaustive, seed=seed)
         add(bohr_mod.progressions_from_gap(subset, d, delta, scan=scan), "02-reverse")
         add(bohr_mod.progressions_from_gap_certified(subset, d, delta, scan=scan), "03-reverse-certified")
-    _emit(records, args)
-    return EXIT_PASS if records_pass(records) else EXIT_FAIL
+    return records, None
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple[list[dict], list[str] | None]:
     cfg = load_config(args.config) if args.config else {}
     seed = _seed(args, cfg)
     name = args.name
@@ -260,8 +247,7 @@ def cmd_experiment(args) -> int:
         result = EXPERIMENTS[name](
             _positive_int(cfg, "N", 1009), _real(cfg, "c1", 2.0), _real(cfg, "C", 8.0), seed
         )
-    _emit(result.records, args)
-    return EXIT_PASS if result.passed else EXIT_FAIL
+    return result.records, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,22 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", cmd_bounds),
         ("bohr", cmd_bohr),
         ("scan", cmd_scan),
+        ("experiment", cmd_experiment),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to key=value config")
+        if name == "experiment":  # the one subcommand whose config is optional
+            p.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
+        p.add_argument("--config", required=name != "experiment", help="path to key=value config")
         p.add_argument("--seed", type=_seed_arg, default=None, help="override config seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (stdout if omitted)")
         if name == "scan":
             p.add_argument("--exhaustive", action="store_true", help="force exhaustive scans")
         p.set_defaults(func=func)
-    pe = sub.add_parser("experiment")
-    pe.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
-    pe.add_argument("--config", default=None, help="path to key=value config")
-    pe.add_argument("--seed", type=_seed_arg, default=None, help="override config seed")
-    pe.add_argument("--format", choices=("csv", "json"), default="csv")
-    pe.add_argument("--out", default=None, help="output file (stdout if omitted)")
-    pe.set_defaults(func=cmd_experiment)
     return parser
 
 
@@ -298,13 +280,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        records, columns = args.func(args)
+        if args.out:
+            emit_report(records, args.format, args.out, columns=columns)
+        elif records:
+            print(render_report(records, args.format, columns), end="")
+        else:
+            print("(no records)")
     except CayleyGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, KeyError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_PASS if records_pass(records) else EXIT_FAIL
 
 
 if __name__ == "__main__":

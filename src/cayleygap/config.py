@@ -66,6 +66,8 @@ def resolve_subset(group: FiniteGroup, spec, seed: int) -> GroupSubset:
     Only the two random kinds build a generator, ``np.random.default_rng(seed)``, so
     the other specs never import ``numpy.random``."""
     if isinstance(spec, (list, tuple)):
+        if any(isinstance(x, bool) for x in spec):  # from_indices would read True as 1
+            raise ValueError(f"subset indices must be integers, got {spec!r}")
         return GroupSubset.from_indices(group, spec)
     if isinstance(spec, str):
         text = spec.strip()

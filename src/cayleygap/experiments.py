@@ -315,31 +315,19 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
     p_size = min(n, max(0, round(big_c * math.sqrt(n))))
     # a random c1*sqrt(N) set misses ~N exp(-c1^2) double sums, so exact
     # coverage of 2S is resampled only down to an exceptional set of N/4
-    lam_set = None
-    omega = None
-    start = -1
     for _ in range(100):
-        candidate = GroupSubset.from_indices(
-            group, rng.choice(n, size=min(lam_size, n), replace=False)
-        )
-        if p_size > 0:
-            start = int(rng.integers(0, n))
-            interval = GroupSubset.from_indices(group, (start + np.arange(p_size)) % n)
-        else:
-            start = -1
-            interval = GroupSubset.empty(group)
-        union = candidate.union(interval)
-        missed = exceptional_set(union, 2, 1)
-        if missed.size <= n / 4:
-            lam_set = candidate
-            omega = missed
+        lam_set = GroupSubset.from_indices(group, rng.choice(n, size=min(lam_size, n), replace=False))
+        start = int(rng.integers(0, n)) if p_size > 0 else -1  # -1: no interval
+        interval = GroupSubset.from_indices(group, (start + np.arange(p_size)) % n)
+        s = lam_set.union(interval)
+        omega = exceptional_set(s, 2, 1)
+        if omega.size <= n / 4:
             break
-    if lam_set is None:
+    else:
         raise LambdaResampleFail(
             f"no sampled size-{lam_size} set kept double-sum misses below N/4 in 100 tries"
         )
     result = ExperimentResult(name="interval-union", seed=seed, records=[])
-    s = lam_set.union(interval)
     gap = lambda1(s)
     result.records.append(
         {

@@ -34,11 +34,13 @@ _DEFAULT_CLOSURE_CAP = 10_000
 
 
 def _as_int(value, what: str) -> int:
-    """``value`` as an int: a float, string or None is no group parameter."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidTable(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an int: a bool, float, string or None is no group parameter."""
+    if not isinstance(value, bool):  # operator.index reads True as 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidTable(f"{what} must be an integer, got {value!r}")
 
 
 def _int_dtype(order: int):
@@ -337,7 +339,7 @@ def _normalize_generator(gen, n_points: int | None) -> tuple[int, ...]:
         image = tuple(operator.index(x) for x in gen)
     except TypeError:
         raise ValueError(f"not a permutation image list: {gen!r}") from None
-    if sorted(image) != list(range(len(image))):
+    if sorted(image) != list(range(len(image))) or any(isinstance(x, bool) for x in gen):
         raise ValueError(f"not a permutation image list: {gen!r}")
     return image
 

@@ -74,11 +74,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value of one matrix."""
-    return float(operator_norms(matrix[None])[0])
-
-
 class UnitaryRepresentation:
     """A map from group elements to d x d unitary matrices."""
 
@@ -331,7 +326,7 @@ class FourierCoefficient(NamedTuple):
 
     @property
     def op_norm(self) -> float:
-        return operator_norm(self.matrix)
+        return float(operator_norms(self.matrix[None])[0])
 
 
 def fourier_transform(f: GroupFunction, rep: UnitaryRepresentation) -> FourierCoefficient:

@@ -458,18 +458,21 @@ def _dense_gaps(s: GroupSubset, full: bool) -> tuple[np.ndarray | None, float, n
     return np.linalg.eigvals(delta).ravel() if full else None, gap, star
 
 
+def _star_gap(star: np.ndarray) -> float:
+    """lambda1* from the ascending star spectrum: its second value, or 0 on one point."""
+    return float(star[1]) if star.size > 1 else 0.0
+
+
+def _report(eigenvalues: np.ndarray, lam1: float, star: np.ndarray, path: str) -> SpectrumReport:
+    """The path's report: eigenvalues in display order, lambda1* by ``_star_gap``."""
+    return SpectrumReport(_display_order(eigenvalues), star, lam1, _star_gap(star), path)
+
+
 def laplace_spectrum_dense(s: GroupSubset) -> SpectrumReport:
     """Spectrum of I - M/|S| by dense eigendecomposition, plus the singular path."""
     if s.size == 0:
         raise EmptySet("spectrum of the empty set")
-    eigenvalues, lam1, star = _dense_gaps(s, full=True)
-    return SpectrumReport(
-        eigenvalues=_display_order(eigenvalues),
-        star_eigenvalues=star,
-        lambda1=lam1,
-        lambda1_star=float(star[1]) if star.size > 1 else 0.0,
-        path="dense",
-    )
+    return _report(*_dense_gaps(s, full=True), "dense")
 
 
 def laplace_spectrum_blocks(s: GroupSubset) -> SpectrumReport:
@@ -490,15 +493,9 @@ def laplace_spectrum_blocks(s: GroupSubset) -> SpectrumReport:
     eigenvalues = np.concatenate(eig_parts)
     star = np.sort(np.concatenate(star_parts).real)
     gaps = np.delete(np.concatenate(gaps), catalog.trivial_index)
-    return SpectrumReport(
-        eigenvalues=_display_order(eigenvalues),
-        star_eigenvalues=star,
-        # the mean-zero subspace is the sum of the nontrivial isotypic components,
-        # so the variational gap is the smallest Hermitian-part eigenvalue there
-        lambda1=float(gaps.min()) if gaps.size else 0.0,
-        lambda1_star=float(star[1]) if star.size > 1 else 0.0,
-        path="blocks",
-    )
+    # the mean-zero subspace is the sum of the nontrivial isotypic components,
+    # so the variational gap is the smallest Hermitian-part eigenvalue there
+    return _report(eigenvalues, float(gaps.min()) if gaps.size else 0.0, star, "blocks")
 
 
 class SpectralSummary(NamedTuple):
@@ -531,7 +528,7 @@ def spectral_summary(s: GroupSubset) -> SpectralSummary:
         catalog = irrep_catalog(s.group)
     except NotCataloged:
         _, lam1, star = _dense_gaps(s, full=False)
-        return SpectralSummary(lam1, float(star[1]) if star.size > 1 else 0.0, norm=None, path="dense")
+        return SpectralSummary(lam1, _star_gap(star), norm=None, path="dense")
     size = s.size
     blocks = catalog.coefficients(s.indicator())
     gaps = np.delete(np.concatenate([_hermitian_gaps(b, size) for b in blocks]), catalog.trivial_index)

@@ -47,6 +47,7 @@ from cayleygap import bohr as bohr_module
 from cayleygap.bohr import (
     CoveringReport,
     InclusionReport,
+    _max_length_below,
     bohr_symmetry_normality_check,
     bohr_symmetry_normality_rows,
     is_prime,
@@ -222,6 +223,11 @@ class TestCoveringInterval:
         a = GroupSubset.from_indices(group, range(0, 101, 2))  # spread-out set
         with pytest.raises(HypothesisFail):
             find_covering_interval(a, 0.1, 0.25)
+
+    def test_length_stays_strictly_below_an_integral_bound(self):
+        # 0.4 * 5 is exactly 2, so l < delta N leaves l = 1 where l <= delta N would give 2
+        assert _max_length_below(0.4 * 5, 4) == 1
+        assert _max_length_below(2.5, 4) == 2
 
     def test_parameter_validation(self, z7):
         a = GroupSubset.from_indices(z7, [0, 1])

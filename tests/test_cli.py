@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and file determinism."""
 
+import json
 import math
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from cayleygap import bounds as bounds_module
+from cayleygap import cli as cli_module
 from cayleygap import groups as groups_module
-from cayleygap.cli import EXIT_ERROR, EXIT_PASS, main
+from cayleygap.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 from cayleygap.config import resolve_subset
 from cayleygap.representations import _AbelianCatalog
 
@@ -27,6 +29,32 @@ class TestSpectrumCommand:
         out = capsys.readouterr().out
         assert code == EXIT_PASS
         assert "zz-path-agreement" in out and "fail" not in out
+
+    def test_json_agreement_row_carries_its_verdict(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "s.cfg", "group = cyclic(12)\nset = [0, 1, 5]\n")
+        assert main(["spectrum", "--config", cfg, "--format", "json"]) == EXIT_PASS
+        (row,) = [r for r in json.loads(capsys.readouterr().out) if r["instance"] == "zz-path-agreement"]
+        assert row["path"] == row["verdict"] == "pass"
+
+    @pytest.mark.parametrize("fault", ["star", "distance"])
+    def test_either_distance_fails_the_run(self, tmp_path, capsys, monkeypatch, fault):
+        # the agreement row gates the eigenvalue distance and the star distance alike
+        if fault == "star":
+            blocks = cli_module.laplace_spectrum_blocks
+
+            def shifted(s):
+                report = blocks(s)
+                star = report.star_eigenvalues.copy()
+                star[3] += 1e-6
+                return report._replace(star_eigenvalues=star)
+
+            monkeypatch.setattr(cli_module, "laplace_spectrum_blocks", shifted)
+        else:
+            monkeypatch.setattr(cli_module, "multiset_distance", lambda a, b: 1.0)
+        cfg = write_config(tmp_path, "s.cfg", "group = dihedral(6)\nset = symmetric_random(3)\nseed = 2\n")
+        assert main(["spectrum", "--config", cfg]) == EXIT_FAIL
+        (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("zz-path-agreement")]
+        assert row.endswith(",fail")
 
     def test_writes_file(self, tmp_path):
         cfg = write_config(tmp_path, "s.cfg", "group = cyclic(12)\nset = [0, 1, 5]\n")
@@ -348,6 +376,12 @@ class TestConfigErrors:
             ("bounds", "group = cyclic(13)\nset = random(4)\ng = x\n"),
             ("bounds", "group = cyclic(13)\nset = random(4)\ng = -1\n"),
             ("bounds", "group = cyclic(13)\nset = random(4)\ng = 0\n"),
+            # a bool is no integer: each would otherwise run, as Z/1, Z/1 x Z/3, a transposition, d = 1, {1, 2}
+            ("spectrum", "group = cyclic(True)\n"),
+            ("spectrum", "group = abelian_product([True, 3])\n"),
+            ("spectrum", "group = permutation_closure([[True, False, 2]])\n"),
+            ("bounds", "group = cyclic(13)\nset = random(4)\nd = True\n"),
+            ("spectrum", "group = cyclic(13)\nset = [True, 2]\n"),
         ],
     )
     def test_malformed_input_exits_2_without_traceback(self, tmp_path, capsys, command, body):

@@ -96,6 +96,19 @@ class TestSidon:
         assert rows["00-construction"]["size_hypothesis_met"] is False
         assert rows["02-positivity"]["verdict"] in ("vacuous-pass", "pass")
 
+    @pytest.mark.parametrize(
+        "size_constant, verdict, passed",
+        # A = {1} on Z/2 has expansion constant 0: a failure when |A| >= c_k N^(1/k)
+        # holds (1 >= 0.5 sqrt 2), vacuous when it does not (1 < sqrt 2)
+        [(0.5, "fail", False), (1.0, "vacuous-pass", True)],
+    )
+    def test_positivity_without_expansion(self, size_constant, verdict, passed):
+        result = run_sidon(2, 2, 0, size_constant)
+        rows = {r["instance"]: r for r in result.records}
+        assert rows["00-construction"]["expansion_constant"] == 0.0
+        assert rows["02-positivity"]["verdict"] == verdict
+        assert result.passed is passed
+
     def test_composite_rejected(self):
         with pytest.raises(HypothesisFail):
             run_sidon(100, 2, 0)
