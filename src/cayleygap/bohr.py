@@ -50,6 +50,7 @@ from .representations import (
     fourier_transform,
     irrep_catalog,
 )
+from .sampling import SeededStream
 from .spectra import lambda1, lambda1_star
 
 LOG32_2 = math.log(2.0, 1.5)  # exponent in the eps-size radius
@@ -219,8 +220,10 @@ def find_covering_interval(a: GroupSubset, eps: float, delta: float) -> Progress
     """Interval [x, x+l] with l < delta*N missing fewer than eps*|A| elements of A.
 
     Exhaustive over starts and lengths; existence is guaranteed under the
-    Fourier hypothesis |Ahat(1)| >= (1 - 2 eps (1 - cos pi delta)) |A|, so
-    SearchExhausted here is a genuine failure, never swallowed.
+    strict Fourier hypothesis |Ahat(1)| > (1 - 2 eps (1 - cos pi delta)) |A|, so
+    SearchExhausted here is a genuine failure, never swallowed.  At equality
+    the bound allows exactly eps|A| misses, not fewer: A = {0, 1, 2} on Z/5 at
+    eps = 1/3, delta = 0.4 has no such interval, so equality fails the hypothesis.
     """
     group = a.group
     _require_prime_cyclic(group, "interval search requires")
@@ -232,9 +235,9 @@ def find_covering_interval(a: GroupSubset, eps: float, delta: float) -> Progress
     size = a.size
     coeff = abs(np.exp(2j * np.pi * np.arange(n) / n)[a.indices].sum())
     threshold = (1.0 - 2.0 * eps * (1.0 - math.cos(math.pi * delta))) * size
-    if coeff < threshold - 1e-9:
+    if not coeff > threshold + 1e-9:
         raise HypothesisFail(
-            f"|Ahat(1)| = {coeff:.6g} below the required {threshold:.6g}"
+            f"|Ahat(1)| = {coeff:.6g} not above the required {threshold:.6g}"
         )
     member = a.membership.astype(np.int64)
     l_max = _max_length_below(delta * n, n - 1)
@@ -302,7 +305,7 @@ def max_progression_mass(
     half = n // 2
     best, witness = -1.0, None
     if not exhaustive:
-        rng = np.random.default_rng(seed)
+        rng = SeededStream(seed)
         start = rng.integers(0, n, samples).astype(np.int32)  # with step: 6 bytes a draw below n = 2^15
         step = rng.integers(1, n, samples).astype(np.int16 if n < 2**15 else np.int32)
         folded = np.minimum(step, n - step)

@@ -17,11 +17,9 @@ import ast
 import re
 from pathlib import Path
 
-import numpy as np
-
 from .errors import IoFailure
 from .groups import FiniteGroup, GroupSubset
-from .sampling import random_subset, random_symmetric_subset
+from .sampling import SeededStream, random_subset, random_symmetric_subset
 
 
 def parse_config_text(text: str) -> dict:
@@ -63,8 +61,8 @@ def resolve_subset(group: FiniteGroup, spec, seed: int) -> GroupSubset:
     """Subset from a config value: explicit index list, ``full``,
     ``random(size)``, ``symmetric_random(size)``, or ``interval(start, length)``.
     A size or length must lie in [0, |G|], and a ``symmetric_random`` size in [1, |G|].
-    Only the two random kinds build a generator, ``np.random.default_rng(seed)``, so
-    the other specs never import ``numpy.random``."""
+    The two random kinds draw from ``SeededStream(seed)``, which equals
+    ``numpy.random.default_rng(seed)`` draw for draw without importing ``numpy.random``."""
     if isinstance(spec, (list, tuple)):
         if any(isinstance(x, bool) for x in spec):  # from_indices would read True as 1
             raise ValueError(f"subset indices must be integers, got {spec!r}")
@@ -84,5 +82,5 @@ def resolve_subset(group: FiniteGroup, spec, seed: int) -> GroupSubset:
                 if kind == "interval":
                     return GroupSubset.from_indices(group, [(args[0] + j) % group.order for j in range(args[1])])
                 draw = random_symmetric_subset if low else random_subset
-                return draw(group, args[0], np.random.default_rng(seed))
+                return draw(group, args[0], SeededStream(seed))
     raise ValueError(f"cannot resolve set spec {spec!r}")

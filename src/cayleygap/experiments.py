@@ -33,6 +33,7 @@ from .groups import (
 )
 from .reports import bound_record, records_pass
 from .representations import set_norm
+from .sampling import SeededStream
 from .spectra import lambda1
 
 _TRIPLE_FREE_CAP = 500
@@ -65,7 +66,7 @@ def _identity_in_cube(t: GroupSubset) -> bool:
 
 def grow_triple_free(group: FiniteGroup, seed: int) -> GroupSubset:
     """Greedy maximal set A with no solution to abc = e, in seeded order."""
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     order = rng.permutation(group.order)
     chosen: list[int] = []
     for x in order:
@@ -158,7 +159,7 @@ def is_bk_set(elements: list[int], k: int) -> bool:
 
 def grow_bk_set(n: int, k: int, seed: int) -> list[int]:
     """Greedy B_k set in {1..N-1}, candidates in seeded-random order."""
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     chosen: list[int] = []
     sums: set[int] = set()
     for x in rng.permutation(np.arange(1, n)):
@@ -245,7 +246,7 @@ def grow_additive_basis(n: int, seed: int) -> list[int]:
     When t is uncovered, a seeded-random existing element a < t supplies the
     new element t - a, so coverage of {2..N} holds by construction.
     """
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     chosen = [1]
     covered = np.zeros(2 * n + 1, dtype=bool)
     covered[2] = True
@@ -309,7 +310,7 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
     the rigorous character bound and the progression-basis bound."""
     if not is_prime(n):
         raise HypothesisFail(f"modulus must be prime, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = SeededStream(seed)
     group = CyclicGroup(n)
     lam_size = max(1, round(c1 * math.sqrt(n)))
     p_size = min(n, max(0, round(big_c * math.sqrt(n))))

@@ -347,7 +347,8 @@ def _inversion_blocks(s: GroupSubset, counts: np.ndarray, signs: np.ndarray, q: 
     t = q[t] of sign +1, then J-odd ones, (w_p - w_p^-1)/sqrt2 and w_t of sign
     -1.  The entries are the counts G1 = <w_x, M w_y>, G2 = <w_x, M w_y^-1>
     and G3 = <w_x^-1, M w_y>, the latter two signed permutations of G1's
-    columns and rows, with <w_x^-1, M w_y^-1> = G1^T by the closure, divided
+    columns and rows (G3 = G2^T for a symmetric S, so it is not gathered), with
+    <w_x^-1, M w_y^-1> = G1^T by the closure, divided
     by |S| and the norms of the basis vectors (``_inversion_block``).  Each
     float block is built only when the caller asks for the next and is held by
     the caller alone, so a solved block is freed first."""
@@ -359,7 +360,10 @@ def _inversion_blocks(s: GroupSubset, counts: np.ndarray, signs: np.ndarray, q: 
     rows = counts[parts, order]  # two-step takes, several times faster than np.ix_
     g1, g2 = rows[:, :, order], rows[:, :, partners] * signs[:, None, :]
     del rows
-    g3 = counts[parts, partners][:, :, order] * signs[:, :, None]
+    if s.is_symmetric:  # M = M^T, so <w_x^-1, M w_y> = <w_y, M w_x^-1>
+        g3 = g2.transpose(0, 2, 1)
+    else:
+        g3 = counts[parts, partners][:, :, order] * signs[:, :, None]
     g1t, odd_rows = g1.transpose(0, 2, 1), np.r_[0:k, ke : order.size]
     yield _inversion_block((g1 + g1t + g2 + g3)[:, :ke, :ke], k, -2.0 * s.size, identity=True)
     yield _inversion_block((g1 + g1t - g2 - g3)[:, odd_rows][:, :, odd_rows], k, -2.0 * s.size, identity=True)

@@ -224,6 +224,15 @@ class TestCoveringInterval:
         with pytest.raises(HypothesisFail):
             find_covering_interval(a, 0.1, 0.25)
 
+    def test_hypothesis_at_equality_fails(self):
+        # |Ahat(1)| = 1.618... equals (1 - 2 eps (1 - cos pi delta)) |A| here, and no
+        # interval with l < delta N = 2 misses fewer than eps|A| = 1 element of A
+        a = GroupSubset.from_indices(make_group("cyclic(5)"), [0, 1, 2])
+        with pytest.raises(HypothesisFail):
+            find_covering_interval(a, 1 / 3, 0.4)
+        p = find_covering_interval(a, 0.3334, 0.4)
+        assert (p.start, p.length) == (0, 2)
+
     def test_length_stays_strictly_below_an_integral_bound(self):
         # 0.4 * 5 is exactly 2, so l < delta N leaves l = 1 where l <= delta N would give 2
         assert _max_length_below(0.4 * 5, 4) == 1
@@ -438,7 +447,7 @@ class TestProgressionScan:
         as an int32 start and an int16 step, and no per-draw sum is stored."""
         b = resolve_subset(make_group("cyclic(1009)"), "random(30)", 0)
         counts = rep_count(b, 2).values.astype(np.float64)
-        max_progression_mass(counts, 404, exhaustive=False)  # numpy.random's lazy imports are not the scan's
+        max_progression_mass(counts, 404, exhaustive=False)  # the stream's jump table is built once per process, not per scan
         peak = _traced_peak(lambda: max_progression_mass(counts, 404, exhaustive=False))
         assert peak <= 3.13 * 2**20
 

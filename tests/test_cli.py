@@ -15,6 +15,8 @@ from cayleygap.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 from cayleygap.config import resolve_subset
 from cayleygap.representations import _AbelianCatalog
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def write_config(tmp_path, name, text):
     path = tmp_path / name
@@ -495,8 +497,7 @@ class TestImports:
     """A CLI run never imports ``numpy.ma``: numpy's unique pulls it in on its
     first call, so one stray call costs every run that import.  Nor does the
     CLI import load ``dataclasses`` or ``json``: the records are NamedTuples
-    and only JSON reports import ``json``.  A set spec that draws nothing
-    leaves ``numpy.random`` unimported."""
+    and only JSON reports import ``json``.  No run imports ``numpy.random``."""
 
     PROBE = (
         "import contextlib, io, sys\n"
@@ -549,17 +550,25 @@ class TestImports:
         "eager = 'numpy.random' in sys.modules\n"
         "from cayleygap.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['spectrum', '--config', sys.argv[2], '--out', os.devnull])\n"
+        "    code = main([*sys.argv[2:], '--out', os.devnull])\n"
         "print(eager, code, 'numpy.random' in sys.modules)\n"
     )
 
-    def test_a_set_drawn_from_no_generator_never_imports_numpy_random(self):
-        """An explicit index list builds no generator, so ``numpy.random`` (and the
-        ``secrets``/OpenSSL imports behind it) is never loaded."""
-        root = Path(__file__).resolve().parents[1]
-        config = root / "tests" / "configs" / "spectrum-dihedral500-classes.cfg"
+    @pytest.mark.parametrize(
+        "config",
+        [
+            *sorted(f"perfbench/configs/{p.name}" for p in (ROOT / "perfbench" / "configs").glob("*.cfg")),
+            "tests/configs/scan-cyclic10007.cfg",  # the sampled scan's 2 x 100 000 draws
+            "tests/configs/spectrum-dihedral500-classes.cfg",  # an explicit index list draws nothing
+        ],
+    )
+    def test_cli_run_never_imports_numpy_random(self, config):
+        """Sets, orders and scan draws come from ``SeededStream``, so no run
+        loads ``numpy.random`` (and the ``secrets``/OpenSSL imports behind it)."""
+        kind, _, name = Path(config).stem.partition("-")
+        command = ["experiment", name] if kind == "experiment" else [kind]
         result = subprocess.run(
-            [sys.executable, "-I", "-c", self.RANDOM_PROBE, str(root / "src"), str(config)],
+            [sys.executable, "-I", "-c", self.RANDOM_PROBE, str(ROOT / "src"), *command, "--config", str(ROOT / config)],
             capture_output=True, text=True, check=True,
         )
         eager, code, imported = result.stdout.split()

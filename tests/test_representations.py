@@ -19,7 +19,7 @@ from cayleygap import (
     make_group,
     set_norm,
 )
-from cayleygap import representations
+from cayleygap import representations, sampling
 from cayleygap.bohr import large_spectrum, large_spectrum_product_check
 from cayleygap.representations import UnitaryRepresentation, operator_norms
 from cayleygap.spectra import laplace_spectrum_blocks, spectral_summary
@@ -115,6 +115,7 @@ class TestValidation:
             raise AssertionError("validation drew a random sample")
 
         monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(sampling.SeededStream, "__init__", forbidden)
         for rep in irrep_catalog(make_group("dihedral(500)")):
             rep.validate()
 
