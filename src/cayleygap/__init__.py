@@ -61,7 +61,6 @@ from .bounds import (
 from .errors import *  # noqa: F401,F403 -- small, explicit exception module
 from .experiments import (
     EXPERIMENTS,
-    ExperimentResult,
     run_additive_basis,
     run_interval_union,
     run_sidon,

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import EmptySet, HypothesisFail, NotRegular, RangeViolation
 from .groups import (
     AbelianProductGroup,
-    CyclicGroup,
     GroupFunction,
     GroupSubset,
     _smallest_prime_factor,
@@ -200,7 +199,7 @@ def _count(factors: tuple[GroupSubset, ...], d: int) -> GroupFunction:
     left out: its absolute error, 2^-1074 per operation, is far below 1/2.
     """
     group = factors[0].group
-    if d >= 1 and isinstance(group, (CyclicGroup, AbelianProductGroup)):
+    if d >= 1 and isinstance(group, AbelianProductGroup):
         catalog = irrep_catalog(group)
         mass = math.prod(f.size for f in factors) ** d
         if _count_error(catalog.factor_orders, len(factors), d, mass) < 0.5:

@@ -236,18 +236,18 @@ def cmd_experiment(args) -> tuple[list[dict], list[str] | None]:
         raise CayleyGapError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     if name == "triple-free":
         group = make_group(cfg.get("group", "cyclic(13)"))
-        result = EXPERIMENTS[name](group, seed)
+        records = EXPERIMENTS[name](group, seed)
     elif name == "sidon":
-        result = EXPERIMENTS[name](
+        records = EXPERIMENTS[name](
             _positive_int(cfg, "N", 101), _positive_int(cfg, "k", 2), seed, _real(cfg, "c_k", 1.0)
         )
     elif name == "additive-basis":
-        result = EXPERIMENTS[name](_positive_int(cfg, "N", 211), seed)
+        records = EXPERIMENTS[name](_positive_int(cfg, "N", 211), seed)
     else:
-        result = EXPERIMENTS[name](
+        records = EXPERIMENTS[name](
             _positive_int(cfg, "N", 1009), _real(cfg, "c1", 2.0), _real(cfg, "C", 8.0), seed
         )
-    return result.records, None
+    return records, None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,6 @@ Format: one ``key = value`` pair per line, each key once, ``#`` comments,
 values parsed as Python literals when possible (numbers, lists) and as bare
 strings otherwise.
 
-    experiment = sidon
     group = cyclic(101)
     set = symmetric_random(8)
     seed = 7

@@ -2,15 +2,15 @@
 
 Each experiment builds its set greedily in seeded-random order, certifies the
 combinatorial hypothesis it needs (maximality, B_k property, sumset coverage),
-and emits flat records: construction metadata plus one row per verified
-inequality.  Identical (config, seed) pairs produce identical records.
+and returns its records as a list of flat dicts: construction metadata plus
+one row per verified inequality.  Identical (config, seed) pairs produce
+identical records.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,24 +31,13 @@ from .groups import (
     kth_roots,
     product_set,
 )
-from .reports import bound_record, records_pass
+from .reports import bound_record
 from .representations import set_norm
 from .sampling import SeededStream
 from .spectra import lambda1
 
 _TRIPLE_FREE_CAP = 500
 _BK_CHECK_CAP = 10_000_000
-
-
-class ExperimentResult(NamedTuple):
-    name: str
-    seed: int
-    records: list[dict]  # appended to by the experiment; each constructor passes a new []
-
-    @property
-    def passed(self) -> bool:
-        """True when no asserted row fails; informational rows are ignored."""
-        return records_pass(self.records)
 
 
 def _indices_text(subset: GroupSubset) -> str:
@@ -88,11 +77,11 @@ def certify_triple_free_maximality(a: GroupSubset) -> bool:
     return True
 
 
-def run_triple_free(group: FiniteGroup, seed: int) -> ExperimentResult:
+def run_triple_free(group: FiniteGroup, seed: int) -> list[dict]:
     """Maximal e-free-triple set: gap bounds for Cay(A) and Cay(A u sqrt(A^-1))."""
     if group.order > _TRIPLE_FREE_CAP:
         raise GroupTooLarge(f"triple-free experiment capped at order {_TRIPLE_FREE_CAP}")
-    result = ExperimentResult(name="triple-free", seed=seed, records=[])
+    records: list[dict] = []
     a = grow_triple_free(group, seed)
     if a.size == 0:
         raise HypothesisFail("no nonempty triple-free set exists (trivial group)")
@@ -123,7 +112,7 @@ def run_triple_free(group: FiniteGroup, seed: int) -> ExperimentResult:
         vacuous=bound2 <= 0,
         parameters={"group_order": n, "set_size": enlarged.size, "sqrt_ainv": q, "cube_roots_e": r},
     )
-    result.records.append(
+    records.append(
         {
             "instance": "00-construction",
             "check": "maximality",
@@ -136,9 +125,9 @@ def run_triple_free(group: FiniteGroup, seed: int) -> ExperimentResult:
             "asserted": True,
         }
     )
-    result.records.append(bound_record(report1, "01-gap", group.name, asserted=True))
-    result.records.append(bound_record(report2, "02-gap-enlarged", group.name, asserted=True))
-    return result
+    records.append(bound_record(report1, "01-gap", group.name, asserted=True))
+    records.append(bound_record(report2, "02-gap-enlarged", group.name, asserted=True))
+    return records
 
 
 # -- B_k (Sidon-type) sets ---------------------------------------------------------
@@ -177,13 +166,13 @@ def grow_bk_set(n: int, k: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
-def run_sidon(n: int, k: int, seed: int, size_constant: float = 1.0) -> ExperimentResult:
+def run_sidon(n: int, k: int, seed: int, size_constant: float = 1.0) -> list[dict]:
     """B_k set in Z/N: exponential sums stay a constant factor below |A|."""
     if not is_prime(n):
         raise HypothesisFail(f"modulus must be prime, got {n}")
     if k < 2:
         raise HypothesisFail(f"B_k sets need k >= 2, got {k}")
-    result = ExperimentResult(name="sidon", seed=seed, records=[])
+    records: list[dict] = []
     elements = grow_bk_set(n, k, seed)
     if not is_bk_set(elements, k):
         raise NotBk("greedy construction failed the exhaustive k-sum check")
@@ -197,7 +186,7 @@ def run_sidon(n: int, k: int, seed: int, size_constant: float = 1.0) -> Experime
     char_ratio = set_norm(a) / a.size
     c = 1.0 - char_ratio
     size_hypothesis = a.size >= size_constant * n ** (1.0 / k)
-    result.records.append(
+    records.append(
         {
             "instance": "00-construction",
             "check": "bk_property",
@@ -216,14 +205,14 @@ def run_sidon(n: int, k: int, seed: int, size_constant: float = 1.0) -> Experime
     )
     if omega.size < n:
         report = verify_progression_basis_bound(a, k, 1, omega, form="eps")
-        result.records.append(bound_record(report, "01-gap-bound", group.name, asserted=True))
+        records.append(bound_record(report, "01-gap-bound", group.name, asserted=True))
         if c > 1e-12:
             positivity = "pass"
         elif size_hypothesis:
             positivity = "fail"
         else:
             positivity = "vacuous-pass"
-        result.records.append(
+        records.append(
             {
                 "instance": "02-positivity",
                 "check": "expansion_constant_positive",
@@ -234,7 +223,7 @@ def run_sidon(n: int, k: int, seed: int, size_constant: float = 1.0) -> Experime
                 "asserted": True,
             }
         )
-    return result
+    return records
 
 
 # -- additive bases of order two ------------------------------------------------------
@@ -264,11 +253,11 @@ def grow_additive_basis(n: int, seed: int) -> list[int]:
     return sorted(chosen)
 
 
-def run_additive_basis(n: int, seed: int) -> ExperimentResult:
+def run_additive_basis(n: int, seed: int) -> list[dict]:
     """Order-2 basis mod N: the gap of Cay(A mod N) is at least ~N/|A|^2."""
     if not is_prime(n):
         raise HypothesisFail(f"modulus must be prime, got {n}")
-    result = ExperimentResult(name="additive-basis", seed=seed, records=[])
+    records: list[dict] = []
     elements = grow_additive_basis(n, seed)
     group = CyclicGroup(n)
     a = GroupSubset.from_indices(group, [x % n for x in elements])
@@ -278,7 +267,7 @@ def run_additive_basis(n: int, seed: int) -> ExperimentResult:
     gap = lambda1(a)
     char_ratio = set_norm(a) / a.size
     k_measured = a.size / math.sqrt(n)
-    result.records.append(
+    records.append(
         {
             "instance": "00-construction",
             "check": "coverage",
@@ -296,16 +285,16 @@ def run_additive_basis(n: int, seed: int) -> ExperimentResult:
         }
     )
     cor_report = verify_progression_basis_bound(a, 2, 1, omega)
-    result.records.append(bound_record(cor_report, "01-progression-basis", group.name, asserted=True))
+    records.append(bound_record(cor_report, "01-progression-basis", group.name, asserted=True))
     exc_report = verify_exceptional_bound(a, 2, 1, omega)
-    result.records.append(bound_record(exc_report, "02-exceptional-basis", group.name, asserted=True))
-    return result
+    records.append(bound_record(exc_report, "02-exceptional-basis", group.name, asserted=True))
+    return records
 
 
 # -- random set plus interval -----------------------------------------------------------
 
 
-def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> ExperimentResult:
+def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> list[dict]:
     """Union of a random 2-basis and an interval: measured gap dominates both
     the rigorous character bound and the progression-basis bound."""
     if not is_prime(n):
@@ -328,9 +317,9 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
         raise LambdaResampleFail(
             f"no sampled size-{lam_size} set kept double-sum misses below N/4 in 100 tries"
         )
-    result = ExperimentResult(name="interval-union", seed=seed, records=[])
+    records: list[dict] = []
     gap = lambda1(s)
-    result.records.append(
+    records.append(
         {
             "instance": "00-construction",
             "check": "coverage",
@@ -346,7 +335,7 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
         }
     )
     cor_report = verify_progression_basis_bound(s, 2, 1, omega)
-    result.records.append(bound_record(cor_report, "01-progression-basis", group.name, asserted=True))
+    records.append(bound_record(cor_report, "01-progression-basis", group.name, asserted=True))
     if interval.size > 0:
         p_norm = set_norm(interval)
         rest_norm = set_norm(s.difference(interval))
@@ -372,10 +361,10 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
         )
         # the unadjusted heuristic drops the random component's character sums,
         # so it is reported but not asserted
-        result.records.append(bound_record(heuristic_report, "02-char-heuristic", group.name, asserted=False))
-        result.records.append(bound_record(adjusted_report, "03-char-adjusted", group.name, asserted=True))
+        records.append(bound_record(heuristic_report, "02-char-heuristic", group.name, asserted=False))
+        records.append(bound_record(adjusted_report, "03-char-adjusted", group.name, asserted=True))
         ratio = cor_report.bound_value / adjusted if adjusted > 0 else float("inf")
-        result.records.append(
+        records.append(
             {
                 "instance": "04-bound-ratio",
                 "check": "bound_comparison",
@@ -387,7 +376,7 @@ def run_interval_union(n: int, c1: float, big_c: float, seed: int) -> Experiment
                 "asserted": False,
             }
         )
-    return result
+    return records
 
 
 EXPERIMENTS = {

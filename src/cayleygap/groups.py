@@ -2,10 +2,12 @@
 
 Elements of a group of order n are the indices 0..n-1.  Every group law is
 an array-valued ``mul``/``inv`` pair that accepts ints or broadcast index
-arrays.  Closed-form families (cyclic, abelian products, dihedral) compute it
-from integer parameters by a rule that holds by construction; generic groups,
-permutation closures included, read it from an integer table that ``TableGroup``
-proves a group once, exactly.  A closed-form group holds no n x n array derived
+arrays.  Closed-form families compute it from integer parameters by a rule that
+holds by construction: an abelian product adds mixed-radix digits by stride
+arithmetic, ``cyclic(n)`` is its one-factor case under its own name, and a
+dihedral group composes rotations and reflections.  Generic groups, permutation
+closures included, read it from an integer table that ``TableGroup`` proves a
+group once, exactly.  A closed-form group holds no n x n array derived
 from its law; a table group holds exactly one, its read-only int32 table.
 Subsets are immutable 0/1 indicator vectors and functions are numpy value
 vectors, so product sets, k-th roots, convolution and diameter all reduce to
@@ -137,31 +139,14 @@ class FiniteGroup:
         return classes
 
 
-class CyclicGroup(FiniteGroup):
-    """Z/nZ with additive notation."""
-
-    is_abelian = True
-
-    def __init__(self, n: int):
-        n = _as_int(n, "cyclic order")
-        if n < 1:
-            raise InvalidTable(f"cyclic order must be >= 1, got {n}")
-        self.order = n
-        self.name = f"cyclic({n})"
-        self.generators = _read_only(np.arange(1, min(n, 2)))
-
-    def mul(self, a, b):
-        return (a + b) % self.order
-
-    def inv(self, a):
-        return (-a) % self.order
-
-    def signature(self) -> tuple:
-        return ("cyclic", self.order)
-
-
 class AbelianProductGroup(FiniteGroup):
-    """Direct product of cyclic groups Z/n1 x ... x Z/nk, indices in mixed radix."""
+    """Direct product of cyclic groups Z/n1 x ... x Z/nk, indices in mixed radix.
+
+    With strides s_i = n_(i+1) ... n_k, digit i of x is x // s_i % n_i and
+    ab = sum_i ((a // s_i + b // s_i) % n_i) s_i; the last factor (s = 1) adds mod n.
+    Plain operators broadcast and keep the input dtype, where numpy 2.4's
+    ``np.unravel_index`` misreads int64 columns of more than 8193 elements.
+    """
 
     is_abelian = True
 
@@ -174,24 +159,43 @@ class AbelianProductGroup(FiniteGroup):
         self.factor_orders = orders
         self.order = int(np.prod(orders))
         self.name = "abelian_product(" + "x".join(str(n) for n in orders) + ")"
-        # the unit digit vector of factor i is its mixed-radix stride
-        strides = [int(np.prod(orders[i + 1:])) for i, m in enumerate(orders) if m > 1]
-        self.generators = _read_only(np.array(strides, dtype=np.int64))
+        strides = [int(np.prod(orders[i + 1:])) for i in range(len(orders))]
+        self._radix = tuple(zip(orders, strides))  # (n_i, s_i), the last factor's s = 1
+        # the unit digit vector of factor i is its stride
+        self.generators = _read_only(np.array([s for n, s in self._radix if n > 1], dtype=np.int64))
 
     def decode(self, x) -> tuple:
         """Mixed-radix digits of ``x``, one entry (or array) per factor."""
-        return np.unravel_index(x, self.factor_orders)
+        return tuple(x // s % n for n, s in self._radix)
 
     def mul(self, a, b):
-        digits = [x + y for x, y in zip(self.decode(a), self.decode(b))]
-        return np.ravel_multi_index(digits, self.factor_orders, mode="wrap")
+        product = (a + b) % self.factor_orders[-1]
+        for n, s in self._radix[:-1]:
+            product = product + (a // s + b // s) % n * s
+        return product
 
     def inv(self, a):
-        digits = [-x for x in self.decode(a)]
-        return np.ravel_multi_index(digits, self.factor_orders, mode="wrap")
+        inverse = (-a) % self.factor_orders[-1]
+        for n, s in self._radix[:-1]:
+            inverse = inverse + (-(a // s)) % n * s
+        return inverse
 
     def signature(self) -> tuple:
         return ("abelian_product", self.factor_orders)
+
+
+class CyclicGroup(AbelianProductGroup):
+    """Z/nZ with additive notation: the one-factor abelian product, under its own name."""
+
+    def __init__(self, n: int):
+        n = _as_int(n, "cyclic order")
+        if n < 1:
+            raise InvalidTable(f"cyclic order must be >= 1, got {n}")
+        super().__init__([n])
+        self.name = f"cyclic({n})"
+
+    def signature(self) -> tuple:
+        return ("cyclic", self.order)
 
 
 class DihedralGroup(FiniteGroup):

@@ -1,9 +1,10 @@
 """Irreducible unitary representations for cataloged group families and the
 matrix Fourier transform.
 
-Catalogs exist for cyclic groups, abelian products, and dihedral groups.
-Generic groups deliberately get no numerically synthesized irreps; operations
-that need the catalog raise NotCataloged.  Each family writes its irreps once,
+Catalogs exist for abelian products (``cyclic(n)`` is the one-factor product,
+so it shares their catalog class) and dihedral groups.  Generic groups
+deliberately get no numerically synthesized irreps; operations that need the
+catalog raise NotCataloged.  Each family writes its irreps once,
 as ``_transform``: every Fourier coefficient by FFTs over the group's cyclic
 factors, one ``ifftn`` over the factor orders on abelian groups, and on
 dihedral groups one ``ifft`` and one ``fft`` of the two coset rows, whose
@@ -36,7 +37,6 @@ import numpy as np
 from .errors import GroupMismatch, GroupTooLarge, IncompleteCatalog, NotCataloged
 from .groups import (
     AbelianProductGroup,
-    CyclicGroup,
     DihedralGroup,
     FiniteGroup,
     GroupFunction,
@@ -254,13 +254,13 @@ class _AbelianCatalog(IrrepCatalog):
     """Characters chi_r(x) = exp(2 pi i sum_j r_j x_j / n_j) of a cyclic group
     (one factor) or an abelian product, in C-order of the frequency digits r."""
 
-    def __init__(self, group: CyclicGroup | AbelianProductGroup):
+    def __init__(self, group: AbelianProductGroup):
         super().__init__(group, [(group.order, 1)])
-        self.factor_orders = getattr(group, "factor_orders", (group.order,))
+        self.factor_orders = group.factor_orders
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        digits = np.unravel_index(np.arange(self.group.order), self.factor_orders)
+        digits = self.group.decode(np.arange(self.group.order))
         return tuple("chi" + "_".join(map(str, row)) for row in zip(*(d.tolist() for d in digits)))
 
     def _transform(self, values: np.ndarray) -> list[np.ndarray]:
@@ -307,7 +307,7 @@ class _DihedralCatalog(IrrepCatalog):
 @lru_cache(maxsize=None)
 def irrep_catalog(group: FiniteGroup) -> IrrepCatalog:
     """Full irrep catalog for cataloged families; NotCataloged otherwise."""
-    if isinstance(group, (CyclicGroup, AbelianProductGroup)):
+    if isinstance(group, AbelianProductGroup):
         return _AbelianCatalog(group)
     if isinstance(group, DihedralGroup):
         return _DihedralCatalog(group)

@@ -52,6 +52,7 @@ from cayleygap.bohr import (
     bohr_symmetry_normality_rows,
     is_prime,
     max_progression_mass,
+    progression_scan,
 )
 from cayleygap.bounds import BoundReport
 from cayleygap.bounds import exceptional_set, rep_count, symmetrized_rep_count
@@ -1023,6 +1024,19 @@ class TestBasisCorollaries:
 def test_unknown_form_rejected(z7, check):
     with pytest.raises(ValueError, match="unknown form 'paper'"):
         check(z7)
+
+def test_prime_guard_refuses_the_one_factor_product():
+    """abelian_product([7]) has the law of cyclic(7) but is no CyclicGroup, so the
+    progression scans, which read indices as residues mod N, refuse it."""
+    for descriptor, refused in (("cyclic(7)", False), ("abelian_product([7])", True)):
+        s = GroupSubset.from_indices(make_group(descriptor), [1, 2])
+        for scan in (progression_scan, gap_from_progressions, progressions_from_gap, progressions_from_gap_certified):
+            if refused:
+                with pytest.raises(HypothesisFail, match="Z/N with N prime"):
+                    scan(s, 2, 0.3)
+            else:
+                scan(s, 2, 0.3)
+
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -58,6 +58,12 @@ class TestSpectrumCommand:
         (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("zz-path-agreement")]
         assert row.endswith(",fail")
 
+    def test_paths_agree_on_two_to_the_14(self, capsys):
+        # the dense split reads the law on int64 columns of 16384 elements
+        code = main(["spectrum", "--config", str(ROOT / "tests/configs/spectrum-abelian2pow14.cfg")])
+        (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("zz-path-agreement")]
+        assert code == EXIT_PASS and row.endswith(",pass")
+
     def test_writes_file(self, tmp_path):
         cfg = write_config(tmp_path, "s.cfg", "group = cyclic(12)\nset = [0, 1, 5]\n")
         out = tmp_path / "spec.csv"
@@ -75,6 +81,14 @@ class TestBoundsCommand:
         assert main(["bounds", "--config", cfg, "--out", str(out)]) == EXIT_PASS
         text = out.read_text()
         assert "gap_vs_diameter" in text and "gap_vs_basis" in text
+
+    def test_diameter_rows_on_a_product_of_order_10000(self, capsys):
+        # the diameter and the counts read the law on int64 columns of 10000 elements
+        code = main(["bounds", "--config", str(ROOT / "tests/configs/bounds-abelian100x100.cfg")])
+        header, *lines = capsys.readouterr().out.splitlines()
+        rows = {line.split(",")[0]: dict(zip(header.split(","), line.split(","))) for line in lines}
+        assert code == EXIT_PASS
+        assert [(rows[k]["d"], rows[k]["verdict"]) for k in ("01-diameter", "02-basis")] == [("198", "pass")] * 2
 
     def test_no_finite_diameter_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "b.cfg", "group = cyclic(10)\nset = [2]\n")

@@ -19,25 +19,26 @@ from cayleygap.experiments import (
     is_bk_set,
 )
 from cayleygap.errors import GroupTooLarge, HypothesisFail, IoFailure, NotBk
+from cayleygap.reports import records_pass
 
 
 class TestTripleFree:
     def test_z2_singleton(self):
-        result = run_triple_free(make_group("cyclic(2)"), 0)
-        construction = result.records[0]
+        records = run_triple_free(make_group("cyclic(2)"), 0)
+        construction = records[0]
         assert construction["set"] == "1"
-        assert result.passed
+        assert records_pass(records)
 
     def test_z13_maximality(self):
         group = make_group("cyclic(13)")
-        result = run_triple_free(group, 0)
-        assert result.passed
-        indices = [int(x) for x in result.records[0]["set"].split()]
+        records = run_triple_free(group, 0)
+        assert records_pass(records)
+        indices = [int(x) for x in records[0]["set"].split()]
         assert certify_triple_free_maximality(GroupSubset.from_indices(group, indices))
 
     def test_dihedral5(self):
-        result = run_triple_free(make_group("dihedral(5)"), 1)
-        assert result.passed
+        records = run_triple_free(make_group("dihedral(5)"), 1)
+        assert records_pass(records)
 
     def test_greedy_set_has_no_identity_triple(self, d6):
         a = grow_triple_free(d6, 3)
@@ -74,25 +75,25 @@ class TestSidon:
             assert len(elements) >= 3
 
     def test_n101(self):
-        result = run_sidon(101, 2, 7)
-        assert result.passed
-        construction = result.records[0]
+        records = run_sidon(101, 2, 7)
+        assert records_pass(records)
+        construction = records[0]
         assert construction["expansion_constant"] > 0
 
     def test_n257(self):
-        result = run_sidon(257, 2, 1)
-        assert result.passed
-        assert result.records[0]["expansion_constant"] > 0
+        records = run_sidon(257, 2, 1)
+        assert records_pass(records)
+        assert records[0]["expansion_constant"] > 0
 
     def test_b3_sets(self):
-        result = run_sidon(61, 3, 2)
-        assert result.passed
-        assert result.records[0]["k"] == 3
+        records = run_sidon(61, 3, 2)
+        assert records_pass(records)
+        assert records[0]["k"] == 3
 
     def test_size_hypothesis_flag(self):
         # an enormous size constant keeps the positivity row vacuous
-        result = run_sidon(61, 2, 2, size_constant=100.0)
-        rows = {r["instance"]: r for r in result.records}
+        records = run_sidon(61, 2, 2, size_constant=100.0)
+        rows = {r["instance"]: r for r in records}
         assert rows["00-construction"]["size_hypothesis_met"] is False
         assert rows["02-positivity"]["verdict"] in ("vacuous-pass", "pass")
 
@@ -103,11 +104,11 @@ class TestSidon:
         [(0.5, "fail", False), (1.0, "vacuous-pass", True)],
     )
     def test_positivity_without_expansion(self, size_constant, verdict, passed):
-        result = run_sidon(2, 2, 0, size_constant)
-        rows = {r["instance"]: r for r in result.records}
+        records = run_sidon(2, 2, 0, size_constant)
+        rows = {r["instance"]: r for r in records}
         assert rows["00-construction"]["expansion_constant"] == 0.0
         assert rows["02-positivity"]["verdict"] == verdict
-        assert result.passed is passed
+        assert records_pass(records) is passed
 
     def test_composite_rejected(self):
         with pytest.raises(HypothesisFail):
@@ -122,36 +123,36 @@ class TestAdditiveBasis:
         assert set(range(2, n + 1)) <= sums
 
     def test_n211(self):
-        result = run_additive_basis(211, 3)
-        assert result.passed
-        assert result.records[0]["omega_size"] <= 211 / 4
+        records = run_additive_basis(211, 3)
+        assert records_pass(records)
+        assert records[0]["omega_size"] <= 211 / 4
 
     def test_n401(self):
-        result = run_additive_basis(401, 1)
-        assert result.passed
-        assert result.records[0]["expansion_constant"] > 0
+        records = run_additive_basis(401, 1)
+        assert records_pass(records)
+        assert records[0]["expansion_constant"] > 0
 
     def test_full_range_trivial(self):
         # {1..N-1} is trivially a 2-basis with a tiny exceptional set
-        result = run_additive_basis(101, 0)
-        assert result.passed
+        records = run_additive_basis(101, 0)
+        assert records_pass(records)
 
 
 class TestIntervalUnion:
     def test_no_interval(self):
-        result = run_interval_union(101, 2, 0, 0)
-        assert result.passed
-        assert len(result.records) == 2  # construction + progression bound
+        records = run_interval_union(101, 2, 0, 0)
+        assert records_pass(records)
+        assert len(records) == 2  # construction + progression bound
 
     def test_n1009(self):
-        result = run_interval_union(1009, 2, 8, 0)
-        assert result.passed
-        names = [r.get("bound_name") for r in result.records if "bound_name" in r]
+        records = run_interval_union(1009, 2, 8, 0)
+        assert records_pass(records)
+        names = [r.get("bound_name") for r in records if "bound_name" in r]
         assert "interval_char_adjusted" in names
 
     def test_heuristic_not_asserted(self):
-        result = run_interval_union(1009, 2, 8, 0)
-        heuristic = [r for r in result.records if r.get("bound_name") == "interval_char_heuristic"]
+        records = run_interval_union(1009, 2, 8, 0)
+        heuristic = [r for r in records if r.get("bound_name") == "interval_char_heuristic"]
         assert heuristic and heuristic[0]["asserted"] is False
 
 
@@ -173,7 +174,7 @@ class TestDeterminism:
         else:
             first = runner(*args)
             second = runner(*args)
-        assert first.records == second.records
+        assert first == second
 
 
 class TestEmitReport:
@@ -208,7 +209,7 @@ class TestEmitReport:
             emit_report([], "xml", tmp_path / "x.xml")
 
     def test_byte_identical(self, tmp_path):
-        result = run_sidon(61, 2, 9)
-        p1 = emit_report(result.records, "csv", tmp_path / "a.csv")
-        p2 = emit_report(result.records, "csv", tmp_path / "b.csv")
+        records = run_sidon(61, 2, 9)
+        p1 = emit_report(records, "csv", tmp_path / "a.csv")
+        p2 = emit_report(records, "csv", tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()

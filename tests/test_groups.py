@@ -397,6 +397,91 @@ class TestGenerators:
         assert generated_subgroup(table, table.generators).all()
 
 
+TWO_TO_THE_14 = "abelian_product([" + ", ".join(["2"] * 14) + "])"
+
+
+def digits_of(orders, x):
+    """Mixed-radix digits of the int ``x``, the last factor least significant."""
+    digits = []
+    for n in reversed(orders):
+        x, digit = divmod(x, n)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def index_of(orders, digits):
+    x = 0
+    for n, digit in zip(orders, digits):
+        x = x * n + digit % n
+    return x
+
+
+class TestMixedRadixLaw:
+    """``decode``, ``mul`` and ``inv`` against Python digit arithmetic, on inputs of
+    more than 8193 elements whose last axis has length 1: numpy 2.4's
+    ``unravel_index`` misreads such int64 columns, which product sets, convolution,
+    the homomorphism residual and the dense split all pass."""
+
+    @staticmethod
+    def _operands(group, shape):
+        rng = np.random.default_rng(0)
+        x, y = np.arange(group.order), rng.permutation(group.order)
+        if shape == "1-D":
+            return x, y
+        if shape == "broadcast":  # (k, 1) x (1, m)
+            return x[:, None], y[None, :2]
+        dtype = np.int64 if shape == "int64 column" else np.int32
+        return x.astype(dtype)[:, None], y.astype(dtype)[:, None]
+
+    @pytest.mark.parametrize("shape", ["1-D", "int64 column", "int32 column", "broadcast"])
+    @pytest.mark.parametrize(
+        "descriptor", ["abelian_product([100, 100])", "abelian_product([100, 90])", TWO_TO_THE_14, "cyclic(9001)"]
+    )
+    def test_law_matches_digit_arithmetic(self, descriptor, shape):
+        group = make_group(descriptor)
+        orders = group.factor_orders
+        a, b = self._operands(group, shape)
+        assert a.size > 8193
+        pairs = np.broadcast_arrays(a, b)
+        product, inverse = group.mul(a, b), group.inv(a)
+        assert product.shape == pairs[0].shape and inverse.shape == a.shape
+        expected = [
+            index_of(orders, [p + q for p, q in zip(digits_of(orders, x), digits_of(orders, y))])
+            for x, y in zip(pairs[0].ravel().tolist(), pairs[1].ravel().tolist())
+        ]
+        assert product.ravel().tolist() == expected
+        xs = a.ravel().tolist()
+        assert inverse.ravel().tolist() == [index_of(orders, [-d for d in digits_of(orders, x)]) for x in xs]
+        decoded = group.decode(a)
+        assert [d.shape for d in decoded] == [a.shape] * len(orders)
+        assert np.stack([d.ravel() for d in decoded], axis=1).tolist() == [digits_of(orders, x) for x in xs]
+
+    def test_diameter_matches_brute_force(self):
+        # S = {(0, 1), (1, 0), (1, 1)} in Z/100 x Z/100: S^d by shifting a 0/1 grid
+        # of digit pairs, which reads no group law
+        group = make_group("abelian_product([100, 100])")
+        reached = np.zeros((100, 100), dtype=bool)
+        reached[0, 0] = True
+        brute = 0
+        while not reached.all():
+            reached = np.roll(reached, 1, axis=0) | np.roll(reached, 1, axis=1) | np.roll(reached, (1, 1), axis=(0, 1))
+            brute += 1
+        assert brute == diameter(GroupSubset.from_indices(group, [1, 100, 101])) == 198
+
+    def test_full_group_convolves_to_the_set_size(self):
+        group = make_group("abelian_product([100, 100])")
+        s = GroupSubset.from_indices(group, [1, 100, 101])
+        assert convolve(GroupSubset.full(group).indicator(), s.indicator()).values.tolist() == [3] * group.order
+
+    def test_cyclic_is_the_one_factor_product_under_its_own_name(self):
+        cyclic, product = make_group("cyclic(12)"), make_group("abelian_product([12])")
+        assert cyclic != product and cyclic.signature() == ("cyclic", 12)
+        assert (cyclic.name, product.name) == ("cyclic(12)", "abelian_product(12)")
+        x = np.arange(12)
+        assert np.array_equal(cyclic.mul(x[:, None], x), product.mul(x[:, None], x))
+        assert np.array_equal(cyclic.inv(x), product.inv(x))
+
+
 class TestProductSet:
     def test_identity_factor(self, z7):
         b = GroupSubset.from_indices(z7, [2, 3])

@@ -70,6 +70,13 @@ class TestCatalogs:
             assert row["residual_trace_orthogonality"] <= 1e-8
             assert row["residual_unitarity"] <= 1e-10
 
+    def test_each_catalog_keeps_its_own_group(self):
+        # cyclic(12) and abelian_product([12]) share one law but are distinct groups
+        for descriptor, name in (("cyclic(12)", "cyclic(12)"), ("abelian_product([12])", "abelian_product(12)")):
+            catalog = irrep_catalog(make_group(descriptor))
+            assert catalog.group.name == name and {rep.group.name for rep in catalog} == {name}
+            assert catalog.labels == tuple(f"chi{r}" for r in range(12))
+
     def test_generic_group_not_cataloged(self, a5):
         with pytest.raises(NotCataloged):
             irrep_catalog(a5)
@@ -109,6 +116,15 @@ class TestValidation:
             mats[x] = mats[x] @ np.diag(np.exp(0.5j * np.arange(1, rep.dim + 1)))  # still unitary
             res = UnitaryRepresentation(group, mats, "bent").validation_residuals()
             assert max(res["identity"], res["homomorphism"]) > 0.1, x
+
+    def test_a_true_character_of_a_large_product_passes(self):
+        # the residual reads mul on an int64 column of all 9000 elements
+        group = make_group("abelian_product([100, 90])")
+        high, low = np.divmod(np.arange(group.order), 90)
+        mats = np.exp(2j * np.pi * ((3 * high) % 100 / 100 + (7 * low) % 90 / 90)).reshape(-1, 1, 1)
+        rep = UnitaryRepresentation(group, mats, "chi3_7")
+        assert rep.validation_residuals()["homomorphism"] < 1e-12
+        rep.validate()
 
     def test_no_random_draw(self, monkeypatch):
         def forbidden(*args, **kwargs):

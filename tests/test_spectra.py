@@ -170,6 +170,16 @@ class TestBlockSpectrum:
             assert multiset_distance(dense.eigenvalues, blocks.eigenvalues) < 1e-9
             assert np.abs(dense.star_eigenvalues - blocks.star_eigenvalues).max() < 1e-9
 
+    def test_matches_dense_on_two_to_the_14(self):
+        # the dense split reads mul on int64 columns of 16384 elements; six elements
+        # span at most 6 of the 14 dimensions, so lambda1 is 0
+        group = make_group("abelian_product([" + ", ".join(["2"] * 14) + "])")
+        s = resolve_subset(group, "random(6)", 0)
+        dense, blocks = laplace_spectrum_dense(s), laplace_spectrum_blocks(s)
+        assert multiset_distance(dense.eigenvalues, blocks.eigenvalues) < 1e-9
+        assert np.abs(dense.star_eigenvalues - blocks.star_eigenvalues).max() < 1e-9
+        assert dense.lambda1 == pytest.approx(0, abs=1e-12) and blocks.lambda1 == pytest.approx(0, abs=1e-12)
+
     def test_matches_dense_nonsymmetric_nonabelian(self, d6, rng):
         # the dense side solves a non-normal matrix whose eigenvalues are
         # less well conditioned than the tiny per-block problems, so the
