@@ -7,6 +7,8 @@ battery on one instance), ``bohr`` (Bohr-set calculus battery), ``scan``
 Each subcommand returns its rows and column order; ``main`` writes the report
 and sets the exit code: 0 all checks pass (vacuous passes count as passes), 1
 at least one asserted row reads ``fail``, 2 hypothesis or configuration error.
+``main`` builds the subparser of the one subcommand it runs; ``--help``, no
+arguments and an unknown command get all five, so they print the same usage.
 """
 
 from __future__ import annotations
@@ -250,19 +252,28 @@ def cmd_experiment(args) -> tuple[list[dict], list[str] | None]:
     return records, None
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = (
+    ("spectrum", cmd_spectrum),
+    ("bounds", cmd_bounds),
+    ("bohr", cmd_bohr),
+    ("scan", cmd_scan),
+    ("experiment", cmd_experiment),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser alone when it names one, else with all five."""
+    names = [name for name, _ in COMMANDS]
+    only = command in names
     parser = argparse.ArgumentParser(
         prog="cayleygap",
         description="Cayley graph spectra, gap bounds, and Bohr-set verification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("spectrum", cmd_spectrum),
-        ("bounds", cmd_bounds),
-        ("bohr", cmd_bohr),
-        ("scan", cmd_scan),
-        ("experiment", cmd_experiment),
-    ):
+    # with one subparser the usage still names all five, as an unrecognized argument prints it
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(names) if only else None)
+    for name, func in COMMANDS:
+        if only and name != command:
+            continue
         p = sub.add_parser(name)
         if name == "experiment":  # the one subcommand whose config is optional
             p.add_argument("name", help="one of: " + ", ".join(sorted(EXPERIMENTS)))
@@ -277,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         records, columns = args.func(args)
         if args.out:

@@ -9,6 +9,8 @@ dihedral group composes rotations and reflections.  Generic groups, permutation
 closures included, read it from an integer table that ``TableGroup`` proves a
 group once, exactly.  A closed-form group holds no n x n array derived
 from its law; a table group holds exactly one, its read-only int32 table.
+``DENSE_BYTES_BUDGET`` bounds what one call may allocate in every layer: a
+closed-form group whose int64 index vector would exceed it is refused when built.
 Subsets are immutable 0/1 indicator vectors and functions are numpy value
 vectors, so product sets, k-th roots, convolution and diameter all reduce to
 vectorized index arithmetic.
@@ -17,6 +19,7 @@ vectorized index arithmetic.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import re
 from typing import Iterable, Sequence
@@ -27,12 +30,21 @@ from .errors import (
     ClosureTooLarge,
     EmptySet,
     GroupMismatch,
+    GroupTooLarge,
     InvalidTable,
     KZero,
     NoFiniteDiameter,
 )
 
 _DEFAULT_CLOSURE_CAP = 10_000
+DENSE_BYTES_BUDGET = 2 * 2**30  # largest dense array set one call may allocate, in bytes
+
+
+def check_dense_budget(needed: int, what: str) -> None:
+    """Raise GroupTooLarge when ``what``, about to be allocated, needs over DENSE_BYTES_BUDGET bytes."""
+    if needed > DENSE_BYTES_BUDGET:
+        budget = f"the dense budget of {DENSE_BYTES_BUDGET / 2**30:.0f} GiB"
+        raise GroupTooLarge(f"{what} need {needed / 2**30:.1f} GiB, over {budget}")
 
 
 def _as_int(value, what: str) -> int:
@@ -157,9 +169,10 @@ class AbelianProductGroup(FiniteGroup):
         if not orders or any(n < 1 for n in orders):
             raise InvalidTable(f"factor orders must be >= 1, got {orders}")
         self.factor_orders = orders
-        self.order = int(np.prod(orders))
+        self.order = math.prod(orders)  # a Python int: np.prod wraps past 2^63
         self.name = "abelian_product(" + "x".join(str(n) for n in orders) + ")"
-        strides = [int(np.prod(orders[i + 1:])) for i in range(len(orders))]
+        check_dense_budget(8 * self.order, f"the int64 indices of a group of order {self.order}")
+        strides = [math.prod(orders[i + 1:]) for i in range(len(orders))]
         self._radix = tuple(zip(orders, strides))  # (n_i, s_i), the last factor's s = 1
         # the unit digit vector of factor i is its stride
         self.generators = _read_only(np.array([s for n, s in self._radix if n > 1], dtype=np.int64))
@@ -210,6 +223,7 @@ class DihedralGroup(FiniteGroup):
         self.n = n
         self.order = 2 * self.n
         self.name = f"dihedral({n})"
+        check_dense_budget(8 * self.order, f"the int64 indices of a group of order {self.order}")
         self.generators = _read_only(np.array([1, n]))  # r and s
 
     def mul(self, a, b):

@@ -34,25 +34,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GroupMismatch, GroupTooLarge, IncompleteCatalog, NotCataloged
+from .errors import GroupMismatch, IncompleteCatalog, NotCataloged
 from .groups import (
     AbelianProductGroup,
     DihedralGroup,
     FiniteGroup,
     GroupFunction,
     GroupSubset,
+    check_dense_budget,
 )
 
 UNITARITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-8
-DENSE_BYTES_BUDGET = 2 * 2**30  # largest dense array set one call may allocate, in bytes
-
-
-def check_dense_budget(needed: int, what: str) -> None:
-    """Raise GroupTooLarge when ``what``, about to be allocated, needs over DENSE_BYTES_BUDGET bytes."""
-    if needed > DENSE_BYTES_BUDGET:
-        budget = f"the dense budget of {DENSE_BYTES_BUDGET / 2**30:.0f} GiB"
-        raise GroupTooLarge(f"{what} need {needed / 2**30:.1f} GiB, over {budget}")
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:

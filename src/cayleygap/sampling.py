@@ -7,14 +7,15 @@ HMC-CS-2014-0905), seeded through numpy's ``SeedSequence`` mix and read as a str
 of 32-bit words, the low half of each 64-bit output first.  Bounded integers use
 Lemire's multiply-shift rejection (ACM TOMACS 29(1), 2019); ``permutation`` uses
 masked rejection.  So a set depends only on the config and the seed, not on the
-installed numpy's ``Generator``, and no run imports ``numpy.random``.
+installed numpy's ``Generator``, and no run imports ``numpy.random``.  The state
+advances a block of outputs at a time through one jump table per process, which
+grows by doubling only as far as the largest block drawn yet: 64 entries after a
+few dozen scalar draws, the full 2^13 after the first vector draw.
 
 The generators below take either that stream or a ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -25,7 +26,7 @@ _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_BLOCK = 2**13  # 64-bit outputs in one vector block: the jump table's length
+_BLOCK = 2**13  # 64-bit outputs in one vector block: the jump table's largest length
 _U32, _U58, _U64 = np.uint64(32), np.uint64(58), np.uint64(64)
 _UM32, _U63 = np.uint64(_M32), np.uint64(63)
 
@@ -105,23 +106,29 @@ def _add(a, b):
     return hi, lo
 
 
-@functools.cache
-def _jump_table():
-    """a^j and c_j = sum_{i<j} a^i mod 2^128 for j = 1.._BLOCK, as ``_split``
-    vectors, doubled from j = 1: a^(L+j) = a^j a^L and c_(L+j) = a^j c_L + c_j."""
-    power = (np.array([_PCG_MULT >> 64], dtype=np.uint64), np.array([_PCG_MULT & _M64], dtype=np.uint64))
-    total = (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64))
-    while power[0].size < _BLOCK:
-        a_l, c_l = (int(hi[-1]) << 64 | int(lo[-1]) for hi, lo in (power, total))
-        split = _split(*power)
+# a^j and c_j for j = 1, 2, ..., grown in place by _jump_table: one table per process
+_table = [
+    _split(np.array([_PCG_MULT >> 64], dtype=np.uint64), np.array([_PCG_MULT & _M64], dtype=np.uint64)),
+    _split(np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64)),
+]
+
+
+def _jump_table(length: int):
+    """a^j and c_j = sum_{i<j} a^i mod 2^128 for j = 1..L, as ``_split`` vectors, with
+    L >= ``length`` a power of two.  The process's one table is doubled from j = 1,
+    a^(L+j) = a^j a^L and c_(L+j) = a^j c_L + c_j, only as far as some call asks;
+    a prefix does not depend on where the doubling stops."""
+    power, total = _table
+    while power[0].size < length:
+        a_l, c_l = (int(v[0][-1]) << 64 | int(v[1][-1]) for v in (power, total))
         power, total = (
-            tuple(map(np.concatenate, zip(power, _mul(split, a_l)))),
-            tuple(map(np.concatenate, zip(total, _add(_mul(split, c_l), total)))),
+            _split(*map(np.concatenate, zip(power[:2], _mul(power, a_l)))),
+            _split(*map(np.concatenate, zip(total[:2], _add(_mul(power, c_l), total)))),
         )
-    table = _split(*power), _split(*total)
-    for v in table[0] + table[1]:
-        v.flags.writeable = False  # shared by every stream of the process
-    return table
+        for v in power + total:
+            v.flags.writeable = False  # shared by every stream of the process
+        _table[:] = power, total
+    return power, total
 
 
 class SeededStream:
@@ -129,13 +136,15 @@ class SeededStream:
     replace=False)``, ``permutation`` and ``integers``, for ranges below 2^32.
 
     A block advances the state through the jump table: the j-th state after s
-    is a^j s + c_j inc, with c_j inc computed once per stream.  Scalar draws
-    read the block's words in Python; vector draws filter them with numpy.
+    is a^j s + c_j inc.  The stream keeps c_j inc for as many j as the table held
+    when a block last outgrew it.  Scalar draws read the block's words in Python
+    from blocks of 64 outputs, doubling to _BLOCK; vector draws filter whole
+    blocks with numpy.
     """
 
     def __init__(self, seed: int):
-        self._state, inc = _seed_state(int(seed))
-        self._offset = _mul(_jump_table()[1], inc)
+        self._state, self._inc = _seed_state(int(seed))
+        self._offset = (np.empty(0, dtype=np.uint64),) * 2  # c_j inc, regrown by _block
         self._words: list[int] = []  # the unread words are _words[_at:], then _rest
         self._at = 0
         self._rest = np.empty(0, dtype=np.uint32)
@@ -143,8 +152,10 @@ class SeededStream:
 
     def _block(self, count: int) -> np.ndarray:
         """The next 2 * count 32-bit words: each output's low word, then its high word."""
-        power = [v[:count] for v in _jump_table()[0]]
-        hi, lo = _add(_mul(power, self._state), [v[:count] for v in self._offset])
+        power, total = _jump_table(count)
+        if self._offset[0].size < count:
+            self._offset = _mul(total, self._inc)
+        hi, lo = _add(_mul([v[:count] for v in power], self._state), [v[:count] for v in self._offset])
         self._state = int(hi[-1]) << 64 | int(lo[-1])
         lo ^= hi  # XSL-RR: hi ^ lo rotated right by the top 6 bits of hi
         hi >>= _U58

@@ -48,8 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptySet, KZero, NotCataloged
-from .groups import GroupFunction, GroupSubset, iterated_convolution
-from .representations import check_dense_budget, irrep_catalog, operator_norms
+from .groups import GroupFunction, GroupSubset, check_dense_budget, iterated_convolution
+from .representations import irrep_catalog, operator_norms
 
 _CLUSTER_GAP = 1e-6  # eigenvalues closer than this along the real axis share a cluster
 _SPLIT_TOL = 1e-9  # largest certified error of the inversion-split spectrum

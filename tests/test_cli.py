@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and file determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -366,6 +367,18 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "x.cfg", "group = cyclic(12)\nset = banana\n")
         assert main(["spectrum", "--config", cfg]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["spectrum", "bounds"])
+    @pytest.mark.parametrize(
+        "group",
+        ["cyclic(4294967296)", "abelian_product([65536, 65536])", "abelian_product([65536, 65536, 65536, 65536])"],
+    )
+    def test_group_over_the_dense_budget_exits_2(self, tmp_path, capsys, command, group):
+        """Refused when it is built: no wrapped order, and no 32 GiB index vector."""
+        cfg = write_config(tmp_path, "x.cfg", f"group = {group}\nset = [1]\n")
+        assert main([command, "--config", cfg]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: the int64 indices of a group of order") and "dense budget" in err
+
     @pytest.mark.parametrize(
         "command, body",
         [
@@ -630,3 +643,67 @@ class TestCollector:
             capture_output=True, text=True, check=True,
         )
         assert result.stdout.strip() == expected
+
+
+def _benchmark_argv(config: Path) -> list[str]:
+    """The argv the benchmark runs on ``config``, whose stem is <command>-<name>."""
+    kind, _, name = config.stem.partition("-")
+    command = ["experiment", name] if kind == "experiment" else [kind]
+    return [*command, "--config", f"perfbench/configs/{config.name}", "--seed", "0", "--out", "report.csv"]
+
+
+class TestParser:
+    """``main`` builds only the subparser it runs; its parse, help and usage
+    errors are those of the parser with all five."""
+
+    NAMES = [name for name, _ in cli_module.COMMANDS]
+    CHOICES = "{spectrum,bounds,bohr,scan,experiment}"
+    BOUNDS = "perfbench/configs/bounds-s5.cfg"  # parsing opens no file
+    ARGVS = [
+        *map(_benchmark_argv, sorted((ROOT / "perfbench" / "configs").glob("*.cfg"))),
+        *([name, "--help"] for name in NAMES),
+        ["bounds"],
+        ["experiment"],
+        ["bounds", "--config", BOUNDS, "--seed", "-1"],
+        ["bounds", "--config", BOUNDS, "--format", "xml"],
+        ["bounds", "--config", BOUNDS, "extra"],  # the top-level parser reports it, with its own usage
+        ["scan", "--config", BOUNDS, "--exhaustive", "--format", "json"],
+        ["spectrum", "--config", BOUNDS, "--exhaustive"],
+    ]
+
+    @staticmethod
+    def _parse(parser, argv, capsys):
+        try:
+            args, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+        return (args, code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_one_subparser_parses_as_all_five(self, argv, capsys):
+        one = self._parse(cli_module.build_parser(argv[0]), argv, capsys)
+        assert one == self._parse(cli_module.build_parser(), argv, capsys)
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--seed", "0", "bounds"]])
+    def test_no_subcommand_lists_all_five(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == (0 if argv == ["-h"] else EXIT_ERROR)
+        assert f"usage: cayleygap [-h] {self.CHOICES} ..." in out + err
+
+    def test_a_run_adds_only_its_subparser(self, tmp_path, monkeypatch, capsys):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(action, name, **kwargs):
+            added.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        cfg = write_config(tmp_path, "x.cfg", "group = cyclic(13)\nset = [1, 12]\n")
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "report.csv")]) == EXIT_PASS
+        assert added == ["bounds"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert added == ["bounds", *self.NAMES]

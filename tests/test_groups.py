@@ -25,11 +25,12 @@ from cayleygap.errors import (
     ClosureTooLarge,
     EmptySet,
     GroupMismatch,
+    GroupTooLarge,
     InvalidTable,
     KZero,
     NoFiniteDiameter,
 )
-from cayleygap.groups import TableGroup, generated_subgroup
+from cayleygap.groups import DENSE_BYTES_BUDGET, TableGroup, generated_subgroup
 
 
 def brute_product_set(a, b):
@@ -244,6 +245,42 @@ class TestMakeGroup:
         loop[0, :] = loop[:, 0] = idx
         with pytest.raises(InvalidTable, match="associativity fails at a=1"):
             TableGroup(loop)
+
+
+class TestOversizedGroups:
+    """A closed-form group whose int64 index vector (8 bytes an element) is over
+    the dense budget is refused when it is built, before anything is allocated;
+    its order is a Python int, which does not wrap past 2^63."""
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [f"abelian_product({[2] * 64})", "abelian_product([65536, 65536, 65536, 65536])",  # 2^64: np.prod wraps
+         "cyclic(4294967296)", "abelian_product([65536, 65536])", "dihedral(2147483648)"],
+        ids=["2^64 by twos", "2^64 by 65536s", "cyclic 2^32", "2^32 by 65536s", "dihedral 2^32"],
+    )
+    def test_refused_at_construction_without_allocating(self, descriptor):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupTooLarge, match="int64 indices of a group of order .* dense budget"):
+                make_group(descriptor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_budget_boundary(self):
+        largest = DENSE_BYTES_BUDGET // 8
+        assert make_group(f"cyclic({largest})").order == largest
+        assert make_group(f"dihedral({largest // 2})").order == largest
+        with pytest.raises(GroupTooLarge):
+            make_group(f"cyclic({largest + 1})")
+        with pytest.raises(GroupTooLarge):
+            make_group(f"dihedral({largest // 2 + 1})")
+
+    def test_order_and_strides_are_exact(self):
+        g = make_group(f"abelian_product({[2] * 27})")
+        assert g.order == 2**27 and type(g.order) is int
+        assert g.generators.tolist() == [2**i for i in range(26, -1, -1)]
 
 
 def table_of(group):

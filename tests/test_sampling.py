@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cayleygap import sampling
 from cayleygap.errors import RangeViolation
 from cayleygap.sampling import SeededStream, _seed_state
 
@@ -94,3 +95,66 @@ def test_invalid_calls():
         rng.choice(5, 2, replace=True)
     with pytest.raises(RangeViolation):
         SeededStream(-1)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The jump table as a fresh process holds it, j = 1 alone, for one test."""
+    monkeypatch.setattr(sampling, "_table", [tuple(v[:1] for v in part) for part in sampling._table])
+
+
+def _table_length() -> int:
+    return sampling._table[0][0].size
+
+
+def _limbs(value: int) -> tuple[int, int]:
+    return value >> 64, value & (2**64 - 1)
+
+
+def test_table_grown_in_steps_equals_one_doubled_at_once(fresh_table):
+    for length in (1, 64, 100, 128, 1000, 4096, sampling._BLOCK, 5):
+        before = _table_length()
+        stepped = sampling._jump_table(length)
+        assert _table_length() == max(before, 2 ** (length - 1).bit_length())  # the first power of two >= length
+    sampling._table[:] = [tuple(v[:1] for v in part) for part in sampling._table]
+    straight = sampling._jump_table(sampling._BLOCK)
+    for got, expected in zip(stepped[0] + stepped[1], straight[0] + straight[1]):
+        assert np.array_equal(got, expected)
+    # against the definition: a^j and c_j = sum_{i<j} a^i mod 2^128, limb for limb
+    a, mod = sampling._PCG_MULT, 2**128
+    for j in (1, 2, 63, 64, 65, 4097, sampling._BLOCK):
+        power, total = (_limbs(v) for v in (pow(a, j, mod), sum(pow(a, i, mod) for i in range(j)) % mod))
+        assert (int(stepped[0][0][j - 1]), int(stepped[0][1][j - 1])) == power
+        assert (int(stepped[1][0][j - 1]), int(stepped[1][1][j - 1])) == total
+
+
+def test_scalar_draws_grow_the_table_to_the_full_block(fresh_table):
+    """Scalar blocks of 64, 128, ..., 2^13 outputs, each on a larger table and
+    offset, then a vector draw that reads past the last of them."""
+    seed, words = 11, 2 * (2 * sampling._BLOCK - 64)
+    ref, ours = np.random.default_rng(seed), SeededStream(seed)
+    expected = [int(ref.integers(0, 1009)) for _ in range(words + 1)]
+    assert [ours.integers(0, 1009) for _ in range(words + 1)] == expected
+    assert _table_length() == sampling._BLOCK
+    assert np.array_equal(ours.integers(0, 1009, 20001), ref.integers(0, 1009, 20001))
+    assert [ours.integers(0, 7) for _ in range(300)] == [int(ref.integers(0, 7)) for _ in range(300)]
+
+
+def test_vector_draw_builds_the_whole_table(fresh_table):
+    """A stream whose first draw is a vector grows the table to 2^13 at once.
+    Another stream, whose offset a scalar draw sized on the 64-entry table,
+    regrows it when its blocks outgrow 64 on the table the first one grew."""
+    ref, ours = np.random.default_rng(12), SeededStream(12)
+    other_ref, other = np.random.default_rng(13), SeededStream(13)
+    assert other.integers(0, 1009) == other_ref.integers(0, 1009)
+    assert _table_length() == 64
+    assert np.array_equal(ours.integers(0, 1009, 20001), ref.integers(0, 1009, 20001))
+    assert _table_length() == sampling._BLOCK
+    assert [other.integers(0, 1009) for _ in range(5000)] == [int(other_ref.integers(0, 1009)) for _ in range(5000)]
+    assert [ours.integers(0, 1009) for _ in range(5000)] == [int(ref.integers(0, 1009)) for _ in range(5000)]
+    assert np.array_equal(ours.choice(1009, 40), ref.choice(1009, 40, replace=False))
+
+
+def test_a_few_scalar_draws_leave_the_table_small(fresh_table):
+    assert np.array_equal(SeededStream(0).choice(1009, 40), np.random.default_rng(0).choice(1009, 40, replace=False))
+    assert _table_length() <= 128

@@ -28,7 +28,7 @@ from cayleygap import (
     set_norm,
     walk_energy,
 )
-from cayleygap import representations, spectra
+from cayleygap import groups, representations, spectra
 from cayleygap.cli import main as cli_main
 from cayleygap.config import resolve_subset
 from cayleygap.errors import EmptySet, GroupTooLarge, KZero, NotCataloged
@@ -1076,9 +1076,9 @@ class TestDenseBudget:
         2 + 8 + 8 bytes a cell of 50 x 50."""
         s = resolve_subset(make_group("cyclic(100)"), "random(5)", 0)
         needed = 18 * 50 * 50
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", needed)
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", needed)
         laplace_spectrum_dense(s)
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", needed - 1)
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", needed - 1)
         with pytest.raises(GroupTooLarge, match="dense budget"):
             laplace_spectrum_dense(s)
 
@@ -1088,9 +1088,9 @@ class TestDenseBudget:
         four and the float stack of all four, 4 + 16 + 32 bytes a cell of 4 x 4."""
         s = GroupSubset.from_indices(make_group("dihedral(8)"), [1, 7, 8])
         assert s.is_symmetric and not s.group.is_abelian
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 52 * 4 * 4)
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", 52 * 4 * 4)
         laplace_spectrum_dense(s)
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 52 * 4 * 4 - 1)
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", 52 * 4 * 4 - 1)
         with pytest.raises(GroupTooLarge, match="dense budget"):
             laplace_spectrum_dense(s)
 
@@ -1098,9 +1098,9 @@ class TestDenseBudget:
         """The Hermitian copy of an n x n operator is refused before it is built."""
         delta = _laplacian(markov_matrix(GroupSubset.from_indices(make_group("cyclic(12)"), [1, 5])), 2)
         expected = variational_lambda1(delta)
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 12 * 12 * 8)
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", 12 * 12 * 8)
         assert variational_lambda1(delta) == expected
-        monkeypatch.setattr(representations, "DENSE_BYTES_BUDGET", 12 * 12 * 8 - 1)
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", 12 * 12 * 8 - 1)
         with pytest.raises(GroupTooLarge, match=r"Hermitian part of a 12 x 12 operator"):
             variational_lambda1(delta)
 
