@@ -7,7 +7,6 @@ experiments with deterministic reports.
 """
 
 from .bohr import (
-    InclusionReport,
     LargeSpectrum,
     Progression,
     bohr_doubling_check,

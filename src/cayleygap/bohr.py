@@ -5,15 +5,15 @@ multi-frequency lower bound, regularity), the normalized convolution-mass
 functional, the guaranteed interval search on Z/N, the progression and
 Bohr-set characterizations of the gap in both directions, tail and size
 bounds with normal-subgroup certification, and the basis bounds they imply.
+Every check reports a ``bounds.BoundReport``: an inclusion as its failure
+count against 0, the Ruzsa covering as its cover size against a strict bound.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -659,7 +659,7 @@ def bohr_eps_size_rows(reps, eps: float) -> list[BoundReport]:
     """Per representation: |Bohr(rho, delta_eps)| <= eps |G|, requiring the
     certified absence of normal proper subgroups of index at most 1/eps."""
     if not (0 < eps <= 0.5):
-        raise HypothesisFail(f"eps must lie in (0, 1/2], got {eps}")
+        raise RangeViolation(f"eps must lie in (0, 1/2], got {eps}")
     group, rows = _profiles(reps)
     witness = normal_subgroup_min_index(group, math.floor(1.0 / eps))
     if witness is not None:
@@ -751,33 +751,25 @@ def large_spectrum(a: GroupSubset, eps: float) -> LargeSpectrum:
     )
 
 
-class InclusionReport(NamedTuple):
-    """Outcome of an exhaustive inclusion check."""
-
-    name: str
-    checked: int
-    failures: int
-    vacuous: bool = False
-    parameters: Mapping = MappingProxyType({})  # read-only: no instance shares a dict
-    pairs: tuple[tuple[int, int, int], ...] = ()  # failing (i, j, k) label triples
-
-    @property
-    def holds(self) -> bool:
-        return self.failures == 0
-
-    @property
-    def verdict(self) -> str:
-        if not self.holds:
-            return "fail"
-        return "vacuous-pass" if self.vacuous else "pass"
+def _inclusion(name: str, checked: int, failures: int, vacuous=False, **parameters) -> BoundReport:
+    """An exhaustive inclusion check as a bound: its ``failures`` among ``checked`` cases, at most 0."""
+    return BoundReport(
+        bound_name=name,
+        bound_value=0,
+        measured=failures,
+        sense="<=",
+        vacuous=vacuous,
+        parameters={"checked": checked, **parameters},
+    )
 
 
 def large_spectrum_product_check(
     a: GroupSubset, eps1: float, eps2: float, form: str = "linear"
-) -> InclusionReport:
+) -> BoundReport:
     """Every product chi_i chi_j of a (1-eps1)-large and a (1-eps2)-large
-    character stays large at the level of ``form``; misses are named as
-    catalog index triples (i, j, k) with chi_k = chi_i chi_j.
+    character stays large at the level of ``form``; misses are named in
+    ``parameters["pairs"]`` as catalog index triples (i, j, k) with
+    chi_k = chi_i chi_j.
 
     ``"linear"`` is the claimed level 1 - eps1 - eps2.  It is not a theorem:
     phase deviations of the two factors add like sqrt(eps), so two-element
@@ -809,20 +801,16 @@ def large_spectrum_product_check(
     product = group.mul(left[:, None], right[None, :])
     misses = np.argwhere(norms[product] < target_level * size - 1e-9)
     pairs = [(int(left[r]), int(right[c]), int(product[r, c])) for r, c in misses]
-    return InclusionReport(
-        name=name,
-        checked=len(left) * len(right),
-        failures=len(pairs),
-        vacuous=vacuous,
-        parameters={"eps1": eps1, "eps2": eps2, "left": len(left), "right": len(right)},
-        pairs=tuple(pairs),
+    return _inclusion(
+        name, len(left) * len(right), len(pairs), vacuous,
+        eps1=eps1, eps2=eps2, left=len(left), right=len(right), pairs=tuple(pairs),
     )
 
 
 # -- Bohr calculus -----------------------------------------------------------------
 
 
-def bohr_sum_rule_rows(items, delta1: float, delta2: float) -> list[InclusionReport]:
+def bohr_sum_rule_rows(items, delta1: float, delta2: float) -> list[BoundReport]:
     """Per item: Bohr(d1) Bohr(d2) lands inside Bohr(d1 + d2)."""
     group, rows = _profiles(items, delta1)
     _require_radius(delta2)
@@ -831,18 +819,12 @@ def bohr_sum_rule_rows(items, delta1: float, delta2: float) -> list[InclusionRep
     target = _members(rows, delta1 + delta2)
     outside = np.count_nonzero(produced & ~target, axis=1)
     return [
-        InclusionReport(
-            name="bohr_sum_rule",
-            checked=int(checked),
-            failures=int(failures),
-            vacuous=bool(vacuous),
-            parameters={"delta1": delta1, "delta2": delta2},
-        )
+        _inclusion("bohr_sum_rule", int(checked), int(failures), bool(vacuous), delta1=delta1, delta2=delta2)
         for checked, failures, vacuous in zip(np.count_nonzero(produced, axis=1), outside, target.all(axis=1))
     ]
 
 
-def bohr_sum_rule_check(reps, delta1: float, delta2: float) -> InclusionReport:
+def bohr_sum_rule_check(reps, delta1: float, delta2: float) -> BoundReport:
     """Bohr(d1) Bohr(d2) lands inside Bohr(d1 + d2)."""
     return bohr_sum_rule_rows([reps], delta1, delta2)[0]
 
@@ -853,7 +835,7 @@ def _conjugates(group: FiniteGroup) -> np.ndarray:
     return group.mul(group.mul(group.inv(gens), np.arange(group.order)[None, :]), gens)
 
 
-def bohr_symmetry_normality_rows(items, delta: float) -> list[InclusionReport]:
+def bohr_symmetry_normality_rows(items, delta: float) -> list[BoundReport]:
     """Per item: identity membership, closure under inverse, and conjugation
     invariance of its Bohr set.
 
@@ -868,17 +850,12 @@ def bohr_symmetry_normality_rows(items, delta: float) -> list[InclusionReport]:
         (member[:, _conjugates(group)] != member[:, None, :]).any(axis=(1, 2)),
     ], axis=0)
     return [
-        InclusionReport(
-            name="bohr_symmetry_normality",
-            checked=group.order + 2,
-            failures=int(count),
-            parameters={"delta": delta, "size": int(size)},
-        )
+        _inclusion("bohr_symmetry_normality", group.order + 2, int(count), delta=delta, size=int(size))
         for count, size in zip(failures, np.count_nonzero(member, axis=1))
     ]
 
 
-def bohr_symmetry_normality_check(reps, delta: float) -> InclusionReport:
+def bohr_symmetry_normality_check(reps, delta: float) -> BoundReport:
     """Identity membership, closure under inverse, and conjugation invariance."""
     return bohr_symmetry_normality_rows([reps], delta)[0]
 
@@ -905,27 +882,6 @@ def bohr_doubling_rows(reps, delta: float) -> list[BoundReport]:
 def bohr_doubling_check(rep: UnitaryRepresentation, delta: float) -> BoundReport:
     """|Bohr * Bohr| / |Bohr| against 2^(21 d^2 / 2), for delta <= 2/5."""
     return bohr_doubling_rows([rep], delta)[0]
-
-
-class CoveringReport(NamedTuple):
-    """Greedy Ruzsa covering of Bohr(delta) by translates of Bohr(delta/2)."""
-
-    rep_label: str
-    delta: float
-    left_cover: tuple[int, ...]  # X with Bohr(delta) inside Bohr(delta/2) X
-    right_cover: tuple[int, ...]  # Y with Bohr(delta) inside Y Bohr(delta/2)
-    size_bound: float
-    left_contained: bool
-    right_contained: bool
-
-    @property
-    def holds(self) -> bool:
-        return (
-            self.left_contained
-            and self.right_contained
-            and len(self.left_cover) < self.size_bound
-            and len(self.right_cover) < self.size_bound
-        )
 
 
 def _greedy_rows(group: FiniteGroup, member: np.ndarray, quarter: np.ndarray, left: bool) -> np.ndarray:
@@ -960,9 +916,14 @@ def _greedy_rows(group: FiniteGroup, member: np.ndarray, quarter: np.ndarray, le
     return kept
 
 
-def ruzsa_covering_rows(reps, delta: float) -> list[CoveringReport]:
+def ruzsa_covering_rows(reps, delta: float) -> list[BoundReport]:
     """Per representation: greedy covering witnesses, points whose
-    quarter-radius translates are disjoint."""
+    quarter-radius translates are disjoint, and the larger of the two cover
+    sizes strictly below 2^(25 d^2).
+
+    ``parameters`` holds the covers, X with Bohr(delta) inside Bohr(delta/2) X
+    and Y with Bohr(delta) inside Y Bohr(delta/2), and whether each contains
+    Bohr(delta); a side that does not is measured as an infinite cover."""
     group, rows = _profiles(reps, delta)
     member = _members(rows, delta)
     quarter = _members(rows, delta / 4.0)
@@ -978,21 +939,28 @@ def ruzsa_covering_rows(reps, delta: float) -> list[CoveringReport]:
     if own.any():
         y_kept[own] = _greedy_rows(group, member[own], quarter[own], left=False)
         right_ok[own] = ~(member[own] & ~_product_rows(group, y_kept[own], half[own])).any(axis=1)
-    return [
-        CoveringReport(
-            rep_label=rep.label,
-            delta=delta,
-            left_cover=tuple(np.flatnonzero(xs).tolist()),
-            right_cover=tuple(np.flatnonzero(ys).tolist()),
-            size_bound=2.0 ** (25.0 * rep.dim**2),
-            left_contained=bool(l_ok),
-            right_contained=bool(r_ok),
-        )
-        for rep, xs, ys, l_ok, r_ok in zip(reps, x_kept, y_kept, left_ok, right_ok)
-    ]
+    return [_covering(rep, delta, *sides) for rep, *sides in zip(reps, x_kept, y_kept, left_ok, right_ok)]
 
 
-def ruzsa_covering(rep: UnitaryRepresentation, delta: float) -> CoveringReport:
+def _covering(rep, delta, xs, ys, left_ok, right_ok) -> BoundReport:
+    left, right = tuple(np.flatnonzero(xs).tolist()), tuple(np.flatnonzero(ys).tolist())
+    return BoundReport(
+        bound_name="ruzsa_covering",
+        bound_value=2.0 ** (25.0 * rep.dim**2),
+        measured=max(len(left) if left_ok else math.inf, len(right) if right_ok else math.inf),
+        sense="<",
+        parameters={
+            "rep": rep.label,
+            "delta": delta,
+            "left_cover": left,
+            "right_cover": right,
+            "left_contained": bool(left_ok),
+            "right_contained": bool(right_ok),
+        },
+    )
+
+
+def ruzsa_covering(rep: UnitaryRepresentation, delta: float) -> BoundReport:
     """Greedy covering witnesses: points whose quarter-radius translates are disjoint."""
     return ruzsa_covering_rows([rep], delta)[0]
 
@@ -1100,7 +1068,7 @@ def regular_spectrum_check(
     delta_prime: float,
     kappa: float,
     eps: float,
-) -> InclusionReport:
+) -> BoundReport:
     """Spec_eps(Bohr(rho, delta)) stays (1 - 2 kappa / eps)-large on the
     shrunken Bohr set, for regular delta and delta' <= kappa delta / (100 d^2)."""
     if not (0 < kappa < 1):
@@ -1120,18 +1088,9 @@ def regular_spectrum_check(
     vacuous = target_level <= 0
     large = catalog.norms(b.indicator()) >= eps * b.size - 1e-12
     shrunk = catalog.norms(b_prime.indicator()) < target_level * b_prime.size - 1e-9
-    return InclusionReport(
-        name="regular_bohr_spectrum",
-        checked=int(large.sum()),
-        failures=int((large & shrunk).sum()),
-        vacuous=vacuous,
-        parameters={
-            "rep": rep.label,
-            "delta": delta,
-            "delta_prime": delta_prime,
-            "kappa": kappa,
-            "eps": eps,
-        },
+    return _inclusion(
+        "regular_bohr_spectrum", int(large.sum()), int((large & shrunk).sum()), vacuous,
+        rep=rep.label, delta=delta, delta_prime=delta_prime, kappa=kappa, eps=eps,
     )
 
 

@@ -4,11 +4,14 @@ Every bound is checked as a BoundReport: the formula side is exact rational
 whenever the inputs are integers, the verifier reads the measured side itself
 (set gaps and norms from ``spectra.spectral_summary``, weighted-operator and
 graph gaps from a dense eigensolve), and the report records the slack and a
-pass / vacuous-pass / fail verdict.  Each verifier alone certifies its
-hypotheses (counts at least g off the exceptional set, path counts in graphs)
-before the measured side is computed, raising HypothesisFail otherwise.
-Representation counts are computed once per (factors, d) and shared: by FFT on
-abelian groups where an a-priori rounding bound admits it, else by the gather.
+pass / vacuous-pass / fail verdict.  BoundReport is the package's one verdict
+record: the Bohr checks report their inclusion failure counts (bound 0) and
+their covering sizes (strict bound) with it too.  Each verifier alone
+certifies its hypotheses (counts at least g off the exceptional set, path
+counts in graphs) before the measured side is computed, raising
+HypothesisFail otherwise.  Representation counts are computed once per
+(factors, d) and shared: by FFT on abelian groups where an a-priori rounding
+bound admits it, else by the gather.
 """
 
 from __future__ import annotations
@@ -51,20 +54,23 @@ class _BoundFields(NamedTuple):
 
 
 class BoundReport(_BoundFields):
-    """One verified inequality instance.
+    """One checked instance of a claim: the one record that carries a verdict.
 
-    ``sense`` is the asserted relation between measured and bound value
-    (">=" for gap lower bounds, "<=" for norm/deviation upper bounds); slack
-    is the signed margin in the direction of the claim, so the invariant
-    holds == (slack >= -1e-9) is uniform across senses.
+    ``sense`` is the asserted relation between measured and bound value:
+    ">=" for gap lower bounds, "<=" for norm, deviation and failure-count
+    upper bounds, and a strict "<" for size bounds the claim makes strict.
+    Slack is the signed margin in the direction of the claim.  ">=" and "<="
+    hold when slack >= -1e-9, which on an integer failure count against a
+    bound of 0 is exactly "no failure"; "<" holds only when slack > 0, with
+    no tolerance.
     """
 
     __slots__ = ()  # no instance __dict__: the fields stay the only attributes
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.sense not in (">=", "<="):
-            raise ValueError(f"sense must be '>=' or '<=', got {self.sense!r}")
+        if self.sense not in (">=", "<=", "<"):
+            raise ValueError(f"sense must be '>=', '<=' or '<', got {self.sense!r}")
         return self
 
     @property
@@ -75,7 +81,7 @@ class BoundReport(_BoundFields):
 
     @property
     def holds(self) -> bool:
-        return self.slack >= -SLACK_TOL
+        return self.slack > 0 if self.sense == "<" else self.slack >= -SLACK_TOL
 
     @property
     def verdict(self) -> str:

@@ -4,9 +4,13 @@ Subcommands: ``spectrum`` (dense vs block eigenvalues), ``bounds`` (gap bound
 battery on one instance), ``bohr`` (Bohr-set calculus battery), ``scan``
 (progression characterization, both directions), ``experiment <name>``.
 
-Each subcommand returns its rows and column order; ``main`` writes the report
-and sets the exit code: 0 all checks pass (vacuous passes count as passes), 1
-at least one asserted row reads ``fail``, 2 hypothesis or configuration error.
+Each subcommand returns its rows and column order; every row of ``bounds``,
+``bohr`` and ``scan`` takes its verdict from a ``BoundReport``.  ``main`` writes
+the report and sets the exit code: 0 all checks pass (vacuous passes count as
+passes), 1 at least one asserted row reads ``fail``, 2 a configuration error
+(bad input, or an instance the command cannot run at all).  In ``bounds`` and
+``bohr`` a row whose hypothesis cannot be certified on the instance is left out
+of the report; it neither fails the run nor ends it.
 ``main`` builds the subparser of the one subcommand it runs; ``--help``, no
 arguments and an unknown command get all five, so they print the same usage.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import numbers
 import operator
 import sys
@@ -23,6 +28,7 @@ import numpy as np
 
 from . import bohr as bohr_mod
 from .bounds import (
+    BoundReport,
     exceptional_set,
     symmetrized_rep_count,
     verify_basis_bound,
@@ -33,7 +39,7 @@ from .bounds import (
     verify_uniformity,
 )
 from .config import load_config, resolve_subset
-from .errors import CayleyGapError, GroupTooLarge, HypothesisFail, NotCataloged
+from .errors import CayleyGapError, GroupTooLarge, HypothesisFail, NoneFound, NotCataloged
 from .experiments import EXPERIMENTS
 from .groups import GroupSubset, diameter, make_group
 from .reports import bound_record, emit_report, records_pass, render_report
@@ -159,11 +165,9 @@ def cmd_bohr(args) -> tuple[list[dict], list[str] | None]:
 
     columns = ["instance", "check", "group", "params", "measured", "bound", "verdict"]
 
-    def add(instance, check, params, measured, bound, verdict):
-        records.append(dict(zip(columns, (instance, check, group.name, params, measured, bound, verdict))))
-
-    def add_bound(instance, report, params):
-        add(instance, report.bound_name, params, report.measured, report.bound_value, report.verdict)
+    def add(instance, report, params):
+        values = (instance, report.bound_name, group.name, params, report.measured, report.bound_value, report.verdict)
+        records.append(dict(zip(columns, values)))
 
     # the kernels need one row at least; the trivial group has no nontrivial rep
     battery = zip(
@@ -174,37 +178,32 @@ def cmd_bohr(args) -> tuple[list[dict], list[str] | None]:
         bohr_mod.bohr_doubling_rows(reps, delta) if delta <= 0.4 else [None] * len(reps),
         bohr_mod.ruzsa_covering_rows(reps, delta),
     ) if reps else ()
+    window = min(delta, 0.5)
     for rep, sym, rule, half, doubling, covering in battery:
         label = rep.label
-        add(f"{label}-01-symmetry", sym.name, f"delta={delta:g}", sym.failures, 0, sym.verdict)
-        params = f"delta={delta / 2:g}+{delta / 2:g}"
-        add(f"{label}-02-sum-rule", rule.name, params, rule.failures, 0, rule.verdict)
-        add_bound(f"{label}-03-half-size", half, f"delta={half.parameters['delta']:g}")
+        add(f"{label}-01-symmetry", sym, f"delta={delta:g}")
+        add(f"{label}-02-sum-rule", rule, f"delta={delta / 2:g}+{delta / 2:g}")
+        add(f"{label}-03-half-size", half, f"delta={half.parameters['delta']:g}")
         if doubling is not None:
-            add_bound(f"{label}-04-doubling", doubling, f"delta={delta:g}")
-        add(
-            f"{label}-05-covering",
-            "ruzsa_covering",
-            f"delta={delta:g}",
-            max(len(covering.left_cover), len(covering.right_cover)),
-            covering.size_bound,
-            "pass" if covering.holds else "fail",
-        )
-        window = min(delta, 0.5)
-        radius = bohr_mod.find_regular(rep, window)
-        params = f"window=[{window:g},{2 * window:g}]"
-        add(f"{label}-06-regular", "regular_radius_exists", params, radius, 2 * window, "pass")
+            add(f"{label}-04-doubling", doubling, f"delta={delta:g}")
+        add(f"{label}-05-covering", covering, f"delta={delta:g}")
+        try:
+            radius = bohr_mod.find_regular(rep, window)
+        except NoneFound:
+            radius = math.inf  # the lemma promises a radius for delta <= 1/2: none found fails the row
+        regular = BoundReport(bound_name="regular_radius_exists", bound_value=2 * window, measured=radius, sense="<=")
+        add(f"{label}-06-regular", regular, f"window=[{window:g},{2 * window:g}]")
     if "eps" in cfg and reps:
-        # after the whole battery, so a bad eps masks none of its failures
+        # an eps outside (0, 1/2] raises RangeViolation, a configuration error
         try:
             eps_sizes = bohr_mod.bohr_eps_size_rows(reps, _real(cfg, "eps", None))
-        except GroupTooLarge:
-            eps_sizes = []  # normal subgroups not enumerable at this order: the rows are left out
+        except (GroupTooLarge, HypothesisFail):
+            eps_sizes = []  # a normal subgroup of index <= 1/eps exists or is not ruled out: rows left out
         for rep, report in zip(reps, eps_sizes):
-            add_bound(f"{rep.label}-07-eps-size", report, f"eps={cfg['eps']:g}")
+            add(f"{rep.label}-07-eps-size", report, f"eps={cfg['eps']:g}")
     if len(reps) >= 2:
         multi = bohr_mod.multi_bohr_lower_bound_check([(reps[0], delta), (reps[1], delta)])
-        add_bound("zz-multi-bohr", multi, f"delta={delta:g}")
+        add("zz-multi-bohr", multi, f"delta={delta:g}")
     return records, columns
 
 

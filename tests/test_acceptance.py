@@ -413,11 +413,12 @@ def _product_second_side(a, eps1, eps2, witness, report):
         mismatches.append(f"chi{witness.i} or chi{witness.j} below its threshold")
     if abs(ratios[k] - witness.ratio) > 1e-4 or not ratios[k] < level:
         mismatches.append(f"|Ahat(chi{k})|/|A| = {ratios[k]:.4f}, documented {witness.ratio} < {level:.3g}")
-    if len(failing) != report.failures or not report.failures > 0:
-        mismatches.append(f"failing pairs counted {len(failing)}, reported {report.failures}")
-    if sorted(report.pairs) != failing:
-        mismatches.append(f"failing triples recounted {failing}, named {sorted(report.pairs)}")
-    if (witness.i, witness.j, k) not in report.pairs:
+    pairs = report.parameters["pairs"]
+    if len(failing) != report.measured or not report.measured > 0:
+        mismatches.append(f"failing pairs counted {len(failing)}, reported {report.measured}")
+    if sorted(pairs) != failing:
+        mismatches.append(f"failing triples recounted {failing}, named {sorted(pairs)}")
+    if (witness.i, witness.j, k) not in pairs:
         mismatches.append(f"chi{witness.i} * chi{witness.j} = chi{k} not named by the report")
     return mismatches
 
@@ -498,7 +499,7 @@ def _criterion_09_components():
         add(
             f"spectrum product (linear threshold) {tag}",
             claimed.holds,
-            f"{claimed.failures} of {claimed.checked} pairs fail",
+            f"{claimed.measured} of {claimed.parameters['checked']} pairs fail",
             None if witness is None else _product_second_side(subset, e1, e2, witness, claimed),
         )
         certified = large_spectrum_product_check(subset, e1, e2, form="cosine")

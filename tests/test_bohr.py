@@ -45,8 +45,6 @@ from cayleygap import (
 )
 from cayleygap import bohr as bohr_module
 from cayleygap.bohr import (
-    CoveringReport,
-    InclusionReport,
     _max_length_below,
     bohr_symmetry_normality_check,
     bohr_symmetry_normality_rows,
@@ -117,8 +115,9 @@ class TestBohrSet:
         rep = irrep_catalog(d3)[1]
         monkeypatch.setattr(rep, "identity_distances", lambda: np.where(fake.membership, 0.0, 1.0))
         report = bohr_symmetry_normality_check(rep, 0.5)
-        assert report.failures == failures
-        assert report.checked == d3.order + 2
+        assert report.measured == failures
+        assert report.parameters["checked"] == d3.order + 2
+        assert report.verdict == ("pass" if failures == 0 else "fail")
 
     def test_empty_rep_list(self):
         with pytest.raises(EmptyRepList):
@@ -151,7 +150,7 @@ class TestExactPhaseTies:
 
     def test_cyclic_ties_at_radius_one_are_symmetric(self):
         rows = bohr_symmetry_normality_rows(irrep_catalog(make_group("cyclic(1200)")).nontrivial(), 1.0)
-        assert [row.failures for row in rows] == [0] * 1199
+        assert [row.measured for row in rows] == [0] * 1199
 
     def test_cyclic_distances_are_exact_chords(self):
         n = 1200
@@ -169,7 +168,7 @@ class TestExactPhaseTies:
 
     def test_dihedral_rows_at_radius_two_have_no_failure(self):
         rows = bohr_symmetry_normality_rows(irrep_catalog(make_group("dihedral(600)")).nontrivial(), 2.0)
-        assert len(rows) == 302 and all(row.failures == 0 for row in rows)
+        assert len(rows) == 302 and all(row.measured == 0 for row in rows)
 
 
 class TestConvolutionShare:
@@ -748,10 +747,10 @@ class TestLargeSpectrum:
         a = GroupSubset.from_indices(group, [1, 15])
         report = large_spectrum_product_check(a, 0.441, 0.336)
         assert not report.vacuous
-        assert report.failures > 0
+        assert report.measured > 0 and report.verdict == "fail"
         small = GroupSubset.from_indices(group, [5, 12])
         report_small = large_spectrum_product_check(small, 0.103, 0.014)
-        assert report_small.failures > 0
+        assert report_small.measured > 0
 
     def test_product_inclusion_cosine_form_holds(self, rng):
         # the cosine-deficit threshold is the certified one; it holds on the
@@ -1063,18 +1062,19 @@ def _oracle_symmetry(reps, delta):
         labels[cls] = label
     inside = np.bincount(labels, weights=b.membership)
     failures += int(np.any((inside > 0) & (inside < np.bincount(labels))))
-    return InclusionReport(
-        name="bohr_symmetry_normality", checked=group.order + 2, failures=failures,
-        parameters={"delta": delta, "size": b.size},
+    return BoundReport(
+        bound_name="bohr_symmetry_normality", bound_value=0, measured=failures, sense="<=",
+        parameters={"checked": group.order + 2, "delta": delta, "size": b.size},
     )
 
 
 def _oracle_sum_rule(reps, delta1, delta2):
     produced = product_set(_oracle_bohr(reps, delta1), _oracle_bohr(reps, delta2))
     target = _oracle_bohr(reps, delta1 + delta2)
-    return InclusionReport(
-        name="bohr_sum_rule", checked=produced.size, failures=produced.difference(target).size,
-        vacuous=target.size == target.group.order, parameters={"delta1": delta1, "delta2": delta2},
+    return BoundReport(
+        bound_name="bohr_sum_rule", bound_value=0, measured=produced.difference(target).size, sense="<=",
+        vacuous=target.size == target.group.order,
+        parameters={"checked": produced.size, "delta1": delta1, "delta2": delta2},
     )
 
 
@@ -1124,11 +1124,16 @@ def _oracle_covering(rep, delta):
     x_cover = greedy(group.mul(quarter.indices[None, :], b.indices[:, None]))
     y_cover = greedy(group.mul(b.indices[:, None], quarter.indices[None, :]))
     x_set, y_set = GroupSubset.from_indices(group, x_cover), GroupSubset.from_indices(group, y_cover)
-    return CoveringReport(
-        rep_label=rep.label, delta=delta, left_cover=tuple(x_cover), right_cover=tuple(y_cover),
-        size_bound=2.0 ** (25.0 * rep.dim**2),
-        left_contained=b.difference(product_set(half, x_set)).size == 0,
-        right_contained=b.difference(product_set(y_set, half)).size == 0,
+    left_ok = b.difference(product_set(half, x_set)).size == 0
+    right_ok = b.difference(product_set(y_set, half)).size == 0
+    # a side that does not contain Bohr(delta) covers nothing: its size reads as infinite
+    sizes = [len(cover) if ok else math.inf for cover, ok in ((x_cover, left_ok), (y_cover, right_ok))]
+    return BoundReport(
+        bound_name="ruzsa_covering", bound_value=2.0 ** (25.0 * rep.dim**2), measured=max(sizes), sense="<",
+        parameters={
+            "rep": rep.label, "delta": delta, "left_cover": tuple(x_cover), "right_cover": tuple(y_cover),
+            "left_contained": left_ok, "right_contained": right_ok,
+        },
     )
 
 
@@ -1216,7 +1221,7 @@ class TestRowKernels:
         for item in items:
             (report,) = bohr_module.bohr_symmetry_normality_rows([item], 1.0)
             _same([report], [_oracle_symmetry(item, 1.0)])
-            failures.append(report.failures)
+            failures.append(report.measured)
         assert failures[:3] == [1, 2, 0]
         assert 0 in failures[3:] and 2 in failures[3:]
 
@@ -1237,8 +1242,25 @@ class TestRowKernels:
         reports = bohr_module.ruzsa_covering_rows(reps, 3.0)
         assert sides == [(True, len(reps)), (False, 1)]  # the right side runs on the planted row alone
         _same(reports, [_oracle_covering(r, 3.0) for r in reps])
-        assert reports[-1].left_cover != reports[-1].right_cover
-        assert all(r.left_cover == r.right_cover for r in reports[:-1])
+        covers = [(r.parameters["left_cover"], r.parameters["right_cover"]) for r in reports]
+        assert covers[-1][0] != covers[-1][1]
+        assert all(left == right for left, right in covers[:-1])
+
+    def test_covering_with_one_side_not_contained_fails(self, d6, monkeypatch):
+        # the planted row of the test above runs the right greedy alone; keeping no point
+        # there leaves a right cover far under its size bound that contains nothing
+        member = np.isin(np.arange(d6.order), [0, 2, 6])
+        planted = UnitaryRepresentation(d6, np.where(member, 1.0, -1.0).reshape(-1, 1, 1), "planted")
+        greedy = bohr_module._greedy_rows
+        monkeypatch.setattr(
+            bohr_module, "_greedy_rows",
+            lambda group, rows, quarter, left: greedy(group, rows, quarter, left) & left,
+        )
+        (report,) = bohr_module.ruzsa_covering_rows([planted], 3.0)
+        params = report.parameters
+        assert params["left_contained"] and not params["right_contained"]
+        assert params["right_cover"] == () and 0 < len(params["left_cover"]) < report.bound_value
+        assert report.measured == math.inf and report.verdict == "fail"
 
     def test_rows_larger_than_one_chunk(self):
         # the sign reps of D_400 have a Bohr set of 400 rotations (or mixed

@@ -574,3 +574,19 @@ class TestBoundReport:
         assert r.holds
         r2 = BoundReport(bound_name="x", bound_value=0.5, measured=0.5 - 5e-9)
         assert not r2.holds
+
+    @pytest.mark.parametrize("measured, verdict", [(4, "fail"), (3, "pass"), (4 - 1e-12, "pass"), (math.inf, "fail")])
+    def test_strict_sense_has_no_tolerance(self, measured, verdict):
+        # a cover size against 2^(25 d^2): equality fails, one below passes, an
+        # uncontained side (read as infinite) fails
+        r = BoundReport(bound_name="ruzsa_covering", bound_value=4.0, measured=measured, sense="<")
+        assert r.slack == 4.0 - measured
+        assert r.verdict == verdict
+
+    @pytest.mark.parametrize("failures, vacuous, verdict", [
+        (0, False, "pass"), (1, False, "fail"), (0, True, "vacuous-pass"), (1, True, "fail"),
+    ])
+    def test_inclusion_failure_count(self, failures, vacuous, verdict):
+        r = BoundReport(bound_name="bohr_sum_rule", bound_value=0, measured=failures, sense="<=", vacuous=vacuous)
+        assert r.slack == -failures and type(r.slack) is int  # an int count keeps an int slack
+        assert r.verdict == verdict

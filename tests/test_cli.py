@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and file determinism."""
 
 import argparse
+import csv
 import json
 import math
 import subprocess
@@ -14,6 +15,7 @@ from cayleygap import cli as cli_module
 from cayleygap import groups as groups_module
 from cayleygap.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 from cayleygap.config import resolve_subset
+from cayleygap.errors import NoneFound
 from cayleygap.representations import _AbelianCatalog
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,9 +192,43 @@ class TestBohrCommand:
         assert main(["bohr", "--config", cfg]) == EXIT_PASS
         assert capsys.readouterr() == ("(no records)\n", "")
 
-    def test_uncertified_eps_is_error(self, tmp_path):
-        cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(36)\ndelta = 0.4\nrep = 1\neps = 0.5\n")
-        assert main(["bohr", "--config", cfg]) == EXIT_ERROR
+    def test_uncertified_eps_rows_are_left_out(self, tmp_path, capsys):
+        # cyclic(12) has a normal subgroup of index 2 <= 1/eps = 1/0.3: no eps row is certified
+        cfg = ROOT / "tests" / "configs" / "bohr-cyclic12-eps.cfg"
+        body = cfg.read_text().replace("eps = 0.3\n", "")
+        plain, with_eps = tmp_path / "plain.csv", tmp_path / "eps.csv"
+        assert main(["bohr", "--config", write_config(tmp_path, "a.cfg", body), "--out", str(plain)]) == EXIT_PASS
+        assert main(["bohr", "--config", str(cfg), "--out", str(with_eps)]) == EXIT_PASS
+        assert capsys.readouterr().err == ""
+        assert with_eps.read_bytes() == plain.read_bytes()
+        assert len(plain.read_text().splitlines()) == 1 + 67
+
+    @pytest.mark.parametrize("eps", ["0", "0.7", "-0.2"])
+    def test_eps_outside_its_range_is_error(self, tmp_path, capsys, eps):
+        # bad input, not an uncertified hypothesis: the run ends with exit 2 and no report
+        cfg = write_config(tmp_path, "bo.cfg", f"group = cyclic(13)\ndelta = 0.3\neps = {eps}\n")
+        out = tmp_path / "bohr.csv"
+        assert main(["bohr", "--config", cfg, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: eps must lie in (0, 1/2], got {float(eps)}\n"
+        assert not out.exists()
+
+    def test_no_regular_radius_fails_that_row_alone(self, tmp_path, monkeypatch):
+        found = cli_module.bohr_mod.find_regular
+
+        def find_regular(rep, delta):
+            if rep.label == "chi5":
+                raise NoneFound(f"no regular radius in [{delta}, {2 * delta}] for {rep.label}")
+            return found(rep, delta)
+
+        monkeypatch.setattr(cli_module.bohr_mod, "find_regular", find_regular)
+        cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(12)\ndelta = 0.3\n")
+        out = tmp_path / "bohr.csv"
+        assert main(["bohr", "--config", cfg, "--out", str(out)]) == EXIT_FAIL
+        rows = {row[0]: row for row in list(csv.reader(out.read_text().splitlines()))[1:]}
+        assert len(rows) == 67
+        assert rows["chi5-06-regular"][4:] == ["inf", "0.6", "fail"]
+        assert [key for key, row in rows.items() if row[-1] != "pass"] == ["chi5-06-regular"]
+        assert rows["chi1-06-regular"][4:] == ["0.3", "0.6", "pass"]
 
     def test_eps_rows_on_an_abelian_group_above_the_enumeration_cap(self, tmp_path):
         cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(211)\ndelta = 0.3\neps = 0.2\n")

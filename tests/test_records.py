@@ -12,11 +12,6 @@ EXAMPLES = {
     "Progression": bohr.Progression(modulus=5, start=0, step=1, length=3),
     "BohrSizeThresholds": bohr.BohrSizeThresholds(dim=1, half_radius=0.5),
     "LargeSpectrum": bohr.LargeSpectrum(set_size=1, eps=0.5, indices=(0,), labels=("chi0",), norms=(1.0,)),
-    "InclusionReport": bohr.InclusionReport(name="x", checked=1, failures=0),
-    "CoveringReport": bohr.CoveringReport(
-        rep_label="chi1", delta=0.5, left_cover=(0,), right_cover=(0,), size_bound=2.0,
-        left_contained=True, right_contained=True,
-    ),
     "SpectrumReport": spectra.SpectrumReport(
         eigenvalues=np.zeros(1), star_eigenvalues=np.zeros(1), lambda1=0.0, lambda1_star=0.0, path="dense"
     ),
@@ -57,6 +52,8 @@ def test_bound_report_refuses_an_unknown_sense():
         bounds.BoundReport(bound_name="x", bound_value=0.5, measured=0.6, sense="=")
     with pytest.raises(ValueError, match="sense"):
         bounds.BoundReport("x", 0.5, 0.6, "=")
+    with pytest.raises(ValueError, match="sense"):
+        bounds.BoundReport("x", 0.5, 0.6, ">")  # strict only as "<"
 
 
 @pytest.mark.parametrize("length", [0, 6])
@@ -67,9 +64,8 @@ def test_progression_refuses_a_length_outside_the_modulus(length):
         bohr.Progression(5, 0, 1, length)
 
 
-@pytest.mark.parametrize("name", ["BoundReport", "InclusionReport"])
-def test_default_parameters_are_read_only(name):
-    record = EXAMPLES[name]
+def test_default_parameters_are_read_only():
+    record = EXAMPLES["BoundReport"]
     assert dict(record.parameters) == {}
     with pytest.raises(TypeError):
         record.parameters["key"] = 1
