@@ -193,10 +193,11 @@ def cmd_bohr(args) -> tuple[list[dict], list[str] | None]:
             radius = math.inf  # the lemma promises a radius for delta <= 1/2: none found fails the row
         regular = BoundReport(bound_name="regular_radius_exists", bound_value=2 * window, measured=radius, sense="<=")
         add(f"{label}-06-regular", regular, f"window=[{window:g},{2 * window:g}]")
-    if "eps" in cfg and reps:
-        # an eps outside (0, 1/2] raises RangeViolation, a configuration error
+    if "eps" in cfg:
+        eps = _real(cfg, "eps", None)
+        bohr_mod.require_eps(eps)  # RangeViolation, a configuration error, on the trivial group too
         try:
-            eps_sizes = bohr_mod.bohr_eps_size_rows(reps, _real(cfg, "eps", None))
+            eps_sizes = bohr_mod.bohr_eps_size_rows(reps, eps) if reps else []
         except (GroupTooLarge, HypothesisFail):
             eps_sizes = []  # a normal subgroup of index <= 1/eps exists or is not ruled out: rows left out
         for rep, report in zip(reps, eps_sizes):

@@ -3,8 +3,9 @@
 Records are flat dicts; rows are sorted by instance id so identical runs
 produce byte-identical files.  Floating-point values are emitted with 12
 significant digits in both formats.  CSV is formatted one column at a time:
-a column whose cells are all exactly float, int or str takes one % pass, any
-other goes through ``format_value`` cell by cell, to the same bytes.
+a column whose cells are all exactly float, int or str takes one % pass, and
+only its cells that hold a comma or a quote are quoted afterwards; any other
+column goes through ``format_value`` cell by cell, to the same bytes.
 """
 
 from __future__ import annotations
@@ -80,16 +81,18 @@ _COLUMN_FORMATS = {float: "%.12g\n", int: "%d\n", str: "%s\n"}  # format_value o
 
 
 def _csv_column(cells: list) -> list[str]:
-    """The column's CSV cells: one % pass, with each cell's format by its type, when
-    every cell is exactly a float, int or str (a bool or np.float64 is none of them)
-    and no str cell needs quoting or holds a newline; ``format_value`` and quoting
-    cell by cell otherwise."""
-    kinds = set(map(type, cells))
-    if kinds <= _COLUMN_FORMATS.keys():
+    """The column's CSV cells, each quoted when it holds ``,`` or ``"``: one % pass, with
+    each cell's format by its type, when every cell is exactly a float, int or str (a
+    bool or np.float64 is none of them) and no str cell holds a newline;
+    ``format_value`` cell by cell otherwise."""
+    texts = None
+    if set(map(type, cells)) <= _COLUMN_FORMATS.keys():
         text = "".join(map(_COLUMN_FORMATS.__getitem__, map(type, cells))) % tuple(cells)
-        if str not in kinds or (text.count("\n") == len(cells) and "," not in text and '"' not in text):
-            return text.split("\n")[:-1]
-    texts = map(format_value, cells)
+        if text.count("\n") == len(cells):
+            texts = text.split("\n")[:-1]
+            if "," not in text and '"' not in text:
+                return texts
+    texts = texts or map(format_value, cells)
     return ['"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text for text in texts]
 
 

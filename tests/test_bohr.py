@@ -1271,6 +1271,26 @@ class TestRowKernels:
         _same(bohr_module.bohr_doubling_rows(mixed, 0.3), [_oracle_doubling(r, 0.3) for r in mixed])
         _same(bohr_module.ruzsa_covering_rows(mixed, 0.3), [_oracle_covering(r, 0.3) for r in mixed])
 
+    @pytest.mark.parametrize("descriptor", ["dihedral(10)", "abelian_product([2, 3, 4])", "cyclic(7)"])
+    def test_product_rows_match_pairwise_products_at_every_run_size(self, descriptor, monkeypatch):
+        group = make_group(descriptor)
+        rng = np.random.default_rng(11)
+        density = np.array([[0.0], [0.1], [0.3], [0.5], [1.0], [0.2]])
+        left, right = rng.random((2, 6, group.order)) < density
+        expected = np.zeros_like(left)
+        for r in range(6):
+            for x in np.flatnonzero(left[r]):
+                expected[r, group.mul(x, np.flatnonzero(right[r]))] = True
+        for chunk in (1, 5, 64, bohr_module._PAIR_CHUNK):
+            monkeypatch.setattr(bohr_module, "_PAIR_CHUNK", chunk)
+            assert np.array_equal(bohr_module._product_rows(group, left, right), expected), chunk
+
+    def test_product_rows_hold_one_run(self):
+        # 135 670 pairs in runs of int32 temporaries; int64 runs of 2^15 pairs peak at 2.9 MiB here
+        group = make_group("dihedral(200)")
+        member = bohr_module._members(bohr_module._profiles(irrep_catalog(group).nontrivial())[1], 0.3)
+        assert _traced_peak(lambda: bohr_module._product_rows(group, member, member)) < 2**20
+
     def test_catalog_rows_are_the_rep_distances(self):
         catalog = irrep_catalog(make_group("dihedral(12)"))
         for rep in catalog:

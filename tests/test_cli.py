@@ -212,6 +212,18 @@ class TestBohrCommand:
         assert capsys.readouterr().err == f"error: eps must lie in (0, 1/2], got {float(eps)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("group", ["cyclic(1)", "cyclic(13)"])
+    def test_eps_outside_its_range_is_error_on_every_group(self, tmp_path, capsys, group):
+        # the trivial group has no representation to make an eps row of, and still checks eps
+        cfg = write_config(tmp_path, "bo.cfg", f"group = {group}\ndelta = 0.3\neps = 0.9\n")
+        assert main(["bohr", "--config", cfg]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", "error: eps must lie in (0, 1/2], got 0.9\n")
+
+    def test_eps_in_range_on_the_trivial_group_has_no_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "bo.cfg", "group = cyclic(1)\ndelta = 0.3\neps = 0.5\n")
+        assert main(["bohr", "--config", cfg]) == EXIT_PASS
+        assert capsys.readouterr() == ("(no records)\n", "")
+
     def test_no_regular_radius_fails_that_row_alone(self, tmp_path, monkeypatch):
         found = cli_module.bohr_mod.find_regular
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cayleygap import cli
+from cayleygap import cli, reports
 from cayleygap.reports import format_value, render_csv
 
 
@@ -52,12 +52,25 @@ CASES = {
         ["x"],
     ),
     "bool among floats": (_column([0.5, False, -0.0]), ["x"]),
+    "quoted and plain strings": (_column(["window=[0.3,0.6]", "delta=0.3", 'a"b', "", "c,", ",", '"', "plain"]), ["x"]),
+    "quoted and plain strings among floats and ints": (
+        _column([0.25, "window=[0.3,0.6]", 7, "delta=0.15+0.15", -0.0, 'say "hi"', 2**64, "x"]),
+        ["x"],
+    ),
+    "quoted string with a newline": (_column(["a,b", "c\nd", "e"]), ["x"]),
 }
 
 
 @pytest.mark.parametrize("records, columns", CASES.values(), ids=CASES.keys())
 def test_render_csv_matches_per_cell_loop(records, columns):
     assert render_csv(records, columns) == _per_cell_csv(records, columns)
+
+
+def test_quoted_cells_keep_the_one_pass(monkeypatch):
+    """A str column with commas, as ``bohr``'s ``params``, formats no cell one at a time."""
+    monkeypatch.setattr(reports, "format_value", None)
+    records = _column(["window=[0.3,0.6]", "delta=0.3", 0.5, 'q"'] * 3)
+    assert render_csv(records, ["x"]) == "x\n" + '"window=[0.3,0.6]"\ndelta=0.3\n0.5\n"q"""\n' * 3
 
 
 def test_random_float_bits_match_per_cell_loop():

@@ -19,7 +19,7 @@ from cayleygap import (
     make_group,
     set_norm,
 )
-from cayleygap import representations, sampling
+from cayleygap import groups, representations, sampling
 from cayleygap.bohr import large_spectrum, large_spectrum_product_check
 from cayleygap.representations import UnitaryRepresentation, operator_norms
 from cayleygap.spectra import laplace_spectrum_blocks, spectral_summary
@@ -441,10 +441,19 @@ class TestLazyStacks:
         finally:
             tracemalloc.stop()
 
-    def test_stacks_hold_the_identity_and_one_transform(self):
-        # the identity, the two FFT outputs and the planes: harmonics sliced as views add no copy
-        catalog = representations._DihedralCatalog(make_group("dihedral(200)"))
-        assert self._peak_while(lambda: catalog.stacks) <= 10 * 2**20
+    @staticmethod
+    def _budgeted_bytes(group):
+        """What ``stacks`` checks against the budget: 16 |G|^2 bytes of stacks and
+        ``_BLOCK_ARRAYS`` arrays of one block of ceil(sqrt(|G|)) identity columns."""
+        width = math.isqrt(group.order - 1) + 1
+        return 16 * group.order * (group.order + representations._BLOCK_ARRAYS * width)
+
+    def test_stacks_hold_themselves_and_one_block_transform(self):
+        # beside the stacks: one block's identity columns, its two FFT outputs and its planes
+        group = make_group("dihedral(200)")
+        catalog = representations._DihedralCatalog(group)
+        catalog.coefficients(GroupFunction.delta(group))  # numpy.fft is loaded before the measurement
+        assert self._peak_while(lambda: catalog.stacks) <= self._budgeted_bytes(group) + 2**16
 
     def test_stacks_over_the_dense_budget_raise_before_allocating(self):
         catalog = representations._AbelianCatalog(make_group("cyclic(100003)"))
@@ -455,6 +464,38 @@ class TestLazyStacks:
 
         assert self._peak_while(read) < 2**20
         assert "stacks" not in vars(catalog)
+
+    @pytest.mark.parametrize("descriptor", ["dihedral(200)", "cyclic(199)"])
+    def test_budget_counts_the_stacks_and_one_block(self, monkeypatch, descriptor):
+        """At a budget of exactly the stacks and one block's arrays the stacks build,
+        though the identity and a whole transform (32 |G|^2 bytes) would not fit; a
+        byte less raises GroupTooLarge before anything is allocated."""
+        group = make_group(descriptor)
+        needed = self._budgeted_bytes(group)
+        assert needed < 32 * group.order**2
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", needed - 1)
+        catalog = irrep_catalog.__wrapped__(group)
+
+        def read():
+            with pytest.raises(GroupTooLarge, match="dense budget"):
+                catalog.stacks
+
+        assert self._peak_while(read) < 2**20
+        assert "stacks" not in vars(catalog)
+        monkeypatch.setattr(groups, "DENSE_BYTES_BUDGET", needed)
+        assert [stack.shape[1] for stack in catalog.stacks] == [group.order] * len(catalog.shapes)
+
+    @pytest.mark.parametrize("descriptor", ["dihedral(7)", "cyclic(199)", "abelian_product([2, 2, 300])"])
+    def test_blocked_stacks_equal_the_one_shot_transform(self, descriptor):
+        """Blocks of ceil(sqrt(|G|)) columns, which do not divide |G| here, give the
+        transform of the whole identity bit for bit."""
+        group = make_group(descriptor)
+        assert group.order % (math.isqrt(group.order - 1) + 1)
+        catalog = irrep_catalog.__wrapped__(group)
+        whole = catalog._transform(np.eye(group.order, dtype=np.complex128))
+        assert len(catalog.stacks) == len(whole)
+        for stack, reference in zip(catalog.stacks, whole):
+            assert stack.dtype == reference.dtype and np.array_equal(stack, reference)
 
     @pytest.mark.parametrize(
         "catalog_type, descriptor",
@@ -485,14 +526,32 @@ class TestLazyStacks:
             def _transform(self, values):
                 return [stack[:, 1:] for stack in super()._transform(values)]
 
+        class LastBlockShort(representations._DihedralCatalog):
+            def _transform(self, values):  # drops a column of the block that holds the last one
+                parts = super()._transform(values)
+                return [part[:, 1:] for part in parts] if values[-1].any() else parts
+
         catalog = Truncated(group)
         assert catalog.coefficients(GroupFunction.delta(group))[1].shape == (1, 2, 2)
-        with pytest.raises(ValueError, match="dimension check"):
-            catalog.stacks
-        with pytest.raises(ValueError, match="dimension check"):
-            catalog.reps
-        with pytest.raises(ValueError, match="dimension check"):
-            WrongOrder(make_group("cyclic(5)")).stacks
+        for wrong in (catalog, WrongOrder(make_group("cyclic(5)")), LastBlockShort(make_group("dihedral(7)"))):
+            with pytest.raises(ValueError, match="dimension check"):
+                wrong.stacks
+            with pytest.raises(ValueError, match="dimension check"):
+                wrong.reps
+
+    def test_wrong_declared_shapes_raise_before_allocating(self):
+        class MissingRep(representations._AbelianCatalog):
+            def __init__(self, group):
+                super().__init__(group)
+                self.shapes = ((group.order - 1, 1),)
+
+        catalog = MissingRep(make_group("cyclic(1200)"))
+
+        def read():
+            with pytest.raises(ValueError, match="dimension check"):
+                catalog.stacks
+
+        assert self._peak_while(read) < 2**20
 
 
 class TestOperatorNorms:
